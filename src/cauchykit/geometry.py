@@ -70,12 +70,9 @@ def panels_from_breakpoints(breaks, order: int = 12) -> QuadratureGrid:
     if breaks.size < 2 or np.any(np.diff(breaks) <= 0):
         raise InvalidGridError("breakpoints must be strictly increasing")
     x0, w0 = _leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        h = 0.5 * (hi - lo)
-        nodes.append(lo + h * (x0 + 1.0))
-        weights.append(h * w0)
-    return QuadratureGrid(np.concatenate(nodes), np.concatenate(weights),
+    lo = breaks[:-1, None]
+    h = 0.5 * (breaks[1:, None] - lo)
+    return QuadratureGrid((lo + h * (x0 + 1.0)).ravel(), (h * w0).ravel(),
                           "gauss-legendre-panels")
 
 
@@ -447,8 +444,21 @@ def _warn_if_rough(samples, grid, s0):
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
                     grid: QuadratureGrid) -> np.ndarray:
-    """P.V. of g(t)/(t - t0) dt for t0 at every grid node simultaneously."""
+    """P.V. of g(t)/(t - t0) dt for t0 at every grid node simultaneously.
+
+    On a circle with the periodic trapezoid rule this is the Cauchy
+    projection pi*i*(P+ - P-): the Fourier multiplier +pi*i on the modes
+    exp(i*k*s) with k >= 0 (regular inside) and -pi*i on k < 0 (regular
+    outside, vanishing at infinity), the Nyquist mode counted with k < 0.
+    It costs one FFT (Henrici, SIAM Rev. 21, 1979).  Other contours use the
+    n x n matrix of subtracted difference quotients, whose diagonal is the
+    spectral derivative of the samples, plus the analytic +i*pi*g(t0).
+    """
     samples = np.asarray(samples, dtype=complex)
+    if contour.kind == "circle" and grid.kind == "periodic-trapezoid":
+        k = np.fft.fftfreq(grid.n)
+        return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
+                           * np.fft.fft(samples))
     zs = contour.z(grid.nodes)
     dzs = contour.dz(grid.nodes)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -11,9 +11,13 @@ decay exponent and the sampled edge values.  The circular transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
-use the periodic trapezoid rule on the smooth subtracted integrand; the
-cotangent kernel annihilates the constant mode, so round trips hold on
-zero-mean inputs and means are carried separately as metadata.
+are the conjugate-function Fourier multiplier: exp(i*k*theta) maps to
+i*sign(k)*exp(i*k*theta), so sin(k.) maps to cos(k.) and cos(k.) to
+-sin(k.).  On n equispaced samples this is one FFT, O(n log n) (Henrici,
+"Fast Fourier methods in computational complex analysis", SIAM Rev. 21,
+1979).  The constant mode and the unpaired Nyquist mode cos(n*theta/2) map
+to zero, so round trips hold on zero-mean inputs and means are carried
+separately as metadata.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidGridError
-from .geometry import gauss_panel_grid, spectral_derivative
+from .geometry import gauss_panel_grid, panels_from_breakpoints, trig_interp
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,19 +266,18 @@ def hilbert_complementary_inverse(U, targets) -> TransformResult:
 
 
 def _periodic_route(v: RealLineFunction, targets, sign):
-    """Line transform of a periodic input via the cotangent kernel.
+    """Line transform of a periodic input via the circular transform.
 
     With x = P*theta/(2*pi) the line principal value collapses onto one
-    period: H[v](xi) = Hc[v~](2*pi*xi/P).
+    period: H[v](xi) = Hc[v~](2*pi*xi/P).  The transformed samples are
+    evaluated off the grid by trigonometric interpolation.
     """
     period = float(v.period)
     n = DEFAULT_CIRCLE_SAMPLES
     th = -np.pi + TWO_PI * np.arange(n) / n
     samples = np.asarray(v.func(period * th / TWO_PI), dtype=float)
-    eta = (TWO_PI * targets / period + np.pi) % TWO_PI - np.pi
-    vals = sign * _circular_pv_targets(
-        samples, eta, lambda t: np.asarray(v.func(period * t / TWO_PI),
-                                           dtype=float))
+    s = (TWO_PI * targets / period + np.pi) % TWO_PI
+    vals = sign * np.real(trig_interp(_conjugate(samples), s))
     return TransformResult(vals, targets, np.zeros_like(vals), n, np.inf,
                            ("periodic route",))
 
@@ -283,45 +286,26 @@ def _periodic_route(v: RealLineFunction, targets, sign):
 # circular transforms
 
 
-def _circular_pv_targets(samples, thetas_out, func=None):
-    """(1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi at given angles.
+def _conjugate(samples):
+    """Hc on equispaced samples: the Fourier multiplier i*sign(k).
 
-    The subtracted integrand (v(phi) - v(theta)) cot((phi - theta)/2) is
-    smooth and the bare cotangent principal value vanishes identically.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    phi = -np.pi + TWO_PI * np.arange(n) / n
-    thetas_out = np.atleast_1d(np.asarray(thetas_out, dtype=float))
-    if func is not None:
-        v_at = np.asarray(func(thetas_out), dtype=float)
-    else:
-        from .geometry import trig_interp
-        v_at = np.real(trig_interp(samples, thetas_out + np.pi))
-    deriv = np.real(spectral_derivative(samples))
-    out = np.empty(thetas_out.size)
-    for i, (th, vth) in enumerate(zip(thetas_out, v_at)):
-        d = phi - th
-        near = np.abs((d + np.pi) % TWO_PI - np.pi) < 1e-9
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = (samples - vth) / np.tan(0.5 * d)
-        if np.any(near):
-            j = int(np.argmax(near))
-            g[j] = 2.0 * deriv[j]
-        out[i] = np.sum(g) / n
-    return out
+    The constant and Nyquist modes map to zero."""
+    coef = np.fft.rfft(samples)
+    coef[1:] *= 1j
+    coef[0] = coef[-1] = 0.0
+    return np.fft.irfft(coef, len(samples))
 
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:
     """u = Hc[v] on the sample grid; maps sin(k.) to cos(k.) and
-    cos(k.) to -sin(k.), annihilating the constant mode."""
-    u = _circular_pv_targets(v.samples, v.thetas)
+    cos(k.) to -sin(k.), annihilating the constant and Nyquist modes."""
+    u = _conjugate(v.samples)
     return PeriodicFunction(u, carried_mean=v.mean())
 
 
 def hilbert_circular_inverse(u: PeriodicFunction) -> PeriodicFunction:
     """v = Hc^-1[u]; reproduces a zero-mean input of the forward transform."""
-    vv = -_circular_pv_targets(u.samples, u.thetas)
+    vv = -_conjugate(u.samples)
     return PeriodicFunction(vv, carried_mean=u.mean())
 
 
@@ -388,7 +372,6 @@ def _square_integral(f: RealLineFunction, far_factor: float = 20.0) -> float:
     grid = _line_grid(X)
     body = float(np.sum(np.asarray(f.func(grid.nodes)) ** 2 * grid.weights))
     far = far_factor * X
-    from .geometry import panels_from_breakpoints
     breaks = X * (far / X) ** (np.arange(33) / 32.0)
     tail_grid = panels_from_breakpoints(breaks)
     for sign in (+1.0, -1.0):

@@ -226,7 +226,8 @@ def _pade_denominator(c, m, k):
     A = np.asarray(rows, dtype=complex)
     bvec = np.asarray(rhs, dtype=complex)
     sol, _, rank, sv = np.linalg.lstsq(A, bvec, rcond=SV_CUTOFF)
-    cond_ok = sv.size == 0 or (sv.min() > SV_CUTOFF * sv.max() and rank == k)
+    cond_ok = bool(sv.size == 0
+                   or (sv.min() > SV_CUTOFF * sv.max() and rank == k))
     return sol, cond_ok
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cauchykit import SingularityPrescription, catalog_function
 from cauchykit.cli import SUITES, main, parse_boundary_file
 from cauchykit.errors import ParseError
 
@@ -115,6 +116,16 @@ class TestProbe:
         out = tmp_path / "probec.json"
         assert main(["probe", str(data), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["report"]["locations"] == []
+
+    def test_rank_deficient_branch_fit_writes_json(self, tmp_path):
+        # the Hankel fit of this branch density is rank-deficient; the
+        # report must still serialize, and a branch asserts no poles
+        f = catalog_function(SingularityPrescription("algebraic-branch", 2.5))
+        data = write_boundary_file(tmp_path / "branch.txt", f, n=256)
+        out = tmp_path / "probeb.json"
+        assert main(["probe", str(data), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["poles_asserted"] \
+            is False
 
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

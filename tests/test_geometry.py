@@ -6,7 +6,8 @@ from cauchykit import (DomainError, InvalidGridError, NonFiniteError,
                        contour_integral, ellipse, gauss_panel_grid,
                        periodic_trapezoid_grid, pv_contour_integral,
                        pv_singular_weight, validate_contour)
-from cauchykit.geometry import ClosedContour, near_zone_width
+from cauchykit.geometry import (ClosedContour, near_zone_width,
+                                panels_from_breakpoints, pv_at_all_nodes)
 
 from oracles import pv_closed_extrapolated, random_trig_poly
 
@@ -113,6 +114,38 @@ def test_gauss_panels_sum_to_interval():
     assert grid.weights.sum() == pytest.approx(4.0)
     graded = gauss_panel_grid(10, 8, grade=12, a=0.0, b=1.0)
     assert graded.weights.sum() == pytest.approx(1.0)
+
+
+def test_panels_match_per_panel_construction():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        breaks = np.cumsum(rng.uniform(1e-3, 5.0, rng.integers(2, 30))) - 7.0
+        for order in (2, 12, 16):
+            x0, w0 = np.polynomial.legendre.leggauss(order)
+            h = [0.5 * (hi - lo) for lo, hi in zip(breaks[:-1], breaks[1:])]
+            nodes = np.concatenate([lo + hh * (x0 + 1.0)
+                                    for lo, hh in zip(breaks[:-1], h)])
+            grid = panels_from_breakpoints(breaks, order)
+            assert np.array_equal(grid.nodes, nodes)
+            assert np.array_equal(grid.weights,
+                                  np.concatenate([hh * w0 for hh in h]))
+    with pytest.raises(InvalidGridError):
+        panels_from_breakpoints([0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_circle_pv_route_matches_matrix_form(n):
+    # the FFT route taken for kind="circle" against the difference-quotient
+    # matrix on the same curve declared generic; the Nyquist mode included
+    circ = circle(0.3 + 0.2j, 2.5)
+    generic = ClosedContour(circ.z, circ.dz, circ.d2z)
+    grid = periodic_trapezoid_grid(n)
+    rng = np.random.default_rng(n)
+    for samples in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                    np.cos(0.5 * n * grid.nodes)):
+        fast = pv_at_all_nodes(samples, circ, grid)
+        ref = pv_at_all_nodes(samples, generic, grid)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPvSingularWeight:

@@ -10,6 +10,8 @@ from cauchykit import (ContractError, DomainError, InvalidGridError,
                        hilbert_line_inverse, normalization_check,
                        parseval_check)
 
+TWO_PI = 2.0 * np.pi
+
 
 def example3_v():
     return RealLineFunction(lambda x: -1.0 / (x ** 2 + 1.0), decay=2,
@@ -62,6 +64,20 @@ class TestLineTransforms:
         res = hilbert_line(vs, xi)
         assert np.max(np.abs(res.values - np.cos(xi))) < 1e-12
         assert "periodic route" in res.notes
+
+    def test_periodic_route_off_grid_near_quarter_band(self):
+        # 512 samples per period; mode 127 (near n/4) checks that the
+        # off-grid interpolation of the transformed samples keeps high modes
+        period = 2.3
+        w = TWO_PI / period
+        vs = RealLineFunction(
+            lambda x: np.sin(3.0 * w * x) + 0.5 * np.cos(127.0 * w * x),
+            decay=0, period=period)
+        xi = np.random.default_rng(17).uniform(-6.0, 6.0, 40)
+        want = np.cos(3.0 * w * xi) - 0.5 * np.sin(127.0 * w * xi)
+        assert np.max(np.abs(hilbert_line(vs, xi).values - want)) < 1e-11
+        assert np.max(np.abs(hilbert_line_inverse(vs, xi).values + want)) \
+            < 1e-11
 
     def test_complementary_is_exact_negation(self):
         xi = np.linspace(-4.0, 4.0, 17)
@@ -175,6 +191,18 @@ class TestCircularTransforms:
             got = hilbert_circular(cos_k)
             assert np.max(np.abs(got.samples + np.sin(k * cos_k.thetas))) \
                 < 1e-10
+
+    @pytest.mark.parametrize("transform", [
+        hilbert_circular, hilbert_circular_inverse,
+        hilbert_circular_complementary,
+        hilbert_circular_complementary_inverse])
+    def test_constant_and_nyquist_modes_annihilated(self, transform):
+        n = 64
+        const = PeriodicFunction(np.full(n, -1.25))
+        nyquist = PeriodicFunction.from_function(
+            lambda t: np.cos(0.5 * n * t), n)
+        assert np.max(np.abs(transform(const).samples)) < 1e-14
+        assert np.max(np.abs(transform(nyquist).samples)) < 1e-14
 
     def test_odd_sample_count_rejected(self):
         with pytest.raises(InvalidGridError):
