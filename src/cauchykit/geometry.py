@@ -452,18 +452,22 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     outside, vanishing at infinity), the Nyquist mode counted with k < 0.
     It costs one FFT (Henrici, SIAM Rev. 21, 1979).  Other contours use the
     n x n matrix of subtracted difference quotients, whose diagonal is the
-    spectral derivative of the samples, plus the analytic +i*pi*g(t0).
+    spectral derivative of the samples, plus the analytic +i*pi*g(t0); the
+    matrix is formed a block of rows at a time, so memory stays bounded.
     """
     samples = np.asarray(samples, dtype=complex)
     if contour.kind == "circle" and grid.kind == "periodic-trapezoid":
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
-    zs = contour.z(grid.nodes)
-    dzs = contour.dz(grid.nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (samples[None, :] - samples[:, None]) * dzs[None, :] \
-            / (zs[None, :] - zs[:, None])
-    idx = np.arange(grid.n)
-    quot[idx, idx] = spectral_derivative(samples)
-    return quot @ grid.weights + samples * (1j * np.pi)
+    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    deriv = spectral_derivative(samples)
+    out = samples * (1j * np.pi)
+    step = max(1, 65536 // grid.n)        # rows per block of 2**16 entries
+    for lo in range(0, grid.n, step):
+        i = np.arange(lo, min(lo + step, grid.n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = (samples - samples[i, None]) * dzs / (zs - zs[i, None])
+        quot[i - lo, i] = deriv[i]
+        out[i] += quot @ grid.weights
+    return out

@@ -7,7 +7,8 @@ from cauchykit import (DomainError, InvalidGridError, NonFiniteError,
                        periodic_trapezoid_grid, pv_contour_integral,
                        pv_singular_weight, validate_contour)
 from cauchykit.geometry import (ClosedContour, near_zone_width,
-                                panels_from_breakpoints, pv_at_all_nodes)
+                                panels_from_breakpoints, pv_at_all_nodes,
+                                spectral_derivative)
 
 from oracles import pv_closed_extrapolated, random_trig_poly
 
@@ -146,6 +147,23 @@ def test_circle_pv_route_matches_matrix_form(n):
         fast = pv_at_all_nodes(samples, circ, grid)
         ref = pv_at_all_nodes(samples, generic, grid)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 300, 1024])
+def test_matrix_pv_blocks_match_full_matrix(n):
+    # the matrix route is built in row blocks (two unequal ones at n=300);
+    # every row must equal the full n x n difference-quotient matrix
+    ell = ellipse(1.0, 0.6)
+    grid = periodic_trapezoid_grid(n)
+    zs, dzs = ell.z(grid.nodes), ell.dz(grid.nodes)
+    samples = 1.0 / (zs - 2.0) + np.exp(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = (samples[None, :] - samples[:, None]) * dzs[None, :] \
+            / (zs[None, :] - zs[:, None])
+    quot[np.arange(n), np.arange(n)] = spectral_derivative(samples)
+    ref = quot @ grid.weights + samples * (1j * np.pi)
+    got = pv_at_all_nodes(samples, ell, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestPvSingularWeight:
