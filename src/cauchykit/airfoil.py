@@ -17,13 +17,16 @@ integrated exactly.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import JordanArc, QuadratureGrid, gauss_panel_grid, segment
+from .geometry import (JordanArc, QuadratureGrid, gauss_panel_grid,
+                       near_zone_width, segment)
+from .plemelj import _arc_pv
 
 DEFAULT_CHORD_NODES = 128
 
@@ -151,7 +154,6 @@ def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     out = np.empty_like(x)
     for i, xi in enumerate(x):
         s0 = 0.5 * (xi + 1.0)
-        from .plemelj import _arc_pv
         out[i] = np.real(_arc_pv(lambda t: func(np.real(t)),
                                  segment(-1.0, 1.0), s0, n_panels, order))
     return out
@@ -329,9 +331,7 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
     dts = arc.dz(grid.nodes)
 
     dist = np.min(np.abs(ts[None, :] - z[:, None]), axis=1)
-    width = 10.0 * arc.length() / grid.n
-    if np.any(dist < width):
-        import warnings
+    if np.any(dist < near_zone_width(arc, grid)):
         warnings.warn("field point is in the near zone of the sheet",
                       RuntimeWarning, stacklevel=2)
 

@@ -12,14 +12,15 @@ densities regular outside the contour and decaying at infinity.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, ContractError, OnContourError
-from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
-                       classify_point, near_zone_width, pv_from_samples,
+from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
+                       QuadratureGrid, _classify, _locate_on, _near_zone_width,
+                       _pv, circle, periodic_trapezoid_grid, pv_at_all_nodes,
                        spectral_derivative, trig_interp)
 
 
@@ -61,13 +62,15 @@ class BoundaryFunction:
     def samples(self, contour: ClosedContour, grid: QuadratureGrid,
                 m: int = 0) -> np.ndarray:
         """Samples of f^(m) at the grid nodes (spectral fallback)."""
+        return self._at_nodes(contour.z(grid.nodes), contour.dz(grid.nodes), m)
+
+    def _at_nodes(self, zs, dzs, m):
+        """samples() from the node samples zs = z(s_j), dzs = z'(s_j)."""
         self.require_order(m)
-        zs = contour.z(grid.nodes)
         dc = self.derivative_callable(m)
         if dc is not None:
             return np.asarray(dc(zs), dtype=complex)
         vals = np.asarray(self.func(zs), dtype=complex)
-        dzs = contour.dz(grid.nodes)
         for _ in range(m):
             vals = spectral_derivative(vals) / dzs
         return vals
@@ -92,11 +95,11 @@ def validate_derivatives(f: BoundaryFunction, contour: ClosedContour,
         return 0.0
     rng = np.random.default_rng(rng)
     idx = rng.choice(grid.n, size=min(8, grid.n), replace=False)
-    dzs = contour.dz(grid.nodes)
+    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     worst = 0.0
-    vals = np.asarray(f.func(contour.z(grid.nodes)), dtype=complex)
+    vals = np.asarray(f.func(zs), dtype=complex)
     for m in range(1, len(f.derivs) + 1):
-        supplied = np.asarray(f.derivs[m - 1](contour.z(grid.nodes)))
+        supplied = np.asarray(f.derivs[m - 1](zs))
         vals = spectral_derivative(vals) / dzs
         scale = np.max(np.abs(supplied)) + 1e-300
         worst = max(worst, float(np.max(np.abs((supplied - vals)[idx])) / scale))
@@ -118,12 +121,34 @@ class FunctionalValue:
     near_zone: bool = False
 
 
-def _classify_off_contour(contour, grid, z):
-    cl = classify_point(contour, grid, z)
+def _sample(f, contour, grid):
+    """The one sampling of the contour and density a call makes: z and z'
+    at the nodes, the contour length, and f^(m) at the nodes by order m,
+    each order sampled on first use."""
+    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    by_order = {}
+
+    def f_at_nodes(m):
+        if m not in by_order:
+            by_order[m] = f._at_nodes(zs, dzs, m)
+        return by_order[m]
+    return zs, dzs, contour.length(), f_at_nodes
+
+
+def _functional(smp, contour, grid, z, n, m, near_m):
+    """J_(n,m)[f](z) from one sampling, taking m = near_m instead for a
+    target in the near zone; OnContourError for a target on the contour."""
+    zs, dzs, length, f_at_nodes = smp
+    cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
     if cl.on_contour:
         raise OnContourError(
             "target lies on the contour; use boundary_value / one_sided_limit")
-    return cl
+    near = cl.distance < _near_zone_width(length, grid.n)
+    k = near_m if near else m
+    value = complex(np.sum(f_at_nodes(k) * dzs * grid.weights
+                           / (zs - z) ** (n - k + 1))) \
+        * float(math.factorial(n - k)) / (2j * np.pi)
+    return FunctionalValue(value, complex(z), cl, (n, m), near)
 
 
 def cauchy_functional(f: BoundaryFunction, contour: ClosedContour,
@@ -136,22 +161,7 @@ def cauchy_functional(f: BoundaryFunction, contour: ClosedContour,
     conditioned where the high-power kernel does not.
     """
     f.require_order(n)
-    cl = _classify_off_contour(contour, grid, z)
-    near = cl.distance < near_zone_width(contour, grid)
-    if near and n >= 1:
-        deriv = f.samples(contour, grid, n)
-        value = _kernel_integral(deriv, contour, grid, z, 1) / (2j * np.pi)
-    else:
-        vals = f.samples(contour, grid, 0)
-        value = _kernel_integral(vals, contour, grid, z, n + 1) \
-            * float(math.factorial(n)) / (2j * np.pi)
-    return FunctionalValue(value, complex(z), cl, (n, 0), near)
-
-
-def _kernel_integral(samples, contour, grid, z, power):
-    zs = contour.z(grid.nodes)
-    dzs = contour.dz(grid.nodes)
-    return complex(np.sum(samples * dzs * grid.weights / (zs - z) ** power))
+    return _functional(_sample(f, contour, grid), contour, grid, z, n, 0, n)
 
 
 def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
@@ -165,30 +175,25 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     if not 0 <= m <= n:
         raise CapabilityError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
     f.require_order(max(n, m))
-    cl = _classify_off_contour(contour, grid, z)
-    deriv = f.samples(contour, grid, m)
-    value = _kernel_integral(deriv, contour, grid, z, n - m + 1) \
-        * float(math.factorial(n - m)) / (2j * np.pi)
-    near = cl.distance < near_zone_width(contour, grid)
-    return FunctionalValue(value, complex(z), cl, (n, m), near)
+    return _functional(_sample(f, contour, grid), contour, grid, z, n, m, m)
 
 
-def _locate_on(contour, grid, t0):
-    s0, dist = contour.locate(t0)
-    delta = contour.delta()
-    if dist > delta:
-        raise OnContourError(
-            f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-    return s0
+def _boundary_terms(f, smp, contour, grid, t0, n):
+    """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt) for t0 on the contour;
+    DomainError when t0 is off it."""
+    zs, dzs, length, f_at_nodes = smp
+    s0 = _locate_on(contour, t0, DELTA_FRACTION * length)
+    samples = f_at_nodes(n)
+    at_t0 = complex(trig_interp(samples, s0)[0]) \
+        if f.derivative_callable(n) is None else f.value_on(contour, s0, n)
+    return at_t0, _pv(samples, at_t0, zs, dzs, contour.z(np.array([s0]))[0],
+                      grid, s0)
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,
                    grid: QuadratureGrid, t0: complex, n: int = 0) -> complex:
     """K_n[f](t0) = (1/pi*i) P.V. of f^(n)(t)/(t - t0) dt; equals f^(n)(t0)."""
-    s0 = _locate_on(contour, grid, t0)
-    samples = f.samples(contour, grid, n)
-    at_t0 = f.value_on(contour, s0, n, grid)
-    pv = pv_from_samples(samples, at_t0, contour, grid, s0)
+    _, pv = _boundary_terms(f, _sample(f, contour, grid), contour, grid, t0, n)
     return pv / (1j * np.pi)
 
 
@@ -202,10 +207,8 @@ def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
     """
     if side not in ("interior", "exterior"):
         raise ValueError("side must be 'interior' or 'exterior'")
-    s0 = _locate_on(contour, grid, t0)
-    samples = f.samples(contour, grid, 0)
-    at_t0 = f.value_on(contour, s0, 0, grid)
-    pv = pv_from_samples(samples, at_t0, contour, grid, s0)
+    at_t0, pv = _boundary_terms(f, _sample(f, contour, grid), contour, grid,
+                                t0, 0)
     sign = 1.0 if side == "interior" else -1.0
     return sign * 0.5 * at_t0 + pv / (2j * np.pi)
 
@@ -221,21 +224,15 @@ def complement_functional(F: BoundaryFunction, contour: ClosedContour,
     if F.decay is None or F.decay < 2:
         raise ContractError("complement density must declare decay >= 2")
     F.require_order(n)
-    cl = _classify_off_contour(contour, grid, z)
-    deriv = F.samples(contour, grid, n)
-    value = -_kernel_integral(deriv, contour, grid, z, 1) / (2j * np.pi)
-    near = cl.distance < near_zone_width(contour, grid)
-    return FunctionalValue(value, complex(z), cl, (n, n), near)
+    fv = _functional(_sample(F, contour, grid), contour, grid, z, n, n, n)
+    return replace(fv, value=-fv.value)
 
 
 def complement_boundary_value(F: BoundaryFunction, contour: ClosedContour,
                               grid: QuadratureGrid, t0: complex,
                               n: int = 0) -> complex:
     """K-_n[F](t0) = (-1/pi*i) P.V. of F^(n)(t)/(t-t0) dt; equals F^(n)(t0)."""
-    s0 = _locate_on(contour, grid, t0)
-    samples = F.samples(contour, grid, n)
-    at_t0 = F.value_on(contour, s0, n, grid)
-    pv = pv_from_samples(samples, at_t0, contour, grid, s0)
+    _, pv = _boundary_terms(F, _sample(F, contour, grid), contour, grid, t0, n)
     return -pv / (1j * np.pi)
 
 
@@ -257,29 +254,29 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
     on the closed exterior; on the contour both reduce to the principal-value
     combination -f^(n)/2 + K_n/2, which vanishes identically.
     """
+    f.require_order(n)
+    smp = _sample(f, contour, grid)
+    zs, dzs, length, _ = smp
     res, verdicts = [], []
     max_in, max_out = 0.0, 0.0
     for z in targets:
-        cl = classify_point(contour, grid, z)
+        cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
         if cl.on_contour:
-            s0 = _locate_on(contour, grid, z)
-            samples = f.samples(contour, grid, n)
-            at = f.value_on(contour, s0, n, grid)
-            pv = pv_from_samples(samples, at, contour, grid, s0)
+            at, pv = _boundary_terms(f, smp, contour, grid, z, n)
             g = abs(-0.5 * at + pv / (2j * np.pi))
             max_in = max(max_in, g)
             max_out = max(max_out, g)
         elif cl.inside:
             dc = f.derivative_callable(n)
-            if dc is None and n > 0:
+            if dc is None:
                 raise CapabilityError(
                     "interior residuals at n > 0 need an analytic derivative")
-            expected = complex(np.asarray(dc(np.array([z])))[0]) if n else \
-                complex(np.asarray(f.func(np.array([z])))[0])
-            g = abs(cauchy_functional(f, contour, grid, z, n).value - expected)
+            expected = complex(np.asarray(dc(np.array([z])))[0])
+            g = abs(_functional(smp, contour, grid, z, n, 0, n).value
+                    - expected)
             max_in = max(max_in, g)
         else:
-            g = abs(cauchy_functional(f, contour, grid, z, n).value)
+            g = abs(_functional(smp, contour, grid, z, n, 0, n).value)
             max_out = max(max_out, g)
         res.append(g)
         verdicts.append(cl.verdict)
@@ -294,14 +291,13 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     Each integrand value is itself a principal-value integral; the result
     vanishes for admissible densities.
     """
-    samples = f.samples(contour, grid, n)
-    from .geometry import pv_at_all_nodes
+    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    samples = f._at_nodes(zs, dzs, n)
     k_vals = pv_at_all_nodes(samples, contour, grid) / (1j * np.pi)
     if complement:
         if f.decay is None or f.decay < 2:
             raise ContractError("complement density must declare decay >= 2")
         k_vals = -k_vals
-    dzs = contour.dz(grid.nodes)
     return complex(np.sum(k_vals * dzs * grid.weights))
 
 
@@ -329,21 +325,16 @@ def derivative_bound_check(f: BoundaryFunction, z: complex, R: float, n: int,
     if not 0 <= m <= n:
         raise CapabilityError("need 0 <= m <= n")
     ring = z + R * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    c, g = circle(z, R), periodic_trapezoid_grid(n_nodes)
     dm = f.derivative_callable(m)
     if dm is not None:
         mvals = np.abs(np.asarray(dm(ring)))
     else:
-        from .geometry import circle, periodic_trapezoid_grid
-        c = circle(z, R)
-        g = periodic_trapezoid_grid(n_nodes)
         mvals = np.abs(f.samples(c, g, m))
     bound = float(math.factorial(n - m)) * R ** (-(n - m)) * float(mvals.max())
     dn = f.derivative_callable(n)
     if dn is not None:
         actual = abs(complex(np.asarray(dn(np.array([z])))[0]))
     else:
-        from .geometry import circle, periodic_trapezoid_grid
-        c = circle(z, R)
-        g = periodic_trapezoid_grid(n_nodes)
         actual = abs(cauchy_functional(f, c, g, z, n).value)
     return bound, actual, actual <= bound * (1.0 + 1e-12)

@@ -18,7 +18,8 @@ from . import __version__
 from .airfoil import (FlowConfig, circulation, far_field_circulation,
                       flat_plate_complex_velocity, leading_edge_suction,
                       lift, normal_force, pressure_jump, surface_velocities)
-from .cauchy import (BoundaryFunction, boundary_value, derivative_bound_check,
+from .cauchy import (BoundaryFunction, boundary_value,
+                     complement_boundary_value, derivative_bound_check,
                      mean_value_check, one_sided_limit,
                      uniform_convergence_residuals, vanishing_contour_integral)
 from .errors import CauchyKitError, ParseError
@@ -96,7 +97,6 @@ def _suite_boundary_relations(n, rng):
         checks.append((f"relation-II-{name}", float(r2), 1e-8))
     F = BoundaryFunction(lambda t: t ** -2.0,
                          derivs=(lambda t: -2.0 * t ** -3.0,), decay=2)
-    from .cauchy import complement_boundary_value
     rc = max(abs(complement_boundary_value(F, c, g, t0, 0) - F(t0))
              for t0 in points)
     checks.append(("complement-relation-II", float(rc), 1e-8))

@@ -129,27 +129,8 @@ class ClosedContour:
             rel = point - self.center
             s0 = float(np.angle(rel)) % TWO_PI
             return s0, abs(abs(rel) - self.radius)
-        s = TWO_PI * np.arange(n) / n
-        d2 = np.abs(self.z(s) - point) ** 2
-        s0 = float(s[int(np.argmin(d2))])
-        h = 1e-6
-        for _ in range(8):
-            zz = self.z(np.array([s0]))[0] - point
-            dz = self.dz(np.array([s0]))[0]
-            if self.d2z is not None:
-                ddz = self.d2z(np.array([s0]))[0]
-            else:
-                ddz = (self.dz(np.array([s0 + h]))[0]
-                       - self.dz(np.array([s0 - h]))[0]) / (2 * h)
-            g = 2.0 * np.real(np.conj(zz) * dz)
-            gg = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(zz) * ddz))
-            if gg <= 0:
-                break
-            step = g / gg
-            s0 = (s0 - step) % TWO_PI
-            if abs(step) < 1e-15:
-                break
-        return s0, float(np.abs(self.z(np.array([s0]))[0] - point))
+        return _newton_locate(self, point, TWO_PI * np.arange(n) / n,
+                              lambda s: s % TWO_PI, 1e-6)
 
     def delta(self, frac: float = DELTA_FRACTION) -> float:
         """Default on-contour tolerance band."""
@@ -237,24 +218,36 @@ class JordanArc:
         return float(np.mean(np.abs(self.dz(s))))
 
     def locate(self, point: complex, n: int = 2048):
-        s = (np.arange(n) + 0.5) / n
-        d2 = np.abs(self.z(s) - point) ** 2
-        s0 = float(s[int(np.argmin(d2))])
-        h = 1e-7
-        for _ in range(8):
-            zz = self.z(np.array([s0]))[0] - point
-            dz = self.dz(np.array([s0]))[0]
-            if self.d2z is not None:
-                ddz = self.d2z(np.array([s0]))[0]
-            else:
-                ddz = (self.dz(np.array([min(s0 + h, 1.0)]))[0]
-                       - self.dz(np.array([max(s0 - h, 0.0)]))[0]) / (2 * h)
-            g = 2.0 * np.real(np.conj(zz) * dz)
-            gg = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(zz) * ddz))
-            if gg <= 0:
-                break
-            s0 = min(max(s0 - g / gg, 0.0), 1.0)
-        return s0, float(np.abs(self.z(np.array([s0]))[0] - point))
+        """Parameter s0 of the closest arc point and the distance to it."""
+        return _newton_locate(self, point, (np.arange(n) + 0.5) / n,
+                              lambda s: min(max(s, 0.0), 1.0), 1e-7)
+
+
+def _newton_locate(curve, point, s, fix, h):
+    """Closest point of a contour or arc to ``point``: the nearest sample of
+    the parameter sweep ``s``, refined by Newton steps on |z(s) - point|^2.
+    ``fix`` maps a parameter back into the domain (wrap or clamp) and ``h``
+    is the finite-difference step for z'' when the curve has no ``d2z``.
+    """
+    d2 = np.abs(curve.z(s) - point) ** 2
+    s0 = float(s[int(np.argmin(d2))])
+    for _ in range(8):
+        zz = curve.z(np.array([s0]))[0] - point
+        dz = curve.dz(np.array([s0]))[0]
+        if curve.d2z is not None:
+            ddz = curve.d2z(np.array([s0]))[0]
+        else:
+            ddz = (curve.dz(np.array([fix(s0 + h)]))[0]
+                   - curve.dz(np.array([fix(s0 - h)]))[0]) / (2 * h)
+        g = 2.0 * np.real(np.conj(zz) * dz)
+        gg = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(zz) * ddz))
+        if gg <= 0:
+            break
+        step = g / gg
+        s0 = fix(s0 - step)
+        if abs(step) < 1e-15:
+            break
+    return s0, float(np.abs(curve.z(np.array([s0]))[0] - point))
 
 
 def segment(a: complex, b: complex) -> JordanArc:
@@ -299,14 +292,18 @@ class PointClassification:
 def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
                    delta: Optional[float] = None) -> PointClassification:
     """Classify z against the contour by winding number and node distance."""
-    if not np.isfinite(z):
-        raise DomainError("cannot classify a non-finite point")
     if delta is None:
         delta = contour.delta()
+    return _classify(contour, grid, contour.z(grid.nodes),
+                     contour.dz(grid.nodes), z, delta)
+
+
+def _classify(contour, grid, zs, dzs, z, delta):
+    """classify_point from the node samples zs = z(s_j), dzs = z'(s_j)."""
+    if not np.isfinite(z):
+        raise DomainError("cannot classify a non-finite point")
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
-    zs = contour.z(grid.nodes)
-    dzs = contour.dz(grid.nodes)
     dist = float(np.min(np.abs(zs - z)))
     if contour.kind == "circle":
         dist = min(dist, abs(abs(z - contour.center) - contour.radius))
@@ -322,8 +319,13 @@ def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
                                ill_conditioned=not converged)
 
 
-def near_zone_width(contour: ClosedContour, grid: QuadratureGrid) -> float:
-    return NEAR_ZONE_FACTOR * contour.length() / grid.n
+def near_zone_width(contour, grid: QuadratureGrid) -> float:
+    """Distance below which a target of a contour or arc is in the near zone."""
+    return _near_zone_width(contour.length(), grid.n)
+
+
+def _near_zone_width(length, n):
+    return NEAR_ZONE_FACTOR * length / n
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +350,19 @@ def pv_singular_weight(contour: ClosedContour, t0: complex,
     Equal to -i*pi for every smooth closed contour and every on-contour t0
     (equivalently +i*pi for the kernel dz/(z - t0)).
     """
+    _locate_on(contour, t0, delta)
+    return PV_SINGULAR_WEIGHT
+
+
+def _locate_on(contour, t0, delta=None):
+    """Parameter s0 of the point t0 on a contour or arc; DomainError when t0
+    lies farther than delta (default: the contour's band) from it."""
     if delta is None:
         delta = contour.delta()
-    _, dist = contour.locate(t0)
+    s0, dist = contour.locate(t0)
     if dist > delta:
         raise DomainError(f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-    return PV_SINGULAR_WEIGHT
+    return s0
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:
@@ -390,12 +399,14 @@ def pv_from_samples(samples: np.ndarray, value_at_t0: complex,
     +i*pi*g(t0).  When s0 coincides with a grid node the removable value is
     the parameter derivative of the samples there, taken spectrally.
     """
+    return _pv(samples, value_at_t0, contour.z(grid.nodes),
+               contour.dz(grid.nodes), contour.z(np.array([s0]))[0], grid, s0)
+
+
+def _pv(samples, value_at_t0, zs, dzs, t0, grid, s0):
+    """pv_from_samples from the node samples zs, dzs and t0 = z(s0)."""
     samples = np.asarray(samples, dtype=complex)
-    s = grid.nodes
-    zs = contour.z(s)
-    dzs = contour.dz(s)
-    t0 = contour.z(np.array([s0]))[0]
-    d = _wrapped_param_dist(s, s0)
+    d = _wrapped_param_dist(grid.nodes, s0)
     j0 = int(np.argmin(d))
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (samples - value_at_t0) * dzs / (zs - t0)
@@ -413,17 +424,15 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     regular inside and on the contour; the location-independent constant for
     the reversed kernel is available as :func:`pv_singular_weight`.
     """
-    if delta is None:
-        delta = contour.delta()
-    s0, dist = contour.locate(t0)
-    if dist > delta:
-        raise DomainError(f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-    samples = np.asarray(f(contour.z(grid.nodes)), dtype=complex)
+    s0 = _locate_on(contour, t0, delta)
+    zs = contour.z(grid.nodes)
+    samples = np.asarray(f(zs), dtype=complex)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("density is non-finite at a quadrature node")
-    f_t0 = complex(np.asarray(f(contour.z(np.array([s0]))))[0])
+    t0 = contour.z(np.array([s0]))[0]
+    f_t0 = complex(np.asarray(f(np.array([t0])))[0])
     _warn_if_rough(samples, grid, s0)
-    return pv_from_samples(samples, f_t0, contour, grid, s0)
+    return _pv(samples, f_t0, zs, contour.dz(grid.nodes), t0, grid, s0)
 
 
 def _warn_if_rough(samples, grid, s0):

@@ -12,13 +12,15 @@ parameter logarithm, leaving a smooth remainder for Gauss-Legendre panels.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import JordanArc, QuadratureGrid, gauss_panel_grid
+from .geometry import (JordanArc, QuadratureGrid, _locate_on,
+                       gauss_panel_grid, near_zone_width)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -57,11 +59,9 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
     g = _as_density(g)
     _, dist = arc.locate(z)
-    width = 10.0 * arc.length() / max(grid.n, 1)
     if dist < 1e-12:
         raise DomainError("z lies on the arc; use plemelj_limits")
-    import warnings
-    if dist < width:
+    if dist < near_zone_width(arc, grid):
         warnings.warn("target is in the near zone of the arc; result is "
                       "ill-conditioned", RuntimeWarning, stacklevel=2)
     ts = arc.z(grid.nodes)
@@ -114,9 +114,7 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
     by 1/(pi*i).
     """
     g = _as_density(g)
-    s0, dist = arc.locate(z0)
-    if dist > 1e-8 * max(arc.length(), 1.0):
-        raise DomainError(f"z0 is {dist:.3g} away from the arc")
+    s0 = _locate_on(arc, z0, 1e-8 * max(arc.length(), 1.0))
     if s0 < margin or s0 > 1.0 - margin:
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
@@ -149,9 +147,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     the residual is computed at two grid levels and a slow-convergence
     warning is emitted if they disagree badly.
     """
-    s0, dist = arc.locate(x0)
-    if dist > 1e-8 * max(arc.length(), 1.0):
-        raise DomainError("x0 must lie on the arc")
+    s0 = _locate_on(arc, x0, 1e-8 * max(arc.length(), 1.0))
     if n_panels is None:
         n_panels, order = _panel_hint(grid)
 
@@ -160,7 +156,6 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
         res2 = _pb_residual_once(f2, arc, s0, x0, int(1.5 * n_panels) + 1, order)
         floor = 1e-13
         if max(res, res2) > 10.0 * max(min(res, res2), floor):
-            import warnings
             warnings.warn("nested principal values disagree across grid "
                           "levels; convergence is slow", RuntimeWarning,
                           stacklevel=2)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cauchy import BoundaryFunction, cauchy_functional
+from .cauchy import BoundaryFunction, _functional, _sample
 from .errors import ContractError, PrescriptionError
 from .geometry import ClosedContour, QuadratureGrid
 
@@ -140,10 +140,13 @@ def exterior_annihilation_check(p, contour: ClosedContour,
                                 orders: Sequence[int] = (0,)) -> float:
     """Max |J_n[f](z)| over exterior targets and the given orders n."""
     f = catalog_function(p) if isinstance(p, SingularityPrescription) else p
+    smp = _sample(f, contour, grid)
     worst = 0.0
     for z in np.atleast_1d(np.asarray(targets, dtype=complex)):
         for n in orders:
-            fv = cauchy_functional(f, contour, grid, z, n)
+            f.require_order(n)
+            # J_n as cauchy_functional evaluates it (near-zone reroute m = n)
+            fv = _functional(smp, contour, grid, z, n, 0, n)
             if not fv.classification.outside:
                 raise ContractError(f"target {z} is not exterior")
             worst = max(worst, abs(fv.value))

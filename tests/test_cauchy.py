@@ -1,12 +1,18 @@
+import types
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cauchykit import (BoundaryFunction, CapabilityError, ContractError,
-                       OnContourError, boundary_value, build_unit_circle,
-                       cauchy_functional, complement_boundary_value,
-                       complement_functional, derivative_bound_check,
-                       generalized_functional, mean_value_check,
-                       one_sided_limit, uniform_convergence_residuals,
+import cauchykit
+from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
+                       ContractError, DomainError, OnContourError,
+                       boundary_value, build_unit_circle, cauchy_functional,
+                       complement_boundary_value, complement_functional,
+                       derivative_bound_check, ellipse,
+                       exterior_annihilation_check, generalized_functional,
+                       mean_value_check, one_sided_limit,
+                       periodic_trapezoid_grid, uniform_convergence_residuals,
                        validate_derivatives, vanishing_contour_integral)
 
 from oracles import random_trig_poly
@@ -323,3 +329,142 @@ def test_exterior_annihilation_invariant(circle256):
     for z in targets:
         for n in (0, 1, 2):
             assert abs(cauchy_functional(f, c, g, z, n).value) < 1e-9
+
+
+def test_off_contour_t0_is_a_domain_error(circle256):
+    # OnContourError says the target lies on the contour: the wrong message
+    # for a boundary routine handed a point off it
+    c, g = circle256
+    F = BoundaryFunction(lambda t: t ** -2.0, decay=2)
+    for func in (boundary_value, one_sided_limit, complement_boundary_value):
+        with pytest.raises(DomainError) as info:
+            func(F, c, g, 0.5)
+        assert not isinstance(info.value, OnContourError)
+
+
+# ---------------------------------------------------------------------------
+# each call samples the contour and the density once
+
+N_GRID = 256        # grid-sized calls have this many points
+N_LENGTH = 1024     # ClosedContour.length() sweeps z' at this many points
+
+
+def counted(name, fn, calls):
+    def wrapper(s):
+        calls[name, np.size(s)] += 1
+        return fn(s)
+    return wrapper
+
+
+def counted_ellipse(calls):
+    e = ellipse(1.0, 0.6)
+    return ClosedContour(z=counted("z", e.z, calls),
+                         dz=counted("dz", e.dz, calls), d2z=e.d2z)
+
+
+def counted_density(f, calls):
+    return BoundaryFunction(
+        counted("f", f.func, calls),
+        derivs=tuple(counted(f"f{m + 1}", d, calls)
+                     for m, d in enumerate(f.derivs)),
+        decay=f.decay)
+
+
+def grid_calls(calls):
+    return {k: v for k, v in calls.items() if k[1] in (N_GRID, N_LENGTH)}
+
+
+COMPLEMENT = BoundaryFunction(lambda t: t ** -2.0,
+                              derivs=(lambda t: -2.0 * t ** -3.0,
+                                      lambda t: 6.0 * t ** -4.0), decay=2)
+ON = complex(np.cos(0.7) + 0.6j * np.sin(0.7))          # z(0.7), off-node
+FUNCTIONALS = {
+    "J_n": lambda f, F, c, g: cauchy_functional(f, c, g, 0.3 + 0.1j, 2),
+    "J_n-near": lambda f, F, c, g: cauchy_functional(f, c, g, 1.01 * ON, 2),
+    "J_nm": lambda f, F, c, g: generalized_functional(f, c, g, 0.2j, 2, 1),
+    "J-_n": lambda f, F, c, g: complement_functional(F, c, g, 1.5 + 0.5j, 1),
+    "K_n": lambda f, F, c, g: boundary_value(f, c, g, ON, 1),
+    "one-sided": lambda f, F, c, g: one_sided_limit(f, c, g, ON, "exterior"),
+    "K-_n": lambda f, F, c, g: complement_boundary_value(F, c, g, ON, 1),
+}
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["derivs", "spectral"])
+@pytest.mark.parametrize("name", list(FUNCTIONALS))
+def test_functional_samples_contour_once(name, analytic):
+    calls = Counter()
+    c = counted_ellipse(calls)
+    g = periodic_trapezoid_grid(N_GRID)
+    f, F = pole_density(), COMPLEMENT
+    if not analytic:
+        f = BoundaryFunction(f.func)
+        F = BoundaryFunction(F.func, decay=2)
+    FUNCTIONALS[name](f, F, c, g)
+    assert calls["z", N_GRID] <= 1
+    assert calls["dz", N_GRID] <= 1
+    assert calls["dz", N_LENGTH] <= 1
+
+
+def batch_targets(k):
+    """k each of far inside, far outside, near-zone outside and on-node."""
+    e, g = ellipse(1.0, 0.6), periodic_trapezoid_grid(N_GRID)
+    zs = e.z(np.linspace(0.1, 6.0, k))
+    on = e.z(g.nodes[::N_GRID // k][:k])
+    return list(0.5 * zs) + list(1.6 * zs) + list(1.005 * zs) + list(on)
+
+
+def test_batched_checks_sample_once_per_call():
+    g = periodic_trapezoid_grid(N_GRID)
+    per_count = []
+    for k in (1, 10):                   # 4 targets, then 40
+        targets = batch_targets(k)
+        counts = []
+        for run in ("uniform", "exterior"):
+            calls = Counter()
+            c = counted_ellipse(calls)
+            f = counted_density(pole_density(), calls)
+            if run == "uniform":
+                uniform_convergence_residuals(f, c, g, targets, 1)
+            else:
+                exterior_annihilation_check(f, c, g, targets[k:3 * k],
+                                            (0, 1, 2))
+            counts.append(grid_calls(calls))
+        per_count.append(counts)
+    assert per_count[0] == per_count[1]
+    for counts in per_count[1]:
+        assert counts[("z", N_GRID)] == 1
+        assert counts[("dz", N_GRID)] == 1
+        assert counts[("dz", N_LENGTH)] == 1
+
+
+PUBLIC_NAMES = """
+ArcDensity BoundaryFunction CapabilityError CauchyKitError ClosedContour
+ContractError DomainError EndpointError FlowConfig FunctionalValue
+InvalidGridError JordanArc NonFiniteError OnContourError ParseError
+PeriodicFunction PointClassification PrescriptionError ProbeReport
+QuadratureGrid RealLineFunction ResidualReport SheetDensity SidedLimit
+SingularityPrescription TransformResult arc_cauchy_integral boundary_value
+build_unit_circle catalog_function cauchy_functional chebyshev3_rule
+chebyshev4_rule circle circulation classify_point complement_boundary_value
+complement_functional contour_integral derivative_bound_check ellipse
+exterior_annihilation_check far_field_circulation finite_hilbert_inverse
+finite_hilbert_transform flat_plate_complex_velocity gauss_panel_grid
+generalized_functional hilbert_circular hilbert_circular_complementary
+hilbert_circular_complementary_inverse hilbert_circular_inverse
+hilbert_complementary hilbert_complementary_inverse hilbert_line
+hilbert_line_inverse leading_edge_suction leading_edge_weight lift
+mean_value_check near_zone_width normal_force normalization_check
+one_sided_limit pade_pole_probe parseval_check periodic_trapezoid_grid
+plemelj_limits poincare_bertrand_residual pressure pressure_jump
+pv_contour_integral pv_singular_weight reconstruct_from_jump segment
+sheet_velocity_field surface_velocities taylor_coefficients
+uniform_convergence_residuals validate_contour validate_derivatives
+vanishing_contour_integral
+""".split()
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(cauchykit).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == set(PUBLIC_NAMES)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cauchykit import (DomainError, InvalidGridError, NonFiniteError,
-                       build_unit_circle, circle, classify_point,
-                       contour_integral, ellipse, gauss_panel_grid,
-                       periodic_trapezoid_grid, pv_contour_integral,
-                       pv_singular_weight, validate_contour)
+from cauchykit import (DomainError, InvalidGridError, JordanArc,
+                       NonFiniteError, build_unit_circle, circle,
+                       classify_point, contour_integral, ellipse,
+                       gauss_panel_grid, periodic_trapezoid_grid,
+                       pv_contour_integral, pv_singular_weight,
+                       validate_contour)
 from cauchykit.geometry import (ClosedContour, near_zone_width,
                                 panels_from_breakpoints, pv_at_all_nodes,
                                 spectral_derivative)
@@ -257,3 +258,33 @@ def test_near_zone_width_scale():
     contour, grid = build_unit_circle(256)
     assert near_zone_width(contour, grid) == pytest.approx(
         10.0 * TWO_PI / 256)
+
+
+def parabola_arc(with_d2z):
+    """z(s) = x + i x^2/2 with x = 2s - 1: curvature radius >= 1 on the arc."""
+    return JordanArc(
+        z=lambda s: (2 * s - 1) + 0.5j * (2 * s - 1) ** 2,
+        dz=lambda s: 2.0 + 2j * (2 * s - 1),
+        d2z=(lambda s: np.full(np.shape(s), 4j)) if with_d2z else None)
+
+
+@pytest.mark.parametrize("with_d2z", [True, False])
+@pytest.mark.parametrize("kind", ["ellipse", "arc"])
+def test_locate_recovers_normal_offsets(kind, with_d2z):
+    # a point offset by d along the unit normal at s, with |d| below the
+    # radius of curvature, has its closest curve point at s, at distance |d|
+    if kind == "ellipse":
+        e = ellipse(1.0, 0.6)
+        curve = e if with_d2z else ClosedContour(z=e.z, dz=e.dz)
+        params, offsets = (0.3, 1.2, 2.0, 3.5, 5.9), (-0.2, -0.05, 0.05, 0.3)
+    else:
+        curve = parabola_arc(with_d2z)
+        params, offsets = (0.2, 0.35, 0.5, 0.7, 0.85), (-0.2, -0.05, 0.05, 0.3)
+    for s in params:
+        zs = curve.z(np.array([s]))[0]
+        dz = curve.dz(np.array([s]))[0]
+        normal = -1j * dz / abs(dz)
+        for d in offsets:
+            s0, dist = curve.locate(zs + d * normal)
+            assert s0 == pytest.approx(s, abs=1e-10)
+            assert dist == pytest.approx(abs(d), abs=1e-12)
