@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, gauss_panel_grid,
                        near_zone_width, segment)
-from .plemelj import _arc_pv
+from .plemelj import _arc_pv_rows
 
 DEFAULT_CHORD_NODES = 128
 
@@ -151,12 +151,12 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
 
 def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1]."""
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        s0 = 0.5 * (xi + 1.0)
-        out[i] = np.real(_arc_pv(lambda t: func(np.real(t)),
-                                 segment(-1.0, 1.0), s0, n_panels, order))
-    return out
+    chord = segment(-1.0, 1.0)
+    s0 = 0.5 * (x + 1.0)
+    t0 = chord.z(s0)
+    psi0 = func(np.real(t0))
+    return np.real(_arc_pv_rows(lambda t, r: func(np.real(t)), chord, s0, t0,
+                                psi0, n_panels, order))
 
 
 def finite_hilbert_inverse(v, targets=None,

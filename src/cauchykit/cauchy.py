@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
                        QuadratureGrid, _classify, _locate_on, _near_zone_width,
-                       _pv, circle, periodic_trapezoid_grid, pv_at_all_nodes,
+                       _pv, _pv_at_all_nodes, circle, periodic_trapezoid_grid,
                        spectral_derivative, trig_interp)
 
 
@@ -135,11 +135,13 @@ def _sample(f, contour, grid):
     return zs, dzs, contour.length(), f_at_nodes
 
 
-def _functional(smp, contour, grid, z, n, m, near_m):
+def _functional(smp, contour, grid, z, n, m, near_m, cl=None):
     """J_(n,m)[f](z) from one sampling, taking m = near_m instead for a
-    target in the near zone; OnContourError for a target on the contour."""
+    target in the near zone; OnContourError for a target on the contour.
+    ``cl`` is the target's classification when the caller already has it."""
     zs, dzs, length, f_at_nodes = smp
-    cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
+    if cl is None:
+        cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
     if cl.on_contour:
         raise OnContourError(
             "target lies on the contour; use boundary_value / one_sided_limit")
@@ -272,11 +274,11 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
                 raise CapabilityError(
                     "interior residuals at n > 0 need an analytic derivative")
             expected = complex(np.asarray(dc(np.array([z])))[0])
-            g = abs(_functional(smp, contour, grid, z, n, 0, n).value
+            g = abs(_functional(smp, contour, grid, z, n, 0, n, cl).value
                     - expected)
             max_in = max(max_in, g)
         else:
-            g = abs(_functional(smp, contour, grid, z, n, 0, n).value)
+            g = abs(_functional(smp, contour, grid, z, n, 0, n, cl).value)
             max_out = max(max_out, g)
         res.append(g)
         verdicts.append(cl.verdict)
@@ -293,7 +295,7 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     """
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     samples = f._at_nodes(zs, dzs, n)
-    k_vals = pv_at_all_nodes(samples, contour, grid) / (1j * np.pi)
+    k_vals = _pv_at_all_nodes(samples, contour, grid, zs, dzs) / (1j * np.pi)
     if complement:
         if f.decay is None or f.decay < 2:
             raise ContractError("complement density must declare decay >= 2")

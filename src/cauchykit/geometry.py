@@ -32,6 +32,11 @@ NEAR_ZONE_FACTOR = 10.0
 # smooth closed contour against dz/(t0 - z), for t0 on the contour.
 PV_SINGULAR_WEIGHT = -1j * np.pi
 
+# Entries per row block of a matrix route (256 kB complex), so that memory
+# stays bounded whatever the node and target counts; larger blocks are no
+# faster, as the block then outgrows the cache.
+_BLOCK_ENTRIES = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # quadrature grids
@@ -464,19 +469,32 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     spectral derivative of the samples, plus the analytic +i*pi*g(t0); the
     matrix is formed a block of rows at a time, so memory stays bounded.
     """
+    return _pv_at_all_nodes(samples, contour, grid)
+
+
+def _pv_at_all_nodes(samples, contour, grid, zs=None, dzs=None):
+    """pv_at_all_nodes; the matrix route uses the node samples zs = z(s_j),
+    dzs = z'(s_j) when given and samples the contour otherwise."""
     samples = np.asarray(samples, dtype=complex)
     if contour.kind == "circle" and grid.kind == "periodic-trapezoid":
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
-    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    if zs is None:
+        zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     deriv = spectral_derivative(samples)
     out = samples * (1j * np.pi)
-    step = max(1, 65536 // grid.n)        # rows per block of 2**16 entries
-    for lo in range(0, grid.n, step):
-        i = np.arange(lo, min(lo + step, grid.n))
+    for r in _row_blocks(grid.n, grid.n):
+        i = np.arange(r.start, r.stop)
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = (samples - samples[i, None]) * dzs / (zs - zs[i, None])
-        quot[i - lo, i] = deriv[i]
+        quot[i - r.start, i] = deriv[i]
         out[i] += quot @ grid.weights
     return out
+
+
+def _row_blocks(n_rows, n_cols):
+    """Slices of consecutive rows, each covering at most _BLOCK_ENTRIES
+    entries of an n_rows x n_cols matrix (one row at least)."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]

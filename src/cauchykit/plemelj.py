@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _locate_on,
-                       gauss_panel_grid, near_zone_width)
+from .geometry import (JordanArc, QuadratureGrid, _leggauss, _locate_on,
+                       _row_blocks, gauss_panel_grid, near_zone_width)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -81,21 +81,60 @@ def _aligned_panels(s0, n_panels, order, grade=0):
             np.concatenate([gl.weights, gr.weights]))
 
 
-def _arc_pv(gfunc, arc: JordanArc, s0: float, n_panels: int = 24,
-            order: int = 12, grade: int = 0) -> complex:
-    """P.V. int_L g(t)/(t - t0) dt with t0 = z(s0) interior to the arc.
+def _aligned_rows(s0, n_panels, order):
+    """_aligned_panels(s0[r], n_panels, order) for every row r of s0 as one
+    padded (rows x nodes) pair of nodes and weights.  A row's padding repeats
+    its first node with weight 0, so no integrand is sampled anywhere new."""
+    s0 = s0[:, None]
+    left = np.maximum(2, np.ceil(n_panels * s0).astype(int))
+    right = np.maximum(2, np.ceil(n_panels * (1.0 - s0)).astype(int))
+    # the breakpoints of np.linspace(0, s0, left + 1), then of
+    # np.linspace(s0, 1, right + 1); zero-width panels beyond the last
+    k = np.arange(int(np.max(left + right)) + 1)
+    breaks = np.where(k < left, k * (s0 / left),
+                      np.where(k < left + right,
+                               s0 + (k - left) * ((1.0 - s0) / right), 1.0))
+    x, w = _leggauss(order)
+    lo = breaks[:, :-1, None]
+    h = 0.5 * (breaks[:, 1:, None] - lo)
+    nodes = (lo + h * (x + 1.0)).reshape(len(s0), -1)
+    weights = (h * w).reshape(len(s0), -1)
+    return np.where(weights > 0, nodes, nodes[:, :1]), weights
 
-    Subtracts g(t0)/(s - s0) in parameter space; the bare parameter pole
-    integrates to log((1 - s0)/s0).
+
+def _arc_pv_rows(g, arc: JordanArc, s0, t0, g0, n_panels: int,
+                 order: int) -> np.ndarray:
+    """P.V. int_L g(t, r)/(t - t0[r]) dt for every row r of t0 at once, with
+    t0 = z(s0) interior to the arc and g0 = g(t0, r).
+
+    Row r integrates on GL panels split at s0[r] (a scalar s0 is shared by
+    all rows) and subtracts g0[r]/(s - s0[r]) in parameter space; the bare
+    parameter pole integrates to log((1 - s0)/s0).  g(t, r) gets the nodes
+    of the rows in the slice r and must broadcast against them.  Rows go a
+    block at a time (geometry._row_blocks), so memory stays bounded.
     """
-    t0 = arc.z(np.array([s0]))[0]
-    g0 = complex(np.ravel(np.asarray(gfunc(np.array([t0]))))[0])
-    s, w = _aligned_panels(s0, n_panels, order, grade)
-    ts = arc.z(s)
-    dts = arc.dz(s)
-    vals = np.broadcast_to(np.asarray(gfunc(ts), dtype=complex), ts.shape)
-    h = vals * dts / (ts - t0) - g0 / (s - s0)
-    return complex(np.sum(h * w) + g0 * np.log((1.0 - s0) / s0))
+    t0, g0 = np.broadcast_arrays(np.atleast_1d(np.asarray(t0, dtype=complex)),
+                                 np.atleast_1d(np.asarray(g0, dtype=complex)))
+    shared = np.ndim(s0) == 0
+    if shared:
+        s, w = _aligned_rows(np.array([s0], dtype=float), n_panels, order)
+    s0 = np.broadcast_to(np.asarray(s0, dtype=float), t0.shape)
+    out = g0 * np.log((1.0 - s0) / s0)
+    # a row has at most n_panels + 3 panels (two ceilings and max(2, ...))
+    for r in _row_blocks(t0.size, (n_panels + 3) * order):
+        if not shared:
+            s, w = _aligned_rows(s0[r], n_panels, order)
+        ts = arc.z(s.ravel()).reshape(s.shape)
+        vals = np.broadcast_to(np.asarray(g(ts, r), dtype=complex),
+                               (len(g0[r]), s.shape[1]))
+        # h = g(t) z'(s)/(t - t0) - g0/(s - s0), formed in place so that a
+        # block holds few arrays at once
+        h = vals * arc.dz(s.ravel()).reshape(s.shape)
+        h /= ts - t0[r, None]
+        h -= g0[r, None] / (s - s0[r, None])
+        h *= w
+        out[r] += h.sum(axis=1)
+    return out
 
 
 def _panel_hint(grid: QuadratureGrid):
@@ -119,11 +158,12 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
     n_panels, order = _panel_hint(grid)
-    pv = _arc_pv(g.func, arc, s0, n_panels, order)
-    g0 = complex(np.asarray(g(np.array([arc.z(np.array([s0]))[0]])))[0])
+    loc = complex(arc.z(np.array([s0]))[0])
+    g0 = complex(np.ravel(g(np.array([loc])))[0])
+    pv = complex(_arc_pv_rows(lambda t, r: g(t), arc, s0, loc, g0,
+                              n_panels, order)[0])
     plus = 0.5 * g0 + pv / (2j * np.pi)
     minus = -0.5 * g0 + pv / (2j * np.pi)
-    loc = complex(arc.z(np.array([s0]))[0])
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
 
 
@@ -143,9 +183,13 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
 
     The inner RHS kernel splits by partial fractions into two single-pole
     principal values whose sum vanishes at t = x0, so the outer RHS integral
-    is an ordinary one with a removable point.  When ``cross_check`` is set
-    the residual is computed at two grid levels and a slow-convergence
-    warning is emitted if they disagree badly.
+    is an ordinary one with a removable point.  The inner principal values
+    at all outer nodes are evaluated together, so ``f2`` is called on
+    arrays of t and t' that broadcast against each other and must
+    broadcast too.  ``grid`` contributes only its node count: without
+    ``n_panels`` the inner and outer panels number max(8, grid.n // 12).
+    When ``cross_check`` is set the residual is computed at two grid levels
+    and a slow-convergence warning is emitted if they disagree badly.
     """
     s0 = _locate_on(arc, x0, 1e-8 * max(arc.length(), 1.0))
     if n_panels is None:
@@ -164,42 +208,34 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
 
 
 def _pb_residual_once(f2, arc, s0, x0, n_panels, order):
-    inner_panels = n_panels
-    grade = 14
-
-    def inner_pv_in_t(t_prime_param):
-        # I(t') = P.V. int f2(t, t')/(t - t') dt, singular point at t'
-        tp = complex(arc.z(np.array([t_prime_param]))[0])
-        return _arc_pv(lambda t: f2(t, tp), arc, t_prime_param,
-                       inner_panels, order)
-
-    def inner_pv_in_tprime(t_param, pole_param):
-        # P.V. int f2(t, t')/(t' - pole) dt' at fixed t
-        t = complex(arc.z(np.array([t_param]))[0])
-        return _arc_pv(lambda tp: f2(t, tp), arc, pole_param,
-                       inner_panels, order)
-
     x0c = complex(arc.z(np.array([s0]))[0])
 
     # outer quadrature nodes, split at s0 and graded toward the endpoints
     # (the inner principal values behave logarithmically there)
-    s, w = _aligned_panels(s0, n_panels, order, grade=grade)
+    s, w = _aligned_panels(s0, n_panels, order, grade=14)
     ts = arc.z(s)
     dts = arc.dz(s)
 
-    # LHS: outer principal value of I(t')/(t' - x0)
-    I_vals = np.array([inner_pv_in_t(si) for si in s])
-    I_at_x0 = inner_pv_in_t(s0)
+    # the inner singular points: every outer node, then x0
+    sp, tp = np.append(s, s0), np.append(ts, x0c)
+    diag = np.broadcast_to(np.asarray(f2(tp, tp), dtype=complex), tp.shape)
+
+    # LHS: outer principal value of I(t')/(t' - x0), where
+    # I(t') = P.V. int f2(t, t')/(t - t') dt at every t'
+    I = _arc_pv_rows(lambda t, r: f2(t, tp[r, None]), arc, sp, tp, diag,
+                     n_panels, order)
+    I_vals, I_at_x0 = I[:-1], I[-1]
     h = I_vals * dts / (ts - x0c) - I_at_x0 / (s - s0)
     lhs = complex(np.sum(h * w) + I_at_x0 * np.log((1.0 - s0) / s0))
 
-    # RHS: ordinary outer integral of [A(t) + B(t)]/(t - x0), removable at x0
-    def n_of(si, ti):
-        a = inner_pv_in_tprime(si, s0)                  # pole at t' = x0
-        b = -inner_pv_in_tprime(si, si)                 # kernel 1/(t - t')
-        return a + b
+    # RHS: ordinary outer integral of [A(t) + B(t)]/(t - x0), removable at
+    # x0, with A(t) = P.V. int f2(t, t')/(t' - x0) dt' (every row on the
+    # panels aligned at s0) and B(t) = -P.V. int f2(t, t')/(t' - t) dt'
+    def at_t(tq, r):
+        return f2(ts[r, None], tq)
 
-    N_vals = np.array([n_of(si, ti) for si, ti in zip(s, ts)])
-    rhs_integral = complex(np.sum(N_vals / (ts - x0c) * dts * w))
-    rhs = rhs_integral - np.pi ** 2 * complex(f2(x0c, x0c))
+    A = _arc_pv_rows(at_t, arc, s0, x0c, f2(ts, x0c), n_panels, order)
+    B = -_arc_pv_rows(at_t, arc, s, ts, diag[:-1], n_panels, order)
+    rhs_integral = complex(np.sum((A + B) / (ts - x0c) * dts * w))
+    rhs = rhs_integral - np.pi ** 2 * diag[-1]
     return abs(lhs - rhs)

@@ -143,11 +143,13 @@ def exterior_annihilation_check(p, contour: ClosedContour,
     smp = _sample(f, contour, grid)
     worst = 0.0
     for z in np.atleast_1d(np.asarray(targets, dtype=complex)):
+        cl = None                       # classified by the first order
         for n in orders:
             f.require_order(n)
             # J_n as cauchy_functional evaluates it (near-zone reroute m = n)
-            fv = _functional(smp, contour, grid, z, n, 0, n)
-            if not fv.classification.outside:
+            fv = _functional(smp, contour, grid, z, n, 0, n, cl)
+            cl = fv.classification
+            if not cl.outside:
                 raise ContractError(f"target {z} is not exterior")
             worst = max(worst, abs(fv.value))
     return worst

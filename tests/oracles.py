@@ -7,6 +7,8 @@ Gauss-Legendre panels, extrapolate in epsilon), matching the limit definition
 rather than the singularity-subtraction path under test.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -111,3 +113,43 @@ def random_trig_poly(rng, degree=6, scale=1.0):
         return out
 
     return f
+
+
+# ---------------------------------------------------------------------------
+# per-target references for the library's blocked matrix forms.  These are
+# not independent of the subtraction method, only of its matrix layout: one
+# principal value at a time, each on its own freshly built panels.
+
+
+def aligned_panels(s0, n_panels=24, order=12, grade=0):
+    """GL panels on [0, 1] split at s0: max(2, ceil(n*s0)) panels on the
+    left, max(2, ceil(n*(1 - s0))) on the right."""
+    left = max(2, int(np.ceil(n_panels * s0)))
+    right = max(2, int(np.ceil(n_panels * (1.0 - s0))))
+    if grade:
+        sl, wl = gl_panels(0.0, s0, left, order, grade)
+        sr, wr = gl_panels(s0, 1.0, right, order, grade)
+        return np.concatenate([sl, sr]), np.concatenate([wl, wr])
+    edges = np.concatenate([np.linspace(0.0, s0, left + 1),
+                            np.linspace(s0, 1.0, right + 1)[1:]])
+    xs, ws = _leggauss(order)
+    lo = edges[:-1, None]
+    h = 0.5 * (edges[1:, None] - lo)
+    return (lo + h * (xs + 1.0)).ravel(), (h * ws).ravel()
+
+
+@lru_cache(maxsize=8)
+def _leggauss(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def arc_pv_per_target(g, arc, s0, n_panels=24, order=12):
+    """P.V. of g(t)/(t - t0) dt, t0 = z(s0), by subtracting g(t0)/(s - s0)
+    in parameter space on panels aligned at s0."""
+    t0 = arc.z(np.array([s0]))[0]
+    g0 = complex(np.ravel(np.asarray(g(np.array([t0]))))[0])
+    s, w = aligned_panels(s0, n_panels, order)
+    ts = arc.z(s)
+    vals = np.broadcast_to(np.asarray(g(ts), dtype=complex), ts.shape)
+    h = vals * arc.dz(s) / (ts - t0) - g0 / (s - s0)
+    return complex(np.sum(h * w) + g0 * np.log((1.0 - s0) / s0))

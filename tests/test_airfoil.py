@@ -7,10 +7,10 @@ from cauchykit import (DomainError, EndpointError, FlowConfig, SheetDensity,
                        finite_hilbert_transform, flat_plate_complex_velocity,
                        leading_edge_suction, leading_edge_weight, lift,
                        normal_force, pressure, pressure_jump,
-                       sheet_velocity_field, surface_velocities)
+                       segment, sheet_velocity_field, surface_velocities)
 from cauchykit.geometry import panels_from_breakpoints
 
-from oracles import gl_panels
+from oracles import arc_pv_per_target, gl_panels
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,20 @@ class TestFiniteHilbertTransform:
         v = finite_hilbert_transform(gamma, x)
         expect = np.log((1.0 - x) / (1.0 + x)) / (2.0 * np.pi)
         assert np.max(np.abs(v - expect)) < 1e-10
+
+    def test_smooth_part_matches_per_target_pv(self):
+        # all targets in one blocked call against one principal value per
+        # target; x = -0.97 puts s0 = 0.015 in the max(2, ...) panel regime
+        psi = lambda x: np.exp(np.asarray(x)) - 0.5 * np.asarray(x) ** 3
+        gamma = SheetDensity(smooth=psi)
+        x = np.linspace(-0.97, 0.97, 41)
+        chord = segment(-1.0, 1.0)
+        per_target = np.array([
+            np.real(arc_pv_per_target(lambda t: psi(np.real(t)), chord,
+                                      0.5 * (xi + 1.0)))
+            for xi in x]) / (2.0 * np.pi)
+        v = finite_hilbert_transform(gamma, x)
+        assert np.max(np.abs(v - per_target)) <= 1e-13
 
     def test_endpoint_targets_rejected(self):
         gamma = SheetDensity(weight_coef=lambda x: np.ones_like(

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import cauchykit
+from cauchykit import cauchy as cauchy_module
 from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
                        ContractError, DomainError, OnContourError,
                        boundary_value, build_unit_circle, cauchy_functional,
-                       complement_boundary_value, complement_functional,
-                       derivative_bound_check, ellipse,
+                       classify_point, complement_boundary_value,
+                       complement_functional, derivative_bound_check, ellipse,
                        exterior_annihilation_check, generalized_functional,
                        mean_value_check, one_sided_limit,
                        periodic_trapezoid_grid, uniform_convergence_residuals,
@@ -435,6 +436,44 @@ def test_batched_checks_sample_once_per_call():
         assert counts[("z", N_GRID)] == 1
         assert counts[("dz", N_GRID)] == 1
         assert counts[("dz", N_LENGTH)] == 1
+    # the matrix route of K_n at every node takes the same samples
+    calls = Counter()
+    vanishing_contour_integral(pole_density(), counted_ellipse(calls), g)
+    assert calls[("z", N_GRID)] == 1
+    assert calls[("dz", N_GRID)] == 1
+
+
+def test_batched_checks_classify_each_target_once(monkeypatch):
+    g, f = periodic_trapezoid_grid(N_GRID), pole_density()
+    c = ellipse(1.0, 0.6)
+    targets = batch_targets(3)
+    exterior = targets[3:9]
+    # the same values, one public call per target (and per order)
+    want_uniform = []
+    for z in targets:
+        cl = classify_point(c, g, z)
+        if cl.on_contour:
+            want_uniform.append(abs(one_sided_limit(f, c, g, z, "exterior")))
+        else:
+            value = cauchy_functional(f, c, g, z).value
+            want_uniform.append(abs(value - f.func(z) if cl.inside else value))
+    want_exterior = max(abs(cauchy_functional(f, c, g, z, n).value)
+                        for z in exterior for n in (0, 1, 2))
+
+    classified = []
+
+    def counted(contour, grid, zs, dzs, z, delta):
+        classified.append(z)
+        return classify(contour, grid, zs, dzs, z, delta)
+    classify = cauchy_module._classify
+    monkeypatch.setattr(cauchy_module, "_classify", counted)
+    report = uniform_convergence_residuals(f, c, g, targets, 0)
+    assert classified == targets
+    assert report.residuals.tolist() == want_uniform
+    classified.clear()
+    worst = exterior_annihilation_check(f, c, g, exterior, (0, 1, 2))
+    assert classified == exterior
+    assert worst == want_exterior
 
 
 PUBLIC_NAMES = """

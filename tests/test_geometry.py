@@ -152,7 +152,8 @@ def test_circle_pv_route_matches_matrix_form(n):
 
 @pytest.mark.parametrize("n", [64, 300, 1024])
 def test_matrix_pv_blocks_match_full_matrix(n):
-    # the matrix route is built in row blocks (two unequal ones at n=300);
+    # the matrix route is built in row blocks (the last one shorter at
+    # n=300);
     # every row must equal the full n x n difference-quotient matrix
     ell = ellipse(1.0, 0.6)
     grid = periodic_trapezoid_grid(n)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from cauchykit import geometry
 from cauchykit import (ArcDensity, BoundaryFunction, DomainError,
                        EndpointError, JordanArc, arc_cauchy_integral,
                        build_unit_circle, gauss_panel_grid, one_sided_limit,
                        plemelj_limits, poincare_bertrand_residual,
                        reconstruct_from_jump, segment)
 
-from oracles import arc_integral_refined, pv_arc_extrapolated
+from oracles import (aligned_panels, arc_integral_refined, arc_pv_per_target,
+                     pv_arc_extrapolated)
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +222,102 @@ class TestPoincareBertrand:
         with pytest.raises(DomainError):
             poincare_bertrand_residual(
                 lambda t, tp: np.ones_like(np.asarray(t)), arc, grid, 2j)
+
+
+# ---------------------------------------------------------------------------
+# the inner principal values as one blocked matrix, against the per-node loop
+
+HALF_CIRCLE = JordanArc(
+    z=lambda s: np.exp(1j * np.pi * (1.0 - np.asarray(s))),
+    dz=lambda s: -1j * np.pi * np.exp(1j * np.pi * (1.0 - np.asarray(s))))
+
+PB_DENSITIES = {
+    "1": lambda t, tp: np.ones_like(np.asarray(t, dtype=complex)),
+    "t*t'": lambda t, tp: np.asarray(t) * tp,
+    "t^2+t'^2": lambda t, tp: np.asarray(t) ** 2 + np.asarray(tp) ** 2,
+}
+
+
+def pb_residual_per_node(f2, arc, x0, n_panels, order=12):
+    """|LHS - RHS| with every inner principal value taken one at a time."""
+    s0, _ = arc.locate(x0)
+    x0c = arc.z(np.array([s0]))[0]
+    s, w = aligned_panels(s0, n_panels, order, grade=14)
+    ts, dts = arc.z(s), arc.dz(s)
+
+    def inner_in_t(sp):                 # P.V. int f2(t, t')/(t - t') dt
+        tp = arc.z(np.array([sp]))[0]
+        return arc_pv_per_target(lambda t: f2(t, tp), arc, sp, n_panels,
+                                 order)
+
+    def inner_in_tprime(t, pole):       # P.V. int f2(t, t')/(t' - pole) dt'
+        return arc_pv_per_target(lambda tp: f2(t, tp), arc, pole, n_panels,
+                                 order)
+
+    i_vals = np.array([inner_in_t(si) for si in s])
+    i_x0 = inner_in_t(s0)
+    h = i_vals * dts / (ts - x0c) - i_x0 / (s - s0)
+    lhs = np.sum(h * w) + i_x0 * np.log((1.0 - s0) / s0)
+    n_vals = np.array([inner_in_tprime(ti, s0) - inner_in_tprime(ti, si)
+                       for si, ti in zip(s, ts)])
+    rhs = np.sum(n_vals / (ts - x0c) * dts * w) \
+        - np.pi ** 2 * complex(f2(x0c, x0c))
+    return abs(lhs - rhs)
+
+
+# every density meets every x0 once; the grid alternates between 16 and 24
+# panels.  x0 = -0.94 is s0 = 0.03, where the left part takes max(2, ...)
+# panels and the rows are padded.
+@pytest.mark.parametrize("x0", [0.2, -0.37, -0.94])
+@pytest.mark.parametrize("name", list(PB_DENSITIES))
+def test_pb_matrix_matches_per_node_loop(name, x0):
+    n_panels = (16, 24)[(list(PB_DENSITIES).index(name)
+                         + [0.2, -0.37, -0.94].index(x0)) % 2]
+    f2 = PB_DENSITIES[name]
+    arc = segment(-1.0, 1.0)
+    got = poincare_bertrand_residual(f2, arc, gauss_panel_grid(n_panels, 12),
+                                     complex(x0), cross_check=False)
+    ref = pb_residual_per_node(f2, arc, complex(x0), n_panels)
+    assert abs(got - ref) <= 1e-13
+    assert got < 1e-5
+
+
+def test_pb_matrix_matches_per_node_loop_on_curved_arc():
+    f2 = PB_DENSITIES["t*t'"]
+    x0 = complex(np.exp(0.6j * np.pi))                  # s0 = 0.4
+    got = poincare_bertrand_residual(f2, HALF_CIRCLE, gauss_panel_grid(16, 12),
+                                     x0, cross_check=False)
+    ref = pb_residual_per_node(f2, HALF_CIRCLE, x0, 16)
+    assert abs(got - ref) <= 1e-13
+
+
+def test_pb_calls_f2_per_row_block_not_per_node(monkeypatch):
+    calls = []
+
+    def f2(t, tp):
+        calls.append(1)
+        return np.asarray(t) * tp
+
+    arc = segment(-1.0, 1.0)
+
+    def count(n_panels):
+        calls.clear()
+        poincare_bertrand_residual(f2, arc, gauss_panel_grid(n_panels, 12),
+                                   0.2 + 0.0j, cross_check=False)
+        return len(calls)
+
+    # one call per row block (74 at 28 panels); the per-node loop
+    # made about 6,000
+    assert count(28) <= 100
+    # with every matrix in one block the count no longer depends on the grid
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 1 << 30)
+    assert count(16) == count(28) == 5
+
+
+def test_pb_cross_check_warns_on_slow_convergence():
+    # a pole 0.02 off the arc: the two grid levels disagree by more than 10x
+    f2 = lambda t, tp: 1.0 / (np.asarray(t) - (0.5 + 0.02j)) \
+        + 0.0 * np.asarray(tp)
+    with pytest.warns(RuntimeWarning, match="convergence is slow"):
+        poincare_bertrand_residual(f2, segment(-1.0, 1.0),
+                                   gauss_panel_grid(16, 12), 0.2 + 0.0j)
