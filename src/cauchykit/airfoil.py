@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, gauss_panel_grid,
-                       near_zone_width, segment)
+from .geometry import (JordanArc, QuadratureGrid, _pv_smooth_part,
+                       gauss_panel_grid, near_zone_width, segment)
 from .plemelj import _arc_pv_rows
 
 DEFAULT_CHORD_NODES = 128
@@ -140,10 +140,10 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
     out = np.zeros_like(x)
     if gamma.weight_coef is not None:
         t, w = chebyshev4_rule(n)
-        phi_t = np.asarray(gamma.weight_coef(t), dtype=float)
         phi_x = np.asarray(gamma.weight_coef(x), dtype=float)
-        quot = (phi_t[None, :] - phi_x[:, None]) / (t[None, :] - x[:, None])
-        out += quot @ w + phi_x * PV_WEIGHT4
+        out += _pv_smooth_part(gamma.weight_coef, t, w,
+                               np.asarray(gamma.weight_coef(t), dtype=float),
+                               x, phi_x) + phi_x * PV_WEIGHT4
     if gamma.smooth is not None:
         out += _smooth_chord_pv(gamma.smooth, x)
     return out / (2.0 * np.pi)
@@ -176,8 +176,7 @@ def finite_hilbert_inverse(v, targets=None,
     def phi(x):
         x = _check_chord_targets(x)
         v_x = np.asarray(v(x), dtype=float)
-        quot = (v_t[None, :] - v_x[:, None]) / (t[None, :] - x[:, None])
-        pv = quot @ w + v_x * PV_WEIGHT3
+        pv = _pv_smooth_part(v, t, w, v_t, x, v_x) + v_x * PV_WEIGHT3
         return -(2.0 / np.pi) * pv
 
     return SheetDensity(weight_coef=phi)

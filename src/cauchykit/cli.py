@@ -2,15 +2,14 @@
 inverse-probe and transform utilities.
 
 Exit codes: 0 all checks pass, 1 a numeric check failed, 2 usage or parse
-error.  Output is CSV (default) or JSON tagged "cauchy-kit/1"; files are
-byte-identical across runs for a fixed configuration and seed.
+error.  Output is CSV (default) or JSON tagged "cauchy-kit/1" (``probe``
+always writes JSON); files are byte-identical across runs for a fixed
+configuration and seed.  Each subcommand accepts only the options it reads.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,36 +39,17 @@ from .singularities import (SingularityPrescription, catalog_function,
 
 SCHEMA = "cauchy-kit/1"
 
-SUITES = ("boundary-relations", "convergence", "integral-theorems",
-          "hilbert", "plemelj", "direct-problem")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by every subcommand."""
-
-    command: str
-    n: int = 256
-    tol: Optional[float] = None
-    format: str = "csv"
-    out: Optional[str] = None
-    seed: int = 0
-
-    @classmethod
-    def from_args(cls, args):
-        cfg = cls(command=args.command, n=args.n, tol=args.tol,
-                  format=args.format, out=args.out, seed=args.seed)
-        if cfg.n < 8 or cfg.n % 2:
-            raise ParseError(f"--n must be even and >= 8, got {cfg.n}")
-        if cfg.tol is not None and cfg.tol <= 0:
-            raise ParseError("--tol must be positive")
-        if cfg.format not in ("csv", "json"):
-            raise ParseError(f"unknown format {cfg.format!r}")
-        return cfg
-
-TRANSFORM_KINDS = ("circular", "circular-inverse", "circular-complementary",
-                   "circular-complementary-inverse", "line", "line-inverse",
-                   "line-complementary")
+# transform kind -> function; the circular kinds take a PeriodicFunction,
+# the line kinds a RealLineFunction and targets
+TRANSFORM_KINDS = {
+    "circular": hilbert_circular,
+    "circular-inverse": hilbert_circular_inverse,
+    "circular-complementary": hilbert_circular_complementary,
+    "circular-complementary-inverse": hilbert_circular_complementary_inverse,
+    "line": hilbert_line,
+    "line-inverse": hilbert_line_inverse,
+    "line-complementary": hilbert_complementary,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +158,18 @@ def _suite_hilbert(n, rng):
     ubar = hilbert_complementary(v, xi)
     checks.append(("line-complementary-negation",
                    float(np.max(np.abs(ubar.values + u.values))), 1e-14))
-    pf = PeriodicFunction.from_function(np.sin, max(8, n))
+    pf = PeriodicFunction.from_function(np.sin, n)
     uc = hilbert_circular(pf)
     checks.append(("circular-sin-to-cos",
                    float(np.max(np.abs(uc.samples - np.cos(pf.thetas)))),
                    1e-10))
     worst = 0.0
     for k in range(1, 17):
-        pk = PeriodicFunction.from_function(lambda t: np.sin(k * t), max(8, n))
+        pk = PeriodicFunction.from_function(lambda t: np.sin(k * t), n)
         ck_ = hilbert_circular(pk)
         worst = max(worst, float(np.max(np.abs(ck_.samples
                                                - np.cos(k * pk.thetas)))))
-        qk = PeriodicFunction.from_function(lambda t: np.cos(k * t), max(8, n))
+        qk = PeriodicFunction.from_function(lambda t: np.cos(k * t), n)
         sk = hilbert_circular(qk)
         worst = max(worst, float(np.max(np.abs(sk.samples
                                                + np.sin(k * qk.thetas)))))
@@ -270,9 +250,11 @@ SUITE_RUNNERS = {
     "direct-problem": _suite_direct_problem,
 }
 
+SUITES = tuple(SUITE_RUNNERS)
+
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output and the verify command
 
 
 def _emit(text, out_path):
@@ -283,30 +265,28 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _verify_report(suite, checks, fmt, n, seed, tol_override):
+def _emit_json(doc, out_path):
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def cmd_verify(args) -> int:
+    checks = SUITE_RUNNERS[args.suite](args.n, np.random.default_rng(args.seed))
     rows = []
     for check_id, residual, tol in checks:
-        tol = tol_override if tol_override is not None else tol
+        tol = args.tol if args.tol is not None else tol
         rows.append({"check": check_id, "residual": residual,
                      "tolerance": tol, "pass": bool(residual <= tol)})
     all_pass = all(r["pass"] for r in rows)
-    if fmt == "json":
-        doc = {"schema": SCHEMA, "command": "verify", "suite": suite,
-               "n": n, "seed": seed, "checks": rows, "all_pass": all_pass}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n", all_pass
-    lines = ["check,residual,tolerance,pass"]
-    for r in rows:
-        lines.append(f"{r['check']},{r['residual']:.6e},"
-                     f"{r['tolerance']:.6e},{int(r['pass'])}")
-    return "\n".join(lines) + "\n", all_pass
-
-
-def cmd_verify(args, cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    checks = SUITE_RUNNERS[args.suite](cfg.n, rng)
-    text, all_pass = _verify_report(args.suite, checks, cfg.format, cfg.n,
-                                    cfg.seed, cfg.tol)
-    _emit(text, cfg.out)
+    if args.format == "json":
+        _emit_json({"schema": SCHEMA, "command": "verify", "suite": args.suite,
+                    "n": args.n, "seed": args.seed, "checks": rows,
+                    "all_pass": all_pass}, args.out)
+    else:
+        lines = ["check,residual,tolerance,pass"]
+        for r in rows:
+            lines.append(f"{r['check']},{r['residual']:.6e},"
+                         f"{r['tolerance']:.6e},{int(r['pass'])}")
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_pass else 1
 
 
@@ -314,13 +294,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # airfoil command
 
 
-def cmd_airfoil(args, cfg: RunConfig) -> int:
+def cmd_airfoil(args) -> int:
     try:
         flow = FlowConfig(args.u, args.alpha, args.rho)
     except CauchyKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n = cfg.n
+    n = args.n
     gamma_total = circulation(flow, n)
     l_vec, l_mag = lift(flow, n)
     scalars = {
@@ -343,8 +323,8 @@ def cmd_airfoil(args, cfg: RunConfig) -> int:
     keep = ~((np.abs(zz.imag) < 1e-12) & (np.abs(zz.real) <= 1.0))
     zz = zz[keep]
     ww = flat_plate_complex_velocity(flow, zz)
-    if cfg.format == "json":
-        doc = {
+    if args.format == "json":
+        _emit_json({
             "schema": SCHEMA, "command": "airfoil",
             "config": {"speed": args.u, "alpha": args.alpha, "rho": args.rho,
                        "n": n},
@@ -355,8 +335,7 @@ def cmd_airfoil(args, cfg: RunConfig) -> int:
                 "gamma": gamma_x.tolist(), "dp": dp.tolist()},
             "field": {"z_re": zz.real.tolist(), "z_im": zz.imag.tolist(),
                       "w_re": ww.real.tolist(), "w_im": ww.imag.tolist()},
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        }, args.out)
         return 0
     lines = [f"# schema={SCHEMA}", "# command=airfoil",
              f"# U={args.u:.12e} alpha={args.alpha:.12e} rho={args.rho:.12e} n={n}"]
@@ -374,7 +353,7 @@ def cmd_airfoil(args, cfg: RunConfig) -> int:
     for i in range(zz.size):
         lines.append(",".join(f"{q:.12e}" for q in
                               (zz[i].real, zz[i].imag, ww[i].real, ww[i].imag)))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -418,12 +397,8 @@ def parse_boundary_file(path):
     return thetas, np.asarray(re_f) + 1j * np.asarray(im_f)
 
 
-def cmd_probe(args, cfg: RunConfig) -> int:
-    try:
-        thetas, samples = parse_boundary_file(args.data)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_probe(args) -> int:
+    _, samples = parse_boundary_file(args.data)
     n = samples.size
     # re-order to start at theta = 0 so the FFT sees z = exp(i s), s in [0, 2pi)
     samples_from_zero = np.roll(samples, -n // 2)
@@ -432,9 +407,8 @@ def cmd_probe(args, cfg: RunConfig) -> int:
     degrees = tuple(args.degrees) if args.degrees else None
     report = pade_pole_probe(coeffs, degrees=degrees,
                              boundary_samples=samples_from_zero)
-    doc = {"schema": SCHEMA, "command": "probe", "samples": n,
-           "report": report.to_dict()}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit_json({"schema": SCHEMA, "command": "probe", "samples": n,
+                "report": report.to_dict()}, args.out)
     return 0
 
 
@@ -442,39 +416,27 @@ def cmd_probe(args, cfg: RunConfig) -> int:
 # transform command
 
 
-def cmd_transform(args, cfg: RunConfig) -> int:
-    try:
-        thetas, samples = parse_boundary_file(args.data)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_transform(args) -> int:
+    thetas, samples = parse_boundary_file(args.data)
     column = np.real(samples) if args.column == "re" else np.imag(samples)
-    pf = PeriodicFunction(column)
-    circular_ops = {
-        "circular": hilbert_circular,
-        "circular-inverse": hilbert_circular_inverse,
-        "circular-complementary": hilbert_circular_complementary,
-        "circular-complementary-inverse": hilbert_circular_complementary_inverse,
-    }
-    if args.kind in circular_ops:
-        result = circular_ops[args.kind](pf).samples
+    op = TRANSFORM_KINDS[args.kind]
+    if args.kind.startswith("circular"):
+        result = op(PeriodicFunction(column)).samples
     else:
         rlf = RealLineFunction(
             lambda x: np.interp(x, thetas, column, left=0.0, right=0.0),
             decay=2.0, window=float(np.max(np.abs(thetas))))
-        op = {"line": hilbert_line, "line-inverse": hilbert_line_inverse,
-              "line-complementary": hilbert_complementary}[args.kind]
         result = op(rlf, 0.9 * thetas).values
         thetas = 0.9 * thetas
-    if cfg.format == "json":
-        doc = {"schema": SCHEMA, "command": "transform", "kind": args.kind,
-               "theta": thetas.tolist(), "values": result.tolist()}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    if args.format == "json":
+        _emit_json({"schema": SCHEMA, "command": "transform", "kind": args.kind,
+                    "theta": thetas.tolist(), "values": result.tolist()},
+                   args.out)
         return 0
     lines = ["theta,value"]
     for th, val in zip(thetas, result):
         lines.append(f"{th:.12e},{val:.12e}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -490,19 +452,38 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_n=256):
-        p.add_argument("--n", type=int, default=default_n,
-                       help="grid size (default %(default)s)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override every check tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # argparse types: a bad value is a usage error naming its option
+    def grid_size(text):
+        n = int(text)
+        if n < 8 or n % 2:
+            raise argparse.ArgumentTypeError(f"must be even and >= 8, got {n}")
+        return n
+
+    def tolerance(text):
+        tol = float(text)
+        if tol <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return tol
+
+    def add_n(p, default):
+        p.add_argument("--n", type=grid_size, default=default,
+                       help="grid size, even and >= 8 (default %(default)s)")
+
+    def add_out(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites")
+
+    def add_format_out(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        add_out(p)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    add_common(p_verify)
+    add_n(p_verify, 256)
+    p_verify.add_argument("--tol", type=tolerance, default=None,
+                          help="override every check tolerance")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized suites")
+    add_format_out(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_air = sub.add_parser("airfoil", help="flat-plate airfoil tables")
@@ -510,17 +491,19 @@ def build_parser():
     p_air.add_argument("--alpha", type=float, default=np.pi / 6,
                        help="incidence angle in radians")
     p_air.add_argument("--rho", type=float, default=1.0, help="fluid density")
-    add_common(p_air, default_n=128)
+    add_n(p_air, 128)
+    add_format_out(p_air)
     p_air.set_defaults(func=cmd_airfoil)
 
     p_probe = sub.add_parser("probe",
-                             help="estimate exterior poles from boundary data")
+                             help="estimate exterior poles from boundary data "
+                                  "(writes JSON)")
     p_probe.add_argument("data", help="file of rows: theta, Re f, Im f")
     p_probe.add_argument("--degrees", type=int, nargs=2, default=None,
                          metavar=("M", "K"), help="Pade degree pair")
     p_probe.add_argument("--coeffs", type=int, default=64,
                          help="number of Taylor coefficients")
-    add_common(p_probe)
+    add_out(p_probe)
     p_probe.set_defaults(func=cmd_probe)
 
     p_tr = sub.add_parser("transform", help="apply a Hilbert-family transform "
@@ -528,27 +511,18 @@ def build_parser():
     p_tr.add_argument("data", help="file of rows: theta, Re f, Im f")
     p_tr.add_argument("--kind", choices=TRANSFORM_KINDS, default="circular")
     p_tr.add_argument("--column", choices=("re", "im"), default="re")
-    add_common(p_tr)
+    add_format_out(p_tr)
     p_tr.set_defaults(func=cmd_transform)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except CauchyKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 def run():

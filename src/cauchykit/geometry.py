@@ -207,8 +207,6 @@ class JordanArc:
     z: Callable
     dz: Callable
     d2z: Optional[Callable] = None
-    infinite: bool = False
-    decay: Optional[float] = None
 
     @property
     def a(self) -> complex:
@@ -498,3 +496,24 @@ def _row_blocks(n_rows, n_cols):
     entries of an n_rows x n_cols matrix (one row at least)."""
     step = max(1, _BLOCK_ENTRIES // n_cols)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _pv_smooth_part(func, nodes, weights, f_nodes, targets, f_targets):
+    """sum_j (f(x_j) - f(xi))/(x_j - xi) w_j for every real target xi: the
+    subtracted part of P.V. int f(x)/(x - xi) dx on a fixed rule, with
+    f_nodes = f(x_j) and f_targets = f(xi).  Where a target hits a node
+    (|x_j - xi| < 1e-8) the quotient takes its removable value f'(xi), a
+    central difference of ``func``.  Rows go a block at a time, so memory
+    stays bounded."""
+    out = np.empty(targets.size)
+    for r in _row_blocks(targets.size, nodes.size):
+        diff = nodes - targets[r, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = (f_nodes - f_targets[r, None]) / diff
+        rows, cols = np.nonzero(np.abs(diff) < 1e-8)
+        if rows.size:
+            xi, h = targets[r][rows], 1e-5
+            quot[rows, cols] = (np.asarray(func(xi + h))
+                                - np.asarray(func(xi - h))) / (2.0 * h)
+        out[r] = quot @ weights
+    return out

@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidGridError
-from .geometry import gauss_panel_grid, panels_from_breakpoints, trig_interp
+from .geometry import (_pv_smooth_part, gauss_panel_grid,
+                       panels_from_breakpoints, trig_interp)
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,21 +180,10 @@ def _line_pv(vfunc, X, p, targets):
     if np.any(np.abs(targets) > 0.95 * X):
         raise DomainError("targets must satisfy |xi| <= 0.95 * window")
     grid = _line_grid(X)
-    x, w = grid.nodes, grid.weights
-    vx = np.asarray(vfunc(x), dtype=float)
     vxi = np.asarray(vfunc(targets), dtype=float)
-    diff = x[None, :] - targets[:, None]
-    near = np.abs(diff) < 1e-8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (vx[None, :] - vxi[:, None]) / diff
-    if np.any(near):
-        # removable value: the difference quotient tends to v'(xi)
-        h = 1e-5
-        dv = (np.asarray(vfunc(targets + h)) - np.asarray(vfunc(targets - h))) \
-            / (2.0 * h)
-        rows, cols = np.nonzero(near)
-        quot[rows, cols] = dv[rows]
-    smooth = quot @ w
+    smooth = _pv_smooth_part(vfunc, grid.nodes, grid.weights,
+                             np.asarray(vfunc(grid.nodes), dtype=float),
+                             targets, vxi)
     log_term = vxi * np.log((X - targets) / (X + targets))
     tail, resid = _tail_correction(vfunc, X, p, targets)
     return smooth + log_term + tail, resid
@@ -205,50 +195,49 @@ def _as_line_function(v) -> RealLineFunction:
     raise TypeError("expected a RealLineFunction")
 
 
-def hilbert_line(v, targets) -> TransformResult:
-    """u(xi) = H[v](xi) = (1/pi) P.V. int v(x)/(x - xi) dx.
-
-    Oscillatory periodic inputs (declared via ``period``) route through the
-    circular transform over one period; decaying inputs need decay >= 1.
-    """
+def _line_transform(v, targets, sign) -> TransformResult:
+    """sign/pi times P.V. int v(x)/(x - xi) dx: sign +1 is H, -1 is H^-1."""
     v = _as_line_function(v)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if not np.all(np.isfinite(targets)):
         raise DomainError("targets must be finite")
     if v.period is not None:
-        return _periodic_route(v, targets, sign=+1.0)
+        return _periodic_route(v, targets, sign)
     if v.decay < 1:
         raise ContractError(
             f"line Hilbert transform needs decay >= 1, declared {v.decay}")
-    if not v.check_decay():
+    # only the forward transform samples the declared decay (see
+    # hilbert_line_inverse)
+    if sign > 0 and not v.check_decay():
         raise ContractError("sampled far-field violates the declared decay")
     pv, resid = _line_pv(v.func, v.window, v.decay, targets)
     notes = ()
     if np.any(np.abs(targets) > 0.5 * v.window):
         notes = ("targets beyond half the truncation window: "
                  "accuracy degrades",)
-    grid_size = _line_grid(v.window).n
-    return TransformResult(pv / np.pi, targets, resid / np.pi, grid_size,
-                           v.window, notes)
+    return TransformResult(sign * pv / np.pi, targets, resid / np.pi,
+                           _line_grid(v.window).n, v.window, notes)
+
+
+def hilbert_line(v, targets) -> TransformResult:
+    """u(xi) = H[v](xi) = (1/pi) P.V. int v(x)/(x - xi) dx.
+
+    Oscillatory periodic inputs (declared via ``period``) route through the
+    circular transform over one period; decaying inputs need decay >= 1,
+    and their far field sampled at 4X must agree with the declared decay.
+    """
+    return _line_transform(v, targets, +1.0)
 
 
 def hilbert_line_inverse(u, targets) -> TransformResult:
-    """v(x) = H^-1[u](x) = (-1/pi) P.V. int u(xi)/(xi - x) dxi."""
-    u = _as_line_function(u)
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if u.period is not None:
-        return _periodic_route(u, targets, sign=-1.0)
-    if u.decay < 1:
-        raise ContractError(
-            f"line Hilbert inversion needs decay >= 1, declared {u.decay}")
-    pv, resid = _line_pv(u.func, u.window, u.decay, targets)
-    notes = ()
-    if np.any(np.abs(targets) > 0.5 * u.window):
-        notes = ("targets beyond half the truncation window: "
-                 "accuracy degrades",)
-    grid_size = _line_grid(u.window).n
-    return TransformResult(-pv / np.pi, targets, resid / np.pi, grid_size,
-                           u.window, notes)
+    """v(x) = H^-1[u](x) = (-1/pi) P.V. int u(xi)/(xi - x) dxi.
+
+    Targets must be finite and the input needs decay >= 1, as for
+    :func:`hilbert_line`.  The far field is not sampled at 4X: a round-trip
+    input such as a computed transform interpolated on its window cannot be
+    evaluated there.
+    """
+    return _line_transform(u, targets, -1.0)
 
 
 def hilbert_complementary(V, targets) -> TransformResult:

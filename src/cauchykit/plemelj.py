@@ -30,8 +30,6 @@ class ArcDensity:
     """Complex density on a Jordan arc, finite at endpoints, smooth inside."""
 
     func: Callable
-    smoothness: Optional[int] = None
-    antiderivative: Optional[Callable] = None   # for oracle use only
 
     def __call__(self, t):
         return self.func(np.asarray(t, dtype=complex))
@@ -137,31 +135,24 @@ def _arc_pv_rows(g, arc: JordanArc, s0, t0, g0, n_panels: int,
     return out
 
 
-def _panel_hint(grid: QuadratureGrid):
-    # recover a panel count / order resolution hint from a panel grid
-    n = grid.n
-    order = 12
-    return max(8, n // order), order
-
-
 def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
                    margin: float = DEFAULT_ENDPOINT_MARGIN):
     """One-sided limits f+(z0), f-(z0) of the arc integral at interior z0.
 
     f+-(z0) = +-g(z0)/2 + (1/2*pi*i) P.V. int_L g(t)/(t - z0) dt.  Their
     difference is g(z0) and their sum is the principal-value integral scaled
-    by 1/(pi*i).
+    by 1/(pi*i).  ``grid`` contributes only its node count: the principal
+    value integrates on max(8, grid.n // 12) order-12 panels split at z0.
     """
     g = _as_density(g)
     s0 = _locate_on(arc, z0, 1e-8 * max(arc.length(), 1.0))
     if s0 < margin or s0 > 1.0 - margin:
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
-    n_panels, order = _panel_hint(grid)
     loc = complex(arc.z(np.array([s0]))[0])
     g0 = complex(np.ravel(g(np.array([loc])))[0])
     pv = complex(_arc_pv_rows(lambda t, r: g(t), arc, s0, loc, g0,
-                              n_panels, order)[0])
+                              max(8, grid.n // 12), 12)[0])
     plus = 0.5 * g0 + pv / (2j * np.pi)
     minus = -0.5 * g0 + pv / (2j * np.pi)
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
@@ -187,13 +178,14 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     at all outer nodes are evaluated together, so ``f2`` is called on
     arrays of t and t' that broadcast against each other and must
     broadcast too.  ``grid`` contributes only its node count: without
-    ``n_panels`` the inner and outer panels number max(8, grid.n // 12).
+    ``n_panels`` the inner and outer panels of order ``order`` number
+    max(8, grid.n // order).
     When ``cross_check`` is set the residual is computed at two grid levels
     and a slow-convergence warning is emitted if they disagree badly.
     """
     s0 = _locate_on(arc, x0, 1e-8 * max(arc.length(), 1.0))
     if n_panels is None:
-        n_panels, order = _panel_hint(grid)
+        n_panels = max(8, grid.n // order)
 
     res = _pb_residual_once(f2, arc, s0, x0, n_panels, order)
     if cross_check:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,48 @@ class TestFiniteHilbertInverse:
         eps = 10.0 ** (-np.arange(2, 6, dtype=float))
         slope = np.polyfit(np.log(eps), np.log(np.abs(dens(-1.0 + eps))), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.02)
+
+
+# the chord routes at their own Gauss-Chebyshev nodes, where the subtracted
+# quotient takes its removable value
+
+
+def test_transform_at_its_own_nodes_matches_neighbours():
+    gamma = SheetDensity(weight_coef=lambda x: 1.0 + x ** 2 + np.sin(3.0 * x))
+    x = chebyshev4_rule(128)[0][5:7]
+    at = finite_hilbert_transform(gamma, x)
+    near = 0.5 * (finite_hilbert_transform(gamma, x - 1e-6)
+                  + finite_hilbert_transform(gamma, x + 1e-6))
+    assert np.all(np.isfinite(at))
+    assert np.max(np.abs(at - near)) < 1e-10
+
+
+def test_inverse_at_its_own_nodes_matches_neighbours():
+    phi = finite_hilbert_inverse(lambda x: np.cos(2.0 * x)).weight_coef
+    x = chebyshev3_rule(128)[0][5:7]
+    at = phi(x)
+    near = 0.5 * (phi(x - 1e-6) + phi(x + 1e-6))
+    assert np.all(np.isfinite(at))
+    assert np.max(np.abs(at - near)) < 1e-10
+
+
+@pytest.mark.parametrize("route", ["transform", "inverse"])
+def test_chord_routes_memory_bounded(route):
+    # one full 50,000 x 128 quotient matrix alone would take 51 MB
+    x = np.linspace(-0.99, 0.99, 50_000)
+    if route == "transform":
+        gamma = SheetDensity(weight_coef=lambda t: 1.0 + t ** 2)
+        run = lambda: finite_hilbert_transform(gamma, x)
+    else:
+        phi = finite_hilbert_inverse(lambda t: np.cos(2.0 * t)).weight_coef
+        run = lambda: phi(x)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestPlateVelocity:

@@ -173,6 +173,41 @@ class TestTransform:
         assert np.max(np.abs(got - np.sin(th))) < 1e-10
 
 
+# each subcommand accepts only the options it reads
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("probe", "--n", "64"), ("probe", "--seed", "1"), ("probe", "--tol", "1e-3"),
+    ("probe", "--format", "csv"), ("transform", "--n", "64"),
+    ("transform", "--seed", "1"), ("transform", "--tol", "1e-3"),
+    ("airfoil", "--seed", "1"), ("airfoil", "--tol", "1e-3"),
+])
+def test_unread_option_exits_2(tmp_path, capsys, command, option, value):
+    data = write_boundary_file(tmp_path / "pole.txt",
+                               lambda t: 1.0 / (t - 2.0), n=32)
+    argv = [command] + ([str(data)] if command != "airfoil" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [("--n", "7"), ("--tol", "0")])
+def test_bad_value_is_usage_error_naming_option(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hilbert", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+
+
+def test_probe_help_lists_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--out" in help_text and "--format" not in help_text
+
+
 def test_parse_boundary_file_roundtrip(tmp_path):
     path = write_boundary_file(tmp_path / "ok.txt", lambda t: t ** 2, n=32)
     thetas, samples = parse_boundary_file(str(path))

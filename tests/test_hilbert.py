@@ -52,6 +52,11 @@ class TestLineTransforms:
         with pytest.raises(ContractError):
             hilbert_line(wrong, np.array([0.0]))
 
+    @pytest.mark.parametrize("transform", [hilbert_line, hilbert_line_inverse])
+    def test_non_finite_targets_rejected(self, transform):
+        with pytest.raises(DomainError):
+            transform(example3_u(), np.array([np.nan, 0.5]))
+
     def test_far_target_warning_and_domain_error(self):
         res = hilbert_line(example3_v(), np.array([30.0]))
         assert any("window" in note for note in res.notes)

@@ -223,6 +223,21 @@ class TestPoincareBertrand:
             poincare_bertrand_residual(
                 lambda t, tp: np.ones_like(np.asarray(t)), arc, grid, 2j)
 
+    def test_order_without_n_panels_sets_the_panels(self, chord):
+        # without n_panels the grid gives the node count: grid.n // order
+        # panels of the caller's order (24 panels of order 12 by default)
+        arc, grid = chord
+        f2 = lambda t, tp: np.asarray(t) * tp + np.exp(np.asarray(t) + 0 * tp)
+        res = {order: poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j,
+                                                 order=order)
+               for order in (8, 12, 20)}
+        assert res[8] != res[20]
+        for order, r in res.items():
+            assert r == poincare_bertrand_residual(
+                f2, arc, grid, 0.2 + 0.0j, n_panels=grid.n // order,
+                order=order)
+        assert poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j) == res[12]
+
 
 # ---------------------------------------------------------------------------
 # the inner principal values as one blocked matrix, against the per-node loop
