@@ -9,10 +9,10 @@ from .cauchy import (BoundaryFunction, FunctionalValue, ResidualReport,
                      mean_value_check, one_sided_limit,
                      uniform_convergence_residuals, validate_derivatives,
                      vanishing_contour_integral)
-from .errors import (CapabilityError, CauchyKitError, ContractError,
-                     DomainError, EndpointError, InvalidGridError,
-                     NonFiniteError, OnContourError, ParseError,
-                     PrescriptionError)
+from .errors import (AccuracyWarning, CapabilityError, CauchyKitError,
+                     ContractError, DomainError, EndpointError,
+                     InvalidGridError, NonFiniteError, OnContourError,
+                     ParseError, PrescriptionError)
 from .geometry import (ClosedContour, JordanArc, PointClassification,
                        QuadratureGrid, build_unit_circle, circle,
                        classify_point, contour_integral, ellipse,

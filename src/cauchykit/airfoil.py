@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EndpointError
+from .errors import AccuracyWarning, DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _pv_smooth_part,
                        gauss_panel_grid, near_zone_width, segment)
 from .plemelj import _arc_pv_rows
@@ -332,7 +332,7 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
     dist = np.min(np.abs(ts[None, :] - z[:, None]), axis=1)
     if np.any(dist < near_zone_width(arc, grid)):
         warnings.warn("field point is in the near zone of the sheet",
-                      RuntimeWarning, stacklevel=2)
+                      AccuracyWarning, stacklevel=2)
 
     out = np.zeros(z.shape, dtype=complex)
     x4, w4 = chebyshev4_rule(n)

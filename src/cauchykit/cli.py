@@ -5,37 +5,43 @@ Exit codes: 0 all checks pass, 1 a numeric check failed, 2 usage or parse
 error.  Output is CSV (default) or JSON tagged "cauchy-kit/1" (``probe``
 always writes JSON); files are byte-identical across runs for a fixed
 configuration and seed.  Each subcommand accepts only the options it reads.
+
+``CHECKS`` is the one registry of checks, run by ``verify`` and asserted by
+the acceptance tests.  A check maps a grid size n and a fresh random
+generator to a residual that passes at or below its fixed tolerance; n
+counts trapezoid nodes on the unit circle or periodic samples, and the
+plemelj suite takes 3n/32 order-12 panels (24 at the default n = 256).  A
+check that an acceptance criterion asserts carries its number and covers
+its inputs at the criterion's n and seed.
 """
 
 import argparse
 import json
+import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
-from . import __version__
-from .airfoil import (FlowConfig, circulation, far_field_circulation,
-                      flat_plate_complex_velocity, leading_edge_suction,
-                      lift, normal_force, pressure_jump, surface_velocities)
-from .cauchy import (BoundaryFunction, boundary_value,
-                     complement_boundary_value, derivative_bound_check,
-                     mean_value_check, one_sided_limit,
-                     uniform_convergence_residuals, vanishing_contour_integral)
-from .errors import CauchyKitError, ParseError
-from .geometry import (build_unit_circle, contour_integral, ellipse,
-                       gauss_panel_grid, periodic_trapezoid_grid,
-                       pv_singular_weight, segment)
-from .hilbert import (PeriodicFunction, RealLineFunction, hilbert_circular,
-                      hilbert_circular_complementary,
-                      hilbert_circular_complementary_inverse,
-                      hilbert_circular_inverse, hilbert_complementary,
-                      hilbert_line, hilbert_line_inverse, normalization_check,
-                      parseval_check)
-from .plemelj import (ArcDensity, arc_cauchy_integral, plemelj_limits,
-                      poincare_bertrand_residual, reconstruct_from_jump)
-from .singularities import (SingularityPrescription, catalog_function,
-                            exterior_annihilation_check, pade_pole_probe,
-                            taylor_coefficients)
+from . import (ArcDensity, BoundaryFunction, CauchyKitError, FlowConfig,
+               ParseError, PeriodicFunction, RealLineFunction,
+               SingularityPrescription, __version__, arc_cauchy_integral,
+               boundary_value, build_unit_circle, catalog_function,
+               circulation, complement_boundary_value, contour_integral,
+               derivative_bound_check, ellipse, exterior_annihilation_check,
+               far_field_circulation, flat_plate_complex_velocity,
+               gauss_panel_grid, hilbert_circular,
+               hilbert_circular_complementary,
+               hilbert_circular_complementary_inverse,
+               hilbert_circular_inverse, hilbert_complementary, hilbert_line,
+               hilbert_line_inverse, leading_edge_suction, lift,
+               mean_value_check, normal_force, normalization_check,
+               one_sided_limit, pade_pole_probe, parseval_check,
+               periodic_trapezoid_grid, plemelj_limits,
+               poincare_bertrand_residual, pressure_jump, pv_singular_weight,
+               reconstruct_from_jump, segment, surface_velocities,
+               taylor_coefficients, uniform_convergence_residuals,
+               vanishing_contour_integral)
 
 SCHEMA = "cauchy-kit/1"
 
@@ -53,204 +59,209 @@ TRANSFORM_KINDS = {
 
 
 # ---------------------------------------------------------------------------
-# verification suites: each check is (id, residual, tolerance)
+# the check registry
+
+Check = namedtuple("Check", "id suite criterion residual tolerance")
+CHECKS = []                     # in suite and row order
 
 
-def _suite_boundary_relations(n, rng):
+def _suite(suite):
+    def add(check_id, tolerance, residual, criterion=None):
+        CHECKS.append(Check(check_id, suite, criterion, residual, tolerance))
+    return add
+
+
+def _circle(value):
+    """value(contour, grid) on the unit circle at n nodes."""
+    return lambda n, rng: value(*build_unit_circle(n))
+
+
+def _points(value):
+    """The largest |value(contour, grid, t0)| at 32 points of the circle."""
+    t0s = np.exp(2j * np.pi * np.arange(32) / 32)
+    return _circle(lambda c, g: max(abs(value(c, g, t0)) for t0 in t0s))
+
+
+def _periodic(value):
+    """The largest |value(theta)| at n equispaced angles from -pi."""
+    return lambda n, rng: np.abs(value(-np.pi + 2.0 * np.pi
+                                       * np.arange(n) / n)).max()
+
+
+def _uniform(f, order, inside):
+    """J_n residual at 50 seeded targets inside radius 0.85 or in 1.35..3.35"""
+    def residual(n, rng):
+        a, b, c, d = rng.random((4, 50))
+        z = 0.85 * np.sqrt(a) * np.exp(2j * np.pi * b) if inside \
+            else (1.35 + 2.0 * c) * np.exp(2j * np.pi * d)
+        rep = uniform_convergence_residuals(f, *build_unit_circle(n), z, order)
+        return rep.max_inside if inside else rep.max_outside
+    return residual
+
+
+def _trapezoid_ratio(n, rng):
+    """0 when the error for 1/t on an ellipse falls tenfold per doubling."""
+    errs = [abs(contour_integral(lambda t: 1.0 / t, ellipse(1.0, 0.6),
+                                 periodic_trapezoid_grid(m)) - 2j * np.pi)
+            for m in (8, 16, 32)]
+    return float(not all(b < max(0.1 * a, 1e-13)
+                         for a, b in zip(errs, errs[1:])))
+
+
+def _cauchy_inequality():
+    """(bound, actual, holds) for t^k at 0 on radius 1, k = 1..4: equality."""
+    return [derivative_bound_check(BoundaryFunction(
+        lambda t, k=k: t ** k, derivs=tuple(
+            lambda t, k=k, m=m: math.perm(k, m) * t ** (k - m)
+            for m in range(1, k + 1))), 0j, 1.0, k, 0) for k in (1, 2, 3, 4)]
+
+
+def _hc(samples):
+    return hilbert_circular(PeriodicFunction(samples)).samples
+
+
+def _grid(panels):
+    return gauss_panel_grid(max(1, panels), 12)
+
+
+def _plemelj(identity):
+    """The largest |identity(x0, f+(x0), f-(x0))| at 16 points x0."""
+    def residual(n, rng):
+        grid, x0s = _grid(3 * n // 32), np.linspace(-0.9, 0.9, 16)
+        return max(abs(identity(x0, *(s.value for s in plemelj_limits(
+            _G, _ARC, grid, complex(x0))))) for x0 in x0s)
+    return residual
+
+
+def _reconstruction(n, rng):
+    """f(z) rebuilt from its jump at three fixed and 20 seeded targets."""
+    grid = _grid(3 * n // 32)
+    zs = np.append([2j, 1.5 + 0.5j, -0.3 - 2.0j], (1.5 + 2.0 * rng.random(20))
+                   * np.exp(2j * np.pi * rng.random(20)))
+    return max(abs(arc_cauchy_integral(_G, _ARC, grid, z)
+                   - reconstruct_from_jump(_G, _ARC, grid, z)) for z in zs)
+
+
+def _pole_taylor(n, count):
+    """Samples of 1/(t - 2) at n nodes and min(count, n/2 - 1) coefficients."""
     c, g = build_unit_circle(n)
-    thetas = 2.0 * np.pi * np.arange(32) / 32
-    points = np.exp(1j * thetas)
-    checks = []
-    cases = {
-        "pole-exterior": BoundaryFunction(lambda t: 1.0 / (t - 2.0),
-                                          derivs=(lambda t: -1.0 / (t - 2.0) ** 2,)),
-        "entire-exp": BoundaryFunction(np.exp, derivs=(np.exp,)),
-    }
-    for name, f in cases.items():
-        r1 = max(abs(one_sided_limit(f, c, g, t0, "interior") - f(t0))
-                 for t0 in points)
-        r1x = max(abs(one_sided_limit(f, c, g, t0, "exterior"))
-                  for t0 in points)
-        r2 = max(abs(boundary_value(f, c, g, t0, 0) - f(t0)) for t0 in points)
-        checks.append((f"relation-I-{name}", float(r1), 1e-8))
-        checks.append((f"relation-I-exterior-{name}", float(r1x), 1e-8))
-        checks.append((f"relation-II-{name}", float(r2), 1e-8))
-    F = BoundaryFunction(lambda t: t ** -2.0,
-                         derivs=(lambda t: -2.0 * t ** -3.0,), decay=2)
-    rc = max(abs(complement_boundary_value(F, c, g, t0, 0) - F(t0))
-             for t0 in points)
-    checks.append(("complement-relation-II", float(rc), 1e-8))
-    return checks
+    samples = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))(
+        c.z(g.nodes))
+    return samples, taylor_coefficients(samples, min(count, n // 2 - 1))
 
 
-def _seeded_targets(rng, count):
-    inner = 0.85 * np.sqrt(rng.random(count // 2)) \
-        * np.exp(2j * np.pi * rng.random(count // 2))
-    outer = (1.35 + 2.0 * rng.random(count - count // 2)) \
-        * np.exp(2j * np.pi * rng.random(count - count // 2))
-    return np.concatenate([inner, outer])
+def _probe(n, rng):
+    """|pole - 2| of (0, 1) Pade fits to 8 and 63 Taylor coefficients."""
+    samples, coeffs = _pole_taylor(n, 63)
+    return max(abs(r.locations[0] - 2.0) if r.locations else 1.0 for r in (
+        pade_pole_probe(coeffs[:8], degrees=(0, 1)),
+        pade_pole_probe(coeffs, degrees=(0, 1), boundary_samples=samples)))
 
 
-def _suite_convergence(n, rng):
-    c, g = build_unit_circle(n)
-    targets = _seeded_targets(rng, 100)
-    f = BoundaryFunction(lambda t: 1.0 / (t - 2.0),
-                         derivs=(lambda t: -1.0 / (t - 2.0) ** 2,
-                                 lambda t: 2.0 / (t - 2.0) ** 3))
-    rep0 = uniform_convergence_residuals(f, c, g, targets, 0)
-    fe = BoundaryFunction(np.exp, derivs=(np.exp, np.exp))
-    rep2 = uniform_convergence_residuals(fe, c, g, targets, 2)
-    checks = [
-        ("uniform-residual-pole-interior", rep0.max_inside, 1e-9),
-        ("uniform-residual-pole-exterior", rep0.max_outside, 1e-9),
-        ("uniform-residual-exp-n2-interior", rep2.max_inside, 1e-8),
-        ("uniform-residual-exp-n2-exterior", rep2.max_outside, 1e-8),
-    ]
-    # geometric convergence of the trapezoid rule on an eccentric ellipse
-    ell = ellipse(1.0, 0.6)
-    errs = []
-    for m in (8, 16, 32):
-        gm = periodic_trapezoid_grid(m)
-        errs.append(abs(contour_integral(lambda t: 1.0 / t, ell, gm)
-                        - 2j * np.pi))
-    ratio_ok = all(errs[i + 1] < max(0.1 * errs[i], 1e-13)
-                   for i in range(len(errs) - 1))
-    checks.append(("trapezoid-geometric-convergence",
-                   0.0 if ratio_ok else 1.0, 0.5))
-    return checks
+_POLE = BoundaryFunction(lambda t: 1.0 / (t - 2.0), derivs=(
+    lambda t: -1.0 / (t - 2.0) ** 2, lambda t: 2.0 / (t - 2.0) ** 3))
+_EXP = BoundaryFunction(np.exp, derivs=(np.exp, np.exp))
 
+# boundary relations I and II (criterion 01)
+add = _suite("boundary-relations")
+for name, f in (("pole-exterior", _POLE), ("entire-exp", _EXP)):
+    add(f"relation-I-{name}", 1e-8, _points(lambda c, g, t, f=f:
+        one_sided_limit(f, c, g, t, "interior") - f(t)), 1)
+    add(f"relation-I-exterior-{name}", 1e-8, _points(
+        lambda c, g, t, f=f: one_sided_limit(f, c, g, t, "exterior")))
+    add(f"relation-II-{name}", 1e-8, _points(
+        lambda c, g, t, f=f: boundary_value(f, c, g, t, 0) - f(t)), 1)
+_F = BoundaryFunction(lambda t: t ** -2.0, decay=2,
+                      derivs=(lambda t: -2.0 * t ** -3.0,))
+add("complement-relation-II", 1e-8, _points(
+    lambda c, g, t: complement_boundary_value(_F, c, g, t, 0) - _F(t)))
 
-def _suite_integral_theorems(n, rng):
-    c, g = build_unit_circle(n)
-    checks = []
-    reg = lambda t: t ** 2
-    checks.append(("cauchy-theorem-t2",
-                   abs(contour_integral(reg, c, g)), 1e-13))
-    checks.append(("pv-singular-weight",
-                   abs(pv_singular_weight(c, 1.0 + 0j) + 1j * np.pi), 1e-15))
-    f = BoundaryFunction(lambda t: 1.0 / (t - 2.0),
-                         derivs=(lambda t: -1.0 / (t - 2.0) ** 2,))
-    for order in (0, 1):
-        checks.append((f"vanishing-K{order}",
-                       abs(vanishing_contour_integral(f, c, g, order)), 1e-8))
-    fe = BoundaryFunction(np.exp, derivs=(np.exp,))
-    _, _, gap = mean_value_check(fe, 0.3 + 0.0j, 0.4, g, n=1)
-    checks.append(("mean-value-exp-n1", gap, 1e-10))
-    mono = BoundaryFunction(lambda t: t ** 3,
-                            derivs=(lambda t: 3 * t ** 2,
-                                    lambda t: 6 * t,
-                                    lambda t: 6 * np.ones_like(t)))
-    bound, actual, ok = derivative_bound_check(mono, 0.0 + 0j, 1.0, 3, 0)
-    checks.append(("cauchy-inequality-monomial",
-                   abs(actual - bound), 1e-9))
-    checks.append(("cauchy-inequality-satisfied", 0.0 if ok else 1.0, 0.5))
-    return checks
+add = _suite("convergence")
+for name, f, k, tol in (("pole", _POLE, 0, 1e-9), ("exp-n2", _EXP, 2, 1e-8)):
+    add(f"uniform-residual-{name}-interior", tol, _uniform(f, k, True))
+    add(f"uniform-residual-{name}-exterior", tol, _uniform(f, k, False))
+add("trapezoid-geometric-convergence", 0.5, _trapezoid_ratio)
 
+# vanishing K_n (criterion 04); the mean-value identity and Cauchy's
+# inequality (criterion 13)
+add = _suite("integral-theorems")
+add("cauchy-theorem-t2", 1e-13, _circle(
+    lambda c, g: abs(contour_integral(lambda t: t ** 2, c, g))))
+add("pv-singular-weight", 1e-15, _circle(
+    lambda c, g: abs(pv_singular_weight(c, 1.0 + 0j) + 1j * np.pi)))
+for order in (0, 1):
+    add(f"vanishing-K{order}", 1e-8, _circle(lambda c, g, order=order: abs(
+        vanishing_contour_integral(_POLE, c, g, order))), 4)
+for order, center, radius in ((0, 0.2 + 0.1j, 0.5), (1, 0.3 + 0.0j, 0.4)):
+    add(f"mean-value-exp-n{order}", 1e-10, _circle(
+        lambda c, g, o=order, z=center, r=radius:
+        mean_value_check(_EXP, z, r, g, n=o)[2]), 13)
+add("cauchy-inequality-monomial", 1e-9, lambda n, rng: max(
+    abs(actual - bound) for bound, actual, _ in _cauchy_inequality()), 13)
+add("cauchy-inequality-satisfied", 0.5, lambda n, rng: float(
+    not all(ok for _, _, ok in _cauchy_inequality())), 13)
 
-def _suite_hilbert(n, rng):
-    checks = []
-    v = RealLineFunction(lambda x: -1.0 / (x ** 2 + 1.0), decay=2, window=50.0)
-    xi = np.linspace(-5.0, 5.0, 41)
-    u = hilbert_line(v, xi)
-    checks.append(("line-example-pole",
-                   float(np.max(np.abs(u.values - xi / (xi ** 2 + 1.0)))),
-                   5e-6))
-    ubar = hilbert_complementary(v, xi)
-    checks.append(("line-complementary-negation",
-                   float(np.max(np.abs(ubar.values + u.values))), 1e-14))
-    pf = PeriodicFunction.from_function(np.sin, n)
-    uc = hilbert_circular(pf)
-    checks.append(("circular-sin-to-cos",
-                   float(np.max(np.abs(uc.samples - np.cos(pf.thetas)))),
-                   1e-10))
-    worst = 0.0
-    for k in range(1, 17):
-        pk = PeriodicFunction.from_function(lambda t: np.sin(k * t), n)
-        ck_ = hilbert_circular(pk)
-        worst = max(worst, float(np.max(np.abs(ck_.samples
-                                               - np.cos(k * pk.thetas)))))
-        qk = PeriodicFunction.from_function(lambda t: np.cos(k * t), n)
-        sk = hilbert_circular(qk)
-        worst = max(worst, float(np.max(np.abs(sk.samples
-                                               + np.sin(k * qk.thetas)))))
-    checks.append(("circular-fourier-modes-k16", worst, 1e-9))
-    th = pf.thetas
-    checks.append(("normalization-example",
-                   abs(normalization_check(np.exp(1j * th))), 1e-12))
-    lhs, rhs, gap = parseval_check(PeriodicFunction(np.cos(th)),
-                                   PeriodicFunction(np.sin(th)), "circle")
-    checks.append(("parseval-circle", gap, 1e-8))
-    uline = RealLineFunction(lambda x: x / (x ** 2 + 1.0), decay=1, window=50.0)
-    lhs, rhs, gap = parseval_check(uline, v, "line")
-    checks.append(("parseval-line", gap, 1e-5))
-    return checks
+# the line pair (criterion 05), the circular transform (06), Parseval (07)
+add = _suite("hilbert")
+_V = RealLineFunction(lambda x: -1.0 / (x ** 2 + 1.0), decay=2, window=50.0)
+_U = RealLineFunction(lambda x: x / (x ** 2 + 1.0), decay=1, window=50.0)
+_XI81, _XI41 = np.linspace(-5.0, 5.0, 81), np.linspace(-5.0, 5.0, 41)
+add("line-example-pole", 5e-6, lambda n, rng: np.abs(
+    hilbert_line(_V, _XI81).values - _XI81 / (_XI81 ** 2 + 1.0)).max(), 5)
+add("line-complementary-negation", 1e-14, lambda n, rng: np.abs(
+    hilbert_complementary(_V, _XI41).values
+    + hilbert_line(_V, _XI41).values).max())
+add("circular-sin-to-cos", 1e-10, _periodic(
+    lambda th: _hc(np.sin(th)) - np.cos(th)), 6)
+add("circular-complementary-negation", 1e-15, _periodic(
+    lambda th: _hc(np.sin(th)) + hilbert_circular_complementary(
+        PeriodicFunction(np.sin(th))).samples), 6)
+add("circular-fourier-modes-k16", 1e-9, _periodic(lambda th: [
+    np.concatenate([_hc(np.sin(k * th)) - np.cos(k * th),
+                    _hc(np.cos(k * th)) + np.sin(k * th)])
+    for k in range(1, 17)]), 6)
+add("normalization-example", 1e-12, _periodic(
+    lambda th: normalization_check(np.exp(1j * th))))
+add("parseval-circle", 1e-8, _periodic(lambda th: parseval_check(
+    PeriodicFunction(np.cos(th)), PeriodicFunction(np.sin(th)),
+    "circle")[2]), 7)
+add("parseval-line", 1e-5, lambda n, rng: parseval_check(_U, _V, "line")[2], 7)
 
+# Plemelj at 16 points of [-1, 1] (criterion 08); Poincare-Bertrand at two
+# grid levels, 16 and 24 panels at n = 256 (criterion 09)
+add = _suite("plemelj")
+_ARC, _G = segment(-1.0, 1.0), ArcDensity(lambda t: 1.0 - t ** 2)
+add("plemelj-jump-identity", 1e-8, _plemelj(
+    lambda x0, plus, minus: plus - minus - (1.0 - x0 ** 2)), 8)
+add("plemelj-sum-identity", 1e-8, _plemelj(
+    lambda x0, plus, minus: plus + minus - (-2.0 * x0 + (1.0 - x0 ** 2)
+                                            * np.log((1.0 - x0) / (1.0 + x0)))
+    / (1j * np.pi)))
+add("plemelj-reconstruction", 1e-12, _reconstruction, 8)
+for name, f2 in (
+        ("const", lambda t, tp: np.ones_like(np.asarray(t, dtype=complex))),
+        ("bilinear", lambda t, tp: np.asarray(t) * tp),
+        ("quadratic", lambda t, tp: np.asarray(t) ** 2 + np.asarray(tp) ** 2)):
+    add(f"poincare-bertrand-{name}", 1e-5, lambda n, rng, f2=f2: max(
+        poincare_bertrand_residual(f2, _ARC, _grid(panels), 0.2 + 0.0j,
+                                   cross_check=False)
+        for panels in (n // 16, 3 * n // 32)), 9)
 
-def _suite_plemelj(n, rng):
-    checks = []
-    arc = segment(-1.0, 1.0)
-    grid = gauss_panel_grid(24, 12)
-    gdens = ArcDensity(lambda t: 1.0 - t ** 2)
-    worst_jump = 0.0
-    worst_sum = 0.0
-    for x0 in np.linspace(-0.9, 0.9, 16):
-        plus, minus = plemelj_limits(gdens, arc, grid, complex(x0))
-        worst_jump = max(worst_jump,
-                         abs(plus.value - minus.value - (1.0 - x0 ** 2)))
-        exact_pv = -2.0 * x0 + (1.0 - x0 ** 2) * np.log((1.0 - x0) / (1.0 + x0))
-        worst_sum = max(worst_sum, abs(plus.value + minus.value
-                                       - exact_pv / (1j * np.pi)))
-    checks.append(("plemelj-jump-identity", worst_jump, 1e-8))
-    checks.append(("plemelj-sum-identity", worst_sum, 1e-8))
-    worst_rec = 0.0
-    for z in (2j, 1.5 + 0.5j, -0.3 - 2.0j):
-        direct = arc_cauchy_integral(gdens, arc, grid, z)
-        rebuilt = reconstruct_from_jump(gdens, arc, grid, z)
-        worst_rec = max(worst_rec, abs(direct - rebuilt))
-    checks.append(("plemelj-reconstruction", worst_rec, 1e-12))
-    for name, f2 in (("const", lambda t, tp: np.ones_like(np.asarray(t))),
-                     ("bilinear", lambda t, tp: np.asarray(t) * tp)):
-        res = poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j)
-        checks.append((f"poincare-bertrand-{name}", res, 1e-5))
-    return checks
+# exterior annihilation at 50 targets of radius 1.1..5 (criterion 02); the
+# Taylor coefficients of a pole and its Pade probe (criterion 12)
+add = _suite("direct-problem")
+for name, kind in (("pole", "pole"), ("branch", "algebraic-branch"),
+                   ("constant", "constant")):
+    add(f"annihilation-{name}", 1e-9, lambda n, rng, kind=kind:
+        exterior_annihilation_check(
+            SingularityPrescription(kind, 2.0 + 0.0j), *build_unit_circle(n),
+            (1.1 + 3.9 * rng.random(50)) * np.exp(2j * np.pi * rng.random(50)),
+            orders=(0, 1, 2)), 2)
+add("taylor-geometric", 1e-12, lambda n, rng: np.abs(
+    _pole_taylor(n, 48)[1] + 2.0 ** -(np.arange(min(49, n // 2)) + 1.0)).max())
+add("probe-single-pole", 1e-4, _probe, 12)
 
-
-def _suite_direct_problem(n, rng):
-    c, g = build_unit_circle(n)
-    radii = 1.1 + 3.0 * rng.random(50)
-    angles = 2.0 * np.pi * rng.random(50)
-    targets = radii * np.exp(1j * angles)
-    checks = []
-    cases = {
-        "pole": SingularityPrescription("pole", 2.0 + 0.0j),
-        "branch": SingularityPrescription("algebraic-branch", 2.0 + 0.0j),
-        "constant": SingularityPrescription("constant", strength=1.0),
-    }
-    for name, pres in cases.items():
-        worst = exterior_annihilation_check(pres, c, g, targets, orders=(0, 1, 2))
-        checks.append((f"annihilation-{name}", worst, 1e-9))
-    f = catalog_function(cases["pole"])
-    samples = f(c.z(g.nodes))
-    coeffs = taylor_coefficients(samples, 48)
-    exact = -(2.0 ** -(np.arange(49) + 1.0))
-    checks.append(("taylor-geometric",
-                   float(np.max(np.abs(coeffs - exact))), 1e-12))
-    report = pade_pole_probe(coeffs[:8], degrees=(0, 1))
-    err = abs(report.locations[0] - 2.0) if report.locations else 1.0
-    checks.append(("probe-single-pole", float(err), 1e-4))
-    return checks
-
-
-SUITE_RUNNERS = {
-    "boundary-relations": _suite_boundary_relations,
-    "convergence": _suite_convergence,
-    "integral-theorems": _suite_integral_theorems,
-    "hilbert": _suite_hilbert,
-    "plemelj": _suite_plemelj,
-    "direct-problem": _suite_direct_problem,
-}
-
-SUITES = tuple(SUITE_RUNNERS)
+SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +280,19 @@ def _emit_json(doc, out_path):
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
+def _csv(header, *columns):
+    """The header line, then one line of %.12e fields per row of columns."""
+    return [header] + [",".join(f"{q:.12e}" for q in row)
+                       for row in zip(*columns)]
+
+
 def cmd_verify(args) -> int:
-    checks = SUITE_RUNNERS[args.suite](args.n, np.random.default_rng(args.seed))
     rows = []
-    for check_id, residual, tol in checks:
-        tol = args.tol if args.tol is not None else tol
-        rows.append({"check": check_id, "residual": residual,
+    for check in (c for c in CHECKS if c.suite == args.suite):
+        rng = np.random.default_rng(args.seed)
+        residual = float(check.residual(args.n, rng))
+        tol = check.tolerance if args.tol is None else args.tol
+        rows.append({"check": check.id, "residual": residual,
                      "tolerance": tol, "pass": bool(residual <= tol)})
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json":
@@ -282,11 +300,9 @@ def cmd_verify(args) -> int:
                     "n": args.n, "seed": args.seed, "checks": rows,
                     "all_pass": all_pass}, args.out)
     else:
-        lines = ["check,residual,tolerance,pass"]
-        for r in rows:
-            lines.append(f"{r['check']},{r['residual']:.6e},"
-                         f"{r['tolerance']:.6e},{int(r['pass'])}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("check,residual,tolerance,pass\n" + "".join(
+            f"{r['check']},{r['residual']:.6e},{r['tolerance']:.6e},"
+            f"{int(r['pass'])}\n" for r in rows), args.out)
     return 0 if all_pass else 1
 
 
@@ -301,10 +317,9 @@ def cmd_airfoil(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n = args.n
-    gamma_total = circulation(flow, n)
     l_vec, l_mag = lift(flow, n)
     scalars = {
-        "circulation": gamma_total,
+        "circulation": circulation(flow, n),
         "circulation_far_field": far_field_circulation(flow),
         "lift_magnitude": l_mag,
         "lift_vector": [l_vec[0], l_vec[1], l_vec[2]],
@@ -317,11 +332,9 @@ def cmd_airfoil(args) -> int:
     gamma_x = u_p - u_m
     dp = pressure_jump(flow, xs)
     # plot-ready field of w(z) on a coarse exterior grid
-    gx = np.linspace(-3.0, 3.0, 25)
-    gy = np.linspace(-2.0, 2.0, 17)
-    zz = (gx[None, :] + 1j * gy[:, None]).ravel()
-    keep = ~((np.abs(zz.imag) < 1e-12) & (np.abs(zz.real) <= 1.0))
-    zz = zz[keep]
+    zz = (np.linspace(-3.0, 3.0, 25)[None, :]
+          + 1j * np.linspace(-2.0, 2.0, 17)[:, None]).ravel()
+    zz = zz[~((np.abs(zz.imag) < 1e-12) & (np.abs(zz.real) <= 1.0))]
     ww = flat_plate_complex_velocity(flow, zz)
     if args.format == "json":
         _emit_json({
@@ -339,20 +352,11 @@ def cmd_airfoil(args) -> int:
         return 0
     lines = [f"# schema={SCHEMA}", "# command=airfoil",
              f"# U={args.u:.12e} alpha={args.alpha:.12e} rho={args.rho:.12e} n={n}"]
-    for key in sorted(scalars):
-        val = scalars[key]
-        if isinstance(val, list):
-            lines.append(f"# {key}=" + ",".join(f"{x:.12e}" for x in val))
-        else:
-            lines.append(f"# {key}={val:.12e}")
-    lines.append("x,u_plus,u_minus,v,gamma,dp")
-    for i in range(xs.size):
-        lines.append(",".join(f"{q:.12e}" for q in
-                              (xs[i], u_p[i], u_m[i], v_p[i], gamma_x[i], dp[i])))
-    lines.append("z_re,z_im,w_re,w_im")
-    for i in range(zz.size):
-        lines.append(",".join(f"{q:.12e}" for q in
-                              (zz[i].real, zz[i].imag, ww[i].real, ww[i].imag)))
+    lines += [f"# {key}=" + ",".join(f"{x:.12e}" for x in np.atleast_1d(val))
+              for key, val in sorted(scalars.items())]
+    lines += _csv("x,u_plus,u_minus,v,gamma,dp",
+                  xs, u_p, u_m, v_p, gamma_x, dp)
+    lines += _csv("z_re,z_im,w_re,w_im", zz.real, zz.imag, ww.real, ww.imag)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -363,7 +367,7 @@ def cmd_airfoil(args) -> int:
 
 def parse_boundary_file(path):
     """Rows (theta, Re f, Im f) on an equispaced grid covering [-pi, pi)."""
-    thetas, re_f, im_f = [], [], []
+    rows = []
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -379,22 +383,19 @@ def parse_boundary_file(path):
                 f"line {lineno}: expected 3 fields (theta, Re f, Im f), "
                 f"got {len(parts)}", line=lineno)
         try:
-            th, re_v, im_v = (float(p) for p in parts)
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise ParseError(f"line {lineno}: fields are not numeric",
                              line=lineno)
-        thetas.append(th)
-        re_f.append(re_v)
-        im_f.append(im_v)
-    n = len(thetas)
+    n = len(rows)
     if n < 8 or n % 2:
         raise ParseError(f"need an even number of samples >= 8, got {n}")
-    thetas = np.asarray(thetas)
+    thetas, re_f, im_f = np.array(rows).T
     expected = -np.pi + 2.0 * np.pi * np.arange(n) / n
     if np.max(np.abs(thetas - expected)) > 1e-6:
         raise ParseError("samples must be equispaced on [-pi, pi) starting "
                          "at -pi")
-    return thetas, np.asarray(re_f) + 1j * np.asarray(im_f)
+    return thetas, re_f + 1j * im_f
 
 
 def cmd_probe(args) -> int:
@@ -433,10 +434,7 @@ def cmd_transform(args) -> int:
                     "theta": thetas.tolist(), "values": result.tolist()},
                    args.out)
         return 0
-    lines = ["theta,value"]
-    for th, val in zip(thetas, result):
-        lines.append(f"{th:.12e},{val:.12e}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(_csv("theta,value", thetas, result)) + "\n", args.out)
     return 0
 
 
@@ -461,8 +459,9 @@ def build_parser():
 
     def tolerance(text):
         tol = float(text)
-        if tol <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (np.isfinite(tol) and tol > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text}")
         return tol
 
     def add_n(p, default):

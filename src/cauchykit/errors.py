@@ -37,6 +37,11 @@ class PrescriptionError(CauchyKitError):
     """Invalid singularity prescription."""
 
 
+class AccuracyWarning(RuntimeWarning):
+    """A result was computed, but its accuracy is degraded (a near-zone
+    target, a rough density, slow convergence, interior singularities)."""
+
+
 class ParseError(CauchyKitError):
     """Malformed input data file."""
 

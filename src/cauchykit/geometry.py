@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidGridError, NonFiniteError
+from .errors import (AccuracyWarning, DomainError, InvalidGridError,
+                     NonFiniteError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,8 +135,11 @@ class ClosedContour:
             rel = point - self.center
             s0 = float(np.angle(rel)) % TWO_PI
             return s0, abs(abs(rel) - self.radius)
-        return _newton_locate(self, point, TWO_PI * np.arange(n) / n,
-                              lambda s: s % TWO_PI, 1e-6)
+        return self._newton(point, TWO_PI * np.arange(n) / n)
+
+    def _newton(self, point, s):
+        """locate() seeded by the closest of the parameters s."""
+        return _newton_locate(self, point, s, lambda s: s % TWO_PI, 1e-6)
 
     def delta(self, frac: float = DELTA_FRACTION) -> float:
         """Default on-contour tolerance band."""
@@ -294,7 +298,8 @@ class PointClassification:
 
 def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
                    delta: Optional[float] = None) -> PointClassification:
-    """Classify z against the contour by winding number and node distance."""
+    """Classify z against the contour by winding number and its distance to
+    the curve (to the nearest node, unless z is in the near zone)."""
     if delta is None:
         delta = contour.delta()
     return _classify(contour, grid, contour.z(grid.nodes),
@@ -307,9 +312,17 @@ def _classify(contour, grid, zs, dzs, z, delta):
         raise DomainError("cannot classify a non-finite point")
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
-    dist = float(np.min(np.abs(zs - z)))
+    gaps = np.abs(zs - z)
+    j = int(np.argmin(gaps))
+    dist = float(gaps[j])
+    # between nodes the nearest node overstates the distance to the curve:
+    # take it exactly on a circle, and by Newton from the nearest node in
+    # the near zone of any other contour
     if contour.kind == "circle":
         dist = min(dist, abs(abs(z - contour.center) - contour.radius))
+    elif dist < _near_zone_width(float(np.sum(np.abs(dzs) * grid.weights)),
+                                 grid.n):
+        dist = min(dist, contour._newton(z, grid.nodes[j:j + 1])[1])
     wind = complex(np.sum(dzs * grid.weights / (zs - z)) / (2j * np.pi)) \
         if dist > 0 else complex(np.nan)
     rounded = int(np.round(np.real(wind))) if np.isfinite(wind) else 0
@@ -451,7 +464,7 @@ def _warn_if_rough(samples, grid, s0):
     scale = np.max(np.abs(samples)) / h + 1e-300
     if abs(fd - sp) > 0.2 * scale:
         warnings.warn("density looks non-smooth near t0; principal value "
-                      "accuracy is degraded", RuntimeWarning, stacklevel=3)
+                      "accuracy is degraded", AccuracyWarning, stacklevel=3)
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EndpointError
+from .errors import AccuracyWarning, DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _leggauss, _locate_on,
                        _row_blocks, gauss_panel_grid, near_zone_width)
 
@@ -61,7 +61,7 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
         raise DomainError("z lies on the arc; use plemelj_limits")
     if dist < near_zone_width(arc, grid):
         warnings.warn("target is in the near zone of the arc; result is "
-                      "ill-conditioned", RuntimeWarning, stacklevel=2)
+                      "ill-conditioned", AccuracyWarning, stacklevel=2)
     ts = arc.z(grid.nodes)
     dts = arc.dz(grid.nodes)
     vals = np.broadcast_to(np.asarray(g(ts), dtype=complex), ts.shape)
@@ -193,7 +193,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
         floor = 1e-13
         if max(res, res2) > 10.0 * max(min(res, res2), floor):
             warnings.warn("nested principal values disagree across grid "
-                          "levels; convergence is slow", RuntimeWarning,
+                          "levels; convergence is slow", AccuracyWarning,
                           stacklevel=2)
         return res2
     return res

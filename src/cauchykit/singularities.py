@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cauchy import BoundaryFunction, _functional, _sample
-from .errors import ContractError, PrescriptionError
+from .errors import AccuracyWarning, ContractError, PrescriptionError
 from .geometry import ClosedContour, QuadratureGrid
 
 EXTERIOR_MARGIN = 0.05
@@ -181,7 +181,7 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
     neg = np.max(np.abs(coef[n // 2 + 1:])) if n // 2 + 1 < n else 0.0
     if grew or neg > 1e-8 * scale:
         warnings.warn("boundary data is not regular inside the circle "
-                      "(interior singularity detected)", RuntimeWarning,
+                      "(interior singularity detected)", AccuracyWarning,
                       stacklevel=2)
     return c
 

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchykit import (DomainError, EndpointError, FlowConfig, SheetDensity,
-                       chebyshev3_rule, chebyshev4_rule, circulation,
+from cauchykit import (AccuracyWarning, DomainError, EndpointError,
+                       FlowConfig, SheetDensity, chebyshev3_rule,
+                       chebyshev4_rule, circulation,
                        far_field_circulation, finite_hilbert_inverse,
                        finite_hilbert_transform, flat_plate_complex_velocity,
                        leading_edge_suction, leading_edge_weight, lift,
@@ -321,7 +322,7 @@ class TestSheetVelocityField:
     def test_near_sheet_warning(self):
         gamma = SheetDensity(smooth=lambda x: np.ones_like(
             np.asarray(x, dtype=float)))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(AccuracyWarning):
             sheet_velocity_field(None, gamma, 0.5 + 1e-3j)
 
     def test_zero_densities(self):

@@ -477,6 +477,7 @@ def test_batched_checks_classify_each_target_once(monkeypatch):
 
 
 PUBLIC_NAMES = """
+AccuracyWarning
 ArcDensity BoundaryFunction CapabilityError CauchyKitError ClosedContour
 ContractError DomainError EndpointError FlowConfig FunctionalValue
 InvalidGridError JordanArc NonFiniteError OnContourError ParseError
@@ -507,3 +508,5 @@ def test_public_names_are_pinned():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == set(PUBLIC_NAMES)
+    # filters for RuntimeWarning still catch the library's one category
+    assert issubclass(cauchykit.AccuracyWarning, RuntimeWarning)

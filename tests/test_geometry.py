@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cauchykit import (DomainError, InvalidGridError, JordanArc,
-                       NonFiniteError, build_unit_circle, circle,
+from cauchykit import (BoundaryFunction, DomainError, InvalidGridError,
+                       JordanArc, NonFiniteError, OnContourError,
+                       build_unit_circle, cauchy_functional, circle,
                        classify_point, contour_integral, ellipse,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
@@ -64,6 +65,24 @@ def test_classify_basic_points():
     assert on.verdict == "on-contour"
     with pytest.raises(DomainError):
         classify_point(contour, grid, complex("nan"), 1e-8)
+
+
+def test_near_zone_distance_is_to_the_curve_not_the_nodes():
+    # between two of 256 nodes of an ellipse, a point on the curve is 5e-3
+    # from the nearest node; it is on the contour, and a functional raises
+    contour, grid = ellipse(1.0, 0.6), periodic_trapezoid_grid(256)
+    s = 1.3 * np.pi / 256
+    on = complex(contour.z(np.array([s]))[0])
+    assert classify_point(contour, grid, on).on_contour
+    with pytest.raises(OnContourError):
+        cauchy_functional(BoundaryFunction(lambda t: 1.0 / (t - 2.0)),
+                          contour, grid, on)
+    # off the curve along the normal, the distance is the offset
+    dz = complex(contour.dz(np.array([s]))[0])
+    for d, verdict in ((1e-3, "outside"), (-1e-3, "inside")):
+        cl = classify_point(contour, grid, on - 1j * d * dz / abs(dz))
+        assert cl.verdict == verdict
+        assert cl.distance == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_winding_is_integer_away_from_contour():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cauchykit import geometry
-from cauchykit import (ArcDensity, BoundaryFunction, DomainError,
-                       EndpointError, JordanArc, arc_cauchy_integral,
-                       build_unit_circle, gauss_panel_grid, one_sided_limit,
-                       plemelj_limits, poincare_bertrand_residual,
-                       reconstruct_from_jump, segment)
+from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
+                       DomainError, EndpointError, JordanArc,
+                       arc_cauchy_integral, build_unit_circle,
+                       gauss_panel_grid, one_sided_limit, plemelj_limits,
+                       poincare_bertrand_residual, reconstruct_from_jump,
+                       segment)
 
 from oracles import (aligned_panels, arc_integral_refined, arc_pv_per_target,
                      pv_arc_extrapolated)
@@ -53,7 +54,7 @@ class TestArcIntegral:
         g = ArcDensity(lambda t: np.ones_like(t))
         with pytest.raises(DomainError):
             arc_cauchy_integral(g, arc, grid, 0.25 + 0.0j)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(AccuracyWarning):
             arc_cauchy_integral(g, arc, grid, 0.25 + 1e-4j)
 
     def test_simple_zero_at_infinity(self, chord):
@@ -333,6 +334,6 @@ def test_pb_cross_check_warns_on_slow_convergence():
     # a pole 0.02 off the arc: the two grid levels disagree by more than 10x
     f2 = lambda t, tp: 1.0 / (np.asarray(t) - (0.5 + 0.02j)) \
         + 0.0 * np.asarray(tp)
-    with pytest.warns(RuntimeWarning, match="convergence is slow"):
+    with pytest.warns(AccuracyWarning, match="convergence is slow"):
         poincare_bertrand_residual(f2, segment(-1.0, 1.0),
                                    gauss_panel_grid(16, 12), 0.2 + 0.0j)

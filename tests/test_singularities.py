@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchykit import (ContractError, PrescriptionError,
+from cauchykit import (AccuracyWarning, ContractError, PrescriptionError,
                        SingularityPrescription, build_unit_circle,
                        catalog_function, cauchy_functional,
                        exterior_annihilation_check, pade_pole_probe,
@@ -157,7 +157,7 @@ class TestTaylorCoefficients:
     def test_interior_singularity_warns(self, circle256):
         contour, grid = circle256
         samples = 1.0 / (contour.z(grid.nodes) - 0.5)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(AccuracyWarning):
             taylor_coefficients(samples, 48)
 
     def test_too_many_coefficients_rejected(self, circle256):
