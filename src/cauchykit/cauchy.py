@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
-                       QuadratureGrid, _classify, _locate_on, _near_zone_width,
-                       _pv, _pv_at_all_nodes, circle, periodic_trapezoid_grid,
-                       spectral_derivative, trig_interp)
+                       QuadratureGrid, _classify, _near_zone_width, _pv,
+                       _pv_at_all_nodes, _sample, circle,
+                       periodic_trapezoid_grid, spectral_derivative,
+                       trig_interp)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def validate_derivatives(f: BoundaryFunction, contour: ClosedContour,
         return 0.0
     rng = np.random.default_rng(rng)
     idx = rng.choice(grid.n, size=min(8, grid.n), replace=False)
-    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    smp = _sample(contour, grid)
+    zs, dzs = smp.zs, smp.dzs
     worst = 0.0
     vals = np.asarray(f.func(zs), dtype=complex)
     for m in range(1, len(f.derivs) + 1):
@@ -121,34 +123,23 @@ class FunctionalValue:
     near_zone: bool = False
 
 
-def _sample(f, contour, grid):
-    """The one sampling of the contour and density a call makes: z and z'
-    at the nodes, the contour length, and f^(m) at the nodes by order m,
-    each order sampled on first use."""
-    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
-    by_order = {}
-
-    def f_at_nodes(m):
-        if m not in by_order:
-            by_order[m] = f._at_nodes(zs, dzs, m)
-        return by_order[m]
-    return zs, dzs, contour.length(), f_at_nodes
+def _classified(smp, z):
+    """_classify of a target against the band of the grid length."""
+    return _classify(smp, z, DELTA_FRACTION * smp.length)
 
 
-def _functional(smp, contour, grid, z, n, m, near_m, cl=None):
+def _functional(smp, z, n, m, near_m, classified=None):
     """J_(n,m)[f](z) from one sampling, taking m = near_m instead for a
     target in the near zone; OnContourError for a target on the contour.
-    ``cl`` is the target's classification when the caller already has it."""
-    zs, dzs, length, f_at_nodes = smp
-    if cl is None:
-        cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
+    ``classified`` is the target's _classify result when the caller already
+    has it."""
+    cl, inv = classified or _classified(smp, z)
     if cl.on_contour:
         raise OnContourError(
             "target lies on the contour; use boundary_value / one_sided_limit")
-    near = cl.distance < _near_zone_width(length, grid.n)
+    near = cl.distance < _near_zone_width(smp.length, smp.grid.n)
     k = near_m if near else m
-    value = complex(np.sum(f_at_nodes(k) * dzs * grid.weights
-                           / (zs - z) ** (n - k + 1))) \
+    value = complex(np.sum(smp.f(k) * smp.dzw * inv ** (n - k + 1))) \
         * float(math.factorial(n - k)) / (2j * np.pi)
     return FunctionalValue(value, complex(z), cl, (n, m), near)
 
@@ -163,7 +154,7 @@ def cauchy_functional(f: BoundaryFunction, contour: ClosedContour,
     conditioned where the high-power kernel does not.
     """
     f.require_order(n)
-    return _functional(_sample(f, contour, grid), contour, grid, z, n, 0, n)
+    return _functional(_sample(contour, grid, f), z, n, 0, n)
 
 
 def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
@@ -177,25 +168,24 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     if not 0 <= m <= n:
         raise CapabilityError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
     f.require_order(max(n, m))
-    return _functional(_sample(f, contour, grid), contour, grid, z, n, m, m)
+    return _functional(_sample(contour, grid, f), z, n, m, m)
 
 
-def _boundary_terms(f, smp, contour, grid, t0, n):
+def _boundary_terms(smp, t0, n):
     """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt) for t0 on the contour;
     DomainError when t0 is off it."""
-    zs, dzs, length, f_at_nodes = smp
-    s0 = _locate_on(contour, t0, DELTA_FRACTION * length)
-    samples = f_at_nodes(n)
-    at_t0 = complex(trig_interp(samples, s0)[0]) \
-        if f.derivative_callable(n) is None else f.value_on(contour, s0, n)
-    return at_t0, _pv(samples, at_t0, zs, dzs, contour.z(np.array([s0]))[0],
-                      grid, s0)
+    s0, on = smp.locate(t0)
+    samples = smp.f(n)
+    dc = smp.density.derivative_callable(n)
+    at_t0 = complex(trig_interp(samples, s0)[0]) if dc is None \
+        else complex(np.asarray(dc(np.array([on])))[0])
+    return at_t0, _pv(samples, at_t0, smp.zs, smp.dzs, on, smp.grid, s0)
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,
                    grid: QuadratureGrid, t0: complex, n: int = 0) -> complex:
     """K_n[f](t0) = (1/pi*i) P.V. of f^(n)(t)/(t - t0) dt; equals f^(n)(t0)."""
-    _, pv = _boundary_terms(f, _sample(f, contour, grid), contour, grid, t0, n)
+    _, pv = _boundary_terms(_sample(contour, grid, f), t0, n)
     return pv / (1j * np.pi)
 
 
@@ -209,8 +199,7 @@ def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
     """
     if side not in ("interior", "exterior"):
         raise ValueError("side must be 'interior' or 'exterior'")
-    at_t0, pv = _boundary_terms(f, _sample(f, contour, grid), contour, grid,
-                                t0, 0)
+    at_t0, pv = _boundary_terms(_sample(contour, grid, f), t0, 0)
     sign = 1.0 if side == "interior" else -1.0
     return sign * 0.5 * at_t0 + pv / (2j * np.pi)
 
@@ -226,7 +215,7 @@ def complement_functional(F: BoundaryFunction, contour: ClosedContour,
     if F.decay is None or F.decay < 2:
         raise ContractError("complement density must declare decay >= 2")
     F.require_order(n)
-    fv = _functional(_sample(F, contour, grid), contour, grid, z, n, n, n)
+    fv = _functional(_sample(contour, grid, F), z, n, n, n)
     return replace(fv, value=-fv.value)
 
 
@@ -234,7 +223,7 @@ def complement_boundary_value(F: BoundaryFunction, contour: ClosedContour,
                               grid: QuadratureGrid, t0: complex,
                               n: int = 0) -> complex:
     """K-_n[F](t0) = (-1/pi*i) P.V. of F^(n)(t)/(t-t0) dt; equals F^(n)(t0)."""
-    _, pv = _boundary_terms(F, _sample(F, contour, grid), contour, grid, t0, n)
+    _, pv = _boundary_terms(_sample(contour, grid, F), t0, n)
     return -pv / (1j * np.pi)
 
 
@@ -257,14 +246,14 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
     combination -f^(n)/2 + K_n/2, which vanishes identically.
     """
     f.require_order(n)
-    smp = _sample(f, contour, grid)
-    zs, dzs, length, _ = smp
+    smp = _sample(contour, grid, f)
     res, verdicts = [], []
     max_in, max_out = 0.0, 0.0
     for z in targets:
-        cl = _classify(contour, grid, zs, dzs, z, DELTA_FRACTION * length)
+        classified = _classified(smp, z)
+        cl = classified[0]
         if cl.on_contour:
-            at, pv = _boundary_terms(f, smp, contour, grid, z, n)
+            at, pv = _boundary_terms(smp, z, n)
             g = abs(-0.5 * at + pv / (2j * np.pi))
             max_in = max(max_in, g)
             max_out = max(max_out, g)
@@ -274,11 +263,11 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
                 raise CapabilityError(
                     "interior residuals at n > 0 need an analytic derivative")
             expected = complex(np.asarray(dc(np.array([z])))[0])
-            g = abs(_functional(smp, contour, grid, z, n, 0, n, cl).value
+            g = abs(_functional(smp, z, n, 0, n, classified).value
                     - expected)
             max_in = max(max_in, g)
         else:
-            g = abs(_functional(smp, contour, grid, z, n, 0, n, cl).value)
+            g = abs(_functional(smp, z, n, 0, n, classified).value)
             max_out = max(max_out, g)
         res.append(g)
         verdicts.append(cl.verdict)

@@ -10,7 +10,7 @@ smooth remainder is integrated at full rule accuracy.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -135,10 +135,12 @@ class ClosedContour:
             rel = point - self.center
             s0 = float(np.angle(rel)) % TWO_PI
             return s0, abs(abs(rel) - self.radius)
-        return self._newton(point, TWO_PI * np.arange(n) / n)
+        s0, on = self._newton(point, TWO_PI * np.arange(n) / n)
+        return s0, float(abs(on - point))
 
     def _newton(self, point, s):
-        """locate() seeded by the closest of the parameters s."""
+        """(s0, z(s0)) of the closest curve point, seeded by the closest of
+        the parameters s."""
         return _newton_locate(self, point, s, lambda s: s % TWO_PI, 1e-6)
 
     def delta(self, frac: float = DELTA_FRACTION) -> float:
@@ -185,21 +187,83 @@ def build_unit_circle(n: int):
     return circle(0.0, 1.0), periodic_trapezoid_grid(n)
 
 
+@dataclass(frozen=True, eq=False)
+class _Samples:
+    """The one sampling of a closed contour, and of a density on it, that a
+    call makes: z, z' and z'w at the grid nodes, the grid length sum |z'|w
+    (spectrally accurate, so no separate sweep sets the on-contour band or
+    the near-zone width), and f^(m) at the nodes by order m, each order
+    sampled on first use."""
+
+    contour: ClosedContour
+    grid: QuadratureGrid
+    zs: np.ndarray
+    dzs: np.ndarray
+    dzw: np.ndarray
+    length: float
+    density: Optional[object] = None
+    by_order: dict = field(default_factory=dict)
+
+    def f(self, m):
+        """f^(m) at the nodes."""
+        if m not in self.by_order:
+            self.by_order[m] = self.density._at_nodes(self.zs, self.dzs, m)
+        return self.by_order[m]
+
+    def locate(self, t0, delta=None):
+        """(s0, z(s0)) of the point t0 on the contour, by Newton from the
+        nearest node (exactly on a circle); DomainError when t0 lies farther
+        than delta (default: the band of the grid length) from the curve."""
+        if not np.isfinite(t0):
+            raise DomainError("cannot locate a non-finite point")
+        if delta is None:
+            delta = DELTA_FRACTION * self.length
+        if self.contour.kind == "circle":
+            s0, dist = self.contour.locate(t0)
+            on = self.contour.z(np.array([s0]))[0]
+        else:
+            j = int(np.argmin(np.abs(self.zs - t0)))
+            s0, on = self.contour._newton(t0, self.grid.nodes[j:j + 1])
+            dist = float(abs(on - t0))
+        if dist > delta:
+            raise DomainError(
+                f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
+        return s0, on
+
+
+def _sample(contour, grid, density=None):
+    """_Samples of the contour, and of ``density`` if given, on the grid."""
+    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
+                    _grid_length(dzs, grid), density)
+
+
+def _grid_length(dzs, grid):
+    """Length of a contour or arc, sum |z'(s_j)| w_j, from its node samples."""
+    return float(np.sum(np.abs(dzs) * grid.weights))
+
+
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution."""
-    zs = contour.z(grid.nodes)
-    dzs = contour.dz(grid.nodes)
-    if np.min(np.abs(dzs)) <= 0:
+    smp = _sample(contour, grid)
+    zs = smp.zs
+    if np.min(np.abs(smp.dzs)) <= 0:
         raise DomainError("contour derivative vanishes at a node")
-    # pairwise node separation: simple at sample resolution
-    diff = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diff, np.inf)
-    min_gap = diff.min()
-    mean_gap = contour.length() / grid.n
-    if min_gap < 0.1 * mean_gap:
+    # pairwise node separation: simple at sample resolution.  Squared gaps
+    # of the pairs j > i, a block of rows i at a time
+    min_gap2 = np.inf
+    for r in _row_blocks(grid.n, grid.n):
+        d = zs[r.start + 1:] - zs[r, None]
+        d2 = d.real ** 2 + d.imag ** 2
+        # row k is node i = r.start + k and column c node j = r.start + 1 + c
+        rows, sq = d2.shape[0], min(d2.shape)
+        d2[:, :sq][np.tri(rows, sq, -1, dtype=bool)] = np.inf
+        min_gap2 = min(min_gap2, float(d2.min(initial=np.inf)))
+    mean_gap = smp.length / grid.n
+    if min_gap2 < (0.1 * mean_gap) ** 2:
         raise DomainError("contour self-intersects at sample resolution")
     inside = np.mean(zs)
-    wind = np.sum(dzs * grid.weights / (zs - inside)) / (2j * np.pi)
+    wind = np.sum(smp.dzw / (zs - inside)) / (2j * np.pi)
     if abs(wind - 1.0) > 1e-6:
         raise DomainError("contour winding about an interior point is not +1")
 
@@ -226,13 +290,15 @@ class JordanArc:
 
     def locate(self, point: complex, n: int = 2048):
         """Parameter s0 of the closest arc point and the distance to it."""
-        return _newton_locate(self, point, (np.arange(n) + 0.5) / n,
-                              lambda s: min(max(s, 0.0), 1.0), 1e-7)
+        s0, on = _newton_locate(self, point, (np.arange(n) + 0.5) / n,
+                                lambda s: min(max(s, 0.0), 1.0), 1e-7)
+        return s0, float(abs(on - point))
 
 
 def _newton_locate(curve, point, s, fix, h):
-    """Closest point of a contour or arc to ``point``: the nearest sample of
-    the parameter sweep ``s``, refined by Newton steps on |z(s) - point|^2.
+    """Parameter s0 and curve point z(s0) closest to ``point`` on a contour
+    or arc: the nearest sample of the parameter sweep ``s``, refined by
+    Newton steps on |z(s) - point|^2.
     ``fix`` maps a parameter back into the domain (wrap or clamp) and ``h``
     is the finite-difference step for z'' when the curve has no ``d2z``.
     """
@@ -254,7 +320,7 @@ def _newton_locate(curve, point, s, fix, h):
         s0 = fix(s0 - step)
         if abs(step) < 1e-15:
             break
-    return s0, float(np.abs(curve.z(np.array([s0]))[0] - point))
+    return s0, curve.z(np.array([s0]))[0]
 
 
 def segment(a: complex, b: complex) -> JordanArc:
@@ -299,45 +365,53 @@ class PointClassification:
 def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
                    delta: Optional[float] = None) -> PointClassification:
     """Classify z against the contour by winding number and its distance to
-    the curve (to the nearest node, unless z is in the near zone)."""
+    the curve (to the nearest node, unless z is in the near zone).  The
+    default band delta is DELTA_FRACTION times the grid length."""
+    smp = _sample(contour, grid)
     if delta is None:
-        delta = contour.delta()
-    return _classify(contour, grid, contour.z(grid.nodes),
-                     contour.dz(grid.nodes), z, delta)
+        delta = DELTA_FRACTION * smp.length
+    return _classify(smp, z, delta)[0]
 
 
-def _classify(contour, grid, zs, dzs, z, delta):
-    """classify_point from the node samples zs = z(s_j), dzs = z'(s_j)."""
+def _classify(smp, z, delta):
+    """(classify_point from the node samples ``smp``, 1/(z_j - z) at the
+    nodes for the kernel sums of the same target)."""
     if not np.isfinite(z):
         raise DomainError("cannot classify a non-finite point")
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
-    gaps = np.abs(zs - z)
-    j = int(np.argmin(gaps))
-    dist = float(gaps[j])
+    contour = smp.contour
     # between nodes the nearest node overstates the distance to the curve:
     # take it exactly on a circle, and by Newton from the nearest node in
     # the near zone of any other contour
+    d = smp.zs - z
     if contour.kind == "circle":
-        dist = min(dist, abs(abs(z - contour.center) - contour.radius))
-    elif dist < _near_zone_width(float(np.sum(np.abs(dzs) * grid.weights)),
-                                 grid.n):
-        dist = min(dist, contour._newton(z, grid.nodes[j:j + 1])[1])
-    wind = complex(np.sum(dzs * grid.weights / (zs - z)) / (2j * np.pi)) \
-        if dist > 0 else complex(np.nan)
+        dist = float(abs(abs(z - contour.center) - contour.radius))
+    else:
+        gaps = np.abs(d)
+        j = int(np.argmin(gaps))
+        dist = float(gaps[j])
+        if dist < _near_zone_width(smp.length, smp.grid.n):
+            on = contour._newton(z, smp.grid.nodes[j:j + 1])[1]
+            dist = min(dist, float(abs(on - z)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        wind = complex(np.sum(smp.dzw * inv) / (2j * np.pi)) \
+            if dist > 0 else complex(np.nan)
     rounded = int(np.round(np.real(wind))) if np.isfinite(wind) else 0
     converged = np.isfinite(wind) and abs(wind - rounded) < 0.25
     if dist < delta:
         return PointClassification("on-contour", rounded, wind, dist, delta,
-                                   ill_conditioned=not converged)
+                                   ill_conditioned=not converged), inv
     verdict = "inside" if rounded >= 1 else "outside"
     return PointClassification(verdict, rounded, wind, dist, delta,
-                               ill_conditioned=not converged)
+                               ill_conditioned=not converged), inv
 
 
 def near_zone_width(contour, grid: QuadratureGrid) -> float:
-    """Distance below which a target of a contour or arc is in the near zone."""
-    return _near_zone_width(contour.length(), grid.n)
+    """Distance below which a target of a contour or arc is in the near zone:
+    NEAR_ZONE_FACTOR times the grid length over the node count."""
+    return _near_zone_width(_grid_length(contour.dz(grid.nodes), grid), grid.n)
 
 
 def _near_zone_width(length, n):
@@ -440,15 +514,14 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     regular inside and on the contour; the location-independent constant for
     the reversed kernel is available as :func:`pv_singular_weight`.
     """
-    s0 = _locate_on(contour, t0, delta)
-    zs = contour.z(grid.nodes)
-    samples = np.asarray(f(zs), dtype=complex)
+    smp = _sample(contour, grid)
+    s0, t0 = smp.locate(t0, delta)
+    samples = np.asarray(f(smp.zs), dtype=complex)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("density is non-finite at a quadrature node")
-    t0 = contour.z(np.array([s0]))[0]
     f_t0 = complex(np.asarray(f(np.array([t0])))[0])
     _warn_if_rough(samples, grid, s0)
-    return _pv(samples, f_t0, zs, contour.dz(grid.nodes), t0, grid, s0)
+    return _pv(samples, f_t0, smp.zs, smp.dzs, t0, grid, s0)
 
 
 def _warn_if_rough(samples, grid, s0):

@@ -123,21 +123,19 @@ class TransformResult:
 
 def _tail_integral(xi, X, p, max_terms=4000, tol=1e-15):
     """int_X^inf x^-p / (x - xi) dx for |xi| < X, via the geometric series
-    sum_k xi^k X^-(p+k) / (p+k)."""
+    sum_k xi^k X^-(p+k) / (p+k), summed by Horner's rule.  The term count
+    is fixed once from rho = max|xi|/X: term k is at most X^-p rho^k / p,
+    and the sum is at least X^-p / (p (p + 1)) whatever the sign of xi, so
+    rho^K < tol / (p + 1) brings every term below tol times the sum."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(np.abs(xi) >= X):
         raise DomainError("tail model needs |xi| < window")
-    out = np.zeros_like(xi)
-    term = np.full_like(xi, X ** (-p) / p)
     ratio = xi / X
-    k = 0
-    while k < max_terms:
-        out += term
-        k += 1
-        term = term * ratio * (p + k - 1) / (p + k)
-        if np.max(np.abs(term)) < tol * max(np.max(np.abs(out)), 1e-300):
-            break
-    return out
+    rho = float(np.max(np.abs(ratio), initial=0.0))
+    count = 1 if rho == 0.0 else \
+        min(max_terms, int(np.log(tol / (p + 1.0)) / np.log(rho)) + 1)
+    coef = 1.0 / (p + np.arange(count))
+    return X ** (-p) * np.polynomial.polynomial.polyval(ratio, coef)
 
 
 def _fit_tail_coeffs(vfunc, X, p, side):

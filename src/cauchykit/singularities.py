@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cauchy import BoundaryFunction, _functional, _sample
+from .cauchy import BoundaryFunction, _classified, _functional
 from .errors import AccuracyWarning, ContractError, PrescriptionError
-from .geometry import ClosedContour, QuadratureGrid
+from .geometry import ClosedContour, QuadratureGrid, _sample
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -140,16 +140,17 @@ def exterior_annihilation_check(p, contour: ClosedContour,
                                 orders: Sequence[int] = (0,)) -> float:
     """Max |J_n[f](z)| over exterior targets and the given orders n."""
     f = catalog_function(p) if isinstance(p, SingularityPrescription) else p
-    smp = _sample(f, contour, grid)
+    smp = _sample(contour, grid, f)
     worst = 0.0
     for z in np.atleast_1d(np.asarray(targets, dtype=complex)):
-        cl = None                       # classified by the first order
+        classified = None               # by the first order
         for n in orders:
             f.require_order(n)
+            if classified is None:
+                classified = _classified(smp, z)
             # J_n as cauchy_functional evaluates it (near-zone reroute m = n)
-            fv = _functional(smp, contour, grid, z, n, 0, n, cl)
-            cl = fv.classification
-            if not cl.outside:
+            fv = _functional(smp, z, n, 0, n, classified)
+            if not fv.classification.outside:
                 raise ContractError(f"target {z} is not exterior")
             worst = max(worst, abs(fv.value))
     return worst

@@ -348,6 +348,7 @@ def test_off_contour_t0_is_a_domain_error(circle256):
 
 N_GRID = 256        # grid-sized calls have this many points
 N_LENGTH = 1024     # ClosedContour.length() sweeps z' at this many points
+N_LOCATE = 2048     # ClosedContour.locate() sweeps z at this many points
 
 
 def counted(name, fn, calls):
@@ -403,7 +404,43 @@ def test_functional_samples_contour_once(name, analytic):
     FUNCTIONALS[name](f, F, c, g)
     assert calls["z", N_GRID] <= 1
     assert calls["dz", N_GRID] <= 1
-    assert calls["dz", N_LENGTH] <= 1
+    # the length is the grid's, and location starts from the nearest node
+    assert calls["dz", N_LENGTH] == 0
+    assert calls["z", N_LOCATE] == 0
+
+
+def test_seeded_locate_keeps_off_contour_errors():
+    # Newton from the nearest node lands on some curve point, never closer
+    # than the curve is, so a t0 off the ellipse is still a DomainError
+    calls = Counter()
+    c, g = counted_ellipse(calls), periodic_trapezoid_grid(N_GRID)
+    F = BoundaryFunction(lambda t: t ** -2.0, decay=2)
+    for t0 in (0.5, 1.5 + 0.3j, 1.001 * ON, ON + 1e-6):
+        for func in (boundary_value, one_sided_limit,
+                     complement_boundary_value):
+            with pytest.raises(DomainError) as info:
+                func(F, c, g, t0)
+            assert not isinstance(info.value, OnContourError)
+    assert calls["z", N_LOCATE] == 0
+
+
+def test_on_curve_point_between_nodes_is_on_the_contour():
+    # z(1.3 pi/256) is 5e-3 from the nearest of 256 ellipse nodes: the
+    # functionals refuse it, and the boundary routes locate it
+    calls = Counter()
+    c, g = counted_ellipse(calls), periodic_trapezoid_grid(N_GRID)
+    f, F = pole_density(), COMPLEMENT
+    on = complex(ellipse(1.0, 0.6).z(np.array([1.3 * np.pi / 256]))[0])
+    for call in (lambda: cauchy_functional(f, c, g, on, 1),
+                 lambda: generalized_functional(f, c, g, on, 2, 1),
+                 lambda: complement_functional(F, c, g, on)):
+        with pytest.raises(OnContourError):
+            call()
+    assert boundary_value(f, c, g, on) == pytest.approx(f.func(on),
+                                                         abs=1e-12)
+    assert one_sided_limit(f, c, g, on, "exterior") == pytest.approx(
+        0.0, abs=1e-12)
+    assert calls["z", N_LOCATE] == 0 and calls["dz", N_LENGTH] == 0
 
 
 def batch_targets(k):
@@ -435,7 +472,7 @@ def test_batched_checks_sample_once_per_call():
     for counts in per_count[1]:
         assert counts[("z", N_GRID)] == 1
         assert counts[("dz", N_GRID)] == 1
-        assert counts[("dz", N_LENGTH)] == 1
+        assert counts.get(("dz", N_LENGTH), 0) == 0
     # the matrix route of K_n at every node takes the same samples
     calls = Counter()
     vanishing_contour_integral(pole_density(), counted_ellipse(calls), g)
@@ -462,9 +499,9 @@ def test_batched_checks_classify_each_target_once(monkeypatch):
 
     classified = []
 
-    def counted(contour, grid, zs, dzs, z, delta):
+    def counted(smp, z, delta):
         classified.append(z)
-        return classify(contour, grid, zs, dzs, z, delta)
+        return classify(smp, z, delta)
     classify = cauchy_module._classify
     monkeypatch.setattr(cauchy_module, "_classify", counted)
     report = uniform_convergence_residuals(f, c, g, targets, 0)

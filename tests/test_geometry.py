@@ -8,9 +8,10 @@ from cauchykit import (BoundaryFunction, DomainError, InvalidGridError,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour)
-from cauchykit.geometry import (ClosedContour, near_zone_width,
+from cauchykit.geometry import (DELTA_FRACTION, NEAR_ZONE_FACTOR,
+                                ClosedContour, near_zone_width,
                                 panels_from_breakpoints, pv_at_all_nodes,
-                                spectral_derivative)
+                                segment, spectral_derivative)
 
 from oracles import pv_closed_extrapolated, random_trig_poly
 
@@ -111,6 +112,18 @@ def test_validate_contour_catches_double_point():
         dz=lambda s: -np.sin(np.asarray(s)) + 2j * np.cos(2.0 * np.asarray(s)))
     with pytest.raises(DomainError):
         validate_contour(fig8, periodic_trapezoid_grid(128))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_validate_contour_compares_pairs_across_row_blocks(n):
+    # at n >= 1024 the nodes at s = pi/2 and 3 pi/2, where the figure-eight
+    # crosses itself, fall in different row blocks of the pair search
+    fig8 = ClosedContour(
+        z=lambda s: np.cos(np.asarray(s)) + 1j * np.sin(2.0 * np.asarray(s)),
+        dz=lambda s: -np.sin(np.asarray(s)) + 2j * np.cos(2.0 * np.asarray(s)))
+    with pytest.raises(DomainError, match="self-intersects"):
+        validate_contour(fig8, periodic_trapezoid_grid(n))
+    validate_contour(ellipse(1.0, 0.6), periodic_trapezoid_grid(n))
 
 
 def test_validate_contour_catches_clockwise():
@@ -278,6 +291,40 @@ def test_near_zone_width_scale():
     contour, grid = build_unit_circle(256)
     assert near_zone_width(contour, grid) == pytest.approx(
         10.0 * TWO_PI / 256)
+
+
+def grid_length(curve, grid):
+    return near_zone_width(curve, grid) * grid.n / NEAR_ZONE_FACTOR
+
+
+@pytest.mark.parametrize("n, lo, hi", [(8, 1e-4, 1e-3), (32, 1e-12, 1e-11),
+                                       (64, 0.0, 1e-14), (256, 0.0, 1e-14),
+                                       (1024, 0.0, 1e-14)])
+def test_grid_length_against_the_length_sweep(n, lo, hi):
+    # sum |z'| w on the grid is spectrally accurate: on ellipse(1, 0.6) it
+    # matches the 1,024-point sweep of ClosedContour.length() to rounding
+    # from n = 64; the bands of smaller grids move by 2e-12 (n = 32) and
+    # 3e-4 (n = 8)
+    e = ellipse(1.0, 0.6)
+    rel = abs(grid_length(e, periodic_trapezoid_grid(n)) / e.length() - 1.0)
+    assert lo <= rel <= hi
+
+
+def test_thresholds_come_from_the_grid_length():
+    # the public width and default band are the ones the functionals apply
+    e, g = ellipse(1.0, 0.6), periodic_trapezoid_grid(8)
+    length = grid_length(e, g)
+    assert length != pytest.approx(e.length(), rel=1e-4)
+    z = 0.2 + 0.1j
+    cl = classify_point(e, g, z)
+    assert cl.delta == DELTA_FRACTION * length
+    fv = cauchy_functional(BoundaryFunction(lambda t: 1.0 / (t - 2.0)),
+                           e, g, z)
+    assert fv.classification == cl
+    assert fv.near_zone == (cl.distance < near_zone_width(e, g))
+    # on an arc the same sum is the arc length
+    assert grid_length(segment(0.0, 3.0 + 4.0j), gauss_panel_grid(4)) == \
+        pytest.approx(5.0, rel=1e-15)
 
 
 def parabola_arc(with_d2z):

@@ -260,3 +260,22 @@ class TestParseval:
 def test_square_integrability_flag():
     assert example3_v().square_integrable
     assert not RealLineFunction(lambda x: x, decay=0.3).square_integrable
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.5])
+def test_tail_integral_against_quadrature(p):
+    # the term count fixed once from max|xi|/X leaves every target of the
+    # series within rounding of int_X^inf x^-p/(x - xi) dx, up to the
+    # |xi| <= 0.95 X that line transforms admit
+    mpmath = pytest.importorskip("mpmath")
+    from cauchykit.hilbert import _tail_integral
+    X = 20.0
+    xi = np.concatenate([np.linspace(-0.95, 0.95, 9) * X, [0.0, 1e-3]])
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.quad(lambda x: x ** -p / (x - v),
+                                           [X, 2 * X, mpmath.inf]))
+                         for v in xi])
+    got = _tail_integral(xi, X, p)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
+    assert _tail_integral(np.zeros(3), X, p) == pytest.approx(X ** -p / p,
+                                                              rel=1e-15)
