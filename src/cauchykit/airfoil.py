@@ -155,8 +155,9 @@ def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     s0 = 0.5 * (x + 1.0)
     t0 = chord.z(s0)
     psi0 = func(np.real(t0))
-    return np.real(_arc_pv_rows(lambda t, r: func(np.real(t)), chord, s0, t0,
-                                psi0, n_panels, order))
+    pv, = _arc_pv_rows(((lambda t, r: func(np.real(t)), psi0),), chord, s0,
+                       t0, n_panels, order)
+    return np.real(pv)
 
 
 def finite_hilbert_inverse(v, targets=None,

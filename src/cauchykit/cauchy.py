@@ -133,7 +133,7 @@ def _functional(smp, z, n, m, near_m, classified=None):
     target in the near zone; OnContourError for a target on the contour.
     ``classified`` is the target's _classify result when the caller already
     has it."""
-    cl, inv = classified or _classified(smp, z)
+    cl, inv, _ = classified or _classified(smp, z)
     if cl.on_contour:
         raise OnContourError(
             "target lies on the contour; use boundary_value / one_sided_limit")
@@ -171,10 +171,11 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     return _functional(_sample(contour, grid, f), z, n, m, m)
 
 
-def _boundary_terms(smp, t0, n):
+def _boundary_terms(smp, t0, n, located=None):
     """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt) for t0 on the contour;
-    DomainError when t0 is off it."""
-    s0, on = smp.locate(t0)
+    DomainError when t0 is off it.  ``located`` is t0's (s0, z(s0)) when the
+    caller already has it."""
+    s0, on = located or smp.locate(t0)
     samples = smp.f(n)
     dc = smp.density.derivative_callable(n)
     at_t0 = complex(trig_interp(samples, s0)[0]) if dc is None \
@@ -253,7 +254,7 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
         classified = _classified(smp, z)
         cl = classified[0]
         if cl.on_contour:
-            at, pv = _boundary_terms(smp, z, n)
+            at, pv = _boundary_terms(smp, z, n, classified[2])
             g = abs(-0.5 * at + pv / (2j * np.pi))
             max_in = max(max_in, g)
             max_out = max(max_out, g)

@@ -189,11 +189,11 @@ def build_unit_circle(n: int):
 
 @dataclass(frozen=True, eq=False)
 class _Samples:
-    """The one sampling of a closed contour, and of a density on it, that a
-    call makes: z, z' and z'w at the grid nodes, the grid length sum |z'|w
-    (spectrally accurate, so no separate sweep sets the on-contour band or
-    the near-zone width), and f^(m) at the nodes by order m, each order
-    sampled on first use."""
+    """The one sampling of a closed contour or an open arc, and of a density
+    on it, that a call makes: z, z' and z'w at the grid nodes, the grid
+    length sum |z'|w (spectrally accurate, so no separate sweep sets the
+    on-contour band or the near-zone width), and f^(m) at the nodes by
+    order m, each order sampled on first use."""
 
     contour: ClosedContour
     grid: QuadratureGrid
@@ -210,15 +210,28 @@ class _Samples:
             self.by_order[m] = self.density._at_nodes(self.zs, self.dzs, m)
         return self.by_order[m]
 
+    def distance(self, point, gaps, below):
+        """(distance from ``point`` to the curve, (s0, z(s0)) of the closest
+        curve point or None), from the node gaps |z_j - point|: the nearest
+        node's gap, refined by Newton from that node when it is below
+        ``below``."""
+        j = int(np.argmin(gaps))
+        dist = float(gaps[j])
+        if not dist < below:
+            return dist, None
+        located = self.contour._newton(point, self.grid.nodes[j:j + 1])
+        return min(dist, float(abs(located[1] - point))), located
+
     def locate(self, t0, delta=None):
-        """(s0, z(s0)) of the point t0 on the contour, by Newton from the
-        nearest node (exactly on a circle); DomainError when t0 lies farther
-        than delta (default: the band of the grid length) from the curve."""
+        """(s0, z(s0)) of the point t0 on the contour or arc, by Newton from
+        the nearest node (exactly on a circle); DomainError when t0 lies
+        farther than delta (default: the band of the grid length) from the
+        curve."""
         if not np.isfinite(t0):
             raise DomainError("cannot locate a non-finite point")
         if delta is None:
             delta = DELTA_FRACTION * self.length
-        if self.contour.kind == "circle":
+        if getattr(self.contour, "kind", None) == "circle":
             s0, dist = self.contour.locate(t0)
             on = self.contour.z(np.array([s0]))[0]
         else:
@@ -232,7 +245,8 @@ class _Samples:
 
 
 def _sample(contour, grid, density=None):
-    """_Samples of the contour, and of ``density`` if given, on the grid."""
+    """_Samples of the contour or arc, and of ``density`` if given, on the
+    grid."""
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
                     _grid_length(dzs, grid), density)
@@ -290,9 +304,14 @@ class JordanArc:
 
     def locate(self, point: complex, n: int = 2048):
         """Parameter s0 of the closest arc point and the distance to it."""
-        s0, on = _newton_locate(self, point, (np.arange(n) + 0.5) / n,
-                                lambda s: min(max(s, 0.0), 1.0), 1e-7)
+        s0, on = self._newton(point, (np.arange(n) + 0.5) / n)
         return s0, float(abs(on - point))
+
+    def _newton(self, point, s):
+        """(s0, z(s0)) of the closest arc point, seeded by the closest of
+        the parameters s."""
+        return _newton_locate(self, point, s,
+                              lambda s: min(max(s, 0.0), 1.0), 1e-7)
 
 
 def _newton_locate(curve, point, s, fix, h):
@@ -375,7 +394,8 @@ def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
 
 def _classify(smp, z, delta):
     """(classify_point from the node samples ``smp``, 1/(z_j - z) at the
-    nodes for the kernel sums of the same target)."""
+    nodes for the kernel sums of the same target, and the (s0, z(s0)) of
+    the closest curve point when a Newton solve found it, else None)."""
     if not np.isfinite(z):
         raise DomainError("cannot classify a non-finite point")
     if delta <= 0:
@@ -387,25 +407,20 @@ def _classify(smp, z, delta):
     d = smp.zs - z
     if contour.kind == "circle":
         dist = float(abs(abs(z - contour.center) - contour.radius))
+        located = None
     else:
-        gaps = np.abs(d)
-        j = int(np.argmin(gaps))
-        dist = float(gaps[j])
-        if dist < _near_zone_width(smp.length, smp.grid.n):
-            on = contour._newton(z, smp.grid.nodes[j:j + 1])[1]
-            dist = min(dist, float(abs(on - z)))
+        dist, located = smp.distance(
+            z, np.abs(d), _near_zone_width(smp.length, smp.grid.n))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / d
         wind = complex(np.sum(smp.dzw * inv) / (2j * np.pi)) \
             if dist > 0 else complex(np.nan)
     rounded = int(np.round(np.real(wind))) if np.isfinite(wind) else 0
     converged = np.isfinite(wind) and abs(wind - rounded) < 0.25
-    if dist < delta:
-        return PointClassification("on-contour", rounded, wind, dist, delta,
-                                   ill_conditioned=not converged), inv
-    verdict = "inside" if rounded >= 1 else "outside"
+    verdict = "on-contour" if dist < delta else \
+        "inside" if rounded >= 1 else "outside"
     return PointClassification(verdict, rounded, wind, dist, delta,
-                               ill_conditioned=not converged), inv
+                               ill_conditioned=not converged), inv, located
 
 
 def near_zone_width(contour, grid: QuadratureGrid) -> float:

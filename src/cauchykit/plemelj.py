@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _leggauss, _locate_on,
-                       _row_blocks, gauss_panel_grid, near_zone_width)
+                       _near_zone_width, _row_blocks, _sample,
+                       gauss_panel_grid)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -56,17 +57,19 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
                         n: int = 0) -> complex:
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
     g = _as_density(g)
-    _, dist = arc.locate(z)
+    smp = _sample(arc, grid)
+    near = _near_zone_width(smp.length, grid.n)
+    # the nearest node overstates the distance to the arc by at most half a
+    # node gap, far less than a near-zone width: solve Newton only below two
+    dist = smp.distance(z, np.abs(smp.zs - z), 2.0 * near)[0]
     if dist < 1e-12:
         raise DomainError("z lies on the arc; use plemelj_limits")
-    if dist < near_zone_width(arc, grid):
+    if dist < near:
         warnings.warn("target is in the near zone of the arc; result is "
                       "ill-conditioned", AccuracyWarning, stacklevel=2)
-    ts = arc.z(grid.nodes)
-    dts = arc.dz(grid.nodes)
-    vals = np.broadcast_to(np.asarray(g(ts), dtype=complex), ts.shape)
-    return complex(math.factorial(n) / (2j * np.pi)
-                   * np.sum(vals * dts * grid.weights / (ts - z) ** (n + 1)))
+    vals = np.broadcast_to(np.asarray(g(smp.zs), dtype=complex), smp.zs.shape)
+    return complex(math.factorial(n) / (2j * np.pi) * np.sum(
+        vals * smp.dzs * grid.weights / (smp.zs - z) ** (n + 1)))
 
 
 def _aligned_panels(s0, n_panels, order, grade=0):
@@ -100,39 +103,51 @@ def _aligned_rows(s0, n_panels, order):
     return np.where(weights > 0, nodes, nodes[:, :1]), weights
 
 
-def _arc_pv_rows(g, arc: JordanArc, s0, t0, g0, n_panels: int,
-                 order: int) -> np.ndarray:
-    """P.V. int_L g(t, r)/(t - t0[r]) dt for every row r of t0 at once, with
-    t0 = z(s0) interior to the arc and g0 = g(t0, r).
+def _arc_pv_rows(densities, arc: JordanArc, s0, t0, n_panels: int,
+                 order: int) -> list:
+    """P.V. int_L g(t, r)/(t - t0[r]) dt for every row r of t0 at once and
+    every (g, g0) of ``densities``, with t0 = z(s0) interior to the arc and
+    g0 = g(t0, r); one array per density.
 
     Row r integrates on GL panels split at s0[r] (a scalar s0 is shared by
     all rows) and subtracts g0[r]/(s - s0[r]) in parameter space; the bare
     parameter pole integrates to log((1 - s0)/s0).  g(t, r) gets the nodes
-    of the rows in the slice r and must broadcast against them.  Rows go a
-    block at a time (geometry._row_blocks), so memory stays bounded.
+    of the rows in the slice r and must broadcast against them.  The
+    densities share each row's panels, arc samples, Cauchy kernel and pole.
+    Rows go a block at a time (geometry._row_blocks), so memory stays
+    bounded.
     """
-    t0, g0 = np.broadcast_arrays(np.atleast_1d(np.asarray(t0, dtype=complex)),
-                                 np.atleast_1d(np.asarray(g0, dtype=complex)))
+    t0, *g0s = np.broadcast_arrays(*(
+        np.atleast_1d(np.asarray(v, dtype=complex))
+        for v in (t0, *(g0 for _, g0 in densities))))
+
+    def rows(s0r):
+        """Aligned nodes s, weights w, z(s) and z'(s) w of the rows s0r."""
+        s, w = _aligned_rows(s0r, n_panels, order)
+        return (s, w, arc.z(s.ravel()).reshape(s.shape),
+                arc.dz(s.ravel()).reshape(s.shape) * w)
+
     shared = np.ndim(s0) == 0
     if shared:
-        s, w = _aligned_rows(np.array([s0], dtype=float), n_panels, order)
+        row = rows(np.array([s0], dtype=float))
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), t0.shape)
-    out = g0 * np.log((1.0 - s0) / s0)
+    log = np.log((1.0 - s0) / s0)
+    outs = [g0 * log for g0 in g0s]
     # a row has at most n_panels + 3 panels (two ceilings and max(2, ...))
     for r in _row_blocks(t0.size, (n_panels + 3) * order):
-        if not shared:
-            s, w = _aligned_rows(s0[r], n_panels, order)
-        ts = arc.z(s.ravel()).reshape(s.shape)
-        vals = np.broadcast_to(np.asarray(g(ts, r), dtype=complex),
-                               (len(g0[r]), s.shape[1]))
-        # h = g(t) z'(s)/(t - t0) - g0/(s - s0), formed in place so that a
-        # block holds few arrays at once
-        h = vals * arc.dz(s.ravel()).reshape(s.shape)
-        h /= ts - t0[r, None]
-        h -= g0[r, None] / (s - s0[r, None])
-        h *= w
-        out[r] += h.sum(axis=1)
-    return out
+        s, w, ts, dzw = row if shared else rows(s0[r])
+        # sum_j [g(t_j) z'(s_j)/(t_j - t0) - g0/(s_j - s0)] w_j per density,
+        # as sum_j g(t_j) kernel_j - g0 sum_j pole_j.  The panels are dropped
+        # here, so the next block's reuse their memory; a block freed all at
+        # once is returned to the system and faulted back in
+        kernel = ts - t0[r, None]
+        np.divide(dzw, kernel, out=kernel)
+        pole = (w / (s - s0[r, None])).sum(axis=1)
+        del s, w, dzw
+        for (g, _), g0, out in zip(densities, g0s, outs):
+            out[r] += (np.asarray(g(ts, r), dtype=complex) * kernel).sum(
+                axis=1) - g0[r] * pole
+    return outs
 
 
 def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
@@ -141,18 +156,20 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
 
     f+-(z0) = +-g(z0)/2 + (1/2*pi*i) P.V. int_L g(t)/(t - z0) dt.  Their
     difference is g(z0) and their sum is the principal-value integral scaled
-    by 1/(pi*i).  ``grid`` contributes only its node count: the principal
-    value integrates on max(8, grid.n // 12) order-12 panels split at z0.
+    by 1/(pi*i).  z0 is located by Newton from the nearest grid node, and
+    the principal value integrates on max(8, grid.n // 12) order-12 panels
+    split at z0.
     """
     g = _as_density(g)
-    s0 = _locate_on(arc, z0, 1e-8 * max(arc.length(), 1.0))
+    smp = _sample(arc, grid)
+    s0, loc = smp.locate(z0, 1e-8 * max(smp.length, 1.0))
     if s0 < margin or s0 > 1.0 - margin:
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
-    loc = complex(arc.z(np.array([s0]))[0])
+    loc = complex(loc)
     g0 = complex(np.ravel(g(np.array([loc])))[0])
-    pv = complex(_arc_pv_rows(lambda t, r: g(t), arc, s0, loc, g0,
-                              max(8, grid.n // 12), 12)[0])
+    pv = complex(_arc_pv_rows(((lambda t, r: g(t), g0),), arc, s0, loc,
+                              max(8, grid.n // 12), 12)[0][0])
     plus = 0.5 * g0 + pv / (2j * np.pi)
     minus = -0.5 * g0 + pv / (2j * np.pi)
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
@@ -183,13 +200,17 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     When ``cross_check`` is set the residual is computed at two grid levels
     and a slow-convergence warning is emitted if they disagree badly.
     """
+    # the residual near an end of the arc moves with the last bits of s0, so
+    # x0 keeps the seed of the parameter sweep (see JordanArc.locate)
     s0 = _locate_on(arc, x0, 1e-8 * max(arc.length(), 1.0))
+    x0c = complex(arc.z(np.array([s0]))[0])
     if n_panels is None:
         n_panels = max(8, grid.n // order)
 
-    res = _pb_residual_once(f2, arc, s0, x0, n_panels, order)
+    res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order)
     if cross_check:
-        res2 = _pb_residual_once(f2, arc, s0, x0, int(1.5 * n_panels) + 1, order)
+        res2 = _pb_residual_once(f2, arc, s0, x0c, int(1.5 * n_panels) + 1,
+                                 order)
         floor = 1e-13
         if max(res, res2) > 10.0 * max(min(res, res2), floor):
             warnings.warn("nested principal values disagree across grid "
@@ -199,9 +220,8 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     return res
 
 
-def _pb_residual_once(f2, arc, s0, x0, n_panels, order):
-    x0c = complex(arc.z(np.array([s0]))[0])
-
+def _pb_residual_once(f2, arc, s0, x0c, n_panels, order):
+    """|LHS - RHS| at one grid level, x0c = z(s0)."""
     # outer quadrature nodes, split at s0 and graded toward the endpoints
     # (the inner principal values behave logarithmically there)
     s, w = _aligned_panels(s0, n_panels, order, grade=14)
@@ -212,10 +232,13 @@ def _pb_residual_once(f2, arc, s0, x0, n_panels, order):
     sp, tp = np.append(s, s0), np.append(ts, x0c)
     diag = np.broadcast_to(np.asarray(f2(tp, tp), dtype=complex), tp.shape)
 
-    # LHS: outer principal value of I(t')/(t' - x0), where
-    # I(t') = P.V. int f2(t, t')/(t - t') dt at every t'
-    I = _arc_pv_rows(lambda t, r: f2(t, tp[r, None]), arc, sp, tp, diag,
-                     n_panels, order)
+    # I(t') = P.V. int f2(t, t')/(t - t') dt and -B(t') = P.V. int
+    # f2(t', t)/(t - t') dt at every t' share their panels and kernel
+    I, minus_B = _arc_pv_rows(((lambda t, r: f2(t, tp[r, None]), diag),
+                               (lambda t, r: f2(tp[r, None], t), diag)),
+                              arc, sp, tp, n_panels, order)
+
+    # LHS: outer principal value of I(t')/(t' - x0)
     I_vals, I_at_x0 = I[:-1], I[-1]
     h = I_vals * dts / (ts - x0c) - I_at_x0 / (s - s0)
     lhs = complex(np.sum(h * w) + I_at_x0 * np.log((1.0 - s0) / s0))
@@ -223,11 +246,8 @@ def _pb_residual_once(f2, arc, s0, x0, n_panels, order):
     # RHS: ordinary outer integral of [A(t) + B(t)]/(t - x0), removable at
     # x0, with A(t) = P.V. int f2(t, t')/(t' - x0) dt' (every row on the
     # panels aligned at s0) and B(t) = -P.V. int f2(t, t')/(t' - t) dt'
-    def at_t(tq, r):
-        return f2(ts[r, None], tq)
-
-    A = _arc_pv_rows(at_t, arc, s0, x0c, f2(ts, x0c), n_panels, order)
-    B = -_arc_pv_rows(at_t, arc, s, ts, diag[:-1], n_panels, order)
-    rhs_integral = complex(np.sum((A + B) / (ts - x0c) * dts * w))
+    A, = _arc_pv_rows(((lambda tq, r: f2(ts[r, None], tq), f2(ts, x0c)),),
+                      arc, s0, x0c, n_panels, order)
+    rhs_integral = complex(np.sum((A - minus_B[:-1]) / (ts - x0c) * dts * w))
     rhs = rhs_integral - np.pi ** 2 * diag[-1]
     return abs(lhs - rhs)

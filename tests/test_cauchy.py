@@ -443,6 +443,20 @@ def test_on_curve_point_between_nodes_is_on_the_contour():
     assert calls["z", N_LOCATE] == 0 and calls["dz", N_LENGTH] == 0
 
 
+def test_uniform_residuals_locate_an_on_contour_target_once():
+    # _classify's Newton solve for the near-zone distance also locates an
+    # on-contour target for the boundary terms: the scalar z and z' calls
+    # are those of boundary_value
+    g = periodic_trapezoid_grid(N_GRID)
+    scalar = []
+    for route in (lambda f, c: boundary_value(f, c, g, ON),
+                  lambda f, c: uniform_convergence_residuals(f, c, g, [ON])):
+        calls = Counter()
+        route(pole_density(), counted_ellipse(calls))
+        scalar.append((calls["z", 1], calls["dz", 1]))
+    assert scalar == [(6, 4), (6, 4)]
+
+
 def batch_targets(k):
     """k each of far inside, far outside, near-zone outside and on-node."""
     e, g = ellipse(1.0, 0.6), periodic_trapezoid_grid(N_GRID)

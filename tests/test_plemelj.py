@@ -1,7 +1,10 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cauchykit import geometry
+from cauchykit import geometry, plemelj
 from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
                        DomainError, EndpointError, JordanArc,
                        arc_cauchy_integral, build_unit_circle,
@@ -337,3 +340,118 @@ def test_pb_cross_check_warns_on_slow_convergence():
     with pytest.warns(AccuracyWarning, match="convergence is slow"):
         poincare_bertrand_residual(f2, segment(-1.0, 1.0),
                                    gauss_panel_grid(16, 12), 0.2 + 0.0j)
+
+
+# ---------------------------------------------------------------------------
+# several densities in one sweep of _arc_pv_rows
+
+
+# s0 = 0.03 (x0 = -0.94 on both arcs): the rows near the ends are padded
+@pytest.mark.parametrize("n_panels", [16, 24, 37])
+@pytest.mark.parametrize("arc", [segment(-1.0, 1.0), HALF_CIRCLE],
+                         ids=["segment", "half-circle"])
+def test_arc_pv_rows_densities_match_single_density_calls(arc, n_panels):
+    f2 = lambda t, tp: np.asarray(t) * (np.asarray(t) + tp) + 1.0 / (tp - 3.0)
+    s0 = 0.03
+    s, _ = plemelj._aligned_panels(s0, n_panels, 12, grade=14)
+    sp = np.append(s, s0)
+    tp = arc.z(sp)
+    x0c = arc.z(np.array([s0]))[0]
+    per_row = ((lambda t, r: f2(t, tp[r, None]), f2(tp, tp)),
+               (lambda t, r: f2(tp[r, None], t), f2(tp, tp)),
+               (lambda t, r: np.exp(t), np.exp(tp)))
+    shared = ((lambda t, r: f2(tp[r, None], t), f2(tp, x0c)),
+              (lambda t, r: f2(t, tp[r, None]), f2(x0c, tp)))
+    for densities, s_rows, t_rows in ((per_row, sp, tp),
+                                      (shared, s0, x0c)):
+        together = plemelj._arc_pv_rows(densities, arc, s_rows, t_rows,
+                                        n_panels, 12)
+        apart = [plemelj._arc_pv_rows((d,), arc, s_rows, t_rows, n_panels,
+                                      12)[0] for d in densities]
+        assert len(together) == len(densities)
+        for got, ref in zip(together, apart):
+            assert got.shape == sp.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def counted_arc(arc, calls):
+    def counted(name, fn):
+        def wrapper(s):
+            calls[name, np.size(s)] += 1
+            return fn(s)
+        return wrapper
+    return JordanArc(z=counted("z", arc.z), dz=counted("dz", arc.dz),
+                     d2z=None if arc.d2z is None else counted("d2z", arc.d2z))
+
+
+def test_pb_level_samples_the_inner_rows_once():
+    # z at the outer nodes, at the padded aligned rows of I (the outer
+    # nodes, then x0) a block at a time, and at the one row of A that all
+    # its rows share; B's rows are I's, so they are not sampled again
+    calls = Counter()
+    f2 = PB_DENSITIES["t*t'"]
+    s0, n_panels = 0.4, 24
+    x0c = complex(HALF_CIRCLE.z(np.array([s0]))[0])
+    plemelj._pb_residual_once(f2, counted_arc(HALF_CIRCLE, calls), s0, x0c,
+                              n_panels, 12)
+    s, _ = plemelj._aligned_panels(s0, n_panels, 12, grade=14)
+    sp = np.append(s, s0)
+    rows_of_i = sum(plemelj._aligned_rows(sp[r], n_panels, 12)[0].size
+                    for r in geometry._row_blocks(sp.size,
+                                                  (n_panels + 3) * 12))
+    row_of_a = plemelj._aligned_rows(np.array([s0]), n_panels, 12)[0].size
+    z_points = sum(size * k for (name, size), k in calls.items()
+                   if name == "z")
+    assert z_points == s.size + rows_of_i + row_of_a
+
+
+# ---------------------------------------------------------------------------
+# arc calls locate from their own grid samples
+
+CURVED = JordanArc(z=HALF_CIRCLE.z, dz=HALF_CIRCLE.dz,
+                   d2z=lambda s: -np.pi ** 2 * HALF_CIRCLE.z(s))
+
+
+def test_arc_calls_run_no_locate_or_length_sweep():
+    # each call samples z and z' once at the grid nodes (plemelj_limits
+    # also at its 252-node aligned row); a near-zone target adds only scalar
+    # Newton steps
+    grid = gauss_panel_grid(20, 12)
+    g = ArcDensity(lambda t: t ** 2)
+    on, near = np.exp(1j * np.pi / 3), 1.001 * np.exp(0.4j)
+    for call in (lambda arc: plemelj_limits(g, arc, grid, on),
+                 lambda arc: arc_cauchy_integral(g, arc, grid, 2j),
+                 lambda arc: arc_cauchy_integral(g, arc, grid, near),
+                 lambda arc: reconstruct_from_jump(g, arc, grid, -0.5 + 0.1j)):
+        calls = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            call(counted_arc(CURVED, calls))
+        assert calls["z", 2048] == 0 and calls["dz", 1024] == 0
+        assert calls["dz", grid.n] == 1
+    with pytest.warns(AccuracyWarning):
+        arc_cauchy_integral(g, CURVED, grid, near)
+
+
+def test_seeded_arc_locate_keeps_off_arc_errors():
+    # Newton from the nearest node ends on some arc point, never closer
+    # than the arc is, so a point off the arc is still a DomainError
+    grid = gauss_panel_grid(24, 12)
+    g = ArcDensity(lambda t: t ** 2)
+    on = complex(CURVED.z(np.array([0.4137]))[0])     # between nodes
+    for z0 in (1.001 * on, on + 1e-6, 0.3j, 2.0):
+        with pytest.raises(DomainError):
+            plemelj_limits(g, CURVED, grid, z0)
+    plus, minus = plemelj_limits(g, CURVED, grid, on)
+    assert plus.value - minus.value == pytest.approx(on ** 2, abs=1e-9)
+    with pytest.raises(DomainError):
+        arc_cauchy_integral(g, CURVED, grid, on)
+
+
+def test_seeded_arc_locate_keeps_the_endpoint_margin():
+    grid = gauss_panel_grid(24, 12)
+    g = ArcDensity(lambda t: t ** 2)
+    for arc in (segment(-1.0, 1.0), CURVED):
+        for s in (0.0, 0.01, 0.995, 1.0):
+            with pytest.raises(EndpointError):
+                plemelj_limits(g, arc, grid, complex(arc.z(np.array([s]))[0]))
