@@ -261,25 +261,47 @@ def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution."""
     smp = _sample(contour, grid)
     zs = smp.zs
+    if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(smp.dzs))):
+        raise DomainError("contour is non-finite at a node")
     if np.min(np.abs(smp.dzs)) <= 0:
         raise DomainError("contour derivative vanishes at a node")
-    # pairwise node separation: simple at sample resolution.  Squared gaps
-    # of the pairs j > i, a block of rows i at a time
-    min_gap2 = np.inf
-    for r in _row_blocks(grid.n, grid.n):
-        d = zs[r.start + 1:] - zs[r, None]
-        d2 = d.real ** 2 + d.imag ** 2
-        # row k is node i = r.start + k and column c node j = r.start + 1 + c
-        rows, sq = d2.shape[0], min(d2.shape)
-        d2[:, :sq][np.tri(rows, sq, -1, dtype=bool)] = np.inf
-        min_gap2 = min(min_gap2, float(d2.min(initial=np.inf)))
-    mean_gap = smp.length / grid.n
-    if min_gap2 < (0.1 * mean_gap) ** 2:
+    if _has_close_pair(zs, 0.1 * smp.length / grid.n):
         raise DomainError("contour self-intersects at sample resolution")
-    inside = np.mean(zs)
-    wind = np.sum(smp.dzw / (zs - inside)) / (2j * np.pi)
-    if abs(wind - 1.0) > 1e-6:
-        raise DomainError("contour winding about an interior point is not +1")
+    # the tangent's turning number, sum_j arg(z'_{j+1} / z'_j) / 2 pi, is
+    # +1 for a simple counterclockwise curve, -1 clockwise, 0 for a
+    # figure-eight and 2 with an inner loop, wherever the nodes fall
+    dzs = smp.dzs
+    turn = np.sum(np.angle(np.roll(dzs, -1) * np.conj(dzs))) / (2.0 * np.pi)
+    if abs(turn - 1.0) > 1e-6:
+        raise DomainError("contour tangent turning number is not +1")
+
+
+# forward neighbour cells (dx, dy) of a cell, two cells on each axis
+_FORWARD_CELLS = [(0, 1), (0, 2)] + [(dx, dy) for dx in (1, 2)
+                                     for dy in range(-2, 3)]
+
+
+def _has_close_pair(zs, h):
+    """Whether two of the finite points zs lie closer than h, by a cell
+    list: in cells of side h/2 two points of one cell are at most h/sqrt(2)
+    apart, and a closer pair of points in distinct cells is at most two
+    cells apart on each axis, so each point is tested against the points of
+    its 12 forward neighbour cells only (O(n log n), at most 12n pairs)."""
+    x, y = zs.real - zs.real.min(), zs.imag - zs.imag.min()
+    kx, ky = (np.floor(x / (0.5 * h)).astype(np.int64),
+              np.floor(y / (0.5 * h)).astype(np.int64) + 2)
+    width = int(ky.max()) + 3
+    keys = kx * width + ky
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        return True
+    wanted = keys[:, None] + np.array([dx * width + dy
+                                       for dx, dy in _FORWARD_CELLS])
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    i, c = np.nonzero(keys[pos] == wanted)
+    d = zs[order[i]] - zs[order[pos[i, c]]]
+    return bool(np.any(d.real ** 2 + d.imag ** 2 < h * h))
 
 
 @dataclass(frozen=True)
@@ -485,7 +507,9 @@ def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     coef = np.fft.fft(samples) / n
     k = np.fft.fftfreq(n, 1.0 / n)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.exp(1j * np.outer(s, k)) @ coef
+    out = np.empty(s.size, dtype=complex)
+    for r in _row_blocks(s.size, n):
+        out[r] = np.exp(1j * np.outer(s[r], k)) @ coef
     return out
 
 
@@ -564,9 +588,13 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     exp(i*k*s) with k >= 0 (regular inside) and -pi*i on k < 0 (regular
     outside, vanishing at infinity), the Nyquist mode counted with k < 0.
     It costs one FFT (Henrici, SIAM Rev. 21, 1979).  Other contours use the
-    n x n matrix of subtracted difference quotients, whose diagonal is the
-    spectral derivative of the samples, plus the analytic +i*pi*g(t0); the
-    matrix is formed a block of rows at a time, so memory stays bounded.
+    same discrete sum as the n x n matrix of subtracted difference quotients
+    (whose diagonal is the spectral derivative of the samples) plus the
+    analytic +i*pi*g(t0), arranged as
+    sum_j R_ij z'_j w_j (g_j - g_i) with R_ij = 1/(z_j - z_i).  R is
+    antisymmetric, so each pair j > i is formed once and applied to both
+    of its rows, a block of rows at a time in one buffer, so memory stays
+    bounded; g enters less its node mean, so a large mean costs no accuracy.
     """
     return _pv_at_all_nodes(samples, contour, grid)
 
@@ -581,15 +609,29 @@ def _pv_at_all_nodes(samples, contour, grid, zs=None, dzs=None):
                            * np.fft.fft(samples))
     if zs is None:
         zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
-    deriv = spectral_derivative(samples)
-    out = samples * (1j * np.pi)
-    for r in _row_blocks(grid.n, grid.n):
-        i = np.arange(r.start, r.stop)
+    n = grid.n
+    dzw = dzs * grid.weights
+    # the sums see g minus its node mean, whose constant part adds nothing
+    # to sum_j R_ij z'_j w_j (g_j - g_i): a large mean leaves no rounding
+    g = samples - np.mean(samples)
+    cols = np.stack([dzw * g, dzw], axis=1)
+    acc = np.zeros((n, 2), dtype=complex)
+    blocks = _row_blocks(n, n)
+    buf = np.empty((blocks[0].stop - blocks[0].start) * n, dtype=complex)
+    for r in blocks:
+        # rows i of the block against columns j >= r.start: the leading
+        # square holds both orders of the block's own pairs, and the rest,
+        # the pairs j beyond the block, is applied to rows j as well
+        m = r.stop - r.start
+        recip = buf[:m * (n - r.start)].reshape(m, n - r.start)
+        np.subtract(zs[r.start:], zs[r, None], out=recip)
         with np.errstate(divide="ignore", invalid="ignore"):
-            quot = (samples - samples[i, None]) * dzs / (zs - zs[i, None])
-        quot[i - r.start, i] = deriv[i]
-        out[i] += quot @ grid.weights
-    return out
+            np.reciprocal(recip, out=recip)
+        np.fill_diagonal(recip, 0.0)
+        acc[r] += recip @ cols[r.start:]
+        acc[r.stop:] -= recip[:, m:].T @ cols[r]
+    return (samples * (1j * np.pi) + grid.weights * spectral_derivative(samples)
+            + acc[:, 0] - g * acc[:, 1])
 
 
 def _row_blocks(n_rows, n_cols):

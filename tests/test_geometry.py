@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from cauchykit import (BoundaryFunction, DomainError, InvalidGridError,
                        classify_point, contour_integral, ellipse,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
-                       validate_contour)
+                       validate_contour, vanishing_contour_integral)
 from cauchykit.geometry import (DELTA_FRACTION, NEAR_ZONE_FACTOR,
-                                ClosedContour, near_zone_width,
-                                panels_from_breakpoints, pv_at_all_nodes,
-                                segment, spectral_derivative)
+                                ClosedContour, _has_close_pair,
+                                near_zone_width, panels_from_breakpoints,
+                                pv_at_all_nodes, segment, spectral_derivative,
+                                trig_interp)
 
 from oracles import pv_closed_extrapolated, random_trig_poly
 
@@ -105,24 +108,24 @@ def test_ellipse_trapezoid_weight_sums():
     validate_contour(ell, grid)
 
 
-def test_validate_contour_catches_double_point():
-    # figure-eight: passes through 0 twice
-    fig8 = ClosedContour(
+def _fig8():
+    return ClosedContour(
         z=lambda s: np.cos(np.asarray(s)) + 1j * np.sin(2.0 * np.asarray(s)),
         dz=lambda s: -np.sin(np.asarray(s)) + 2j * np.cos(2.0 * np.asarray(s)))
+
+
+def test_validate_contour_catches_double_point():
+    # figure-eight: passes through 0 twice
     with pytest.raises(DomainError):
-        validate_contour(fig8, periodic_trapezoid_grid(128))
+        validate_contour(_fig8(), periodic_trapezoid_grid(128))
 
 
 @pytest.mark.parametrize("n", [256, 1024, 2048])
 def test_validate_contour_compares_pairs_across_row_blocks(n):
     # at n >= 1024 the nodes at s = pi/2 and 3 pi/2, where the figure-eight
     # crosses itself, fall in different row blocks of the pair search
-    fig8 = ClosedContour(
-        z=lambda s: np.cos(np.asarray(s)) + 1j * np.sin(2.0 * np.asarray(s)),
-        dz=lambda s: -np.sin(np.asarray(s)) + 2j * np.cos(2.0 * np.asarray(s)))
     with pytest.raises(DomainError, match="self-intersects"):
-        validate_contour(fig8, periodic_trapezoid_grid(n))
+        validate_contour(_fig8(), periodic_trapezoid_grid(n))
     validate_contour(ellipse(1.0, 0.6), periodic_trapezoid_grid(n))
 
 
@@ -130,6 +133,93 @@ def test_validate_contour_catches_clockwise():
     cw = circle(0.0, 1.0).reversed()
     with pytest.raises(DomainError):
         validate_contour(cw, periodic_trapezoid_grid(64))
+
+
+def _c_shape():
+    # simple and counterclockwise (signed area +1.51), but its node centroid
+    # 0.455 lies outside the curve
+    def z(s):
+        s = np.asarray(s, dtype=float)
+        return np.exp(1.6j * np.sin(s)) * (1.0 + 0.3 * np.cos(s))
+
+    def dz(s):
+        s = np.asarray(s, dtype=float)
+        return np.exp(1.6j * np.sin(s)) * (
+            1.6j * np.cos(s) * (1.0 + 0.3 * np.cos(s)) - 0.3 * np.sin(s))
+    return ClosedContour(z, dz)
+
+
+def _all_pairs_close(zs, h):
+    d = zs[:, None] - zs[None, :]
+    d2 = d.real ** 2 + d.imag ** 2
+    d2[np.diag_indices(zs.size)] = np.inf
+    return bool(d2.min() < h * h)
+
+
+def test_close_pair_search_matches_all_pairs():
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for size in (2, 50, 400):
+        plane = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        line = rng.standard_normal(size) + 1e-9j * rng.standard_normal(size)
+        for pts in (plane, line, 1e-3 * plane + 5.0):
+            for h in (1e-4, 1e-3, 1e-2, 0.1):
+                got = _has_close_pair(pts, h)
+                assert got == _all_pairs_close(pts, h)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+    fig8 = _fig8()
+    for n in (128, 1024, 2048):
+        grid = periodic_trapezoid_grid(n)
+        h = 0.1 * np.sum(np.abs(fig8.dz(grid.nodes))) * TWO_PI / n ** 2
+        zs = fig8.z(grid.nodes)
+        assert _has_close_pair(zs, h) == _all_pairs_close(zs, h)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_close_pair_search_at_the_threshold(factor):
+    # two unit circles of 256 nodes each, whose closest nodes (angle 0 of
+    # the left one, angle pi of the right one) are factor * h apart
+    n = 256
+    h = 0.1 * TWO_PI / n
+    ring = np.exp(1j * periodic_trapezoid_grid(n).nodes)
+    gap = factor * h
+    zs = np.concatenate([ring - (1.0 + 0.5 * gap), ring + (1.0 + 0.5 * gap)])
+    assert _has_close_pair(zs, h) == _all_pairs_close(zs, h) == (factor < 1.0)
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_validate_contour_accepts_non_convex_contour(n):
+    validate_contour(_c_shape(), periodic_trapezoid_grid(n))
+    with pytest.raises(DomainError, match="not \\+1"):
+        validate_contour(_c_shape().reversed(), periodic_trapezoid_grid(n))
+
+
+@pytest.mark.parametrize("shape,n", [("limacon", 256), ("figure-eight", 130)])
+def test_validate_contour_rejects_crossings_between_nodes(shape, n):
+    # both crossings fall between nodes, where no node pair is close: the
+    # limacon's inner loop turns its tangent twice, the figure-eight's not
+    # at all
+    if shape == "limacon":
+        contour = ClosedContour(
+            z=lambda s: (0.3 + np.cos(s)) * np.exp(1j * s),
+            dz=lambda s: (1j * (0.3 + np.cos(s)) - np.sin(s)) * np.exp(1j * s))
+    else:
+        contour = _fig8()
+    with pytest.raises(DomainError, match="turning number is not \\+1"):
+        validate_contour(contour, periodic_trapezoid_grid(n))
+
+
+@pytest.mark.parametrize("part", ["z", "dz"])
+def test_validate_contour_rejects_non_finite_nodes(part):
+    circ = circle(0.0, 1.0)
+
+    def spoil(f):
+        return lambda s: np.where(np.asarray(s) > 3.0, np.nan, f(s))
+    bad = ClosedContour(spoil(circ.z) if part == "z" else circ.z,
+                        spoil(circ.dz) if part == "dz" else circ.dz)
+    with pytest.raises(DomainError, match="non-finite"):
+        validate_contour(bad, periodic_trapezoid_grid(64))
 
 
 def test_trapezoid_geometric_convergence_on_ellipse():
@@ -186,18 +276,66 @@ def test_circle_pv_route_matches_matrix_form(n):
 def test_matrix_pv_blocks_match_full_matrix(n):
     # the matrix route is built in row blocks (the last one shorter at
     # n=300);
-    # every row must equal the full n x n difference-quotient matrix
+    # every row must equal the full n x n difference-quotient matrix, on
+    # the ellipse, the non-convex C-shape and a circle declared generic
+    circ = circle(0.3 + 0.2j, 2.5)
+    grid = periodic_trapezoid_grid(n)
+    for contour, pole in ((ellipse(1.0, 0.6), 2.0), (_c_shape(), 2.0 + 3.0j),
+                          (ClosedContour(circ.z, circ.dz, circ.d2z),
+                           2.0 + 3.0j)):
+        zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+        samples = 1.0 / (zs - pole) + np.exp(zs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = (samples[None, :] - samples[:, None]) * dzs[None, :] \
+                / (zs[None, :] - zs[:, None])
+        quot[np.arange(n), np.arange(n)] = spectral_derivative(samples)
+        ref = quot @ grid.weights + samples * (1j * np.pi)
+        got = pv_at_all_nodes(samples, contour, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 300, 1024])
+def test_matrix_pv_constant_offset_costs_only_its_rounding(n):
+    # the principal value of a constant c is i*pi*c; a density with a large
+    # mean keeps the absolute accuracy of its varying part, up to a few
+    # ulps of c
     ell = ellipse(1.0, 0.6)
     grid = periodic_trapezoid_grid(n)
-    zs, dzs = ell.z(grid.nodes), ell.dz(grid.nodes)
+    zs = ell.z(grid.nodes)
     samples = 1.0 / (zs - 2.0) + np.exp(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (samples[None, :] - samples[:, None]) * dzs[None, :] \
-            / (zs[None, :] - zs[:, None])
-    quot[np.arange(n), np.arange(n)] = spectral_derivative(samples)
-    ref = quot @ grid.weights + samples * (1j * np.pi)
-    got = pv_at_all_nodes(samples, ell, grid)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    base = pv_at_all_nodes(samples, ell, grid)
+    for c in (1e3, 1e6):
+        got = pv_at_all_nodes(c + samples, ell, grid)
+        err = np.max(np.abs(got - base - 1j * np.pi * c))
+        assert err <= 1e-14 * np.max(np.abs(base)) + 8 * np.finfo(float).eps * c
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_pv_memory_bounded():
+    # the full 4,096 x 4,096 matrix would take 268 MB
+    f = BoundaryFunction(lambda t: 1.0 / (t - 2.0))
+    ell, grid = ellipse(1.0, 0.6), periodic_trapezoid_grid(4096)
+    assert _peak_bytes(
+        lambda: vanishing_contour_integral(f, ell, grid)) < 2e6
+
+
+def test_trig_interp_memory_bounded():
+    # the full 20,000 x 4,096 exp(i s k) matrix would take 1.3 GB
+    nodes = periodic_trapezoid_grid(4096).nodes
+    samples = np.exp(3j * nodes) + np.cos(5.0 * nodes)
+    s = np.linspace(0.0, TWO_PI, 20_000)
+    out = []
+    assert _peak_bytes(lambda: out.append(trig_interp(samples, s))) < 8e6
+    exact = np.exp(3j * s) + np.cos(5.0 * s)
+    assert np.max(np.abs(out[0] - exact)) < 1e-12
 
 
 class TestPvSingularWeight:
