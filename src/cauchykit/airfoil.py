@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _pv_smooth_part,
-                       gauss_panel_grid, near_zone_width, segment)
+                       _row_blocks, _sample, gauss_panel_grid, segment)
 from .plemelj import _arc_pv_rows
 
 DEFAULT_CHORD_NODES = 128
@@ -116,14 +116,11 @@ def chebyshev4_rule(n: int):
 def chebyshev3_rule(n: int):
     """Gauss rule for the weight sqrt((1+x)/(1-x)) on (-1, 1).
 
-    Nodes x_k = cos((2k-1)*pi/(2n+1)), weights (2*pi/(2n+1)) (1 + x_k).
+    Nodes x_k = cos((2k-1)*pi/(2n+1)), weights (2*pi/(2n+1)) (1 + x_k):
+    chebyshev4_rule(n) reflected by x -> -x (its k-th node is -x_(n+1-k)).
     """
-    if n < 2:
-        raise DomainError("need n >= 2 chord nodes")
-    k = np.arange(1, n + 1)
-    x = np.cos((2.0 * k - 1.0) * np.pi / (2 * n + 1))
-    w = 2.0 * np.pi / (2 * n + 1) * (1.0 + x)
-    return x, w
+    x, w = chebyshev4_rule(n)
+    return -x[::-1], w[::-1]
 
 
 def _check_chord_targets(x):
@@ -327,17 +324,12 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
         arc = segment(-1.0, 1.0)
     if grid is None:
         grid = gauss_panel_grid(n_panels=max(16, n // 4), order=12, grade=24)
-    ts = arc.z(grid.nodes)
-    dts = arc.dz(grid.nodes)
-
-    dist = np.min(np.abs(ts[None, :] - z[:, None]), axis=1)
-    if np.any(dist < near_zone_width(arc, grid)):
-        warnings.warn("field point is in the near zone of the sheet",
-                      AccuracyWarning, stacklevel=2)
-
-    out = np.zeros(z.shape, dtype=complex)
+    smp = _sample(arc, grid)
+    # w(z) = sum_j c_j/(z - t_j) over the nodes t_j and weights c_j of
+    # every part, a block of field points at a time
+    parts = []
     x4, w4 = chebyshev4_rule(n)
-    for dens, factor in ((q, 1.0), (gamma, 1j)):
+    for dens, factor in ((q, 0.5 / np.pi), (gamma, 0.5j / np.pi)):
         if dens is None:
             continue
         if dens.weight_coef is not None:
@@ -345,12 +337,18 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
                 raise DomainError("weight-basis densities live on the "
                                   "standard chord; pass arc=None")
             coef = np.asarray(dens.weight_coef(x4), dtype=complex)
-            out += factor * ((coef[None, :] / (z[:, None] - x4[None, :]))
-                             @ w4) / (2.0 * np.pi)
+            parts.append((x4, factor * coef * w4))
         if dens.smooth is not None:
-            vals = np.asarray(dens.smooth(np.real(ts) if on_chord else ts),
-                              dtype=complex)
-            out += factor * ((vals[None, :] * dts[None, :]
-                              / (z[:, None] - ts[None, :]))
-                             @ grid.weights) / (2.0 * np.pi)
+            vals = np.asarray(dens.smooth(np.real(smp.zs) if on_chord
+                                          else smp.zs), dtype=complex)
+            parts.append((smp.zs, factor * vals * smp.dzw))
+    out = np.zeros(z.shape, dtype=complex)
+    dist = np.empty(z.shape)
+    for r in _row_blocks(z.size, max(grid.n, n)):
+        dist[r] = np.min(np.abs(z[r, None] - smp.zs), axis=1)
+        for nodes, c in parts:
+            out[r] += (1.0 / (z[r, None] - nodes)) @ c
+    if np.any(dist < smp.near_zone):
+        warnings.warn("field point is in the near zone of the sheet",
+                      AccuracyWarning, stacklevel=2)
     return complex(out[0]) if scalar else out

@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
-                       QuadratureGrid, _classify, _near_zone_width, _pv,
-                       _pv_at_all_nodes, _sample, circle,
-                       periodic_trapezoid_grid, spectral_derivative,
-                       trig_interp)
+                       QuadratureGrid, _classify, _pv, _pv_at_all_nodes,
+                       _sample, circle, periodic_trapezoid_grid,
+                       spectral_derivative, trig_interp)
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,6 @@ class BoundaryFunction:
             vals = spectral_derivative(vals) / dzs
         return vals
 
-    def value_on(self, contour: ClosedContour, s0: float, m: int = 0,
-                 grid: Optional[QuadratureGrid] = None) -> complex:
-        """f^(m) at the on-contour point z(s0)."""
-        t0 = contour.z(np.array([s0]))[0]
-        dc = self.derivative_callable(m)
-        if dc is not None:
-            return complex(np.asarray(dc(np.array([t0])))[0])
-        if grid is None:
-            raise CapabilityError("need a grid to interpolate derivative samples")
-        return complex(trig_interp(self.samples(contour, grid, m), s0)[0])
-
 
 def validate_derivatives(f: BoundaryFunction, contour: ClosedContour,
                          grid: QuadratureGrid, rtol: float = 1e-6,
@@ -137,7 +125,7 @@ def _functional(smp, z, n, m, near_m, classified=None):
     if cl.on_contour:
         raise OnContourError(
             "target lies on the contour; use boundary_value / one_sided_limit")
-    near = cl.distance < _near_zone_width(smp.length, smp.grid.n)
+    near = cl.distance < smp.near_zone
     k = near_m if near else m
     value = complex(np.sum(smp.f(k) * smp.dzw * inv ** (n - k + 1))) \
         * float(math.factorial(n - k)) / (2j * np.pi)
@@ -283,14 +271,13 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     Each integrand value is itself a principal-value integral; the result
     vanishes for admissible densities.
     """
-    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
-    samples = f._at_nodes(zs, dzs, n)
-    k_vals = _pv_at_all_nodes(samples, contour, grid, zs, dzs) / (1j * np.pi)
+    smp = _sample(contour, grid, f)
+    k_vals = _pv_at_all_nodes(smp.f(n), smp) / (1j * np.pi)
     if complement:
         if f.decay is None or f.decay < 2:
             raise ContractError("complement density must declare decay >= 2")
         k_vals = -k_vals
-    return complex(np.sum(k_vals * dzs * grid.weights))
+    return complex(np.sum(k_vals * smp.dzw))
 
 
 def mean_value_check(f: BoundaryFunction, center: complex, radius: float,

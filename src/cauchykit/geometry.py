@@ -143,10 +143,6 @@ class ClosedContour:
         the parameters s."""
         return _newton_locate(self, point, s, lambda s: s % TWO_PI, 1e-6)
 
-    def delta(self, frac: float = DELTA_FRACTION) -> float:
-        """Default on-contour tolerance band."""
-        return frac * self.length()
-
     def reversed(self):
         """Same curve traversed clockwise (the complement orientation)."""
         z, dz, d2z = self.z, self.dz, self.d2z
@@ -210,6 +206,12 @@ class _Samples:
             self.by_order[m] = self.density._at_nodes(self.zs, self.dzs, m)
         return self.by_order[m]
 
+    @property
+    def near_zone(self):
+        """Near-zone width: NEAR_ZONE_FACTOR times the grid length over the
+        node count."""
+        return NEAR_ZONE_FACTOR * self.length / self.grid.n
+
     def distance(self, point, gaps, below):
         """(distance from ``point`` to the curve, (s0, z(s0)) of the closest
         curve point or None), from the node gaps |z_j - point|: the nearest
@@ -249,12 +251,7 @@ def _sample(contour, grid, density=None):
     grid."""
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
-                    _grid_length(dzs, grid), density)
-
-
-def _grid_length(dzs, grid):
-    """Length of a contour or arc, sum |z'(s_j)| w_j, from its node samples."""
-    return float(np.sum(np.abs(dzs) * grid.weights))
+                    float(np.sum(np.abs(dzs) * grid.weights)), density)
 
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
@@ -431,8 +428,7 @@ def _classify(smp, z, delta):
         dist = float(abs(abs(z - contour.center) - contour.radius))
         located = None
     else:
-        dist, located = smp.distance(
-            z, np.abs(d), _near_zone_width(smp.length, smp.grid.n))
+        dist, located = smp.distance(z, np.abs(d), smp.near_zone)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / d
         wind = complex(np.sum(smp.dzw * inv) / (2j * np.pi)) \
@@ -448,11 +444,7 @@ def _classify(smp, z, delta):
 def near_zone_width(contour, grid: QuadratureGrid) -> float:
     """Distance below which a target of a contour or arc is in the near zone:
     NEAR_ZONE_FACTOR times the grid length over the node count."""
-    return _near_zone_width(_grid_length(contour.dz(grid.nodes), grid), grid.n)
-
-
-def _near_zone_width(length, n):
-    return NEAR_ZONE_FACTOR * length / n
+    return _sample(contour, grid).near_zone
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +467,12 @@ def pv_singular_weight(contour: ClosedContour, t0: complex,
     """Principal value of the bare kernel, P.V. of dz/(t0 - z) over the contour.
 
     Equal to -i*pi for every smooth closed contour and every on-contour t0
-    (equivalently +i*pi for the kernel dz/(z - t0)).
+    (equivalently +i*pi for the kernel dz/(z - t0)).  t0 is located on a
+    1,024-node trapezoid sampling of the contour, whose grid length sets
+    the default band delta.
     """
-    _locate_on(contour, t0, delta)
+    _sample(contour, periodic_trapezoid_grid(1024)).locate(t0, delta)
     return PV_SINGULAR_WEIGHT
-
-
-def _locate_on(contour, t0, delta=None):
-    """Parameter s0 of the point t0 on a contour or arc; DomainError when t0
-    lies farther than delta (default: the contour's band) from it."""
-    if delta is None:
-        delta = contour.delta()
-    s0, dist = contour.locate(t0)
-    if dist > delta:
-        raise DomainError(f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-    return s0
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:
@@ -517,23 +500,11 @@ def _wrapped_param_dist(s, s0):
     return np.abs((s - s0 + np.pi) % TWO_PI - np.pi)
 
 
-def pv_from_samples(samples: np.ndarray, value_at_t0: complex,
-                    contour: ClosedContour, grid: QuadratureGrid,
-                    s0: float) -> complex:
-    """P.V. of g(t)/(t - t0) dt over the contour, g given by grid samples.
-
-    t0 = z(s0) lies on the contour.  The difference quotient
-    (g(t) - g(t0))/(t - t0) is smooth, so the trapezoid rule applies at full
-    accuracy; the subtracted pole contributes the analytic constant
-    +i*pi*g(t0).  When s0 coincides with a grid node the removable value is
-    the parameter derivative of the samples there, taken spectrally.
-    """
-    return _pv(samples, value_at_t0, contour.z(grid.nodes),
-               contour.dz(grid.nodes), contour.z(np.array([s0]))[0], grid, s0)
-
-
 def _pv(samples, value_at_t0, zs, dzs, t0, grid, s0):
-    """pv_from_samples from the node samples zs, dzs and t0 = z(s0)."""
+    """P.V. of g(t)/(t - t0) dt, t0 = z(s0), from the samples of g, z and z'
+    at the nodes: the trapezoid sum of the smooth (g(t) - g(t0))/(t - t0),
+    whose value at a node s0 is the spectral derivative there, plus the
+    subtracted pole's analytic +i*pi*g(t0)."""
     samples = np.asarray(samples, dtype=complex)
     d = _wrapped_param_dist(grid.nodes, s0)
     j0 = int(np.argmin(d))
@@ -596,21 +567,19 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     of its rows, a block of rows at a time in one buffer, so memory stays
     bounded; g enters less its node mean, so a large mean costs no accuracy.
     """
-    return _pv_at_all_nodes(samples, contour, grid)
+    return _pv_at_all_nodes(samples, _sample(contour, grid))
 
 
-def _pv_at_all_nodes(samples, contour, grid, zs=None, dzs=None):
-    """pv_at_all_nodes; the matrix route uses the node samples zs = z(s_j),
-    dzs = z'(s_j) when given and samples the contour otherwise."""
+def _pv_at_all_nodes(samples, smp):
+    """pv_at_all_nodes from the contour's node samples ``smp``."""
     samples = np.asarray(samples, dtype=complex)
-    if contour.kind == "circle" and grid.kind == "periodic-trapezoid":
+    grid = smp.grid
+    if smp.contour.kind == "circle" and grid.kind == "periodic-trapezoid":
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
-    if zs is None:
-        zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     n = grid.n
-    dzw = dzs * grid.weights
+    zs, dzw = smp.zs, smp.dzw
     # the sums see g minus its node mean, whose constant part adds nothing
     # to sum_j R_ij z'_j w_j (g_j - g_i): a large mean leaves no rounding
     g = samples - np.mean(samples)

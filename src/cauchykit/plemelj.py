@@ -19,9 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _leggauss, _locate_on,
-                       _near_zone_width, _row_blocks, _sample,
-                       gauss_panel_grid)
+from .geometry import (JordanArc, QuadratureGrid, _leggauss, _row_blocks,
+                       _sample, panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -58,7 +57,7 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
     g = _as_density(g)
     smp = _sample(arc, grid)
-    near = _near_zone_width(smp.length, grid.n)
+    near = smp.near_zone
     # the nearest node overstates the distance to the arc by at most half a
     # node gap, far less than a near-zone width: solve Newton only below two
     dist = smp.distance(z, np.abs(smp.zs - z), 2.0 * near)[0]
@@ -72,29 +71,38 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
         vals * smp.dzs * grid.weights / (smp.zs - z) ** (n + 1)))
 
 
+def _aligned_breaks(s0, n_panels):
+    """Breakpoints on [0, 1] split at s0[r] for every row r of s0: those of
+    np.linspace(0, s0, left + 1), then of np.linspace(s0, 1, right + 1),
+    with left = max(2, ceil(n_panels*s0)) and right = max(2, ceil(n_panels*
+    (1 - s0))); a row with fewer panels than the longest ends in zero-width
+    panels at 1."""
+    s0 = s0[:, None]
+    left = np.maximum(2, np.ceil(n_panels * s0).astype(int))
+    right = np.maximum(2, np.ceil(n_panels * (1.0 - s0)).astype(int))
+    k = np.arange(int(np.max(left + right)) + 1)
+    return np.where(k < left, k * (s0 / left),
+                    np.where(k < left + right,
+                             s0 + (k - left) * ((1.0 - s0) / right), 1.0))
+
+
 def _aligned_panels(s0, n_panels, order, grade=0):
-    """GL panels on [0, 1] split at s0 so no node hits the singular point."""
-    left_ct = max(2, int(np.ceil(n_panels * s0)))
-    right_ct = max(2, int(np.ceil(n_panels * (1.0 - s0))))
-    gl = gauss_panel_grid(left_ct, order, grade=grade, a=0.0, b=s0)
-    gr = gauss_panel_grid(right_ct, order, grade=grade, a=s0, b=1.0)
-    return (np.concatenate([gl.nodes, gr.nodes]),
-            np.concatenate([gl.weights, gr.weights]))
+    """GL panels on [0, 1] split at s0 so no node hits the singular point,
+    the first panel halved ``grade`` times toward 0 and the last toward 1;
+    the panels next to s0 are not graded."""
+    edges = _aligned_breaks(np.array([s0]), n_panels)[0]
+    halves = 2.0 ** -np.arange(grade, 0, -1)
+    grid = panels_from_breakpoints(np.concatenate(
+        [[0.0], edges[1] * halves, edges[1:-1],
+         1.0 - (1.0 - edges[-2]) * halves[::-1], [1.0]]), order)
+    return grid.nodes, grid.weights
 
 
 def _aligned_rows(s0, n_panels, order):
     """_aligned_panels(s0[r], n_panels, order) for every row r of s0 as one
     padded (rows x nodes) pair of nodes and weights.  A row's padding repeats
     its first node with weight 0, so no integrand is sampled anywhere new."""
-    s0 = s0[:, None]
-    left = np.maximum(2, np.ceil(n_panels * s0).astype(int))
-    right = np.maximum(2, np.ceil(n_panels * (1.0 - s0)).astype(int))
-    # the breakpoints of np.linspace(0, s0, left + 1), then of
-    # np.linspace(s0, 1, right + 1); zero-width panels beyond the last
-    k = np.arange(int(np.max(left + right)) + 1)
-    breaks = np.where(k < left, k * (s0 / left),
-                      np.where(k < left + right,
-                               s0 + (k - left) * ((1.0 - s0) / right), 1.0))
+    breaks = _aligned_breaks(s0, n_panels)
     x, w = _leggauss(order)
     lo = breaks[:, :-1, None]
     h = 0.5 * (breaks[:, 1:, None] - lo)
@@ -194,16 +202,16 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     is an ordinary one with a removable point.  The inner principal values
     at all outer nodes are evaluated together, so ``f2`` is called on
     arrays of t and t' that broadcast against each other and must
-    broadcast too.  ``grid`` contributes only its node count: without
-    ``n_panels`` the inner and outer panels of order ``order`` number
-    max(8, grid.n // order).
+    broadcast too.  x0 is located by Newton from the nearest node of
+    ``grid``; without ``n_panels`` the inner and outer panels of order
+    ``order`` number max(8, grid.n // order).  The outer panels, split at
+    x0, are graded toward the arc ends only: every outer integrand is
+    smooth at x0, so the residual does not move with the last bits of s0.
     When ``cross_check`` is set the residual is computed at two grid levels
     and a slow-convergence warning is emitted if they disagree badly.
     """
-    # the residual near an end of the arc moves with the last bits of s0, so
-    # x0 keeps the seed of the parameter sweep (see JordanArc.locate)
-    s0 = _locate_on(arc, x0, 1e-8 * max(arc.length(), 1.0))
-    x0c = complex(arc.z(np.array([s0]))[0])
+    smp = _sample(arc, grid)
+    s0, x0c = smp.locate(x0, 1e-8 * max(smp.length, 1.0))
     if n_panels is None:
         n_panels = max(8, grid.n // order)
 
@@ -222,7 +230,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
 
 def _pb_residual_once(f2, arc, s0, x0c, n_panels, order):
     """|LHS - RHS| at one grid level, x0c = z(s0)."""
-    # outer quadrature nodes, split at s0 and graded toward the endpoints
+    # outer quadrature nodes, split at s0 and graded toward the arc ends
     # (the inner principal values behave logarithmically there)
     s, w = _aligned_panels(s0, n_panels, order, grade=14)
     ts = arc.z(s)

@@ -123,15 +123,19 @@ def random_trig_poly(rng, degree=6, scale=1.0):
 
 def aligned_panels(s0, n_panels=24, order=12, grade=0):
     """GL panels on [0, 1] split at s0: max(2, ceil(n*s0)) panels on the
-    left, max(2, ceil(n*(1 - s0))) on the right."""
+    left, max(2, ceil(n*(1 - s0))) on the right, the first and the last
+    panel halved ``grade`` times toward 0 and 1 (not toward s0)."""
     left = max(2, int(np.ceil(n_panels * s0)))
     right = max(2, int(np.ceil(n_panels * (1.0 - s0))))
+    edges = list(np.linspace(0.0, s0, left + 1)) \
+        + list(np.linspace(s0, 1.0, right + 1)[1:])
     if grade:
-        sl, wl = gl_panels(0.0, s0, left, order, grade)
-        sr, wr = gl_panels(s0, 1.0, right, order, grade)
-        return np.concatenate([sl, sr]), np.concatenate([wl, wr])
-    edges = np.concatenate([np.linspace(0.0, s0, left + 1),
-                            np.linspace(s0, 1.0, right + 1)[1:]])
+        first, last = edges[1], 1.0 - edges[-2]
+        edges = ([0.0] + [first * 2.0 ** (-j) for j in range(grade, 0, -1)]
+                 + edges[1:-1]
+                 + [1.0 - last * 2.0 ** (-j) for j in range(1, grade + 1)]
+                 + [1.0])
+    edges = np.array(edges)
     xs, ws = _leggauss(order)
     lo = edges[:-1, None]
     h = 0.5 * (edges[1:, None] - lo)

@@ -11,7 +11,7 @@ from cauchykit import (AccuracyWarning, DomainError, EndpointError,
                        leading_edge_suction, leading_edge_weight, lift,
                        normal_force, pressure, pressure_jump,
                        segment, sheet_velocity_field, surface_velocities)
-from cauchykit.geometry import panels_from_breakpoints
+from cauchykit.geometry import gauss_panel_grid, panels_from_breakpoints
 
 from oracles import arc_pv_per_target, gl_panels
 
@@ -38,6 +38,19 @@ def test_chebyshev_rules_integrate_weights():
     x3, w3 = chebyshev3_rule(64)
     assert w3.sum() == pytest.approx(np.pi, abs=1e-12)
     assert np.sum(w3 * x3) == pytest.approx(np.pi / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128, 1001])
+def test_chebyshev3_rule_is_the_reflected_chebyshev4_rule(n):
+    # nodes cos((2k-1) pi/(2n+1)) and weights (2 pi/(2n+1)) (1 + x_k)
+    k = np.arange(1, n + 1)
+    x = np.cos((2.0 * k - 1.0) * np.pi / (2 * n + 1))
+    w = 2.0 * np.pi / (2 * n + 1) * (1.0 + x)
+    x3, w3 = chebyshev3_rule(n)
+    assert np.max(np.abs(x3 - x)) <= 1e-15
+    assert np.max(np.abs(w3 - w)) <= 1e-15 * 2.0 * np.pi / (2 * n + 1)
+    with pytest.raises(DomainError):
+        chebyshev3_rule(1)
 
 
 class TestFiniteHilbertTransform:
@@ -327,6 +340,32 @@ class TestSheetVelocityField:
 
     def test_zero_densities(self):
         assert sheet_velocity_field(None, None, 1.0 + 1.0j) == 0.0
+
+    def test_field_points_go_a_block_at_a_time(self):
+        # the full 5,000 x 960 kernel matrix alone would take 77 MB; the
+        # blocked sums match the unblocked ones to rounding
+        q = SheetDensity(weight_coef=lambda x: 1.0 + x,
+                         smooth=lambda x: np.cos(np.asarray(x)))
+        gamma = SheetDensity(weight_coef=lambda x: 2.0 - x ** 2,
+                             smooth=lambda x: np.exp(np.asarray(x)))
+        z = 1.5 * np.exp(2j * np.pi * np.arange(5000) / 5000) + 0.2j
+        tracemalloc.start()
+        try:
+            w = sheet_velocity_field(q, gamma, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        zr = z[::10, None]
+        x4, w4 = chebyshev4_rule(128)
+        grid = gauss_panel_grid(32, 12, grade=24)
+        ts = 2.0 * grid.nodes - 1.0
+        ref = sum(factor * ((np.asarray(d.weight_coef(x4))[None, :]
+                             / (zr - x4[None, :])) @ w4
+                            + (np.asarray(d.smooth(ts))[None, :] * 2.0
+                               / (zr - ts[None, :])) @ grid.weights)
+                  for d, factor in ((q, 1.0), (gamma, 1j))) / (2.0 * np.pi)
+        assert np.max(np.abs(w[::10] - ref) / np.abs(ref)) <= 1e-14
 
     def test_flat_plate_sheet_matches_plate_velocity(self, cfg):
         # the inverted downwash density must induce the plate's own

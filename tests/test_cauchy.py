@@ -13,8 +13,9 @@ from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
                        complement_functional, derivative_bound_check, ellipse,
                        exterior_annihilation_check, generalized_functional,
                        mean_value_check, one_sided_limit,
-                       periodic_trapezoid_grid, uniform_convergence_residuals,
-                       validate_derivatives, vanishing_contour_integral)
+                       periodic_trapezoid_grid, pv_singular_weight,
+                       uniform_convergence_residuals, validate_derivatives,
+                       vanishing_contour_integral)
 
 from oracles import random_trig_poly
 
@@ -441,6 +442,25 @@ def test_on_curve_point_between_nodes_is_on_the_contour():
     assert one_sided_limit(f, c, g, on, "exterior") == pytest.approx(
         0.0, abs=1e-12)
     assert calls["z", N_LOCATE] == 0 and calls["dz", N_LENGTH] == 0
+
+
+def test_pv_singular_weight_locates_on_one_sampling():
+    # t0 is located by Newton from the nearest node of one 1,024-node
+    # sampling of z and z', whose grid length sets the band; no 2,048-point
+    # locate sweep and no separate length sweep of z' run
+    e = ellipse(1.0, 0.6)
+    s = np.array([1.3 * np.pi / N_LENGTH])                  # between nodes
+    on = complex(e.z(s)[0])
+    normal = complex(-1j * e.dz(s)[0] / abs(e.dz(s)[0]))
+    calls = Counter()
+    c = counted_ellipse(calls)
+    assert pv_singular_weight(c, on) == -1j * np.pi
+    assert grid_calls(calls) == {("z", N_LENGTH): 1, ("dz", N_LENGTH): 1}
+    assert calls["z", N_LOCATE] == 0
+    for t0 in (on + 1e-6 * normal, on - 1e-6 * normal, 0.3j, 2.0):
+        with pytest.raises(DomainError):
+            pv_singular_weight(c, t0)
+    assert calls["z", N_LOCATE] == 0
 
 
 def test_uniform_residuals_locate_an_on_contour_target_once():

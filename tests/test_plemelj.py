@@ -258,8 +258,9 @@ PB_DENSITIES = {
 
 
 def pb_residual_per_node(f2, arc, x0, n_panels, order=12):
-    """|LHS - RHS| with every inner principal value taken one at a time."""
-    s0, _ = arc.locate(x0)
+    """|LHS - RHS| with every inner principal value taken one at a time, x0
+    located by Newton from the nearest node of the n_panels-panel grid."""
+    s0, _ = arc._newton(x0, gauss_panel_grid(n_panels, order).nodes)
     x0c = arc.z(np.array([s0]))[0]
     s, w = aligned_panels(s0, n_panels, order, grade=14)
     ts, dts = arc.z(s), arc.dz(s)
@@ -308,6 +309,23 @@ def test_pb_matrix_matches_per_node_loop_on_curved_arc():
                                      x0, cross_check=False)
     ref = pb_residual_per_node(f2, HALF_CIRCLE, x0, 16)
     assert abs(got - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n_panels", [16, 24])
+def test_pb_residual_is_steady_in_the_last_bits_of_s0(n_panels):
+    # the outer panels are graded toward the arc ends, not toward s0, so
+    # no outer node crowds s0 and moving s0 by up to 3 ulps moves the
+    # residual by rounding only (panels graded toward s0 spread it by ~1e-7)
+    arc, s0 = segment(-1.0, 1.0), 0.03                   # x0 = -0.94
+    below, above = [s0], [s0]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    steps = below + above[1:]
+    for f2 in PB_DENSITIES.values():
+        res = [plemelj._pb_residual_once(f2, arc, s, arc.z(np.array([s]))[0],
+                                         n_panels, 12) for s in steps]
+        assert max(res) - min(res) <= 1e-10
 
 
 def test_pb_calls_f2_per_row_block_not_per_node(monkeypatch):
@@ -431,6 +449,24 @@ def test_arc_calls_run_no_locate_or_length_sweep():
         assert calls["dz", grid.n] == 1
     with pytest.warns(AccuracyWarning):
         arc_cauchy_integral(g, CURVED, grid, near)
+
+
+def test_pb_runs_no_locate_or_length_sweep():
+    # x0 is located by Newton from the nearest node of the caller's grid,
+    # sampled once; the 2,048-point locate sweep and the 1,024-point length
+    # sweep no longer run
+    grid = gauss_panel_grid(24, 12)
+    x0 = complex(CURVED.z(np.array([0.4137]))[0])        # between nodes
+    calls = Counter()
+    arc = counted_arc(CURVED, calls)
+    res = poincare_bertrand_residual(PB_DENSITIES["t*t'"], arc, grid, x0,
+                                     cross_check=False)
+    assert calls["z", 2048] == 0 and calls["dz", 1024] == 0
+    assert calls["z", grid.n] == calls["dz", grid.n] == 1
+    assert res < 1e-5
+    with pytest.raises(DomainError):
+        poincare_bertrand_residual(PB_DENSITIES["t*t'"], arc, grid,
+                                   x0 + 1e-6, cross_check=False)
 
 
 def test_seeded_arc_locate_keeps_off_arc_errors():
