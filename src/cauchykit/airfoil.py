@@ -24,8 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _pv_smooth_part,
-                       _row_blocks, _sample, gauss_panel_grid, segment)
+from .geometry import (JordanArc, QuadratureGrid, _panel_samples,
+                       _pv_smooth_part, _row_blocks, _sample, gauss_panel_grid,
+                       segment)
 from .plemelj import _arc_pv_rows
 
 DEFAULT_CHORD_NODES = 128
@@ -150,10 +151,9 @@ def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1]."""
     chord = segment(-1.0, 1.0)
     s0 = 0.5 * (x + 1.0)
-    t0 = chord.z(s0)
-    psi0 = func(np.real(t0))
-    pv, = _arc_pv_rows(((lambda t, r: func(np.real(t)), psi0),), chord, s0,
-                       t0, n_panels, order)
+    panels = _panel_samples(chord, n_panels, order)
+    vals = np.asarray(func(np.real(panels.zs)), dtype=complex)
+    pv, = _arc_pv_rows((lambda r: vals,), panels, order, s0, chord.z(s0))
     return np.real(pv)
 
 

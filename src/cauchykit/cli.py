@@ -246,7 +246,7 @@ for name, f2 in (
         ("const", lambda t, tp: np.ones_like(np.asarray(t, dtype=complex))),
         ("bilinear", lambda t, tp: np.asarray(t) * tp),
         ("quadratic", lambda t, tp: np.asarray(t) ** 2 + np.asarray(tp) ** 2)):
-    add(f"poincare-bertrand-{name}", 1e-5, lambda n, rng, f2=f2: max(
+    add(f"poincare-bertrand-{name}", 1e-9, lambda n, rng, f2=f2: max(
         poincare_bertrand_residual(f2, _ARC, _grid(panels), 0.2 + 0.0j,
                                    cross_check=False)
         for panels in (n // 16, 3 * n // 32)), 9)

@@ -70,6 +70,18 @@ def _leggauss(order):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=16)
+def _legendre_steps(order):
+    """alpha_i = (2i + 1) c_i^2, i = 1 .. order - 2, of the recurrence
+    v_(i+1) = alpha_i x v_i - v_(i-1) that v_i = P_i/c_i obey, with c_1 = 1
+    and c_(i+1) = 1/((i + 1) c_i): one product and one difference a step."""
+    c, steps = 1.0, []
+    for i in range(1, order - 1):
+        steps.append((2 * i + 1) * c * c)
+        c = 1.0 / ((i + 1) * c)
+    return np.array(steps)
+
+
 def panels_from_breakpoints(breaks, order: int = 12) -> QuadratureGrid:
     """Composite Gauss-Legendre rule over consecutive [breaks] intervals."""
     breaks = np.asarray(breaks, dtype=float)
@@ -252,6 +264,26 @@ def _sample(contour, grid, density=None):
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
                     float(np.sum(np.abs(dzs) * grid.weights)), density)
+
+
+@lru_cache(maxsize=16)
+def _equal_panels(n_panels, order):
+    """gauss_panel_grid(n_panels, order), built once; its arrays are shared
+    by every caller, so they are read-only."""
+    grid = gauss_panel_grid(n_panels, order)
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
+
+
+def _panel_samples(arc, n_panels, order, smp=None):
+    """_Samples of the arc on n_panels equal order-``order`` Gauss-Legendre
+    panels of [0, 1]: ``smp`` itself when its grid is exactly those panels."""
+    grid = _equal_panels(n_panels, order)
+    if (smp is not None and smp.grid.n == grid.n
+            and (smp.grid.nodes == grid.nodes).all()):
+        return smp
+    return _sample(arc, grid)
 
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):

@@ -116,26 +116,18 @@ def random_trig_poly(rng, degree=6, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# per-target references for the library's blocked matrix forms.  These are
-# not independent of the subtraction method, only of its matrix layout: one
-# principal value at a time, each on its own freshly built panels.
+# a per-target principal value by parameter-space subtraction on panels
+# aligned at the singular point: a different rule from the library's fixed
+# panels with product weights, one principal value at a time.
 
 
-def aligned_panels(s0, n_panels=24, order=12, grade=0):
+def aligned_panels(s0, n_panels=24, order=12):
     """GL panels on [0, 1] split at s0: max(2, ceil(n*s0)) panels on the
-    left, max(2, ceil(n*(1 - s0))) on the right, the first and the last
-    panel halved ``grade`` times toward 0 and 1 (not toward s0)."""
+    left, max(2, ceil(n*(1 - s0))) on the right."""
     left = max(2, int(np.ceil(n_panels * s0)))
     right = max(2, int(np.ceil(n_panels * (1.0 - s0))))
-    edges = list(np.linspace(0.0, s0, left + 1)) \
-        + list(np.linspace(s0, 1.0, right + 1)[1:])
-    if grade:
-        first, last = edges[1], 1.0 - edges[-2]
-        edges = ([0.0] + [first * 2.0 ** (-j) for j in range(grade, 0, -1)]
-                 + edges[1:-1]
-                 + [1.0 - last * 2.0 ** (-j) for j in range(1, grade + 1)]
-                 + [1.0])
-    edges = np.array(edges)
+    edges = np.array(list(np.linspace(0.0, s0, left + 1))
+                     + list(np.linspace(s0, 1.0, right + 1)[1:]))
     xs, ws = _leggauss(order)
     lo = edges[:-1, None]
     h = 0.5 * (edges[1:, None] - lo)

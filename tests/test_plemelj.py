@@ -1,19 +1,19 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cauchykit import geometry, plemelj
+from cauchykit import airfoil, geometry, plemelj
 from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
-                       DomainError, EndpointError, JordanArc,
+                       DomainError, EndpointError, JordanArc, NonFiniteError,
                        arc_cauchy_integral, build_unit_circle,
                        gauss_panel_grid, one_sided_limit, plemelj_limits,
                        poincare_bertrand_residual, reconstruct_from_jump,
                        segment)
 
-from oracles import (aligned_panels, arc_integral_refined, arc_pv_per_target,
-                     pv_arc_extrapolated)
+from oracles import arc_integral_refined, pv_arc_extrapolated
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +244,7 @@ class TestPoincareBertrand:
 
 
 # ---------------------------------------------------------------------------
-# the inner principal values as one blocked matrix, against the per-node loop
+# the inner principal values as one blocked matrix, against one row per block
 
 HALF_CIRCLE = JordanArc(
     z=lambda s: np.exp(1j * np.pi * (1.0 - np.asarray(s))),
@@ -257,65 +257,70 @@ PB_DENSITIES = {
 }
 
 
-def pb_residual_per_node(f2, arc, x0, n_panels, order=12):
-    """|LHS - RHS| with every inner principal value taken one at a time, x0
-    located by Newton from the nearest node of the n_panels-panel grid."""
-    s0, _ = arc._newton(x0, gauss_panel_grid(n_panels, order).nodes)
-    x0c = arc.z(np.array([s0]))[0]
-    s, w = aligned_panels(s0, n_panels, order, grade=14)
-    ts, dts = arc.z(s), arc.dz(s)
-
-    def inner_in_t(sp):                 # P.V. int f2(t, t')/(t - t') dt
-        tp = arc.z(np.array([sp]))[0]
-        return arc_pv_per_target(lambda t: f2(t, tp), arc, sp, n_panels,
-                                 order)
-
-    def inner_in_tprime(t, pole):       # P.V. int f2(t, t')/(t' - pole) dt'
-        return arc_pv_per_target(lambda tp: f2(t, tp), arc, pole, n_panels,
-                                 order)
-
-    i_vals = np.array([inner_in_t(si) for si in s])
-    i_x0 = inner_in_t(s0)
-    h = i_vals * dts / (ts - x0c) - i_x0 / (s - s0)
-    lhs = np.sum(h * w) + i_x0 * np.log((1.0 - s0) / s0)
-    n_vals = np.array([inner_in_tprime(ti, s0) - inner_in_tprime(ti, si)
-                       for si, ti in zip(s, ts)])
-    rhs = np.sum(n_vals / (ts - x0c) * dts * w) \
-        - np.pi ** 2 * complex(f2(x0c, x0c))
-    return abs(lhs - rhs)
+def pb_residual_per_node(f2, arc, x0, n_panels, monkeypatch):
+    """The residual with every inner principal value taken in a row block
+    of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_BLOCK_ENTRIES", 1)
+        return poincare_bertrand_residual(f2, arc,
+                                          gauss_panel_grid(n_panels, 12), x0,
+                                          cross_check=False)
 
 
 # every density meets every x0 once; the grid alternates between 16 and 24
-# panels.  x0 = -0.94 is s0 = 0.03, where the left part takes max(2, ...)
-# panels and the rows are padded.
+# panels.  x0 = -0.94 is s0 = 0.03, next to the arc end.
 @pytest.mark.parametrize("x0", [0.2, -0.37, -0.94])
 @pytest.mark.parametrize("name", list(PB_DENSITIES))
-def test_pb_matrix_matches_per_node_loop(name, x0):
+def test_pb_matrix_matches_per_node_loop(name, x0, monkeypatch):
     n_panels = (16, 24)[(list(PB_DENSITIES).index(name)
                          + [0.2, -0.37, -0.94].index(x0)) % 2]
     f2 = PB_DENSITIES[name]
     arc = segment(-1.0, 1.0)
     got = poincare_bertrand_residual(f2, arc, gauss_panel_grid(n_panels, 12),
                                      complex(x0), cross_check=False)
-    ref = pb_residual_per_node(f2, arc, complex(x0), n_panels)
+    ref = pb_residual_per_node(f2, arc, complex(x0), n_panels, monkeypatch)
     assert abs(got - ref) <= 1e-13
-    assert got < 1e-5
+    assert got <= 1e-10
 
 
-def test_pb_matrix_matches_per_node_loop_on_curved_arc():
+def test_pb_matrix_matches_per_node_loop_on_curved_arc(monkeypatch):
     f2 = PB_DENSITIES["t*t'"]
     x0 = complex(np.exp(0.6j * np.pi))                  # s0 = 0.4
     got = poincare_bertrand_residual(f2, HALF_CIRCLE, gauss_panel_grid(16, 12),
                                      x0, cross_check=False)
-    ref = pb_residual_per_node(f2, HALF_CIRCLE, x0, 16)
+    ref = pb_residual_per_node(f2, HALF_CIRCLE, x0, 16, monkeypatch)
     assert abs(got - ref) <= 1e-13
+
+
+PB_POINTS = [(segment(-1.0, 1.0), complex(x0)) for x0 in (0.2, -0.37, 0.0,
+                                                            -0.94)] \
+    + [(HALF_CIRCLE, complex(HALF_CIRCLE.z(np.array([s0]))[0]))
+       for s0 in (0.4, 0.03)]
+PB_IDS = ["segment-0.2", "segment--0.37", "segment-0", "segment--0.94",
+          "half-circle-0.4", "half-circle-0.03"]
+
+
+@pytest.mark.parametrize("arc, x0", PB_POINTS, ids=PB_IDS)
+def test_pb_residual_bounds(arc, x0):
+    # x0 = 0 is s0 = 0.5, a panel break at 16 and 24 panels, and s0 = 0.03
+    # lies next to an arc end
+    for f2 in PB_DENSITIES.values():
+        for n_panels, bound in ((24, 1e-11), (16, 1e-10)):
+            assert poincare_bertrand_residual(
+                f2, arc, gauss_panel_grid(n_panels, 12), x0,
+                cross_check=False) <= bound
+        for order in (8, 12, 20):
+            res = poincare_bertrand_residual(
+                f2, arc, gauss_panel_grid(8, order), x0, n_panels=8,
+                order=order, cross_check=False)
+            assert np.isfinite(res) and res <= 1e-8
 
 
 @pytest.mark.parametrize("n_panels", [16, 24])
 def test_pb_residual_is_steady_in_the_last_bits_of_s0(n_panels):
-    # the outer panels are graded toward the arc ends, not toward s0, so
-    # no outer node crowds s0 and moving s0 by up to 3 ulps moves the
-    # residual by rounding only (panels graded toward s0 spread it by ~1e-7)
+    # the outer sigma panels are split at sigma(s0) and not graded, so no
+    # outer node crowds s0 and moving s0 by up to 3 ulps moves the residual
+    # by rounding only (panels graded toward s0 spread it by ~1e-7)
     arc, s0 = segment(-1.0, 1.0), 0.03                   # x0 = -0.94
     below, above = [s0], [s0]
     for _ in range(3):
@@ -343,12 +348,12 @@ def test_pb_calls_f2_per_row_block_not_per_node(monkeypatch):
                                    0.2 + 0.0j, cross_check=False)
         return len(calls)
 
-    # one call per row block (74 at 28 panels); the per-node loop
-    # made about 6,000
+    # one call per row block and density (25 at 28 panels)
     assert count(28) <= 100
-    # with every matrix in one block the count no longer depends on the grid
+    # with every matrix in one block the count no longer depends on the
+    # grid: I, -B and A once each, and f2(x0, x0)
     monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 1 << 30)
-    assert count(16) == count(28) == 5
+    assert count(16) == count(28) == 4
 
 
 def test_pb_cross_check_warns_on_slow_convergence():
@@ -360,32 +365,169 @@ def test_pb_cross_check_warns_on_slow_convergence():
                                    gauss_panel_grid(16, 12), 0.2 + 0.0j)
 
 
+@pytest.mark.parametrize("cross_check", [True, False])
+def test_pb_non_finite_level_raises(cross_check):
+    # NaN never compares greater, so a NaN level would pass the
+    # cross-check's ratio test unflagged
+    f2 = lambda t, tp: np.where(np.real(t) > 0.5, np.nan, 1.0) \
+        + 0.0 * np.asarray(tp)
+    with pytest.raises(NonFiniteError):
+        poincare_bertrand_residual(f2, segment(-1.0, 1.0),
+                                   gauss_panel_grid(16, 12), 0.2 + 0.0j,
+                                   cross_check=cross_check)
+
+
+def test_scalar_densities_broadcast():
+    # a density that ignores its arguments may return a scalar
+    arc = segment(-1.0, 1.0)
+    assert poincare_bertrand_residual(lambda t, tp: 1.0, arc,
+                                      gauss_panel_grid(16, 12), 0.2 + 0.0j,
+                                      cross_check=False) <= 1e-10
+    x = np.array([0.0, 0.3])
+    assert np.max(np.abs(airfoil._smooth_chord_pv(lambda t: 1.0, x)
+                         - np.log((1.0 - x) / (1.0 + x)))) <= 1e-13
+
+
+def test_pb_memory_bounded():
+    # rows go a block at a time: a cross-checked call on 24 panels peaks
+    # below 1.8 MB of Python-visible allocations
+    arc, grid = segment(-1.0, 1.0), gauss_panel_grid(24, 12)
+    f2 = PB_DENSITIES["t*t'"]
+    poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j)
+    tracemalloc.start()
+    try:
+        poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6
+
+
+# ---------------------------------------------------------------------------
+# the fixed-panel evaluator against closed forms, on breaks, nodes and ends
+
+
+def closed_form_pv(coef, arc, s0):
+    """P.V. int_L g(t)/(t - t0) dt for the polynomial g = sum coef[k] t^k on
+    the segment or the half circle from -1 to 1, t0 = z(s0): g(t0) times
+    the principal log, plus the polynomial int (g(t) - g(t0))/(t - t0) dt,
+    whose integral does not depend on the path."""
+    t0 = complex(arc.z(np.array([s0]))[0])
+    tangent = complex(arc.dz(np.array([s0]))[0])
+    tangent /= abs(tangent)
+    log = np.log(abs(1.0 - t0) / abs(-1.0 - t0)) + 1j * (
+        np.angle((1.0 - t0) / tangent) + np.angle(-tangent / (-1.0 - t0)))
+    g0 = sum(c * t0 ** k for k, c in enumerate(coef))
+    # (t^k - t0^k)/(t - t0) = sum_j t^j t0^(k-1-j); int_-1^1 t^j dt
+    rest = sum(c * t0 ** (k - 1 - j) * (2.0 / (j + 1) if j % 2 == 0 else 0.0)
+               for k, c in enumerate(coef) for j in range(k))
+    return g0 * log + rest
+
+
+def special_targets(n_panels, order):
+    """Parameters on breaks, on nodes, next to the arc ends, and between."""
+    nodes = gauss_panel_grid(n_panels, order).nodes
+    return np.concatenate([np.arange(1, n_panels) / n_panels, nodes[5::17],
+                           [0.03, 0.97, 0.001, 0.999, 0.4137, 1.0 / 3.0]])
+
+
+@pytest.mark.parametrize("order", [8, 12, 20])
+@pytest.mark.parametrize("arc", [segment(-1.0, 1.0), HALF_CIRCLE],
+                         ids=["segment", "half-circle"])
+def test_arc_pv_rows_match_closed_forms(arc, order):
+    coefs = ([1.0], [0.3, -1.2, 0.7 + 0.2j, 0.5], [0, 0, 0, 0, 0, 1.0])
+    for n_panels in (8, 16, 24, 37):
+        smp = geometry._panel_samples(arc, n_panels, order)
+        s0 = special_targets(n_panels, order)
+        t0 = arc.z(s0)
+        got = plemelj._arc_pv_rows(
+            [lambda r, c=c: sum(ck * smp.zs ** k for k, ck in enumerate(c))
+             for c in coefs], smp, order, s0, t0)
+        for c, pv in zip(coefs, got):
+            ref = np.array([closed_form_pv(c, arc, s) for s in s0])
+            assert np.all(np.isfinite(pv))
+            assert np.max(np.abs(pv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_panels", [24, 37])
+def test_arc_pv_is_steady_in_the_last_bits_of_s0(n_panels):
+    # t - t0 is formed in the arc's own coordinate, never against s - s0,
+    # so moving s0 by up to 3 ulps moves a principal value by rounding only
+    g = lambda t: t ** 2 + 0.5 * np.exp(t)
+    smp = geometry._panel_samples(HALF_CIRCLE, n_panels, 12)
+    vals = g(smp.zs)
+    for s0 in (1.0 / 3.0, 0.4137, 0.5, 0.61):
+        steps = [s0]
+        for direction in (0.0, 1.0):
+            s = s0
+            for _ in range(3):
+                s = np.nextafter(s, direction)
+                steps.append(s)
+        steps = np.array(steps)
+        pv, = plemelj._arc_pv_rows((lambda r: vals,), smp, 12, steps,
+                                   HALF_CIRCLE.z(steps))
+        assert np.max(np.abs(pv - pv[0])) <= 1e-14 * abs(pv[0])
+        plus = [plemelj_limits(g, CURVED, smp.grid, complex(t))[0].value
+                for t in HALF_CIRCLE.z(steps)]
+        assert np.max(np.abs(np.array(plus) - plus[0])) <= 1e-14 * abs(plus[0])
+
+
+def test_targets_on_breaks_and_nodes():
+    # x0 = 0 is s0 = 0.5, a break at every even panel count; a target on a
+    # Gauss node meets a zero in the plain rule's kernel
+    arc = segment(-1.0, 1.0)
+    g = ArcDensity(lambda t: 1.0 - t ** 2)
+    for grid in (gauss_panel_grid(24, 12), gauss_panel_grid(16, 8)):
+        node = complex(arc.z(grid.nodes[40:41])[0])
+        for x0 in (0.0 + 0.0j, node):
+            plus, minus = plemelj_limits(g, arc, grid, x0)
+            x = x0.real
+            pv = -2.0 * x + (1.0 - x ** 2) * np.log((1.0 - x) / (1.0 + x))
+            assert abs(plus.value + minus.value - pv / (1j * np.pi)) < 1e-13
+            assert abs(plus.value - minus.value - (1.0 - x ** 2)) < 1e-15
+    for n_panels in (16, 24):
+        for f2 in PB_DENSITIES.values():
+            assert poincare_bertrand_residual(
+                f2, arc, gauss_panel_grid(n_panels, 12), 0.0 + 0.0j) <= 1e-10
+
+
+def test_smooth_chord_pv_at_midchord():
+    # criterion 11's chord point x = 0 sits on a panel break of the 24
+    # chord panels
+    psi = lambda x: 1.0 - 0.3 * np.asarray(x) + np.asarray(x) ** 2
+    x = np.array([0.0, -0.5, 0.3])
+    got = airfoil._smooth_chord_pv(psi, x)
+    ref = np.array([closed_form_pv([1.0, -0.3, 1.0], segment(-1.0, 1.0),
+                                   0.5 * (xi + 1.0)).real for xi in x])
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # several densities in one sweep of _arc_pv_rows
 
 
-# s0 = 0.03 (x0 = -0.94 on both arcs): the rows near the ends are padded
+# rows at Kress-mapped nodes, crowding both arc ends, then s0 = 0.03; and
+# one target shared by every row
 @pytest.mark.parametrize("n_panels", [16, 24, 37])
 @pytest.mark.parametrize("arc", [segment(-1.0, 1.0), HALF_CIRCLE],
                          ids=["segment", "half-circle"])
 def test_arc_pv_rows_densities_match_single_density_calls(arc, n_panels):
     f2 = lambda t, tp: np.asarray(t) * (np.asarray(t) + tp) + 1.0 / (tp - 3.0)
     s0 = 0.03
-    s, _ = plemelj._aligned_panels(s0, n_panels, 12, grade=14)
-    sp = np.append(s, s0)
+    sig = gauss_panel_grid(n_panels + 1, 12).nodes
+    sp = np.append(sig ** 4 / (sig ** 4 + (1.0 - sig) ** 4), s0)
     tp = arc.z(sp)
     x0c = arc.z(np.array([s0]))[0]
-    per_row = ((lambda t, r: f2(t, tp[r, None]), f2(tp, tp)),
-               (lambda t, r: f2(tp[r, None], t), f2(tp, tp)),
-               (lambda t, r: np.exp(t), np.exp(tp)))
-    shared = ((lambda t, r: f2(tp[r, None], t), f2(tp, x0c)),
-              (lambda t, r: f2(t, tp[r, None]), f2(x0c, tp)))
-    for densities, s_rows, t_rows in ((per_row, sp, tp),
-                                      (shared, s0, x0c)):
-        together = plemelj._arc_pv_rows(densities, arc, s_rows, t_rows,
-                                        n_panels, 12)
-        apart = [plemelj._arc_pv_rows((d,), arc, s_rows, t_rows, n_panels,
-                                      12)[0] for d in densities]
+    smp = geometry._panel_samples(arc, n_panels, 12)
+    zs = smp.zs
+    per_row = (lambda r: f2(zs, tp[r, None]), lambda r: f2(tp[r, None], zs),
+               lambda r: np.exp(zs))
+    shared = (lambda r: f2(tp[r, None], zs), lambda r: f2(zs, tp[r, None]))
+    for densities, s_rows, t_rows in ((per_row, sp, tp), (shared, s0, x0c)):
+        together = plemelj._arc_pv_rows(densities, smp, 12, s_rows, t_rows,
+                                        sp.size)
+        apart = [plemelj._arc_pv_rows((d,), smp, 12, s_rows, t_rows,
+                                      sp.size)[0] for d in densities]
         assert len(together) == len(densities)
         for got, ref in zip(together, apart):
             assert got.shape == sp.shape
@@ -403,24 +545,21 @@ def counted_arc(arc, calls):
 
 
 def test_pb_level_samples_the_inner_rows_once():
-    # z at the outer nodes, at the padded aligned rows of I (the outer
-    # nodes, then x0) a block at a time, and at the one row of A that all
-    # its rows share; B's rows are I's, so they are not sampled again
+    # z and z' at the outer nodes and once at the inner panels' nodes, and
+    # z at the panel ends once per evaluator call (I and -B together, then
+    # A); however many rows there are, nothing is sampled per row
     calls = Counter()
     f2 = PB_DENSITIES["t*t'"]
     s0, n_panels = 0.4, 24
     x0c = complex(HALF_CIRCLE.z(np.array([s0]))[0])
     plemelj._pb_residual_once(f2, counted_arc(HALF_CIRCLE, calls), s0, x0c,
                               n_panels, 12)
-    s, _ = plemelj._aligned_panels(s0, n_panels, 12, grade=14)
-    sp = np.append(s, s0)
-    rows_of_i = sum(plemelj._aligned_rows(sp[r], n_panels, 12)[0].size
-                    for r in geometry._row_blocks(sp.size,
-                                                  (n_panels + 3) * 12))
-    row_of_a = plemelj._aligned_rows(np.array([s0]), n_panels, 12)[0].size
-    z_points = sum(size * k for (name, size), k in calls.items()
-                   if name == "z")
-    assert z_points == s.size + rows_of_i + row_of_a
+    # the outer panels split at sigma(0.4) = 0.4^(1/4)/(0.4^(1/4) + 0.6^(1/4))
+    # = 0.4746...: ceil(24 * 0.4746) = 12 on the left, 13 on the right
+    outer, inner = (12 + 13) * 12, n_panels * 12
+    assert calls == Counter({("z", outer): 1, ("dz", outer): 1,
+                             ("z", inner): 1, ("dz", inner): 1,
+                             ("z", n_panels + 1): 2})
 
 
 # ---------------------------------------------------------------------------
