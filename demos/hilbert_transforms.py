@@ -21,7 +21,7 @@ v = RealLineFunction(lambda x: -1.0 / (x ** 2 + 1.0), decay=2, window=50.0)
 xi = np.linspace(-5.0, 5.0, 11)
 res = hilbert_line(v, xi)
 print("  v(x) = -1/(x^2+1)  ->  u(xi) should be xi/(xi^2+1)")
-print("  xi        computed        exact           |err|      tail bar")
+print("  xi        computed        exact           |err|      err bar")
 for x, got, bar in zip(xi, res.values, res.truncation_error):
     exact = x / (x ** 2 + 1.0)
     print(f"  {x:+5.2f}   {got:+.8f}   {exact:+.8f}   "

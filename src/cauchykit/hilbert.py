@@ -5,9 +5,13 @@ Real-line transforms
     H[v](xi)      = (1/pi)  P.V. int v(x)/(x - xi) dx
     H^-1[u](x)    = (-1/pi) P.V. int u(xi)/(xi - x) dxi
 
-are computed by singularity subtraction on the declared truncation window
-[-X, X] plus an analytic power-law tail correction built from the declared
-decay exponent and the sampled edge values.  The circular transforms
+go through the Cayley map x = tan(theta/2), xi = tan(phi/2): with
+V(theta) = v(x), H[v](xi) = Hc[V](phi) + (1/2*pi) int V tan(theta/2) dtheta,
+the circular transform below plus one trapezoid sum (Weideman, "Computing
+the Hilbert transform on the real line", Math. Comp. 64, 1995).  V is
+sampled on N midpoint nodes, which never touch theta = +-pi, and N doubles
+until V's top Fourier modes reach rounding or stop falling.  The circular
+transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
@@ -20,31 +24,39 @@ to zero, so round trips hold on zero-mean inputs and means are carried
 separately as metadata.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError, InvalidGridError
-from .geometry import (_pv_smooth_part, gauss_panel_grid,
-                       panels_from_breakpoints, trig_interp)
+from .errors import (ContractError, DomainError, InvalidGridError,
+                     NonFiniteError)
+from .geometry import gauss_panel_grid, panels_from_breakpoints, trig_interp
 
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_WINDOW = 50.0
 DEFAULT_CIRCLE_SAMPLES = 512
-DEFAULT_PANELS_PER_UNIT = 2
-DEFAULT_PANEL_ORDER = 12
+
+# the Cayley ladder: N doubles from _LADDER_START up to _LADDER_CAP and stops
+# once the top eighth of V's Fourier modes is below _ROUNDING * max|V|, or
+# once a doubling cuts them less than _STALL-fold (more nodes will not
+# resolve a kink or a jump)
+_LADDER_START, _LADDER_CAP = 64, 2 ** 14
+_ROUNDING = 1e-15
+_STALL = 4.0
 
 
 @dataclass(frozen=True)
 class RealLineFunction:
-    """Real function on the line with decay and truncation metadata.
+    """Real function on the line with decay metadata.
 
-    ``decay`` is the exponent p in |f(x)| = O(|x|^-p); ``window`` the
-    half-width X beyond which the tail is modeled analytically.  A nonzero
-    ``period`` flags an oscillatory non-decaying input that is handled by the
-    circular machinery over one period instead of windowed truncation.
+    ``decay`` is the exponent p in |f(x)| = O(|x|^-p).  ``window`` is a
+    half-width X: :meth:`check_decay` samples f at X and 4X, and Parseval's
+    quadrature body ends there.  Line transforms sample f on the whole line,
+    out to |x| ~ 10^4, so f must be defined everywhere.  A nonzero
+    ``period`` flags an oscillatory non-decaying input that is handled by
+    the circular machinery over one period.
     """
 
     func: Callable
@@ -107,7 +119,12 @@ class PeriodicFunction:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Transformed samples plus truncation-error metadata."""
+    """Transformed values at the targets and how they were computed.
+
+    ``grid_size`` is the node count N; ``truncation_error`` bounds the
+    error by the input's top Fourier modes, 2 sum_(k >= N/4) |c_k|, plus
+    rounding; ``window`` echoes the input's (inf on the periodic route);
+    ``notes`` names the periodic route or an unresolved input."""
 
     values: np.ndarray
     targets: np.ndarray
@@ -118,73 +135,7 @@ class TransformResult:
 
 
 # ---------------------------------------------------------------------------
-# analytic tail model
-
-
-def _tail_integral(xi, X, p, max_terms=4000, tol=1e-15):
-    """int_X^inf x^-p / (x - xi) dx for |xi| < X, via the geometric series
-    sum_k xi^k X^-(p+k) / (p+k), summed by Horner's rule.  The term count
-    is fixed once from rho = max|xi|/X: term k is at most X^-p rho^k / p,
-    and the sum is at least X^-p / (p (p + 1)) whatever the sign of xi, so
-    rho^K < tol / (p + 1) brings every term below tol times the sum."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(np.abs(xi) >= X):
-        raise DomainError("tail model needs |xi| < window")
-    ratio = xi / X
-    rho = float(np.max(np.abs(ratio), initial=0.0))
-    count = 1 if rho == 0.0 else \
-        min(max_terms, int(np.log(tol / (p + 1.0)) / np.log(rho)) + 1)
-    coef = 1.0 / (p + np.arange(count))
-    return X ** (-p) * np.polynomial.polynomial.polyval(ratio, coef)
-
-
-def _fit_tail_coeffs(vfunc, X, p, side):
-    """Three-term asymptotic fit v(side*x) ~ sum_k coef_k x^-(p+k), k=0..2.
-
-    Fitting v(x) x^p against {1, 1/x, 1/x^2} at x in {X/2, 3X/4, X} captures
-    the next two corrections beyond the declared leading power, which the
-    single edge sample cannot."""
-    xs = np.array([0.5 * X, 0.75 * X, X])
-    vals = np.asarray(vfunc(side * xs), dtype=float) * xs ** p
-    basis = np.vander(1.0 / xs, 3, increasing=True)
-    return np.linalg.solve(basis, vals)
-
-
-def _tail_correction(vfunc, X, p, xi):
-    """Analytic tails of P.V. int v(x)/(x - xi) dx outside [-X, X].
-
-    Right tail integrates the fitted power-law model term by term; the
-    substituted left tail gives -int_X^inf v(-x)/(x + xi) dx.
-    """
-    xi = np.asarray(xi, dtype=float)
-    coef_r = _fit_tail_coeffs(vfunc, X, p, +1.0)
-    coef_l = _fit_tail_coeffs(vfunc, X, p, -1.0)
-    right = sum(coef_r[k] * _tail_integral(xi, X, p + k) for k in range(3))
-    left = -sum(coef_l[k] * _tail_integral(-xi, X, p + k) for k in range(3))
-    scale = np.sum(np.abs(coef_r)) + np.sum(np.abs(coef_l))
-    resid = scale * _tail_integral(np.abs(xi), X, p + 3)
-    return right + left, resid
-
-
-def _line_grid(X, panels_per_unit=DEFAULT_PANELS_PER_UNIT,
-               order=DEFAULT_PANEL_ORDER):
-    n_panels = max(8, int(np.ceil(2 * X * panels_per_unit)))
-    return gauss_panel_grid(n_panels=n_panels, order=order, a=-X, b=X)
-
-
-def _line_pv(vfunc, X, p, targets):
-    """(values, tail_residuals) of P.V. int_(-inf)^inf v(x)/(x - xi) dx."""
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if np.any(np.abs(targets) > 0.95 * X):
-        raise DomainError("targets must satisfy |xi| <= 0.95 * window")
-    grid = _line_grid(X)
-    vxi = np.asarray(vfunc(targets), dtype=float)
-    smooth = _pv_smooth_part(vfunc, grid.nodes, grid.weights,
-                             np.asarray(vfunc(grid.nodes), dtype=float),
-                             targets, vxi)
-    log_term = vxi * np.log((X - targets) / (X + targets))
-    tail, resid = _tail_correction(vfunc, X, p, targets)
-    return smooth + log_term + tail, resid
+# line transforms
 
 
 def _as_line_function(v) -> RealLineFunction:
@@ -194,27 +145,53 @@ def _as_line_function(v) -> RealLineFunction:
 
 
 def _line_transform(v, targets, sign) -> TransformResult:
-    """sign/pi times P.V. int v(x)/(x - xi) dx: sign +1 is H, -1 is H^-1."""
+    """sign/pi times P.V. int v(x)/(x - xi) dx: sign +1 is H, -1 is H^-1.
+
+    A periodic input collapses onto one period through x = P*theta/(2*pi),
+    H[v](xi) = Hc[v~](2*pi*xi/P); a decaying one goes through the Cayley
+    map (module docstring).  Both interpolate the conjugate samples."""
     v = _as_line_function(v)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if not np.all(np.isfinite(targets)):
         raise DomainError("targets must be finite")
     if v.period is not None:
-        return _periodic_route(v, targets, sign)
-    if v.decay < 1:
-        raise ContractError(
-            f"line Hilbert transform needs decay >= 1, declared {v.decay}")
-    # only the forward transform samples the declared decay (see
-    # hilbert_line_inverse)
-    if sign > 0 and not v.check_decay():
-        raise ContractError("sampled far-field violates the declared decay")
-    pv, resid = _line_pv(v.func, v.window, v.decay, targets)
-    notes = ()
-    if np.any(np.abs(targets) > 0.5 * v.window):
-        notes = ("targets beyond half the truncation window: "
-                 "accuracy degrades",)
-    return TransformResult(sign * pv / np.pi, targets, resid / np.pi,
-                           _line_grid(v.window).n, v.window, notes)
+        n = DEFAULT_CIRCLE_SAMPLES
+        samples = v(v.period * (np.arange(n) / n - 0.5))
+        s = (TWO_PI * targets / v.period + np.pi) % TWO_PI
+        vals = _conjugate_at(samples, s)
+        window, notes = np.inf, ("periodic route",)
+    else:
+        if v.decay < 1:
+            raise ContractError(
+                f"line Hilbert transform needs decay >= 1, declared {v.decay}")
+        if not v.check_decay():
+            raise ContractError("sampled far-field violates the declared decay")
+        x, samples, notes = _cayley_ladder(v)
+        n, window = x.size, v.window
+        # phi = 2 arctan(xi), measured from the first node -pi + pi/n
+        s = 2.0 * np.arctan(targets) + np.pi * (1.0 - 1.0 / n)
+        vals = _conjugate_at(samples, s) + np.dot(samples, x) / n
+    bar = np.full(vals.shape, _mode_tail(samples)[1])
+    return TransformResult(sign * vals, targets, bar, n, window, notes)
+
+
+def _cayley_ladder(v: RealLineFunction):
+    """(x, V, notes): V = v(x) at the Cayley nodes x = tan(theta/2) of the
+    last N midpoints theta = -pi + 2*pi*(j + 1/2)/N of the ladder."""
+    n, prev = _LADDER_START, np.inf
+    while True:
+        x = np.tan(np.pi * ((np.arange(n) + 0.5) / n - 0.5))
+        V = v(x)
+        if not np.all(np.isfinite(V)):
+            raise NonFiniteError("line transform input is not finite at "
+                                 f"x = {x[~np.isfinite(V)][0]:.6g}")
+        top, scale = _mode_tail(V)[0], np.max(np.abs(V))
+        if top <= _ROUNDING * scale:
+            return x, V, ()
+        if top > prev / _STALL or n >= _LADDER_CAP:
+            return x, V, (f"unresolved: at N = {n} the top Fourier modes of "
+                          f"V are {top / scale:.1e} of max|V|",)
+        n, prev = 2 * n, top
 
 
 def hilbert_line(v, targets) -> TransformResult:
@@ -230,10 +207,10 @@ def hilbert_line(v, targets) -> TransformResult:
 def hilbert_line_inverse(u, targets) -> TransformResult:
     """v(x) = H^-1[u](x) = (-1/pi) P.V. int u(xi)/(xi - x) dxi.
 
-    Targets must be finite and the input needs decay >= 1, as for
-    :func:`hilbert_line`.  The far field is not sampled at 4X: a round-trip
-    input such as a computed transform interpolated on its window cannot be
-    evaluated there.
+    Targets must be finite and the input needs decay >= 1, checked at X
+    and 4X, as for :func:`hilbert_line`.  The input is sampled on the whole
+    line, out to |x| ~ 10^4: a round-trip input such as a computed
+    transform must be defined there, not only on its window.
     """
     return _line_transform(u, targets, -1.0)
 
@@ -241,32 +218,13 @@ def hilbert_line_inverse(u, targets) -> TransformResult:
 def hilbert_complementary(V, targets) -> TransformResult:
     """U = Hbar[V] = -H[V]; the complementary transform equals H^-1."""
     base = hilbert_line(V, targets)
-    return TransformResult(-base.values, base.targets, base.truncation_error,
-                           base.grid_size, base.window, base.notes)
+    return replace(base, values=-base.values)
 
 
 def hilbert_complementary_inverse(U, targets) -> TransformResult:
     """V = Hbar^-1[U] = H[U] = -H^-1[U]."""
     base = hilbert_line_inverse(U, targets)
-    return TransformResult(-base.values, base.targets, base.truncation_error,
-                           base.grid_size, base.window, base.notes)
-
-
-def _periodic_route(v: RealLineFunction, targets, sign):
-    """Line transform of a periodic input via the circular transform.
-
-    With x = P*theta/(2*pi) the line principal value collapses onto one
-    period: H[v](xi) = Hc[v~](2*pi*xi/P).  The transformed samples are
-    evaluated off the grid by trigonometric interpolation.
-    """
-    period = float(v.period)
-    n = DEFAULT_CIRCLE_SAMPLES
-    th = -np.pi + TWO_PI * np.arange(n) / n
-    samples = np.asarray(v.func(period * th / TWO_PI), dtype=float)
-    s = (TWO_PI * targets / period + np.pi) % TWO_PI
-    vals = sign * np.real(trig_interp(_conjugate(samples), s))
-    return TransformResult(vals, targets, np.zeros_like(vals), n, np.inf,
-                           ("periodic route",))
+    return replace(base, values=-base.values)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +239,22 @@ def _conjugate(samples):
     coef[1:] *= 1j
     coef[0] = coef[-1] = 0.0
     return np.fft.irfft(coef, len(samples))
+
+
+def _conjugate_at(samples, s):
+    """Hc of real equispaced samples, interpolated at s (from sample 0)."""
+    return np.real(trig_interp(_conjugate(samples), s))
+
+
+def _mode_tail(samples):
+    """(top, bar) for real equispaced samples with Fourier coefficients c_k,
+    0 <= k <= n/2: top is the largest |c_k| in the top eighth of that band,
+    and bar = 2 sum_(k >= n/4) |c_k| + _ROUNDING * max|samples| bounds the
+    error of their interpolated conjugate."""
+    coef = np.abs(np.fft.rfft(samples)) / samples.size
+    bar = 2.0 * np.sum(coef[samples.size // 4:])
+    return (float(np.max(coef[-(coef.size // 8):])),
+            float(bar + _ROUNDING * np.max(np.abs(samples))))
 
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:
@@ -356,7 +330,8 @@ def _square_integral(f: RealLineFunction, far_factor: float = 20.0) -> float:
     X, p = f.window, f.decay
     if 2 * p <= 1:
         raise ContractError("squared tail is not integrable")
-    grid = _line_grid(X)
+    grid = gauss_panel_grid(n_panels=max(8, int(np.ceil(4 * X))), order=12,
+                            a=-X, b=X)
     body = float(np.sum(np.asarray(f.func(grid.nodes)) ** 2 * grid.weights))
     far = far_factor * X
     breaks = X * (far / X) ** (np.arange(33) / 32.0)

@@ -149,3 +149,19 @@ def arc_pv_per_target(g, arc, s0, n_panels=24, order=12):
     vals = np.broadcast_to(np.asarray(g(ts), dtype=complex), ts.shape)
     h = vals * arc.dz(s) / (ts - t0) - g0 / (s - s0)
     return complex(np.sum(h * w) + g0 * np.log((1.0 - s0) / s0))
+
+
+def piecewise_linear_hilbert(xs, ys, xi):
+    """(1/pi) P.V. int v(x)/(x - xi) dx in closed form for v the
+    piecewise-linear interpolant of (xs, ys), zero outside [xs[0], xs[-1]]:
+    on each segment the integrand is slope + v_seg(xi)/(x - xi), v_seg the
+    segment's line.  At an interior node xi the log terms of its two
+    segments cancel and are dropped; xi must not be an end node."""
+    xi = np.asarray(xi, dtype=float)[:, None]
+    a, b = xs[:-1], xs[1:]
+    slope = np.diff(ys) / np.diff(xs)
+    with np.errstate(divide="ignore"):
+        la = np.where(a == xi, 0.0, np.log(np.abs(a - xi)))
+        lb = np.where(b == xi, 0.0, np.log(np.abs(b - xi)))
+    line = ys[:-1] + slope * (xi - a)
+    return np.sum(slope * (b - a) + line * (lb - la), axis=1) / np.pi

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from cauchykit import SingularityPrescription, catalog_function
+from cauchykit import (RealLineFunction, SingularityPrescription,
+                       catalog_function, hilbert_complementary, hilbert_line,
+                       hilbert_line_inverse)
 from cauchykit.cli import SUITES, main, parse_boundary_file
 from cauchykit.errors import ParseError
 
@@ -190,6 +193,33 @@ class TestTransform:
         got = np.asarray(doc["values"])
         assert np.max(np.abs(got - np.sin(th))) < 1e-10
 
+
+@pytest.mark.parametrize("kind,op", [
+    ("line", hilbert_line), ("line-inverse", hilbert_line_inverse),
+    ("line-complementary", hilbert_complementary)])
+def test_line_kinds_echo_the_library(tmp_path, kind, op):
+    # the CLI returns the library's line transform of its own
+    # RealLineFunction (the interpolated column, zero outside the samples)
+    # at 0.9 theta, byte-identically across runs and without a warning
+    n = 256
+    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    col = -0.7 / (th ** 2 + 0.49)
+    data = tmp_path / "line.txt"
+    data.write_text("".join(f"{t:.17g} {c:.17g} 0.0\n"
+                            for t, c in zip(th, col)))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in outs:
+            assert main(["transform", str(data), "--kind", kind,
+                         "--format", "json", "--out", str(out)]) == 0
+        want = op(RealLineFunction(
+            lambda x: np.interp(x, th, col, left=0.0, right=0.0),
+            decay=2.0, window=float(np.max(np.abs(th)))), 0.9 * th)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert np.max(np.abs(np.asarray(doc["values"]) - want.values)) <= 1e-12
+    assert want.grid_size <= 256
 
 # each subcommand accepts only the options it reads
 

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from cauchykit import (ContractError, DomainError, InvalidGridError,
-                       PeriodicFunction, RealLineFunction, hilbert_circular,
+                       NonFiniteError, PeriodicFunction, RealLineFunction,
+                       hilbert_circular,
                        hilbert_circular_complementary,
                        hilbert_circular_complementary_inverse,
                        hilbert_circular_inverse, hilbert_complementary,
                        hilbert_complementary_inverse, hilbert_line,
                        hilbert_line_inverse, normalization_check,
                        parseval_check)
+
+from oracles import piecewise_linear_hilbert
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,11 +60,14 @@ class TestLineTransforms:
         with pytest.raises(DomainError):
             transform(example3_u(), np.array([np.nan, 0.5]))
 
-    def test_far_target_warning_and_domain_error(self):
-        res = hilbert_line(example3_v(), np.array([30.0]))
-        assert any("window" in note for note in res.notes)
-        with pytest.raises(DomainError):
-            hilbert_line(example3_v(), np.array([49.9]))
+    def test_far_targets_against_closed_form(self):
+        # the Cayley route takes any finite target: no window bounds xi
+        xi = np.array([30.0, 49.9, 1e3, -1e4])
+        res = hilbert_line(example3_v(), xi)
+        err = np.abs(res.values - xi / (xi ** 2 + 1.0))
+        assert err.max() <= 1e-14
+        assert np.all(res.truncation_error >= err)
+        assert res.notes == () and res.grid_size == 64
 
     def test_oscillatory_input_routes_through_period(self):
         vs = RealLineFunction(np.sin, decay=0, period=2.0 * np.pi)
@@ -262,20 +268,99 @@ def test_square_integrability_flag():
     assert not RealLineFunction(lambda x: x, decay=0.3).square_integrable
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.5])
-def test_tail_integral_against_quadrature(p):
-    # the term count fixed once from max|xi|/X leaves every target of the
-    # series within rounding of int_X^inf x^-p/(x - xi) dx, up to the
-    # |xi| <= 0.95 X that line transforms admit
+def _sech2_hilbert(eps, xi):
+    # sech^2 x = -sum_k 1/(x - i*pi*(k + 1/2))^2; the poles above the axis
+    # give H[sech^2](xi) = (2/pi^2) Im psi'(1/2 + i xi/pi), and H commutes
+    # with x -> eps*x
     mpmath = pytest.importorskip("mpmath")
-    from cauchykit.hilbert import _tail_integral
-    X = 20.0
-    xi = np.concatenate([np.linspace(-0.95, 0.95, 9) * X, [0.0, 1e-3]])
-    with mpmath.workdps(30):
-        want = np.array([float(mpmath.quad(lambda x: x ** -p / (x - v),
-                                           [X, 2 * X, mpmath.inf]))
-                         for v in xi])
-    got = _tail_integral(xi, X, p)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
-    assert _tail_integral(np.zeros(3), X, p) == pytest.approx(X ** -p / p,
-                                                              rel=1e-15)
+    return np.array([float(2.0 / mpmath.pi ** 2 * mpmath.im(
+        mpmath.psi(1, 0.5 + 1j * eps * t / mpmath.pi))) for t in xi])
+
+
+def _gauss_hilbert(xi):
+    # H[exp(-x^2)](xi) = -(2/sqrt(pi)) Dawson(xi) = -exp(-xi^2) erfi(xi)
+    mpmath = pytest.importorskip("mpmath")
+    return np.array([float(-mpmath.exp(-t * t) * mpmath.erfi(t))
+                     for t in xi])
+
+
+XI_WIDE = np.array([-1e4, -30.0, -5.0, -1.0, 0.0, 0.3, 2.0, 7.0, 49.9, 1e3])
+
+
+class TestCayleyRoute:
+    """Line transforms through the Cayley map against closed forms and
+    mpmath: each result's truncation_error bounds its actual error."""
+
+    @pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
+    def test_slowly_decaying_sech2(self, eps):
+        res = hilbert_line(RealLineFunction(
+            lambda x: np.cosh(eps * x) ** -2.0, decay=3), XI_WIDE)
+        err = np.abs(res.values - _sech2_hilbert(eps, XI_WIDE))
+        assert err.max() <= 1e-14
+        assert np.all(res.truncation_error >= err) and res.notes == ()
+
+    def test_gaussian(self):
+        res = hilbert_line(RealLineFunction(lambda x: np.exp(-x * x),
+                                            decay=3), XI_WIDE)
+        err = np.abs(res.values - _gauss_hilbert(XI_WIDE))
+        assert err.max() <= 1e-14
+        assert np.all(res.truncation_error >= err) and res.notes == ()
+
+    def test_non_integer_decay_runs_to_the_cap(self):
+        # V = |cos(theta/2)|^(3/2) has a branch point at theta = pi: its
+        # modes fall like k^-5/2, so the ladder climbs to the cap and says so
+        mpmath = pytest.importorskip("mpmath")
+        xi = np.linspace(-5.0, 5.0, 11)
+        res = hilbert_line(RealLineFunction(lambda x: (1.0 + x * x) ** -0.75,
+                                            decay=1.5), xi)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.quad(
+                lambda x: ((1 + (t + x) ** 2) ** mpmath.mpf(-0.75)
+                           - (1 + (t - x) ** 2) ** mpmath.mpf(-0.75)) / x,
+                [0, abs(t) + 1, 10 * abs(t) + 10, mpmath.inf]) / mpmath.pi)
+                for t in xi])
+        err = np.abs(res.values - want)
+        assert err.max() <= 1e-10
+        assert np.all(res.truncation_error >= err)
+        assert res.grid_size == 2 ** 14
+        assert any(note.startswith("unresolved") for note in res.notes)
+
+    def test_cli_column_is_flagged_unresolved(self):
+        # the CLI's line column: a piecewise-linear interpolant that jumps to
+        # zero at +-pi; the ladder stops once its modes no longer fall
+        # fourfold per doubling, and says so
+        th = -np.pi + TWO_PI * np.arange(256) / 256
+        col = -1.0 / (th ** 2 + 1.0)
+        res = hilbert_line(RealLineFunction(
+            lambda x: np.interp(x, th, col, left=0.0, right=0.0), decay=2.0,
+            window=np.pi), 0.9 * th)
+        err = np.abs(res.values - piecewise_linear_hilbert(th, col, 0.9 * th))
+        assert any(note.startswith("unresolved") for note in res.notes)
+        assert res.grid_size <= 256
+        assert np.all(res.truncation_error >= err)
+
+    def test_non_finite_sample_raises(self):
+        v = RealLineFunction(lambda x: np.where(np.abs(x) > 20.0, np.nan,
+                                                1.0 / (1.0 + x * x)),
+                             decay=2, window=4.0)
+        with pytest.raises(NonFiniteError):
+            hilbert_line(v, np.array([0.5]))
+
+
+class TestPeriodicRouteEstimate:
+    def test_sine_reads_rounding(self):
+        res = hilbert_line(RealLineFunction(np.sin, decay=0,
+                                            period=TWO_PI), np.array([0.3]))
+        assert res.truncation_error[0] <= 1e-14
+
+    def test_high_mode_estimate_bounds_the_error(self):
+        # mode 240 of 512 samples per period: the estimate reads its whole
+        # amplitude, at least the interpolation error it actually makes
+        w = TWO_PI / 2.0
+        vs = RealLineFunction(lambda x: np.sin(w * x) + np.cos(240 * w * x),
+                              decay=0, period=2.0)
+        xi = np.random.default_rng(5).uniform(-3.0, 3.0, 30)
+        res = hilbert_line(vs, xi)
+        err = np.abs(res.values - (np.cos(w * xi) - np.sin(240 * w * xi)))
+        assert np.all(res.truncation_error >= err)
+        assert res.truncation_error[0] >= 1.0
