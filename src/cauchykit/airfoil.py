@@ -157,8 +157,7 @@ def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     return np.real(pv)
 
 
-def finite_hilbert_inverse(v, targets=None,
-                           n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
+def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
     """Invert v = G[gamma] for the sheet density, Kutta condition built in.
 
     Returns a SheetDensity whose weight_coef closure evaluates

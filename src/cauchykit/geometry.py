@@ -124,8 +124,8 @@ class ClosedContour:
     """Counterclockwise simple closed curve z(s), s in [0, 2*pi).
 
     ``z`` and ``dz`` must accept ndarray arguments.  ``kind`` of "circle"
-    enables exact point location; generic smooth contours are located by a
-    sampled search refined with Newton steps.
+    enables exact point location; generic smooth contours are located by
+    Newton steps from the nearest grid node.
     """
 
     z: Callable
@@ -134,26 +134,6 @@ class ClosedContour:
     kind: str = "generic"
     center: complex = 0.0 + 0.0j
     radius: float = 0.0
-
-    def length(self, n: int = 1024) -> float:
-        s = TWO_PI * np.arange(n) / n
-        return float(np.sum(np.abs(self.dz(s))) * TWO_PI / n)
-
-    def locate(self, point: complex, n: int = 2048):
-        """Parameter s0 of the closest curve point and the distance to it."""
-        if not np.isfinite(point):
-            raise DomainError("cannot locate a non-finite point")
-        if self.kind == "circle":
-            rel = point - self.center
-            s0 = float(np.angle(rel)) % TWO_PI
-            return s0, abs(abs(rel) - self.radius)
-        s0, on = self._newton(point, TWO_PI * np.arange(n) / n)
-        return s0, float(abs(on - point))
-
-    def _newton(self, point, s):
-        """(s0, z(s0)) of the closest curve point, seeded by the closest of
-        the parameters s."""
-        return _newton_locate(self, point, s, lambda s: s % TWO_PI, 1e-6)
 
     def reversed(self):
         """Same curve traversed clockwise (the complement orientation)."""
@@ -224,38 +204,38 @@ class _Samples:
         node count."""
         return NEAR_ZONE_FACTOR * self.length / self.grid.n
 
-    def distance(self, point, gaps, below):
+    def closest(self, point, below=np.inf):
         """(distance from ``point`` to the curve, (s0, z(s0)) of the closest
-        curve point or None), from the node gaps |z_j - point|: the nearest
+        curve point or None): exact on a circle; otherwise the nearest
         node's gap, refined by Newton from that node when it is below
         ``below``."""
+        curve = self.contour
+        if getattr(curve, "kind", None) == "circle":
+            rel = point - curve.center
+            s0 = float(np.angle(rel)) % TWO_PI
+            return (float(abs(abs(rel) - curve.radius)),
+                    (s0, curve.center + curve.radius * np.exp(1j * s0)))
+        gaps = np.abs(self.zs - point)
         j = int(np.argmin(gaps))
         dist = float(gaps[j])
         if not dist < below:
             return dist, None
-        located = self.contour._newton(point, self.grid.nodes[j:j + 1])
+        located = _newton_locate(curve, point, float(self.grid.nodes[j]))
         return min(dist, float(abs(located[1] - point))), located
 
     def locate(self, t0, delta=None):
-        """(s0, z(s0)) of the point t0 on the contour or arc, by Newton from
-        the nearest node (exactly on a circle); DomainError when t0 lies
-        farther than delta (default: the band of the grid length) from the
-        curve."""
+        """(s0, z(s0)) of the curve point closest to t0, which lies on the
+        contour or arc; DomainError when t0 lies farther than delta
+        (default: the band of the grid length) from the curve."""
         if not np.isfinite(t0):
             raise DomainError("cannot locate a non-finite point")
         if delta is None:
             delta = DELTA_FRACTION * self.length
-        if getattr(self.contour, "kind", None) == "circle":
-            s0, dist = self.contour.locate(t0)
-            on = self.contour.z(np.array([s0]))[0]
-        else:
-            j = int(np.argmin(np.abs(self.zs - t0)))
-            s0, on = self.contour._newton(t0, self.grid.nodes[j:j + 1])
-            dist = float(abs(on - t0))
+        dist, located = self.closest(t0)
         if dist > delta:
             raise DomainError(
                 f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-        return s0, on
+        return located
 
 
 def _sample(contour, grid, density=None):
@@ -349,31 +329,18 @@ class JordanArc:
     def b(self) -> complex:
         return complex(self.z(np.array([1.0]))[0])
 
-    def length(self, n: int = 1024) -> float:
-        s = (np.arange(n) + 0.5) / n
-        return float(np.mean(np.abs(self.dz(s))))
 
-    def locate(self, point: complex, n: int = 2048):
-        """Parameter s0 of the closest arc point and the distance to it."""
-        s0, on = self._newton(point, (np.arange(n) + 0.5) / n)
-        return s0, float(abs(on - point))
-
-    def _newton(self, point, s):
-        """(s0, z(s0)) of the closest arc point, seeded by the closest of
-        the parameters s."""
-        return _newton_locate(self, point, s,
-                              lambda s: min(max(s, 0.0), 1.0), 1e-7)
-
-
-def _newton_locate(curve, point, s, fix, h):
+def _newton_locate(curve, point, s0):
     """Parameter s0 and curve point z(s0) closest to ``point`` on a contour
-    or arc: the nearest sample of the parameter sweep ``s``, refined by
-    Newton steps on |z(s) - point|^2.
-    ``fix`` maps a parameter back into the domain (wrap or clamp) and ``h``
-    is the finite-difference step for z'' when the curve has no ``d2z``.
+    or arc: Newton steps on |z(s) - point|^2 from the seed s0, wrapped into
+    [0, 2*pi) on a closed contour and clamped to [0, 1] on an arc.  z'' is a
+    central difference of z' (step 1e-6 closed, 1e-7 open) when the curve
+    has no ``d2z``.
     """
-    d2 = np.abs(curve.z(s) - point) ** 2
-    s0 = float(s[int(np.argmin(d2))])
+    if isinstance(curve, ClosedContour):
+        fix, h = (lambda s: s % TWO_PI), 1e-6
+    else:
+        fix, h = (lambda s: min(max(s, 0.0), 1.0)), 1e-7
     for _ in range(8):
         zz = curve.z(np.array([s0]))[0] - point
         dz = curve.dz(np.array([s0]))[0]
@@ -451,16 +418,10 @@ def _classify(smp, z, delta):
         raise DomainError("cannot classify a non-finite point")
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
-    contour = smp.contour
     # between nodes the nearest node overstates the distance to the curve:
-    # take it exactly on a circle, and by Newton from the nearest node in
-    # the near zone of any other contour
+    # closest() refines it in the near zone (exactly on a circle)
+    dist, located = smp.closest(z, smp.near_zone)
     d = smp.zs - z
-    if contour.kind == "circle":
-        dist = float(abs(abs(z - contour.center) - contour.radius))
-        located = None
-    else:
-        dist, located = smp.distance(z, np.abs(d), smp.near_zone)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / d
         wind = complex(np.sum(smp.dzw * inv) / (2j * np.pi)) \

@@ -66,7 +66,7 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
     near = smp.near_zone
     # the nearest node overstates the distance to the arc by at most half a
     # node gap, far less than a near-zone width: solve Newton only below two
-    dist = smp.distance(z, np.abs(smp.zs - z), 2.0 * near)[0]
+    dist = smp.closest(z, 2.0 * near)[0]
     if dist < 1e-12:
         raise DomainError("z lies on the arc; use plemelj_limits")
     if dist < near:

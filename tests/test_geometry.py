@@ -11,7 +11,8 @@ from cauchykit import (BoundaryFunction, DomainError, InvalidGridError,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
 from cauchykit.geometry import (DELTA_FRACTION, NEAR_ZONE_FACTOR,
-                                ClosedContour, _has_close_pair,
+                                ClosedContour, _classify, _has_close_pair,
+                                _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
@@ -92,7 +93,7 @@ def test_near_zone_distance_is_to_the_curve_not_the_nodes():
 def test_winding_is_integer_away_from_contour():
     contour, grid = build_unit_circle(128)
     rng = np.random.default_rng(7)
-    margin = 10.0 * contour.length() / grid.n
+    margin = 10.0 * TWO_PI / grid.n
     for _ in range(50):
         r = rng.choice([rng.uniform(0.0, 1.0 - margin),
                         rng.uniform(1.0 + margin, 4.0)])
@@ -435,16 +436,22 @@ def grid_length(curve, grid):
     return near_zone_width(curve, grid) * grid.n / NEAR_ZONE_FACTOR
 
 
+def ellipse_perimeter():
+    """Perimeter of ellipse(1, 0.6), 4 E(m) with m = 1 - 0.6^2."""
+    mpmath = pytest.importorskip("mpmath")
+    return float(4 * mpmath.ellipe(1 - 0.6 ** 2))
+
+
 @pytest.mark.parametrize("n, lo, hi", [(8, 1e-4, 1e-3), (32, 1e-12, 1e-11),
                                        (64, 0.0, 1e-14), (256, 0.0, 1e-14),
                                        (1024, 0.0, 1e-14)])
 def test_grid_length_against_the_length_sweep(n, lo, hi):
     # sum |z'| w on the grid is spectrally accurate: on ellipse(1, 0.6) it
-    # matches the 1,024-point sweep of ClosedContour.length() to rounding
-    # from n = 64; the bands of smaller grids move by 2e-12 (n = 32) and
-    # 3e-4 (n = 8)
+    # matches the exact perimeter to rounding from n = 64; the bands of
+    # smaller grids move by 2e-12 (n = 32) and 3e-4 (n = 8)
     e = ellipse(1.0, 0.6)
-    rel = abs(grid_length(e, periodic_trapezoid_grid(n)) / e.length() - 1.0)
+    rel = abs(grid_length(e, periodic_trapezoid_grid(n))
+              / ellipse_perimeter() - 1.0)
     assert lo <= rel <= hi
 
 
@@ -452,7 +459,7 @@ def test_thresholds_come_from_the_grid_length():
     # the public width and default band are the ones the functionals apply
     e, g = ellipse(1.0, 0.6), periodic_trapezoid_grid(8)
     length = grid_length(e, g)
-    assert length != pytest.approx(e.length(), rel=1e-4)
+    assert length != pytest.approx(ellipse_perimeter(), rel=1e-4)
     z = 0.2 + 0.1j
     cl = classify_point(e, g, z)
     assert cl.delta == DELTA_FRACTION * length
@@ -477,19 +484,71 @@ def parabola_arc(with_d2z):
 @pytest.mark.parametrize("kind", ["ellipse", "arc"])
 def test_locate_recovers_normal_offsets(kind, with_d2z):
     # a point offset by d along the unit normal at s, with |d| below the
-    # radius of curvature, has its closest curve point at s, at distance |d|
+    # radius of curvature, has its closest curve point at s, at distance |d|,
+    # found by Newton from the nearest node of a grid of 16, 64 or 256 nodes
     if kind == "ellipse":
         e = ellipse(1.0, 0.6)
         curve = e if with_d2z else ClosedContour(z=e.z, dz=e.dz)
         params, offsets = (0.3, 1.2, 2.0, 3.5, 5.9), (-0.2, -0.05, 0.05, 0.3)
+        grids = [periodic_trapezoid_grid(n) for n in (16, 64, 256)]
     else:
         curve = parabola_arc(with_d2z)
         params, offsets = (0.2, 0.35, 0.5, 0.7, 0.85), (-0.2, -0.05, 0.05, 0.3)
-    for s in params:
-        zs = curve.z(np.array([s]))[0]
-        dz = curve.dz(np.array([s]))[0]
-        normal = -1j * dz / abs(dz)
-        for d in offsets:
-            s0, dist = curve.locate(zs + d * normal)
-            assert s0 == pytest.approx(s, abs=1e-10)
-            assert dist == pytest.approx(abs(d), abs=1e-12)
+        grids = [gauss_panel_grid(p, 8) for p in (2, 8, 32)]
+    for grid in grids:
+        smp = _sample(curve, grid)
+        for s in params:
+            zs = curve.z(np.array([s]))[0]
+            dz = curve.dz(np.array([s]))[0]
+            normal = -1j * dz / abs(dz)
+            for d in offsets:
+                dist, (s0, on) = smp.closest(zs + d * normal)
+                assert s0 == pytest.approx(s, abs=1e-10)
+                assert dist == pytest.approx(abs(d), abs=1e-12)
+                assert on == pytest.approx(zs, abs=1e-12)
+
+
+def test_circle_exact_branch_matches_the_newton_branch():
+    # the exact closest point of a circle and Newton from the nearest node
+    # of the same circle wrapped as a generic contour agree, in the near
+    # zone on both sides and on the contour between nodes
+    exact = circle(0.3j, 1.2)
+    generic = ClosedContour(z=exact.z, dz=exact.dz)
+    grid = periodic_trapezoid_grid(64)
+    smp_exact, smp_generic = _sample(exact, grid), _sample(generic, grid)
+    for s in (0.0, 0.7 * TWO_PI / 64, 2.0, 4.1, TWO_PI - 1e-3):
+        for d in (0.0, 1e-12, 1e-3, -1e-3, 0.2, -0.2):
+            z = 0.3j + (1.2 + d) * np.exp(1j * s)
+            cls = [classify_point(c, grid, z) for c in (exact, generic)]
+            assert cls[0].verdict == cls[1].verdict
+            assert cls[0].distance == pytest.approx(cls[1].distance,
+                                                    abs=1e-14)
+            located = [_classify(smp, z, cls[0].delta)[2]
+                       for smp in (smp_exact, smp_generic)]
+            (s_a, on_a), (s_b, on_b) = located
+            assert abs((s_a - s_b + np.pi) % TWO_PI - np.pi) <= 1e-14
+            assert abs(on_a - on_b) <= 1e-14
+    # the exact branch calls no z beyond the grid sampling
+    sizes = []
+    counted = ClosedContour(z=lambda s: sizes.append(np.size(s)) or exact.z(s),
+                            dz=exact.dz, kind="circle", center=0.3j,
+                            radius=1.2)
+    classify_point(counted, grid, 0.3j + 1.2 * np.exp(0.7j))
+    assert sizes == [grid.n]
+
+
+def test_segment_closest_point_is_the_projection():
+    # Newton from the nearest node of a straight arc lands on the exact
+    # projection, clamped to the arc's ends
+    a, b = -0.4 + 0.2j, 1.3 - 0.5j
+    smp = _sample(segment(a, b), gauss_panel_grid(4, 8))
+    rng = np.random.default_rng(11)
+    for p in list(a + (b - a) * rng.uniform(-0.3, 1.3, 20)
+                  + 0.3 * (rng.standard_normal(20)
+                           + 1j * rng.standard_normal(20))) + [a, b]:
+        t = min(max(((p - a) * np.conj(b - a)).real / abs(b - a) ** 2, 0.0),
+                1.0)
+        dist, (s0, on) = smp.closest(p)
+        assert s0 == pytest.approx(t, abs=1e-14)
+        assert abs(on - (a + (b - a) * t)) <= 1e-14
+        assert dist == pytest.approx(abs(p - (a + (b - a) * t)), abs=1e-14)
