@@ -393,6 +393,9 @@ def parse_boundary_file(path):
         except ValueError:
             raise ParseError(f"line {lineno}: fields are not numeric",
                              line=lineno)
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"line {lineno}: fields are not finite",
+                             line=lineno)
     n = len(rows)
     if n < 8 or n % 2:
         raise ParseError(f"need an even number of samples >= 8, got {n}")
@@ -411,8 +414,7 @@ def cmd_probe(args) -> int:
     samples_from_zero = np.roll(samples, -n // 2)
     n_max = min(args.coeffs, n // 2 - 1)
     coeffs = taylor_coefficients(samples_from_zero, n_max)
-    degrees = tuple(args.degrees) if args.degrees else None
-    report = pade_pole_probe(coeffs, degrees=degrees,
+    report = pade_pole_probe(coeffs, degrees=args.degrees,
                              boundary_samples=samples_from_zero)
     _emit_json({"schema": SCHEMA, "command": "probe", "samples": n,
                 "report": report.to_dict()}, args.out)
@@ -463,6 +465,21 @@ def build_parser():
             raise argparse.ArgumentTypeError(f"must be even and >= 8, got {n}")
         return n
 
+    def at_least(low):
+        def count(text):
+            n = int(text)
+            if n < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+            return n
+        return count
+
+    class DegreePair(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values[1] < 1:
+                parser.error(f"argument {option_string}: K must be >= 1, "
+                             f"got {values[1]}")
+            setattr(namespace, self.dest, tuple(values))
+
     def tolerance(text):
         tol = float(text)
         if not (np.isfinite(tol) and tol > 0):
@@ -506,10 +523,11 @@ def build_parser():
                              help="estimate exterior poles from boundary data "
                                   "(writes JSON)")
     p_probe.add_argument("data", help="file of rows: theta, Re f, Im f")
-    p_probe.add_argument("--degrees", type=int, nargs=2, default=None,
-                         metavar=("M", "K"), help="Pade degree pair")
-    p_probe.add_argument("--coeffs", type=int, default=64,
-                         help="number of Taylor coefficients")
+    p_probe.add_argument("--degrees", type=at_least(0), nargs=2,
+                         action=DegreePair, default=None, metavar=("M", "K"),
+                         help="Pade degree pair, M >= 0 and K >= 1")
+    p_probe.add_argument("--coeffs", type=at_least(1), default=64,
+                         help="number of Taylor coefficients, >= 1")
     add_out(p_probe)
     p_probe.set_defaults(func=cmd_probe)
 

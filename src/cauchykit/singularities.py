@@ -16,12 +16,14 @@ explicitly does not assert pole locations.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cauchy import BoundaryFunction, _classified, _functional
-from .errors import AccuracyWarning, ContractError, PrescriptionError
+from .errors import (AccuracyWarning, ContractError, NonFiniteError,
+                     PrescriptionError)
 from .geometry import ClosedContour, QuadratureGrid, _sample
 
 EXTERIOR_MARGIN = 0.05
@@ -165,8 +167,10 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
     """
     samples = np.asarray(samples, dtype=complex)
     n = samples.size
-    if n_max >= n // 2:
-        raise ContractError(f"need n_max < n/2 = {n // 2}, got {n_max}")
+    if not 0 <= n_max < n // 2:
+        raise ContractError(f"need 0 <= n_max < n/2 = {n // 2}, got {n_max}")
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteError("boundary samples contain NaN or infinity")
     coef = np.fft.fft(samples) / n
     c = coef[: n_max + 1].copy()
     mags = np.abs(c)
@@ -217,103 +221,67 @@ class ProbeReport:
         }
 
 
-def _pade_denominator(c, m, k):
-    """Denominator coefficients b_1..b_k of the (m/k) approximant.
+class _PadeFit:
+    """The (m/k) Pade approximant a/b of the coefficients c (b_0 = 1).
 
-    Solves the Toeplitz/Hankel system sum_j b_j c_{m+i-j} = -c_{m+i},
-    i = 1..k, by least squares with a rank-revealing cutoff.  Returns
-    (b, conditioning_ok)."""
-    rows = []
-    rhs = []
-    for i in range(1, k + 1):
-        rows.append([c[m + i - j] if 0 <= m + i - j < len(c) else 0.0
-                     for j in range(1, k + 1)])
-        rhs.append(-c[m + i])
-    A = np.asarray(rows, dtype=complex)
-    bvec = np.asarray(rhs, dtype=complex)
-    sol, _, rank, sv = np.linalg.lstsq(A, bvec, rcond=SV_CUTOFF)
-    cond_ok = bool(sv.size == 0
-                   or (sv.min() > SV_CUTOFF * sv.max() and rank == k))
-    return sol, cond_ok
+    The denominator solves the Hankel system sum_j b_j c_{m+i-j} = -c_{m+i},
+    i = 1..k, by least squares with a rank-revealing cutoff.  ``held`` is
+    (held-out nodes, samples there, sample scale), or None to measure the
+    residual on the coefficients beyond the solve.  The residual, the roots
+    and the filtered poles are computed when first asked for.
+    """
 
+    def __init__(self, c, m, k, held):
+        i = np.arange(1, k + 1)
+        idx = m + i[:, None] - i
+        hankel = np.where(idx >= 0, c[np.maximum(idx, 0)], 0.0)
+        sol, _, rank, sv = np.linalg.lstsq(hankel, -c[m + i], rcond=SV_CUTOFF)
+        self.cond_ok = bool(sv.size == 0
+                            or (sv.min() > SV_CUTOFF * sv.max() and rank == k))
+        self.b = np.concatenate([[1.0 + 0.0j], sol])
+        self.a = np.convolve(self.b, c[:m + 1])[:m + 1]
+        self.c, self.m, self.k, self.held = c, m, k, held
 
-def _pade_fit(c, m, k):
-    """(numerator a, denominator b with b_0 = 1, conditioning flag)."""
-    b_tail, cond_ok = _pade_denominator(c, m, k)
-    b = np.concatenate([[1.0 + 0.0j], b_tail])
-    a = np.array([sum(b[j] * c[i - j] for j in range(0, min(i, k) + 1))
-                  for i in range(m + 1)], dtype=complex)
-    return a, b, cond_ok
+    @cached_property
+    def residual(self):
+        """Relative mismatch on the held-out boundary nodes or coefficients."""
+        a, b, c, m, k = self.a, self.b, self.c, self.m, self.k
+        if self.held is not None:
+            t, f, scale = self.held
+            fit = np.polyval(a[::-1], t) / np.polyval(b[::-1], t)
+            return float(np.max(np.abs(fit - f)) / scale)
+        used = m + k + 1
+        if len(c) <= used:
+            return 0.0
+        # expand a/b: cc_i = a_i - sum_j b_j cc_{i-j}
+        cc, bl = a.tolist() + [0.0] * (len(c) - m - 1), b.tolist()
+        for i in range(1, len(c)):
+            cc[i] -= sum(bl[j] * cc[i - j] for j in range(1, min(i, k) + 1))
+        cc = np.array(cc)
+        scale = np.max(np.abs(c)) + 1e-300
+        return float(np.max(np.abs(cc[used:] - c[used:])) / scale)
 
+    @cached_property
+    def roots(self):
+        """Roots of the denominator (pole candidates) and their residues."""
+        big = np.abs(self.b) >= 1e-13 * np.max(np.abs(self.b))
+        q = self.b[:np.flatnonzero(big)[-1] + 1][::-1]
+        if q.size <= 1:
+            return np.array([], dtype=complex), np.array([], dtype=complex)
+        roots = np.roots(q)
+        return roots, np.polyval(self.a[::-1], roots) / np.polyval(
+            np.polyder(q), roots)
 
-def _rational_eval(a, b, t):
-    t = np.asarray(t, dtype=complex)
-    num = np.polyval(a[::-1], t)
-    den = np.polyval(b[::-1], t)
-    return num / den
-
-
-def _pade_roots(a, b):
-    """Exterior pole candidates (roots of the denominator) with residues."""
-    bb = b.copy()
-    scale = np.max(np.abs(bb))
-    while bb.size > 1 and abs(bb[-1]) < 1e-13 * scale:
-        bb = bb[:-1]
-    if bb.size <= 1:
-        return np.array([], dtype=complex), np.array([], dtype=complex)
-    roots = np.roots(bb[::-1])
-    dq = np.polyder(np.poly1d(bb[::-1]))
-    residues = np.polyval(np.poly1d(a[::-1]), roots) / dq(roots)
-    return roots, residues
-
-
-def _coefficient_residual(c, a, b, m, k):
-    """Relative mismatch of held-out coefficients (those beyond the solve)."""
-    used = m + k + 1
-    if len(c) <= used:
-        return 0.0
-    # expand p/q: c'_i satisfies c'_i = a_i - sum_j b_j c'_{i-j}
-    cc = np.zeros(len(c), dtype=complex)
-    for i in range(len(c)):
-        ai = a[i] if i <= m else 0.0
-        cc[i] = ai - sum(b[j] * cc[i - j] for j in range(1, min(i, k) + 1))
-    scale = np.max(np.abs(c)) + 1e-300
-    return float(np.max(np.abs(cc[used:] - c[used:])) / scale)
-
-
-def _boundary_residual(samples, a, b):
-    """Relative rational-fit mismatch on held-out (odd-index) boundary nodes."""
-    samples = np.asarray(samples, dtype=complex)
-    n = samples.size
-    th = 2.0 * np.pi * np.arange(n) / n
-    held = np.arange(n) % 2 == 1
-    t = np.exp(1j * th[held])
-    fit = _rational_eval(a, b, t)
-    scale = np.max(np.abs(samples)) + 1e-300
-    return float(np.max(np.abs(fit - samples[held])) / scale)
-
-
-def _filter_roots(roots, residues):
-    if roots.size == 0:
-        return roots, residues
-    keep = np.abs(residues) > RESIDUE_FLOOR * max(np.max(np.abs(residues)), 1e-300)
-    keep &= np.abs(roots) > 1.0
-    order = np.argsort(np.abs(roots[keep]))
-    return roots[keep][order], residues[keep][order]
-
-
-def _match_distance(set_a, set_b):
-    """Worst nearest-neighbor distance between two pole sets (inf if sizes
-    differ)."""
-    if len(set_a) != len(set_b):
-        return np.inf
-    if len(set_a) == 0:
-        return 0.0
-    worst = 0.0
-    for za in set_a:
-        d = np.min(np.abs(np.asarray(set_b) - za)) / (1.0 + abs(za))
-        worst = max(worst, d)
-    return worst
+    @cached_property
+    def poles(self):
+        """Exterior roots whose residue clears the Froissart floor, and their
+        residues, nearest first."""
+        roots, residues = self.roots
+        keep = np.abs(residues) > RESIDUE_FLOOR * max(
+            np.max(np.abs(residues), initial=0.0), 1e-300)
+        keep &= np.abs(roots) > 1.0
+        order = np.argsort(np.abs(roots[keep]))
+        return roots[keep][order], residues[keep][order]
 
 
 STABILITY_TOL = 1e-3
@@ -334,37 +302,51 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
     conjecture and this probe never claims uniqueness.
     """
     c = np.asarray(coefficients, dtype=complex)
+    held = None
+    if boundary_samples is not None:
+        s = np.asarray(boundary_samples, dtype=complex)
+        # odd-index nodes of the unit-circle grid
+        held = (np.exp(1j * (2.0 * np.pi * np.arange(1, s.size, 2) / s.size)),
+                s[1::2], np.max(np.abs(s)) + 1e-300)
+    fits = {}
+
+    def fit(m, k):
+        if (m, k) not in fits:
+            fits[m, k] = _PadeFit(c, m, k, held)
+        return fits[m, k]
+
     notes = []
     if degrees is None:
-        m, k, scan_notes = _scan_degrees(c, boundary_samples)
-        notes.extend(scan_notes)
+        scan = [fit(k - 1, k) for k in range(1, 9) if len(c) >= 2 * k + 1]
+        if not scan:
+            raise ContractError("too few coefficients to scan degrees")
+        best = min(f.residual for f in scan)
+        final = next(f for f in scan
+                     if f.residual <= 10.0 * max(best, 1e-15))
+        m, k = final.m, final.k
+        notes.append(f"degree scan over k = 1..{scan[-1].k} chose k = {k} "
+                     f"(residual {final.residual:.3e})")
     else:
         m, k = degrees
         if m < 0 or k < 1:
             raise ContractError("need m >= 0 and k >= 1")
-    if len(c) < m + k + 1:
-        raise ContractError(
-            f"need at least m + k + 1 = {m + k + 1} coefficients, "
-            f"got {len(c)}")
+        if len(c) < m + k + 1:
+            raise ContractError(
+                f"need at least m + k + 1 = {m + k + 1} coefficients, "
+                f"got {len(c)}")
+        final = fit(m, k)
+    roots, _ = final.roots
+    poles, strengths = final.poles
 
-    a, b, cond_ok = _pade_fit(c, m, k)
-    roots, residues = _pade_roots(a, b)
-    poles, strengths = _filter_roots(roots, residues)
-
-    if boundary_samples is not None:
-        residual = _boundary_residual(boundary_samples, a, b)
-        residual_kind = "held-out boundary nodes"
-    else:
-        residual = _coefficient_residual(c, a, b, m, k)
-        residual_kind = "held-out coefficients"
-
-    # stability cross-check against the next degree pair
+    # stability cross-check against the next degree pair: worst nearest-
+    # neighbour distance between the two pole sets (inf if sizes differ)
     asserted = True
     if len(c) >= m + k + 3:
-        a2, b2, _ = _pade_fit(c, m + 1, k + 1)
-        roots2, residues2 = _pade_roots(a2, b2)
-        poles2, _ = _filter_roots(roots2, residues2)
-        drift = _match_distance(poles, poles2)
+        poles2, _ = fit(m + 1, k + 1).poles
+        drift = np.inf
+        if len(poles) == len(poles2):
+            near = np.abs(poles[:, None] - poles2).min(axis=1, initial=np.inf)
+            drift = np.max(near / (1.0 + np.abs(poles)), initial=0.0)
         if drift > STABILITY_TOL:
             asserted = False
             notes.append(
@@ -372,11 +354,11 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
                 f"({m},{k}) and ({m + 1},{k + 1}): root clusters suggest a "
                 "branch cut; locations are reported as diagnostics only, "
                 "not asserted")
-    if residual > ASSERT_RESIDUAL:
+    if final.residual > ASSERT_RESIDUAL:
         asserted = False
         notes.append("rational fit residual is large; input may not be "
                      "meromorphic")
-    if not cond_ok:
+    if not final.cond_ok:
         notes.append("Hankel system is rank-deficient below the singular-"
                      "value cutoff")
 
@@ -385,35 +367,10 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
         strengths=tuple(complex(z) for z in strengths),
         degrees=(m, k),
         coefficients_used=len(c),
-        residual=residual,
-        residual_kind=residual_kind,
-        confident=cond_ok and asserted,
+        residual=final.residual,
+        residual_kind=("held-out coefficients" if held is None
+                       else "held-out boundary nodes"),
+        confident=final.cond_ok and asserted,
         poles_asserted=asserted,
         unfiltered_roots=tuple(complex(z) for z in roots),
         notes=tuple(notes))
-
-
-def _scan_degrees(c, boundary_samples):
-    """Smallest k in 1..8 whose held-out residual plateaus (within 10x of
-    the best over the scan)."""
-    results = []
-    for k in range(1, 9):
-        m = k - 1
-        if len(c) < m + k + 2:
-            break
-        a, b, _ = _pade_fit(c, m, k)
-        if boundary_samples is not None:
-            r = _boundary_residual(boundary_samples, a, b)
-        else:
-            r = _coefficient_residual(c, a, b, m, k)
-        results.append((k, r))
-    if not results:
-        raise ContractError("too few coefficients to scan degrees")
-    best = min(r for _, r in results)
-    for k, r in results:
-        if r <= 10.0 * max(best, 1e-15):
-            chosen = k
-            break
-    return chosen - 1, chosen, [
-        f"degree scan over k = 1..{results[-1][0]} chose k = {chosen} "
-        f"(residual {dict(results)[chosen]:.3e})"]

@@ -249,6 +249,34 @@ def test_bad_value_is_usage_error_naming_option(capsys, option, value):
     assert f"argument {option}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--coeffs", "-5"], ["--coeffs", "0"], ["--coeffs", "two"],
+    ["--degrees", "-1", "1"], ["--degrees", "0", "0"], ["--degrees", "1", "-2"],
+])
+def test_bad_probe_counts_are_usage_errors(tmp_path, capsys, argv):
+    data = write_boundary_file(tmp_path / "pole.txt",
+                               lambda t: 1.0 / (t - 2.0), n=32)
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", str(data)] + argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("command", [["probe"],
+                                     ["transform", "--kind", "circular"]])
+def test_non_finite_field_is_a_parse_error(tmp_path, capsys, field, command):
+    data = write_boundary_file(tmp_path / "pole.txt",
+                               lambda t: 1.0 / (t - 2.0), n=32)
+    rows = data.read_text().splitlines()
+    rows[4] = rows[4].rsplit(" ", 1)[0] + " " + field
+    data.write_text("\n".join(rows) + "\n")
+    assert main([command[0], str(data)] + command[1:]) == 2
+    assert "line 5" in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        parse_boundary_file(str(data))
+
+
 def test_probe_help_lists_no_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["probe", "--help"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchykit import (AccuracyWarning, ContractError, PrescriptionError,
-                       SingularityPrescription, build_unit_circle,
+from cauchykit import (AccuracyWarning, ContractError, NonFiniteError,
+                       PrescriptionError, SingularityPrescription, build_unit_circle,
                        catalog_function, cauchy_functional,
                        exterior_annihilation_check, pade_pole_probe,
                        taylor_coefficients)
@@ -164,6 +164,18 @@ class TestTaylorCoefficients:
         with pytest.raises(ContractError):
             taylor_coefficients(np.ones(64, dtype=complex), 40)
 
+    def test_negative_order_rejected(self):
+        # n_max = -5 would slice the negative-frequency (Laurent) modes
+        with pytest.raises(ContractError):
+            taylor_coefficients(np.ones(64, dtype=complex), -5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(64, dtype=complex)
+        samples[7] = bad
+        with pytest.raises(NonFiniteError):
+            taylor_coefficients(samples, 10)
+
 
 class TestPadeProbe:
     def test_single_pole_recovery(self, circle256):
@@ -238,3 +250,72 @@ class TestPadeProbe:
     def test_insufficient_coefficients_rejected(self):
         with pytest.raises(ContractError):
             pade_pole_probe(np.array([1.0, 0.5]), degrees=(2, 4))
+
+
+class TestPadeFitRecord:
+    """One Hankel solve per degree pair: the scan's fits serve the chosen
+    approximant and its (m+1, k+1) stability cross-check."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return calls
+
+    @pytest.mark.parametrize("poles,chosen", [
+        ((2.0, -2.5), 2),
+        (tuple(1.6 * np.exp(1j * (0.8 * np.arange(8) + 0.3))), 8),
+    ], ids=["two-poles", "eight-poles"])
+    @pytest.mark.parametrize("with_samples", [False, True])
+    def test_scan_solves_each_pair_once(self, circle256, monkeypatch,
+                                        poles, chosen, with_samples):
+        def f(t):
+            return sum((j + 1) / (t - p) for j, p in enumerate(poles))
+        samples = boundary_samples(f, circle256)
+        coeffs = taylor_coefficients(samples, 63)
+        calls = self.count_solves(monkeypatch)
+        report = pade_pole_probe(
+            coeffs, boundary_samples=samples if with_samples else None)
+        assert report.degrees == (chosen - 1, chosen)
+        assert report.poles_asserted
+        # k = 1..8, plus the (8, 9) cross-check only when k = 8 is chosen
+        assert len(calls) == 8 + (chosen == 8)
+        assert sorted(abs(z) for z in report.locations) == pytest.approx(
+            sorted(abs(p) for p in poles), rel=1e-10)
+
+    def test_fixed_degrees_solve_twice(self, circle256, monkeypatch):
+        f = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))
+        samples = boundary_samples(f, circle256)
+        coeffs = taylor_coefficients(samples, 63)
+        calls = self.count_solves(monkeypatch)
+        pade_pole_probe(coeffs, degrees=(1, 2), boundary_samples=samples)
+        assert calls == [(2, 2), (3, 3)]
+
+    def test_exact_rational_coefficients(self):
+        # f = (1 + t/2) / ((t - 2)(t + 3i)) = A/(t - 2) + B/(t + 3i), so
+        # c_n = -A/2^(n+1) - B/(-3i)^(n+1) and the (1/2) fit is exact
+        A, B = 2.0 / (2.0 + 3j), (1.0 - 1.5j) / (-2.0 - 3j)
+        n = np.arange(24)
+        coeffs = -A / 2.0 ** (n + 1) - B / (-3j) ** (n + 1)
+        report = pade_pole_probe(coeffs, degrees=(1, 2))
+        assert report.residual_kind == "held-out coefficients"
+        assert report.residual <= 1e-14
+        assert report.poles_asserted and report.confident
+        assert report.notes == ()
+        got = dict(zip(report.locations, report.strengths))
+        (z1, s1), (z2, s2) = sorted(got.items(), key=lambda p: abs(p[0]))
+        assert abs(z1 - 2.0) < 1e-13 * 2.0 and abs(s1 - A) < 1e-13
+        assert abs(z2 + 3j) < 1e-13 * 3.0 and abs(s2 - B) < 1e-13
+
+    def test_constant_reports_no_drift(self, circle256):
+        samples = np.full(256, 1.5 - 0.5j)
+        coeffs = taylor_coefficients(samples, 20)
+        for kwargs in ({}, {"boundary_samples": samples}):
+            report = pade_pole_probe(coeffs, degrees=(1, 2), **kwargs)
+            assert report.locations == () and report.poles_asserted
+            assert not any("drift" in note for note in report.notes)
