@@ -17,8 +17,9 @@ from .geometry import (ClosedContour, JordanArc, PointClassification,
                        QuadratureGrid, build_unit_circle, circle,
                        classify_point, contour_integral, ellipse,
                        gauss_panel_grid, near_zone_width,
-                       periodic_trapezoid_grid, pv_contour_integral,
-                       pv_singular_weight, segment, validate_contour)
+                       panels_from_breakpoints, periodic_trapezoid_grid,
+                       pv_contour_integral, pv_singular_weight, segment,
+                       validate_contour)
 from .hilbert import (PeriodicFunction, RealLineFunction, TransformResult,
                       hilbert_circular, hilbert_circular_complementary,
                       hilbert_circular_complementary_inverse,

@@ -17,19 +17,18 @@ integrated exactly.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError, EndpointError
+from .errors import DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _panel_samples,
-                       _pv_smooth_part, _row_blocks, _sample, gauss_panel_grid,
-                       segment)
-from .plemelj import _arc_pv_rows
+                       _pv_smooth_part, _sample, segment)
+from .plemelj import _arc_pv_rows, _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
+_CHORD = segment(-1.0, 1.0)
 
 # P.V. int_-1^1 sqrt((1-t)/(1+t)) / (t - x) dt = -pi   for -1 < x < 1,
 # P.V. int_-1^1 sqrt((1+t)/(1-t)) / (t - x) dt = +pi.
@@ -91,14 +90,28 @@ class SheetDensity:
 
     def total_strength(self, n: int = DEFAULT_CHORD_NODES) -> float:
         """Integral of gamma over the chord (the bound circulation)."""
-        total = 0.0
+        return float(sum(np.sum(c.real) for _, c in self._parts(
+            _sheet_panels(_CHORD, n), n)))
+
+    def _parts(self, smp, n):
+        """(nodes, weights) of gamma dt: the weight-basis part on the n-node
+        matched Gauss-Chebyshev rule, the smooth part on the nodes of smp."""
+        on_chord, parts = smp.contour is _CHORD, []
         if self.weight_coef is not None:
+            if not on_chord:
+                raise DomainError("weight-basis densities live on the "
+                                  "standard chord; pass arc=None")
             x, w = chebyshev4_rule(n)
-            total += float(np.sum(w * np.asarray(self.weight_coef(x))))
+            parts.append((x, w * np.asarray(self.weight_coef(x))))
         if self.smooth is not None:
-            grid = gauss_panel_grid(max(8, n // 8), 12, grade=20, a=-1.0, b=1.0)
-            total += float(np.sum(grid.weights * np.asarray(self.smooth(grid.nodes))))
-        return total
+            vals = self.smooth(smp.zs.real if on_chord else smp.zs)
+            parts.append((smp.zs, np.asarray(vals, dtype=complex) * smp.dzw))
+        return parts
+
+
+def _sheet_panels(arc, n):
+    """The arc on smooth sheet parts' default max(16, n // 4) panels."""
+    return _panel_samples(arc, max(16, n // 4), 12)
 
 
 def chebyshev4_rule(n: int):
@@ -149,11 +162,10 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
 
 def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
     """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1]."""
-    chord = segment(-1.0, 1.0)
     s0 = 0.5 * (x + 1.0)
-    panels = _panel_samples(chord, n_panels, order)
+    panels = _panel_samples(_CHORD, n_panels, order)
     vals = np.asarray(func(np.real(panels.zs)), dtype=complex)
-    pv, = _arc_pv_rows((lambda r: vals,), panels, order, s0, chord.z(s0))
+    pv, = _arc_pv_rows((lambda r: vals,), panels, order, s0, _CHORD.z(s0))
     return np.real(pv)
 
 
@@ -307,47 +319,18 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
                          z, arc: Optional[JordanArc] = None,
                          grid: Optional[QuadratureGrid] = None,
                          n: int = DEFAULT_CHORD_NODES):
-    """Velocity w(z) = (1/2*pi) int (q(t) + i gamma(t))/(z - t) dt induced by
-    source and vortex sheets on an arc (default: the chord [-1, 1]).
+    """Velocity w(z) = -(1/2*pi) int (q(t) + i gamma(t))/(t - z) dt induced
+    by source and vortex sheets on an arc (default: the chord [-1, 1]).
 
     On the chord, weight-basis density parts are integrated with the matched
     Gauss-Chebyshev rule (the leading-edge singularity is exact) and smooth
-    parts with Gauss-Legendre panels.  A narrow normalized bump recovers the
+    parts on ``grid`` (default _sheet_panels).  A point on the arc raises
+    DomainError, a near one warns.  A narrow normalized bump recovers the
     point source / point vortex far fields Q/(2*pi*z) and i*Gamma/(2*pi*z).
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = (z.ndim == 0)
-    z = np.atleast_1d(z)
-    on_chord = arc is None
-    if on_chord:
-        arc = segment(-1.0, 1.0)
-    if grid is None:
-        grid = gauss_panel_grid(n_panels=max(16, n // 4), order=12, grade=24)
-    smp = _sample(arc, grid)
-    # w(z) = sum_j c_j/(z - t_j) over the nodes t_j and weights c_j of
-    # every part, a block of field points at a time
-    parts = []
-    x4, w4 = chebyshev4_rule(n)
-    for dens, factor in ((q, 0.5 / np.pi), (gamma, 0.5j / np.pi)):
-        if dens is None:
-            continue
-        if dens.weight_coef is not None:
-            if not on_chord:
-                raise DomainError("weight-basis densities live on the "
-                                  "standard chord; pass arc=None")
-            coef = np.asarray(dens.weight_coef(x4), dtype=complex)
-            parts.append((x4, factor * coef * w4))
-        if dens.smooth is not None:
-            vals = np.asarray(dens.smooth(np.real(smp.zs) if on_chord
-                                          else smp.zs), dtype=complex)
-            parts.append((smp.zs, factor * vals * smp.dzw))
-    out = np.zeros(z.shape, dtype=complex)
-    dist = np.empty(z.shape)
-    for r in _row_blocks(z.size, max(grid.n, n)):
-        dist[r] = np.min(np.abs(z[r, None] - smp.zs), axis=1)
-        for nodes, c in parts:
-            out[r] += (1.0 / (z[r, None] - nodes)) @ c
-    if np.any(dist < smp.near_zone):
-        warnings.warn("field point is in the near zone of the sheet",
-                      AccuracyWarning, stacklevel=2)
-    return complex(out[0]) if scalar else out
+    arc = _CHORD if arc is None else arc
+    smp = _sheet_panels(arc, n) if grid is None else _sample(arc, grid)
+    parts = [(t, factor * c)
+             for dens, factor in ((q, -0.5 / np.pi), (gamma, -0.5j / np.pi))
+             if dens is not None for t, c in dens._parts(smp, n)]
+    return _off_arc_sums(smp, parts, z)

@@ -412,7 +412,7 @@ def cmd_probe(args) -> int:
     n = samples.size
     # re-order to start at theta = 0 so the FFT sees z = exp(i s), s in [0, 2pi)
     samples_from_zero = np.roll(samples, -n // 2)
-    n_max = min(args.coeffs, n // 2 - 1)
+    n_max = min(args.coeffs, n // 2) - 1
     coeffs = taylor_coefficients(samples_from_zero, n_max)
     report = pade_pole_probe(coeffs, degrees=args.degrees,
                              boundary_samples=samples_from_zero)

@@ -94,25 +94,13 @@ def panels_from_breakpoints(breaks, order: int = 12) -> QuadratureGrid:
                           "gauss-legendre-panels")
 
 
-def gauss_panel_grid(n_panels: int = 24, order: int = 12, grade: int = 0,
-                     a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
-    """Composite Gauss-Legendre panels on [a, b].
-
-    ``grade`` dyadically subdivides the first and last panel that many times,
-    clustering nodes toward the endpoints (used for densities or induced
-    integrands with integrable endpoint singularities).
-    """
+def gauss_panel_grid(n_panels: int = 24, order: int = 12, *, a: float = 0.0,
+                     b: float = 1.0) -> QuadratureGrid:
+    """Composite Gauss-Legendre rule on n_panels equal panels of [a, b]; for
+    graded panels, pass their breakpoints to panels_from_breakpoints."""
     if n_panels < 1 or order < 2:
         raise InvalidGridError("need at least one panel and order >= 2")
-    edges = np.linspace(a, b, n_panels + 1)
-    breaks = list(edges)
-    if grade > 0:
-        w0 = edges[1] - edges[0]
-        left = [a + w0 * 2.0 ** (-j) for j in range(grade, 0, -1)]
-        wn = edges[-1] - edges[-2]
-        right = [b - wn * 2.0 ** (-j) for j in range(1, grade + 1)]
-        breaks = [a] + left + list(edges[1:-1]) + right + [b]
-    return panels_from_breakpoints(breaks, order)
+    return panels_from_breakpoints(np.linspace(a, b, n_panels + 1), order)
 
 
 # ---------------------------------------------------------------------------

@@ -58,23 +58,48 @@ def _as_density(g) -> ArcDensity:
     raise TypeError("expected an ArcDensity or callable")
 
 
+def _on_arc_band(smp) -> float:
+    """On-arc band: plemelj_limits locates within it, _off_arc_sums refuses."""
+    return 1e-8 * max(smp.length, 1.0)
+
+
+def _off_arc_sums(smp, parts, z, p=1):
+    """sum_j c_j/(t_j - z)^p over the nodes t_j and weights c_j of all parts
+    at each field point z (a complex for a scalar z), a block at a time.  A
+    point in the on-arc band of the arc of ``smp`` raises DomainError, one in
+    its near zone warns.  The nearest-node gap overstates the distance by
+    under half a node gap, so Newton refines it below two widths only."""
+    z = np.asarray(z, dtype=complex)
+    shape, z, out = z.shape, z.reshape(-1), np.zeros(z.size, dtype=complex)
+    near, band, warn = smp.near_zone, _on_arc_band(smp), False
+    cols = max([smp.zs.size] + [nodes.size for nodes, _ in parts])
+    for r in _row_blocks(z.size, cols):
+        zr = z[r, None]
+        dist = np.abs(smp.zs - zr).min(axis=1)
+        if dist.min() < 2.0 * near:
+            for i in np.flatnonzero(dist < 2.0 * near):
+                dist[i] = smp.closest(zr[i, 0], 2.0 * near)[0]
+            if dist.min() < band:
+                raise DomainError("field point on the arc; use plemelj_limits")
+            warn = warn or dist.min() < near
+        for nodes, c in parts:
+            k = np.reciprocal(nodes - zr)    # numpy's k ** 1 is a general
+            out[r] += (k if p == 1 else k ** p) @ c     # complex power: slow
+    if warn:
+        warnings.warn("field point is in the near zone of the arc; result "
+                      "is ill-conditioned", AccuracyWarning, stacklevel=3)
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
 def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
                         n: int = 0) -> complex:
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
-    g = _as_density(g)
+    if np.ndim(z):
+        raise TypeError("arc_cauchy_integral takes one field point z")
     smp = _sample(arc, grid)
-    near = smp.near_zone
-    # the nearest node overstates the distance to the arc by at most half a
-    # node gap, far less than a near-zone width: solve Newton only below two
-    dist = smp.closest(z, 2.0 * near)[0]
-    if dist < 1e-12:
-        raise DomainError("z lies on the arc; use plemelj_limits")
-    if dist < near:
-        warnings.warn("target is in the near zone of the arc; result is "
-                      "ill-conditioned", AccuracyWarning, stacklevel=2)
-    vals = np.broadcast_to(np.asarray(g(smp.zs), dtype=complex), smp.zs.shape)
-    return complex(math.factorial(n) / (2j * np.pi) * np.sum(
-        vals * smp.dzs * grid.weights / (smp.zs - z) ** (n + 1)))
+    c = np.asarray(_as_density(g)(smp.zs), dtype=complex) * smp.dzw
+    return math.factorial(n) / (2j * np.pi) * _off_arc_sums(
+        smp, ((smp.zs, c),), z, n + 1)
 
 
 def _arc_pv_rows(densities, smp, order, s0, t0, rows=None) -> list:
@@ -160,7 +185,7 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
     """
     g = _as_density(g)
     smp = _sample(arc, grid)
-    s0, loc = smp.locate(z0, 1e-8 * max(smp.length, 1.0))
+    s0, loc = smp.locate(z0, _on_arc_band(smp))
     if s0 < margin or s0 > 1.0 - margin:
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
@@ -201,7 +226,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     warns if the two disagree badly; a non-finite level raises
     NonFiniteError."""
     smp = _sample(arc, grid)
-    s0, x0c = smp.locate(x0, 1e-8 * max(smp.length, 1.0))
+    s0, x0c = smp.locate(x0, _on_arc_band(smp))
     if n_panels is None:
         n_panels = max(8, grid.n // order)
     res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order, smp)

@@ -302,6 +302,8 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
     conjecture and this probe never claims uniqueness.
     """
     c = np.asarray(coefficients, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteError("Taylor coefficients contain NaN or infinity")
     held = None
     if boundary_samples is not None:
         s = np.asarray(boundary_samples, dtype=complex)

@@ -12,10 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 
-def gl_panels(a, b, n_panels=16, order=16, grade=0):
-    """Raw composite Gauss-Legendre nodes/weights on [a, b] with optional
-    dyadic grading toward both ends."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
+def graded_breaks(a, b, n_panels, grade=0):
+    """Breakpoints of n_panels equal panels on [a, b], the first and the
+    last subdivided dyadically ``grade`` times toward a and b."""
     edges = list(np.linspace(a, b, n_panels + 1))
     if grade:
         w0 = edges[1] - edges[0]
@@ -23,6 +22,14 @@ def gl_panels(a, b, n_panels=16, order=16, grade=0):
         wn = edges[-1] - edges[-2]
         right = [b - wn * 2.0 ** (-j) for j in range(1, grade + 1)]
         edges = [a] + left + edges[1:-1] + right + [b]
+    return edges
+
+
+def gl_panels(a, b, n_panels=16, order=16, grade=0):
+    """Raw composite Gauss-Legendre nodes/weights on [a, b] with optional
+    dyadic grading toward both ends (graded_breaks)."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    edges = graded_breaks(a, b, n_panels, grade)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         h = 0.5 * (hi - lo)

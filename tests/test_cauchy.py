@@ -562,10 +562,10 @@ hilbert_circular_complementary_inverse hilbert_circular_inverse
 hilbert_complementary hilbert_complementary_inverse hilbert_line
 hilbert_line_inverse leading_edge_suction leading_edge_weight lift
 mean_value_check near_zone_width normal_force normalization_check
-one_sided_limit pade_pole_probe parseval_check periodic_trapezoid_grid
-plemelj_limits poincare_bertrand_residual pressure pressure_jump
-pv_contour_integral pv_singular_weight reconstruct_from_jump segment
-sheet_velocity_field surface_velocities taylor_coefficients
+one_sided_limit pade_pole_probe panels_from_breakpoints parseval_check
+periodic_trapezoid_grid plemelj_limits poincare_bertrand_residual pressure
+pressure_jump pv_contour_integral pv_singular_weight reconstruct_from_jump
+segment sheet_velocity_field surface_velocities taylor_coefficients
 uniform_convergence_residuals validate_contour validate_derivatives
 vanishing_contour_integral
 """.split()

@@ -121,6 +121,15 @@ class TestProbe:
         assert abs(complex(loc[0], loc[1]) - 2.0) < 1e-4
         assert doc["report"]["poles_asserted"] is True
 
+    def test_coeffs_is_the_coefficient_count(self, tmp_path):
+        data = write_boundary_file(tmp_path / "pole.txt",
+                                   lambda t: 1.0 / (t - 2.0))
+        for argv, used in (([], 64), (["--coeffs", "20"], 20)):
+            out = tmp_path / "probe.json"
+            assert main(["probe", str(data), "--out", str(out)] + argv) == 0
+            report = json.loads(out.read_text())["report"]
+            assert report["coefficients_used"] == used
+
     def test_explicit_degrees(self, tmp_path):
         data = write_boundary_file(
             tmp_path / "two.txt", lambda t: 1.0 / (t - 2.0) + 1.0 / (t + 3j))

@@ -9,11 +9,12 @@ from cauchykit import airfoil, geometry, plemelj
 from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
                        DomainError, EndpointError, JordanArc, NonFiniteError,
                        arc_cauchy_integral, build_unit_circle,
-                       gauss_panel_grid, one_sided_limit, plemelj_limits,
+                       gauss_panel_grid, one_sided_limit,
+                       panels_from_breakpoints, plemelj_limits,
                        poincare_bertrand_residual, reconstruct_from_jump,
                        segment)
 
-from oracles import arc_integral_refined, pv_arc_extrapolated
+from oracles import arc_integral_refined, graded_breaks, pv_arc_extrapolated
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ class TestReconstruction:
         jump = ArcDensity(
             lambda t: 2.0 * np.sqrt(np.clip(1.0 - np.real(t) ** 2, 0.0, None))
             * (-amp))
-        grid = gauss_panel_grid(32, 12, grade=24)
+        grid = panels_from_breakpoints(graded_breaks(0.0, 1.0, 32, 24), 12)
         for z in (2j, 1.3 + 0.9j, -2.5 - 1.0j):
             got = reconstruct_from_jump(jump, arc, grid, z)
             root = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
@@ -621,6 +622,26 @@ def test_seeded_arc_locate_keeps_off_arc_errors():
     assert plus.value - minus.value == pytest.approx(on ** 2, abs=1e-9)
     with pytest.raises(DomainError):
         arc_cauchy_integral(g, CURVED, grid, on)
+
+
+def test_one_on_arc_band_for_limits_and_field():
+    # a point 1e-10 off the arc is on it for plemelj_limits, so the off-arc
+    # routines refuse it rather than return a near-singular value
+    grid = gauss_panel_grid(24, 12)
+    g = ArcDensity(lambda t: t ** 2)
+    off = complex(CURVED.z(np.array([0.4137]))[0]) * (1.0 + 1e-10)
+    plus, minus = plemelj_limits(g, CURVED, grid, off)
+    assert plus.value - minus.value == pytest.approx(off ** 2, abs=1e-9)
+    for fn in (arc_cauchy_integral, reconstruct_from_jump):
+        with pytest.raises(DomainError):
+            fn(g, CURVED, grid, off)
+
+
+@pytest.mark.parametrize("z", [np.array([2j]), np.array([2j, 3.0 + 1j])])
+def test_arc_integral_takes_one_field_point(chord, z):
+    arc, grid = chord
+    with pytest.raises(TypeError):
+        arc_cauchy_integral(ArcDensity(lambda t: t), arc, grid, z)
 
 
 def test_seeded_arc_locate_keeps_the_endpoint_margin():

@@ -210,6 +210,13 @@ class TestPadeProbe:
         report = pade_pole_probe(noisy, degrees=(0, 1))
         assert abs(report.locations[0] - 2.0) / 2.0 < 1e-4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        coeffs = 0.5 ** np.arange(10, dtype=complex)
+        coeffs[4] = bad
+        with pytest.raises(NonFiniteError):
+            pade_pole_probe(coeffs)
+
     def test_constant_yields_no_poles(self, circle256):
         samples = np.ones(256, dtype=complex)
         coeffs = taylor_coefficients(samples, 20)
