@@ -20,8 +20,9 @@ import numpy as np
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
                        QuadratureGrid, _classify, _pv, _pv_at_all_nodes,
-                       _sample, circle, periodic_trapezoid_grid,
-                       spectral_derivative, trig_interp)
+                       _require_periodic, _sample, circle,
+                       periodic_trapezoid_grid, spectral_derivative,
+                       trig_interp)
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,18 @@ class BoundaryFunction:
     def samples(self, contour: ClosedContour, grid: QuadratureGrid,
                 m: int = 0) -> np.ndarray:
         """Samples of f^(m) at the grid nodes (spectral fallback)."""
-        return self._at_nodes(contour.z(grid.nodes), contour.dz(grid.nodes), m)
+        return self._at_nodes(_sample(contour, grid), m)
 
-    def _at_nodes(self, zs, dzs, m):
-        """samples() from the node samples zs = z(s_j), dzs = z'(s_j)."""
+    def _at_nodes(self, smp, m):
+        """samples() from the contour's node samples ``smp``."""
         self.require_order(m)
         dc = self.derivative_callable(m)
         if dc is not None:
-            return np.asarray(dc(zs), dtype=complex)
-        vals = np.asarray(self.func(zs), dtype=complex)
+            return np.asarray(dc(smp.zs), dtype=complex)
+        _require_periodic(smp.grid, "a spectral density derivative")
+        vals = np.asarray(self.func(smp.zs), dtype=complex)
         for _ in range(m):
-            vals = spectral_derivative(vals) / dzs
+            vals = spectral_derivative(vals) / smp.dzs
         return vals
 
 
@@ -80,19 +82,13 @@ def validate_derivatives(f: BoundaryFunction, contour: ClosedContour,
                          grid: QuadratureGrid, rtol: float = 1e-6,
                          rng=None) -> float:
     """Max relative mismatch between supplied derivatives and spectral ones."""
-    if not f.derivs:
-        return 0.0
     rng = np.random.default_rng(rng)
     idx = rng.choice(grid.n, size=min(8, grid.n), replace=False)
-    smp = _sample(contour, grid)
-    zs, dzs = smp.zs, smp.dzs
-    worst = 0.0
-    vals = np.asarray(f.func(zs), dtype=complex)
-    for m in range(1, len(f.derivs) + 1):
-        supplied = np.asarray(f.derivs[m - 1](zs))
-        vals = spectral_derivative(vals) / dzs
-        scale = np.max(np.abs(supplied)) + 1e-300
-        worst = max(worst, float(np.max(np.abs((supplied - vals)[idx])) / scale))
+    smp, bare, worst = _sample(contour, grid), BoundaryFunction(f.func), 0.0
+    for m, dm in enumerate(f.derivs, 1):
+        supplied = np.asarray(dm(smp.zs))
+        err = np.abs(supplied - bare._at_nodes(smp, m))[idx]
+        worst = max(worst, float(err.max() / (np.abs(supplied).max() + 1e-300)))
     if worst > rtol:
         raise ContractError(
             f"supplied derivatives disagree with spectral estimates "
@@ -165,6 +161,7 @@ def _boundary_terms(smp, t0, n, located=None):
     caller already has it."""
     s0, on = located or smp.locate(t0)
     samples = smp.f(n)
+    # no callable for f^(n): smp.f(n) refused a non-periodic grid already
     dc = smp.density.derivative_callable(n)
     at_t0 = complex(trig_interp(samples, s0)[0]) if dc is None \
         else complex(np.asarray(dc(np.array([on])))[0])

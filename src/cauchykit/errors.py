@@ -39,7 +39,7 @@ class PrescriptionError(CauchyKitError):
 
 class AccuracyWarning(RuntimeWarning):
     """A result was computed, but its accuracy is degraded (a near-zone
-    target, a rough density, slow convergence, interior singularities)."""
+    target, unresolved samples, slow convergence, interior singularities)."""
 
 
 class ParseError(CauchyKitError):

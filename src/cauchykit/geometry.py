@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (AccuracyWarning, DomainError, InvalidGridError,
-                     NonFiniteError)
+from .errors import (AccuracyWarning, CapabilityError, DomainError,
+                     InvalidGridError, NonFiniteError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,6 +37,11 @@ PV_SINGULAR_WEIGHT = -1j * np.pi
 # stays bounded whatever the node and target counts; larger blocks are no
 # faster, as the block then outgrows the cache.
 _BLOCK_ENTRIES = 1 << 14
+
+# Fourier modes at rounding, relative to the largest sample; and the top-mode
+# level (|k| >= 3N/8) a periodic grid resolves: from it geometric decay
+# aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
+_ROUNDING, _UNRESOLVED = 1e-15, 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ class _Samples:
     def f(self, m):
         """f^(m) at the nodes."""
         if m not in self.by_order:
-            self.by_order[m] = self.density._at_nodes(self.zs, self.dzs, m)
+            self.by_order[m] = self.density._at_nodes(self, m)
         return self.by_order[m]
 
     @property
@@ -255,22 +260,23 @@ def _panel_samples(arc, n_panels, order, smp=None):
 
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
-    """Check simplicity, regularity and orientation at grid resolution."""
+    """Check simplicity, regularity and orientation at grid resolution; warn
+    when a periodic trapezoid grid does not resolve z' (at a corner)."""
     smp = _sample(contour, grid)
-    zs = smp.zs
-    if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(smp.dzs))):
+    zs, dzs = smp.zs, smp.dzs
+    if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(dzs))):
         raise DomainError("contour is non-finite at a node")
-    if np.min(np.abs(smp.dzs)) <= 0:
+    if np.min(np.abs(dzs)) <= 0:
         raise DomainError("contour derivative vanishes at a node")
     if _has_close_pair(zs, 0.1 * smp.length / grid.n):
         raise DomainError("contour self-intersects at sample resolution")
     # the tangent's turning number, sum_j arg(z'_{j+1} / z'_j) / 2 pi, is
     # +1 for a simple counterclockwise curve, -1 clockwise, 0 for a
     # figure-eight and 2 with an inner loop, wherever the nodes fall
-    dzs = smp.dzs
     turn = np.sum(np.angle(np.roll(dzs, -1) * np.conj(dzs))) / (2.0 * np.pi)
     if abs(turn - 1.0) > 1e-6:
         raise DomainError("contour tangent turning number is not +1")
+    _warn_if_unresolved(dzs, grid, "the contour's z'")
 
 
 # forward neighbour cells (dx, dy) of a cell, two cells on each axis
@@ -456,6 +462,46 @@ def pv_singular_weight(contour: ClosedContour, t0: complex,
     return PV_SINGULAR_WEIGHT
 
 
+def _require_periodic(grid, step):
+    """CapabilityError unless ``step`` runs on the periodic trapezoid rule."""
+    if grid.kind != "periodic-trapezoid":
+        raise CapabilityError(
+            f"{step} needs a periodic trapezoid grid, not {grid.kind}")
+
+
+def _resolution(samples, lowest=None):
+    """(level, bar) of periodic samples from their Fourier coefficients c_k,
+    |k| <= N/2 (Trefethen & Weideman, SIAM Rev. 56, 2014): level, max |c_k|
+    over lowest <= |k| (default 3N/8) over max|samples|; bar, the error of
+    their interpolant: the tail beyond N/2 fitted to the bands from N/4 and
+    3N/8, or 2 sum_(|k| >= N/4) |c_k| where they do not fall."""
+    n = samples.size
+    if np.iscomplexobj(samples):        # max(|c_k|, |c_-k|) by |k|
+        c = np.abs(np.fft.fft(samples)) / n
+        c = np.maximum(c[:n // 2 + 1], c[-np.arange(n // 2 + 1)])
+    else:
+        c = np.abs(np.fft.rfft(samples)) / n
+    scale = max(float(np.abs(samples).max()), 1e-300)
+    level = float(c[lowest or 3 * n // 8:].max()) / scale
+    lo, hi = c[n // 4:3 * n // 8].max(initial=0.0), c[3 * n // 8:].max()
+    if hi <= _ROUNDING * scale:
+        tail = 0.0
+    elif hi < lo:   # hi/lo per N/8 modes; x4 for +-k, aliased and truncated
+        tail = 4.0 * hi * (hi / lo) / (1.0 - (hi / lo) ** (8.0 / n))
+    else:
+        tail = 2.0 * c[n // 4:].sum()
+    return level, float(tail + _ROUNDING * np.log2(n) * scale)
+
+
+def _warn_if_unresolved(samples, grid, what):
+    """AccuracyWarning when a periodic grid leaves the samples unresolved."""
+    level = _resolution(samples)[0] if grid.kind == "periodic-trapezoid" else 0
+    if level > _UNRESOLVED:
+        warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
+                      f"modes are {level:.1e} of its maximum", AccuracyWarning,
+                      stacklevel=3)
+
+
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:
     """Derivative of 2*pi-periodic samples via the trigonometric interpolant."""
     samples = np.asarray(samples, dtype=complex)
@@ -477,21 +523,17 @@ def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def _wrapped_param_dist(s, s0):
-    return np.abs((s - s0 + np.pi) % TWO_PI - np.pi)
-
-
 def _pv(samples, value_at_t0, zs, dzs, t0, grid, s0):
     """P.V. of g(t)/(t - t0) dt, t0 = z(s0), from the samples of g, z and z'
     at the nodes: the trapezoid sum of the smooth (g(t) - g(t0))/(t - t0),
     whose value at a node s0 is the spectral derivative there, plus the
     subtracted pole's analytic +i*pi*g(t0)."""
-    samples = np.asarray(samples, dtype=complex)
-    d = _wrapped_param_dist(grid.nodes, s0)
+    d = np.abs((grid.nodes - s0 + np.pi) % TWO_PI - np.pi)
     j0 = int(np.argmin(d))
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (samples - value_at_t0) * dzs / (zs - t0)
     if d[j0] < 1e-9:
+        _require_periodic(grid, "a principal value at a node")
         quotient[j0] = spectral_derivative(samples)[j0]
     smooth = complex(np.sum(quotient * grid.weights))
     return smooth + value_at_t0 * (1j * np.pi)
@@ -503,7 +545,8 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
 
     Satisfies the boundary relation P.V. of f/(t - t0) = i*pi*f(t0) for f
     regular inside and on the contour; the location-independent constant for
-    the reversed kernel is available as :func:`pv_singular_weight`.
+    the reversed kernel is available as :func:`pv_singular_weight`.  Warns
+    when a periodic grid does not resolve f.
     """
     smp = _sample(contour, grid)
     s0, t0 = smp.locate(t0, delta)
@@ -511,24 +554,8 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("density is non-finite at a quadrature node")
     f_t0 = complex(np.asarray(f(np.array([t0])))[0])
-    _warn_if_rough(samples, grid, s0)
+    _warn_if_unresolved(samples, grid, "the density")
     return _pv(samples, f_t0, smp.zs, smp.dzs, t0, grid, s0)
-
-
-def _warn_if_rough(samples, grid, s0):
-    # crude smoothness probe: spectral vs low-order difference of the samples
-    d = _wrapped_param_dist(grid.nodes, s0)
-    j0 = int(np.argmin(d))
-    if d[j0] > 1e-9:
-        return
-    n = samples.size
-    h = TWO_PI / n
-    fd = (samples[(j0 + 1) % n] - samples[(j0 - 1) % n]) / (2 * h)
-    sp = spectral_derivative(samples)[j0]
-    scale = np.max(np.abs(samples)) / h + 1e-300
-    if abs(fd - sp) > 0.2 * scale:
-        warnings.warn("density looks non-smooth near t0; principal value "
-                      "accuracy is degraded", AccuracyWarning, stacklevel=3)
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
@@ -559,6 +586,7 @@ def _pv_at_all_nodes(samples, smp):
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
+    _require_periodic(grid, "pv_at_all_nodes off the circle")
     n = grid.n
     zs, dzw = smp.zs, smp.dzw
     # the sums see g minus its node mean, whose constant part adds nothing

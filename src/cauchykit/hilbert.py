@@ -10,8 +10,8 @@ V(theta) = v(x), H[v](xi) = Hc[V](phi) + (1/2*pi) int V tan(theta/2) dtheta,
 the circular transform below plus one trapezoid sum (Weideman, "Computing
 the Hilbert transform on the real line", Math. Comp. 64, 1995).  V is
 sampled on N midpoint nodes, which never touch theta = +-pi, and N doubles
-until V's top Fourier modes reach rounding or stop falling.  The circular
-transforms
+until V's top Fourier modes reach rounding or stop falling; their fall
+extrapolates the error bar.  The circular transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
-from .geometry import gauss_panel_grid, panels_from_breakpoints, trig_interp
+from .geometry import (_ROUNDING, _resolution, gauss_panel_grid,
+                       panels_from_breakpoints, trig_interp)
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,11 +40,10 @@ DEFAULT_WINDOW = 50.0
 DEFAULT_CIRCLE_SAMPLES = 512
 
 # the Cayley ladder: N doubles from _LADDER_START up to _LADDER_CAP and stops
-# once the top eighth of V's Fourier modes is below _ROUNDING * max|V|, or
-# once a doubling cuts them less than _STALL-fold (more nodes will not
-# resolve a kink or a jump)
+# once the top eighth of V's Fourier modes, k > 7N/16, is below _ROUNDING of
+# max|V|, or once a doubling cuts them less than _STALL-fold (more nodes
+# will not resolve a kink or a jump)
 _LADDER_START, _LADDER_CAP = 64, 2 ** 14
-_ROUNDING = 1e-15
 _STALL = 4.0
 
 
@@ -121,10 +121,10 @@ class PeriodicFunction:
 class TransformResult:
     """Transformed values at the targets and how they were computed.
 
-    ``grid_size`` is the node count N; ``truncation_error`` bounds the
-    error by the input's top Fourier modes, 2 sum_(k >= N/4) |c_k|, plus
-    rounding; ``window`` echoes the input's (inf on the periodic route);
-    ``notes`` names the periodic route or an unresolved input."""
+    ``grid_size`` is the node count N; ``truncation_error`` extrapolates the
+    input's Fourier modes beyond N/2 from its top ones, plus rounding;
+    ``window`` echoes the input's (inf on the periodic route); ``notes``
+    names the periodic route or an unresolved input."""
 
     values: np.ndarray
     targets: np.ndarray
@@ -171,7 +171,7 @@ def _line_transform(v, targets, sign) -> TransformResult:
         # phi = 2 arctan(xi), measured from the first node -pi + pi/n
         s = 2.0 * np.arctan(targets) + np.pi * (1.0 - 1.0 / n)
         vals = _conjugate_at(samples, s) + np.dot(samples, x) / n
-    bar = np.full(vals.shape, _mode_tail(samples)[1])
+    bar = np.full(vals.shape, _resolution(samples)[1])
     return TransformResult(sign * vals, targets, bar, n, window, notes)
 
 
@@ -185,13 +185,13 @@ def _cayley_ladder(v: RealLineFunction):
         if not np.all(np.isfinite(V)):
             raise NonFiniteError("line transform input is not finite at "
                                  f"x = {x[~np.isfinite(V)][0]:.6g}")
-        top, scale = _mode_tail(V)[0], np.max(np.abs(V))
-        if top <= _ROUNDING * scale:
+        level = _resolution(V, n // 2 + 1 - (n // 2 + 1) // 8)[0]
+        if level <= _ROUNDING:
             return x, V, ()
-        if top > prev / _STALL or n >= _LADDER_CAP:
+        if level > prev / _STALL or n >= _LADDER_CAP:
             return x, V, (f"unresolved: at N = {n} the top Fourier modes of "
-                          f"V are {top / scale:.1e} of max|V|",)
-        n, prev = 2 * n, top
+                          f"V are {level:.1e} of max|V|",)
+        n, prev = 2 * n, level
 
 
 def hilbert_line(v, targets) -> TransformResult:
@@ -244,17 +244,6 @@ def _conjugate(samples):
 def _conjugate_at(samples, s):
     """Hc of real equispaced samples, interpolated at s (from sample 0)."""
     return np.real(trig_interp(_conjugate(samples), s))
-
-
-def _mode_tail(samples):
-    """(top, bar) for real equispaced samples with Fourier coefficients c_k,
-    0 <= k <= n/2: top is the largest |c_k| in the top eighth of that band,
-    and bar = 2 sum_(k >= n/4) |c_k| + _ROUNDING * max|samples| bounds the
-    error of their interpolated conjugate."""
-    coef = np.abs(np.fft.rfft(samples)) / samples.size
-    bar = 2.0 * np.sum(coef[samples.size // 4:])
-    return (float(np.max(coef[-(coef.size // 8):])),
-            float(bar + _ROUNDING * np.max(np.abs(samples))))
 
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:

@@ -16,7 +16,7 @@ explicitly does not assert pole locations.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,8 @@ import numpy as np
 from .cauchy import BoundaryFunction, _classified, _functional
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
                      PrescriptionError)
-from .geometry import ClosedContour, QuadratureGrid, _sample
+from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid,
+                       _resolution, _sample)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -162,8 +163,8 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
     """Coefficients c_0..c_n_max of the interior Taylor expansion from unit-
     circle boundary samples (exactly the leading discrete Fourier modes).
 
-    Growing magnitudes signal an interior singularity (the data violate the
-    regular-inside contract) and raise a warning.
+    Modes k = -8..-1 above _UNRESOLVED and the top modes warn of an interior
+    singularity; aliasing of data regular inside grows toward k = -N/2.
     """
     samples = np.asarray(samples, dtype=complex)
     n = samples.size
@@ -172,23 +173,13 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("boundary samples contain NaN or infinity")
     coef = np.fft.fft(samples) / n
-    c = coef[: n_max + 1].copy()
-    mags = np.abs(c)
-    scale = mags.max() + 1e-300
-    # interior singularities betray themselves two ways: growing positive-
-    # order magnitudes (radius of convergence < 1) or negative-frequency
-    # content in the boundary data (a Laurent tail)
-    tail = mags[max(1, len(mags) // 2):]
-    grew = False
-    if tail.size >= 8 and tail.max() > 1e-10 * scale:
-        grew = np.polyfit(np.arange(tail.size), np.log(tail + 1e-300),
-                          1)[0] > 0.05
-    neg = np.max(np.abs(coef[n // 2 + 1:])) if n // 2 + 1 < n else 0.0
-    if grew or neg > 1e-8 * scale:
+    head = np.max(np.abs(coef[n - min(8, n // 2 - 1):]), initial=0.0) \
+        / max(np.max(np.abs(samples)), 1e-300)
+    if head > _UNRESOLVED and head > _resolution(samples)[0]:
         warnings.warn("boundary data is not regular inside the circle "
                       "(interior singularity detected)", AccuracyWarning,
                       stacklevel=2)
-    return c
+    return coef[:n_max + 1].copy()
 
 
 @dataclass(frozen=True)
@@ -310,13 +301,7 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
         # odd-index nodes of the unit-circle grid
         held = (np.exp(1j * (2.0 * np.pi * np.arange(1, s.size, 2) / s.size)),
                 s[1::2], np.max(np.abs(s)) + 1e-300)
-    fits = {}
-
-    def fit(m, k):
-        if (m, k) not in fits:
-            fits[m, k] = _PadeFit(c, m, k, held)
-        return fits[m, k]
-
+    fit = lru_cache(maxsize=None)(lambda m, k: _PadeFit(c, m, k, held))
     notes = []
     if degrees is None:
         scan = [fit(k - 1, k) for k in range(1, 9) if len(c) >= 2 * k + 1]

@@ -9,9 +9,10 @@ from cauchykit import cauchy as cauchy_module
 from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
                        ContractError, DomainError, OnContourError,
                        boundary_value, build_unit_circle, cauchy_functional,
-                       classify_point, complement_boundary_value,
+                       circle, classify_point, complement_boundary_value,
                        complement_functional, derivative_bound_check, ellipse,
-                       exterior_annihilation_check, generalized_functional,
+                       exterior_annihilation_check, gauss_panel_grid,
+                       generalized_functional,
                        mean_value_check, one_sided_limit,
                        periodic_trapezoid_grid, pv_singular_weight,
                        uniform_convergence_residuals, validate_derivatives,
@@ -321,6 +322,37 @@ def test_validate_derivatives(circle256):
                            derivs=(lambda t: 1.0 / (t - 2.0) ** 2,))
     with pytest.raises(ContractError):
         validate_derivatives(bad, c, g, rng=0)
+
+
+class TestPanelGridDerivatives:
+    """A density without derivative callables is differentiated spectrally,
+    which only the periodic trapezoid grid allows."""
+
+    GRID = gauss_panel_grid(16, 16, a=0.0, b=2.0 * np.pi)
+    BARE = BoundaryFunction(lambda t: 1.0 / (t - 2.0))
+
+    def test_near_zone_functional_raises(self):
+        # 0.95 e^(0.3i) is in the near zone, where n = 1 reroutes through f'
+        with pytest.raises(CapabilityError):
+            cauchy_functional(self.BARE, circle(), self.GRID,
+                              0.95 * np.exp(0.3j), 1)
+
+    def test_boundary_value_raises(self):
+        with pytest.raises(CapabilityError):
+            boundary_value(self.BARE, circle(), self.GRID, np.exp(0.7j), 1)
+
+    def test_samples_and_validate_derivatives_raise(self):
+        with pytest.raises(CapabilityError):
+            self.BARE.samples(circle(), self.GRID, 1)
+        with pytest.raises(CapabilityError):
+            validate_derivatives(pole_density(), circle(), self.GRID)
+
+    def test_derivative_callables_still_serve(self):
+        # with f' supplied, no spectral step runs: the far-zone value is
+        # exact on panels
+        z = 0.3 + 0.2j
+        val = cauchy_functional(pole_density(), circle(), self.GRID, z, 1)
+        assert abs(val.value + 1.0 / (z - 2.0) ** 2) < 1e-13
 
 
 def test_exterior_annihilation_invariant(circle256):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the sources in src/."""
+"""Every demo script runs to completion against the sources in src/, with
+every RuntimeWarning (AccuracyWarning included) raised as an error."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,16 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchykit import (BoundaryFunction, DomainError, InvalidGridError,
+from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
+                       DomainError, InvalidGridError,
                        JordanArc, NonFiniteError, OnContourError,
                        build_unit_circle, cauchy_functional, circle,
                        classify_point, contour_integral, ellipse,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
-from cauchykit.geometry import (DELTA_FRACTION, NEAR_ZONE_FACTOR,
-                                ClosedContour, _classify, _has_close_pair,
-                                _sample,
+from cauchykit.geometry import (_UNRESOLVED, DELTA_FRACTION,
+                                NEAR_ZONE_FACTOR, ClosedContour, _classify,
+                                _has_close_pair, _resolution, _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
@@ -550,3 +551,105 @@ def test_segment_closest_point_is_the_projection():
         assert s0 == pytest.approx(t, abs=1e-14)
         assert abs(on - (a + (b - a) * t)) <= 1e-14
         assert dist == pytest.approx(abs(p - (a + (b - a) * t)), abs=1e-14)
+
+
+def _square():
+    """The square with corners +-1 +-i, each side a quarter of [0, 2*pi):
+    z' jumps at the four corners."""
+    corners = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+
+    def side(s):
+        u = (np.asarray(s, dtype=float) % TWO_PI) / (np.pi / 2)
+        return u, np.minimum(u.astype(int), 3)
+
+    def z(s):
+        u, j = side(s)
+        return corners[j] + (u - j) * (corners[j + 1] - corners[j])
+
+    def dz(s):
+        _, j = side(s)
+        return (corners[j + 1] - corners[j]) / (np.pi / 2)
+    return ClosedContour(z, dz)
+
+
+def _quarter_arc(t):
+    """Indicator of the quarter arc 0 <= arg t < pi/2 of the unit circle."""
+    return (np.angle(t) % TWO_PI < np.pi / 2).astype(complex)
+
+
+def _pole_times_dz(contour):
+    return lambda s: contour.dz(s) / (contour.z(s) - 2.0)
+
+
+# top-mode levels at n = 64 / 256 / 1,024; a level marked "<=" is rounding
+RESOLUTION_TABLE = {
+    "square z'": (_square().dz, (4.7e-2, 1.2e-2, 3.0e-3)),
+    "quarter-arc jump": (lambda s: _quarter_arc(np.exp(1j * s)),
+                         (1.6e-2, 4.2e-3, 1.1e-3)),
+    "1/(t - 1.06)": (lambda s: 1.0 / (np.exp(1j * s) - 1.06),
+                     (1.4e-2, 2.1e-4, 1.1e-11)),
+    "1/(t - 2) z', circle": (_pole_times_dz(circle(0.0, 1.0)),
+                             (6.0e-8, "<=3e-17", "<=6e-17")),
+    "1/(t - 2) z', ellipse": (_pole_times_dz(ellipse(1.0, 0.6)),
+                              (1.3e-9, "<=3e-17", "<=6e-17")),
+}
+
+
+@pytest.mark.parametrize("name", RESOLUTION_TABLE)
+@pytest.mark.parametrize("col,n", enumerate((64, 256, 1024)))
+def test_resolution_level_pins_the_table(name, col, n):
+    func, levels = RESOLUTION_TABLE[name]
+    level = _resolution(func(periodic_trapezoid_grid(n).nodes))[0]
+    want = levels[col]
+    if isinstance(want, str):
+        assert level <= 2.0 * float(want[2:]) < _UNRESOLVED
+    else:
+        assert want / 2.0 <= level <= 2.0 * want
+        assert (level > _UNRESOLVED) == (want > _UNRESOLVED)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_validate_contour_warns_on_corners(n):
+    with pytest.warns(AccuracyWarning, match="z' is not resolved"):
+        validate_contour(_square(), periodic_trapezoid_grid(n))
+
+
+@pytest.mark.parametrize("s0", [np.pi / 2, np.pi / 2 + 1e-3, 1.0])
+def test_pv_of_a_jump_warns(s0):
+    # on a node, next to a node and far from the jump alike
+    contour, grid = build_unit_circle(256)
+    with pytest.warns(AccuracyWarning, match="density is not resolved"):
+        pv_contour_integral(_quarter_arc, contour, grid, np.exp(1j * s0))
+
+
+class TestPanelGrids:
+    """Closed contours on Gauss panels: exact where the step is exact,
+    CapabilityError where a step assumes equispaced periodic nodes."""
+
+    GRID = gauss_panel_grid(16, 16, a=0.0, b=TWO_PI)
+
+    @staticmethod
+    def pole(t):
+        return 1.0 / (t - 2.0)
+
+    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                             ids=["circle", "ellipse"])
+    def test_pv_between_nodes_is_exact(self, contour):
+        t0 = contour.z(np.array([0.7]))[0]
+        val = pv_contour_integral(self.pole, contour, self.GRID, t0)
+        assert abs(val - 1j * np.pi * self.pole(t0)) <= 1e-13
+
+    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                             ids=["circle", "ellipse"])
+    @pytest.mark.parametrize("node", [0, 5, 100])
+    def test_pv_on_a_node_raises(self, contour, node):
+        t0 = contour.z(self.GRID.nodes[node:node + 1])[0]
+        with pytest.raises(CapabilityError):
+            pv_contour_integral(self.pole, contour, self.GRID, t0)
+
+    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                             ids=["circle", "ellipse"])
+    def test_pv_at_all_nodes_raises(self, contour):
+        samples = self.pole(contour.z(self.GRID.nodes))
+        with pytest.raises(CapabilityError):
+            pv_at_all_nodes(samples, contour, self.GRID)

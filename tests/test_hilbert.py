@@ -306,6 +306,19 @@ class TestCayleyRoute:
         assert err.max() <= 1e-14
         assert np.all(res.truncation_error >= err) and res.notes == ()
 
+    @pytest.mark.parametrize("v,want", [
+        (lambda x: np.exp(-x * x), _gauss_hilbert),
+        (lambda x: np.cosh(0.2 * x) ** -2.0,
+         lambda xi: _sech2_hilbert(0.2, xi)),
+    ], ids=["gaussian", "sech2-0.2"])
+    def test_bar_is_within_100x_of_the_error(self, v, want):
+        # the bar extrapolates V's mode tail beyond N/2 from how fast its
+        # top modes fall, so it reads near rounding where V resolves
+        res = hilbert_line(RealLineFunction(v, decay=3), XI_WIDE)
+        err = np.abs(res.values - want(XI_WIDE))
+        assert np.all(res.truncation_error >= err)
+        assert np.all(res.truncation_error <= 100.0 * err.max())
+
     def test_non_integer_decay_runs_to_the_cap(self):
         # V = |cos(theta/2)|^(3/2) has a branch point at theta = pi: its
         # modes fall like k^-5/2, so the ladder climbs to the cap and says so

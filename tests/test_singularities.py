@@ -157,8 +157,22 @@ class TestTaylorCoefficients:
     def test_interior_singularity_warns(self, circle256):
         contour, grid = circle256
         samples = 1.0 / (contour.z(grid.nodes) - 0.5)
-        with pytest.warns(AccuracyWarning):
+        with pytest.warns(AccuracyWarning, match="interior singularity"):
             taylor_coefficients(samples, 48)
+
+    @pytest.mark.parametrize("f", [
+        lambda t: 1.0 / (t - 1.1),
+        lambda t: 1.0 / (t - 1.06),
+        lambda t: (1.0 - t / 1.1) ** (-2.0 / 3.0),
+        catalog_function(SingularityPrescription("algebraic-branch",
+                                                 1.06 + 0.0j)),
+    ], ids=["pole-1.1", "pole-1.06", "power-1.1", "algebraic-branch-1.06"])
+    def test_aliasing_is_not_an_interior_singularity(self, circle256, f):
+        # regular inside but under-resolved at 256 samples: the negative
+        # modes are aliasing, which grows toward k = -N/2 (an AccuracyWarning
+        # would fail the test)
+        coeffs = taylor_coefficients(boundary_samples(f, circle256), 48)
+        assert np.all(np.isfinite(coeffs))
 
     def test_too_many_coefficients_rejected(self, circle256):
         with pytest.raises(ContractError):
