@@ -76,9 +76,12 @@ print(f"  same for f = 1 (constant):                 "
       f"{normalization_check(np.ones(512, dtype=complex)).real:.6f}"
       f"  (= 2 pi: flagged as not normalized)")
 lhs, rhs, gap = parseval_check(PeriodicFunction(np.cos(th)),
-                               PeriodicFunction(np.sin(th)), "circle")
+                               PeriodicFunction(np.sin(th)))
 print(f"  circle Parseval: int u^2 = {lhs:.9f}, int v^2 = {rhs:.9f}, "
       f"gap = {gap:.1e}")
-lhs, rhs, gap = parseval_check(u, v, "line")
+lhs, rhs, gap = parseval_check(u, v)
 print(f"  line Parseval:   int u^2 = {lhs:.9f}, int v^2 = {rhs:.9f}, "
       f"gap = {gap:.1e}  (both are pi/2)")
+# a non-integer decay: the tails' model is integrated in closed form
+w = RealLineFunction(lambda x: (1.0 + x * x) ** -0.75, decay=1.5)
+print(f"  int (1+x^2)^(-3/2) dx = {parseval_check(w, w)[0]:.15f}  (exactly 2)")

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError, OnContourError
+from .errors import (CapabilityError, ContractError, NonFiniteError,
+                     OnContourError)
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
                        QuadratureGrid, _classify, _pv, _pv_at_all_nodes,
                        _require_periodic, _sample, circle,
@@ -66,16 +67,26 @@ class BoundaryFunction:
         return self._at_nodes(_sample(contour, grid), m)
 
     def _at_nodes(self, smp, m):
-        """samples() from the contour's node samples ``smp``."""
+        """samples() from the contour's node samples ``smp``;
+        NonFiniteError where they are not finite."""
         self.require_order(m)
         dc = self.derivative_callable(m)
         if dc is not None:
-            return np.asarray(dc(smp.zs), dtype=complex)
-        _require_periodic(smp.grid, "a spectral density derivative")
-        vals = np.asarray(self.func(smp.zs), dtype=complex)
-        for _ in range(m):
-            vals = spectral_derivative(vals) / smp.dzs
+            vals = np.asarray(dc(smp.zs), dtype=complex)
+        else:
+            _require_periodic(smp.grid, "a spectral density derivative")
+            vals = np.asarray(self.func(smp.zs), dtype=complex)
+            for _ in range(m):
+                vals = spectral_derivative(vals) / smp.dzs
+        if not np.isfinite(vals).all():
+            raise NonFiniteError(f"f^({m}) is non-finite at a quadrature node")
         return vals
+
+    def require_decay(self):
+        """ContractError unless the declared decay at infinity is >= 2, as
+        the complement functionals need."""
+        if self.decay is None or self.decay < 2:
+            raise ContractError("complement density must declare decay >= 2")
 
 
 def validate_derivatives(f: BoundaryFunction, contour: ClosedContour,
@@ -123,7 +134,8 @@ def _functional(smp, z, n, m, near_m, classified=None):
             "target lies on the contour; use boundary_value / one_sided_limit")
     near = cl.distance < smp.near_zone
     k = near_m if near else m
-    value = complex(np.sum(smp.f(k) * smp.dzw * inv ** (n - k + 1))) \
+    kernel = inv if n == k else inv ** (n - k + 1)     # numpy's ** 1 is slow
+    value = complex(np.sum(smp.f(k) * smp.dzw * kernel)) \
         * float(math.factorial(n - k)) / (2j * np.pi)
     return FunctionalValue(value, complex(z), cl, (n, m), near)
 
@@ -198,8 +210,7 @@ def complement_functional(F: BoundaryFunction, contour: ClosedContour,
     Equals F^(n)(z) outside the contour, 0 inside, for F regular outside
     with declared decay O(|z|^-m), m >= 2.
     """
-    if F.decay is None or F.decay < 2:
-        raise ContractError("complement density must declare decay >= 2")
+    F.require_decay()
     F.require_order(n)
     fv = _functional(_sample(contour, grid, F), z, n, n, n)
     return replace(fv, value=-fv.value)
@@ -208,9 +219,10 @@ def complement_functional(F: BoundaryFunction, contour: ClosedContour,
 def complement_boundary_value(F: BoundaryFunction, contour: ClosedContour,
                               grid: QuadratureGrid, t0: complex,
                               n: int = 0) -> complex:
-    """K-_n[F](t0) = (-1/pi*i) P.V. of F^(n)(t)/(t-t0) dt; equals F^(n)(t0)."""
-    _, pv = _boundary_terms(_sample(contour, grid, F), t0, n)
-    return -pv / (1j * np.pi)
+    """K-_n[F](t0) = (-1/pi*i) P.V. of F^(n)(t)/(t-t0) dt; equals F^(n)(t0)
+    for F regular outside with declared decay m >= 2."""
+    F.require_decay()
+    return -boundary_value(F, contour, grid, t0, n)
 
 
 @dataclass(frozen=True)
@@ -271,8 +283,7 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     smp = _sample(contour, grid, f)
     k_vals = _pv_at_all_nodes(smp.f(n), smp) / (1j * np.pi)
     if complement:
-        if f.decay is None or f.decay < 2:
-            raise ContractError("complement density must declare decay >= 2")
+        f.require_decay()
         k_vals = -k_vals
     return complex(np.sum(k_vals * smp.dzw))
 

@@ -229,9 +229,8 @@ add("circular-fourier-modes-k16", 1e-9, _periodic(lambda th: [
 add("normalization-example", 1e-12, _periodic(
     lambda th: normalization_check(np.exp(1j * th))))
 add("parseval-circle", 1e-8, _periodic(lambda th: parseval_check(
-    PeriodicFunction(np.cos(th)), PeriodicFunction(np.sin(th)),
-    "circle")[2]), 7)
-add("parseval-line", 1e-5, lambda n, rng: parseval_check(_U, _V, "line")[2], 7)
+    PeriodicFunction(np.cos(th)), PeriodicFunction(np.sin(th)))[2]), 7)
+add("parseval-line", 1e-5, lambda n, rng: parseval_check(_U, _V)[2], 7)
 
 # Plemelj at 16 points of [-1, 1] (criterion 08); Poincare-Bertrand at two
 # grid levels, 16 and 24 panels at n = 256 (criterion 09)

@@ -493,13 +493,16 @@ def _resolution(samples, lowest=None):
     return level, float(tail + _ROUNDING * np.log2(n) * scale)
 
 
-def _warn_if_unresolved(samples, grid, what):
-    """AccuracyWarning when a periodic grid leaves the samples unresolved."""
-    level = _resolution(samples)[0] if grid.kind == "periodic-trapezoid" else 0
+def _warn_if_unresolved(samples, grid, what, stacklevel=3):
+    """AccuracyWarning when a periodic grid (None: any equispaced periodic
+    samples) leaves the samples unresolved; ``stacklevel`` counts frames as
+    warnings.warn does from here, so 3 names the caller's caller."""
+    periodic = grid is None or grid.kind == "periodic-trapezoid"
+    level = _resolution(samples)[0] if periodic else 0
     if level > _UNRESOLVED:
         warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
                       f"modes are {level:.1e} of its maximum", AccuracyWarning,
-                      stacklevel=3)
+                      stacklevel=stacklevel)
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@ the circular transform below plus one trapezoid sum (Weideman, "Computing
 the Hilbert transform on the real line", Math. Comp. 64, 1995).  V is
 sampled on N midpoint nodes, which never touch theta = +-pi, and N doubles
 until V's top Fourier modes reach rounding or stop falling; their fall
-extrapolates the error bar.  The circular transforms
+extrapolates the error bar.  Parseval's line integral runs on the same
+nodes: int v^2 dx = (pi/N) sum V_j^2 (1 + x_j^2).  A non-integer decay p
+can leave V a branch point at theta = +-pi; where the ladder then stops with
+V unresolved, both take a model of v's tails out of V and add its share in
+closed form.  The circular transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
@@ -24,6 +28,7 @@ to zero, so round trips hold on zero-mean inputs and means are carried
 separately as metadata.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -31,8 +36,8 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
-from .geometry import (_ROUNDING, _resolution, gauss_panel_grid,
-                       panels_from_breakpoints, trig_interp)
+from .geometry import (_ROUNDING, _resolution, _warn_if_unresolved,
+                       trig_interp)
 
 TWO_PI = 2.0 * np.pi
 
@@ -52,9 +57,9 @@ class RealLineFunction:
     """Real function on the line with decay metadata.
 
     ``decay`` is the exponent p in |f(x)| = O(|x|^-p).  ``window`` is a
-    half-width X: :meth:`check_decay` samples f at X and 4X, and Parseval's
-    quadrature body ends there.  Line transforms sample f on the whole line,
-    out to |x| ~ 10^4, so f must be defined everywhere.  A nonzero
+    half-width X where :meth:`check_decay` samples f, at X and 4X; it bounds
+    no integral.  Line transforms and Parseval's line check sample f on the
+    whole line, out to |x| ~ 10^4, so f must be defined everywhere.  A nonzero
     ``period`` flags an oscillatory non-decaying input that is handled by
     the circular machinery over one period.
     """
@@ -122,26 +127,19 @@ class TransformResult:
     """Transformed values at the targets and how they were computed.
 
     ``grid_size`` is the node count N; ``truncation_error`` extrapolates the
-    input's Fourier modes beyond N/2 from its top ones, plus rounding;
-    ``window`` echoes the input's (inf on the periodic route); ``notes``
-    names the periodic route or an unresolved input."""
+    input's Fourier modes beyond N/2 from its top ones (less the tail model
+    of an unresolved non-integer decay), plus rounding; ``notes`` names the
+    periodic route or an unresolved input."""
 
     values: np.ndarray
     targets: np.ndarray
     truncation_error: np.ndarray
     grid_size: int
-    window: float
     notes: tuple = field(default=())
 
 
 # ---------------------------------------------------------------------------
 # line transforms
-
-
-def _as_line_function(v) -> RealLineFunction:
-    if isinstance(v, RealLineFunction):
-        return v
-    raise TypeError("expected a RealLineFunction")
 
 
 def _line_transform(v, targets, sign) -> TransformResult:
@@ -150,7 +148,8 @@ def _line_transform(v, targets, sign) -> TransformResult:
     A periodic input collapses onto one period through x = P*theta/(2*pi),
     H[v](xi) = Hc[v~](2*pi*xi/P); a decaying one goes through the Cayley
     map (module docstring).  Both interpolate the conjugate samples."""
-    v = _as_line_function(v)
+    if not isinstance(v, RealLineFunction):
+        raise TypeError("expected a RealLineFunction")
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if not np.all(np.isfinite(targets)):
         raise DomainError("targets must be finite")
@@ -159,39 +158,61 @@ def _line_transform(v, targets, sign) -> TransformResult:
         samples = v(v.period * (np.arange(n) / n - 0.5))
         s = (TWO_PI * targets / v.period + np.pi) % TWO_PI
         vals = _conjugate_at(samples, s)
-        window, notes = np.inf, ("periodic route",)
+        notes = ("periodic route",)
     else:
-        if v.decay < 1:
-            raise ContractError(
-                f"line Hilbert transform needs decay >= 1, declared {v.decay}")
-        if not v.check_decay():
-            raise ContractError("sampled far-field violates the declared decay")
-        x, samples, notes = _cayley_ladder(v)
-        n, window = x.size, v.window
+        x, V, M, a, notes = _cayley_ladder(v)
+        samples, n = V - M, x.size
         # phi = 2 arctan(xi), measured from the first node -pi + pi/n
         s = 2.0 * np.arctan(targets) + np.pi * (1.0 - 1.0 / n)
         vals = _conjugate_at(samples, s) + np.dot(samples, x) / n
+        if a:                   # H[m]
+            vals += np.real(1j * a * (targets + 1j) ** -v.decay)
     bar = np.full(vals.shape, _resolution(samples)[1])
-    return TransformResult(sign * vals, targets, bar, n, window, notes)
+    return TransformResult(sign * vals, targets, bar, n, notes)
 
 
 def _cayley_ladder(v: RealLineFunction):
-    """(x, V, notes): V = v(x) at the Cayley nodes x = tan(theta/2) of the
-    last N midpoints theta = -pi + 2*pi*(j + 1/2)/N of the ladder."""
+    """(x, V, M, a, notes): V = v(x) at the Cayley nodes x = tan(theta/2)
+    of the last N midpoints theta = -pi + 2*pi*(j + 1/2)/N of the ladder,
+    and _tail_model's M and a where V is left unresolved (a V resolved to
+    rounding has no branch point to take out; M = a = 0).  The stop test
+    reads V, not V - M, whose mean sum converges later."""
+    if v.decay < 1:
+        raise ContractError(f"line input needs decay >= 1, declared {v.decay}")
+    if not v.check_decay():
+        raise ContractError("sampled far-field violates the declared decay")
     n, prev = _LADDER_START, np.inf
     while True:
         x = np.tan(np.pi * ((np.arange(n) + 0.5) / n - 0.5))
         V = v(x)
         if not np.all(np.isfinite(V)):
-            raise NonFiniteError("line transform input is not finite at "
+            raise NonFiniteError("line input is not finite at "
                                  f"x = {x[~np.isfinite(V)][0]:.6g}")
         level = _resolution(V, n // 2 + 1 - (n // 2 + 1) // 8)[0]
         if level <= _ROUNDING:
-            return x, V, ()
+            return x, V, 0.0, 0j, ()
         if level > prev / _STALL or n >= _LADDER_CAP:
-            return x, V, (f"unresolved: at N = {n} the top Fourier modes of "
-                          f"V are {level:.1e} of max|V|",)
+            notes = (f"unresolved: at N = {n} the top Fourier modes of V "
+                     f"are {level:.1e} of max|V|",)
+            return (x, V) + _tail_model(v.decay, x, V) + (notes,)
         n, prev = 2 * n, level
+
+
+def _tail_model(p, x, V):
+    """(M, a): the model m = Re[a*(x + i)^-p] of V's tails at the nodes x,
+    or (0, 0) for an integer decay p or zero tails.  (x + i)^-p tends to
+    R^-p at x = R and to R^-p exp(-i*pi*p) at -R, so at the outermost nodes
+    Re a = V(R) R^p and Re(a exp(-i*pi*p)) = V(-R) R^p, solvable as p is not
+    an integer.  (x + i)^-p is analytic in the upper half-plane, so H[m](xi)
+    = Re[i*a*(xi + i)^-p]; and as int (x + i)^-2p dx = 0,
+    int m^2 dx = (|a|^2/2) sqrt(pi) Gamma(p - 1/2)/Gamma(p)."""
+    p = float(p)
+    if p.is_integer() or V[0] == V[-1] == 0.0:
+        return 0.0, 0j
+    c_plus, c_minus = V[-1] * x[-1] ** p, V[0] * x[-1] ** p
+    a = complex(c_plus, (c_minus - c_plus * np.cos(np.pi * p))
+                / np.sin(np.pi * p))
+    return np.real(a * (x + 1j) ** -p), a
 
 
 def hilbert_line(v, targets) -> TransformResult:
@@ -290,45 +311,30 @@ def normalization_check(samples) -> complex:
     return complex(np.sum(samples) * TWO_PI / n)
 
 
-def parseval_check(u, v, geometry: str = "circle"):
+def parseval_check(u, v):
     """Parseval identity for a conjugate pair: returns (lhs, rhs, gap).
 
-    ``circle``: u, v are PeriodicFunction; integrals over [-pi, pi).
-    ``line``: u, v are RealLineFunction; window integrals plus analytic
-    power-law tails of the squares.
+    Two PeriodicFunction inputs integrate their squares over [-pi, pi); two
+    RealLineFunction inputs over the line, on the line transforms' Cayley
+    ladder and under their decay contract; samples the ladder leaves
+    unresolved (a kink, a jump) warn with AccuracyWarning.
     """
-    if geometry == "circle":
-        if not isinstance(u, PeriodicFunction) or not isinstance(v, PeriodicFunction):
-            raise TypeError("circle geometry expects PeriodicFunction inputs")
+    if isinstance(u, PeriodicFunction) and isinstance(v, PeriodicFunction):
         lhs = float(np.sum(u.samples ** 2) * TWO_PI / u.n)
         rhs = float(np.sum(v.samples ** 2) * TWO_PI / v.n)
-        return lhs, rhs, abs(lhs - rhs)
-    if geometry != "line":
-        raise ValueError("geometry must be 'circle' or 'line'")
-    u, v = _as_line_function(u), _as_line_function(v)
-    if not (u.square_integrable and v.square_integrable):
-        raise ContractError("Parseval needs square-integrable inputs")
-    lhs = _square_integral(u)
-    rhs = _square_integral(v)
+    elif isinstance(u, RealLineFunction) and isinstance(v, RealLineFunction):
+        lhs, rhs = _square_integral(u), _square_integral(v)
+    else:
+        raise TypeError("expected two PeriodicFunction or two "
+                        "RealLineFunction inputs")
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _square_integral(f: RealLineFunction, far_factor: float = 20.0) -> float:
-    """Integral of f^2: window quadrature, log-spaced panels out to
-    far_factor * X, and a power-law model for the remainder."""
-    X, p = f.window, f.decay
-    if 2 * p <= 1:
-        raise ContractError("squared tail is not integrable")
-    grid = gauss_panel_grid(n_panels=max(8, int(np.ceil(4 * X))), order=12,
-                            a=-X, b=X)
-    body = float(np.sum(np.asarray(f.func(grid.nodes)) ** 2 * grid.weights))
-    far = far_factor * X
-    breaks = X * (far / X) ** (np.arange(33) / 32.0)
-    tail_grid = panels_from_breakpoints(breaks)
-    for sign in (+1.0, -1.0):
-        body += float(np.sum(np.asarray(f.func(sign * tail_grid.nodes)) ** 2
-                             * tail_grid.weights))
-    c_plus = float(f(np.array([far]))[0]) * far ** p
-    c_minus = float(f(np.array([-far]))[0]) * far ** p
-    body += (c_plus ** 2 + c_minus ** 2) * far ** (1 - 2 * p) / (2 * p - 1)
-    return body
+def _square_integral(f: RealLineFunction) -> float:
+    """int f^2 dx = (pi/N) sum (V^2 - M^2)(1 + x^2) + int m^2 dx."""
+    x, V, M, a, _ = _cayley_ladder(f)
+    _warn_if_unresolved(V - M, None, "a line input's Cayley samples",
+                        stacklevel=4)       # the caller of parseval_check
+    return float(np.sum((V ** 2 - M ** 2) * (1.0 + x ** 2)) * np.pi / x.size) \
+        + 0.5 * abs(a) ** 2 * math.sqrt(np.pi) \
+        * math.exp(math.lgamma(f.decay - 0.5) - math.lgamma(f.decay))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 from collections import Counter
 
@@ -7,14 +9,16 @@ import pytest
 import cauchykit
 from cauchykit import cauchy as cauchy_module
 from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
-                       ContractError, DomainError, OnContourError,
+                       ContractError, DomainError, NonFiniteError,
+                       OnContourError,
                        boundary_value, build_unit_circle, cauchy_functional,
                        circle, classify_point, complement_boundary_value,
                        complement_functional, derivative_bound_check, ellipse,
                        exterior_annihilation_check, gauss_panel_grid,
                        generalized_functional,
                        mean_value_check, one_sided_limit,
-                       periodic_trapezoid_grid, pv_singular_weight,
+                       periodic_trapezoid_grid, pv_contour_integral,
+                       pv_singular_weight,
                        uniform_convergence_residuals, validate_derivatives,
                        vanishing_contour_integral)
 
@@ -376,6 +380,76 @@ def test_off_contour_t0_is_a_domain_error(circle256):
         assert not isinstance(info.value, OnContourError)
 
 
+# NaN at the node z = 1 of build_unit_circle(64); every target and t0 below
+# keeps clear of it
+NAN_AT_ONE = BoundaryFunction(
+    lambda t: np.where(t == 1.0, np.nan, 1.0 / (t - 2.0)),
+    derivs=(lambda t: np.where(t == 1.0, np.nan, -1.0 / (t - 2.0) ** 2),),
+    decay=2)
+T0 = np.exp(0.5j)
+CLOSED_ROUTES = {
+    "cauchy_functional": lambda f, c, g: cauchy_functional(f, c, g, 0.3),
+    "generalized_functional": lambda f, c, g: generalized_functional(
+        f, c, g, 0.3, 1, 1),
+    "boundary_value": lambda f, c, g: boundary_value(f, c, g, T0),
+    "one_sided_limit": lambda f, c, g: one_sided_limit(f, c, g, T0),
+    "complement_functional": lambda f, c, g: complement_functional(
+        f, c, g, 3.0),
+    "complement_boundary_value": lambda f, c, g: complement_boundary_value(
+        f, c, g, T0),
+    "uniform_convergence_residuals": lambda f, c, g:
+        uniform_convergence_residuals(f, c, g, [0.3, 3.0, T0]),
+    "exterior_annihilation_check": lambda f, c, g:
+        exterior_annihilation_check(f, c, g, [3.0]),
+    "vanishing_contour_integral": lambda f, c, g:
+        vanishing_contour_integral(f, c, g),
+    "vanishing_contour_integral-complement": lambda f, c, g:
+        vanishing_contour_integral(f, c, g, complement=True),
+    "samples": lambda f, c, g: f.samples(c, g),
+    "pv_contour_integral": lambda f, c, g: pv_contour_integral(f, c, g, T0),
+}
+
+
+@pytest.mark.parametrize("route", list(CLOSED_ROUTES))
+def test_non_finite_density_raises_on_every_closed_route(route):
+    c, g = build_unit_circle(64)
+    assert np.isnan(NAN_AT_ONE(c.z(g.nodes))).sum() == 1
+    with pytest.raises(NonFiniteError):
+        CLOSED_ROUTES[route](NAN_AT_ONE, c, g)
+
+
+@pytest.mark.parametrize("spectral", [False, True], ids=["derivs", "spectral"])
+def test_non_finite_density_raises_at_order_one(spectral):
+    c, g = build_unit_circle(64)
+    f = BoundaryFunction(NAN_AT_ONE.func) if spectral else NAN_AT_ONE
+    with pytest.raises(NonFiniteError):
+        cauchy_functional(f, c, g, 0.3, 1)
+
+
+@pytest.mark.parametrize("route", [
+    lambda F, c, g: complement_functional(F, c, g, 3.0),
+    lambda F, c, g: complement_boundary_value(F, c, g, 1.0),
+    lambda F, c, g: vanishing_contour_integral(F, c, g, complement=True),
+], ids=["functional", "boundary-value", "vanishing-integral"])
+@pytest.mark.parametrize("decay", [None, 1])
+def test_complement_routes_share_one_decay_check(route, decay):
+    c, g = build_unit_circle(64)
+    with pytest.raises(ContractError, match="decay >= 2"):
+        route(BoundaryFunction(lambda t: 1.0 / t, decay=decay), c, g)
+
+
+def test_first_order_kernel_is_bit_identical_to_the_power():
+    # numpy's inv ** 1 is a general complex power; the first-order kernel
+    # is inv itself, bit-identical to it
+    c, g = build_unit_circle(256)
+    f, z = pole_density(), 0.3 + 0.2j
+    smp = cauchy_module._sample(c, g, f)
+    inv = cauchy_module._classified(smp, z)[1]
+    assert np.array_equal((inv ** 1).view(float), inv.view(float))
+    want = complex(np.sum(f(smp.zs) * smp.dzw * inv ** 1)) / (2j * np.pi)
+    assert cauchy_functional(f, c, g, z).value == want
+
+
 # ---------------------------------------------------------------------------
 # each call samples the contour and the density once
 
@@ -610,3 +684,12 @@ def test_public_names_are_pinned():
     assert exported == set(PUBLIC_NAMES)
     # filters for RuntimeWarning still catch the library's one category
     assert issubclass(cauchykit.AccuracyWarning, RuntimeWarning)
+
+
+def test_transform_result_and_parseval_check_are_pinned():
+    # the window echo and the geometry argument are gone: the input types
+    # choose Parseval's geometry
+    assert [f.name for f in dataclasses.fields(cauchykit.TransformResult)] \
+        == ["values", "targets", "truncation_error", "grid_size", "notes"]
+    assert list(inspect.signature(cauchykit.parseval_check).parameters) \
+        == ["u", "v"]

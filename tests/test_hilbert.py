@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from cauchykit import (ContractError, DomainError, InvalidGridError,
+from cauchykit import (AccuracyWarning, ContractError, DomainError,
+                       InvalidGridError,
                        NonFiniteError, PeriodicFunction, RealLineFunction,
                        hilbert_circular,
                        hilbert_circular_complementary,
@@ -239,20 +242,20 @@ class TestParseval:
     def test_circle_pair(self):
         th = -np.pi + 2.0 * np.pi * np.arange(512) / 512
         lhs, rhs, gap = parseval_check(PeriodicFunction(np.cos(th)),
-                                       PeriodicFunction(np.sin(th)), "circle")
+                                       PeriodicFunction(np.sin(th)))
         assert lhs == pytest.approx(np.pi, abs=1e-10)
         assert rhs == pytest.approx(np.pi, abs=1e-10)
         assert gap < 1e-8
 
     def test_line_pair(self):
-        lhs, rhs, gap = parseval_check(example3_u(), example3_v(), "line")
+        lhs, rhs, gap = parseval_check(example3_u(), example3_v())
         assert lhs == pytest.approx(np.pi / 2.0, abs=1e-7)
         assert rhs == pytest.approx(np.pi / 2.0, abs=1e-7)
         assert gap < 1e-5
 
     def test_zero_pair(self):
         z = PeriodicFunction(np.zeros(64))
-        lhs, rhs, gap = parseval_check(z, z, "circle")
+        lhs, rhs, gap = parseval_check(z, z)
         assert lhs == rhs == gap == 0.0
 
     def test_non_square_integrable_rejected(self):
@@ -260,7 +263,73 @@ class TestParseval:
                                decay=0.4, window=50.0)
         ok = example3_v()
         with pytest.raises(ContractError):
-            parseval_check(bad, ok, "line")
+            parseval_check(bad, ok)
+
+    def test_mixed_pair_rejected(self):
+        with pytest.raises(TypeError):
+            parseval_check(PeriodicFunction(np.zeros(64)), example3_v())
+
+
+# written so that each accepts an ndarray and an mpmath number alike
+DECAY_15 = (lambda x: (1.0 + x * x) ** -0.75)
+SKEWED = (lambda x: (1.0 + x * x) ** -0.625
+          * (1.0 + 0.3 * x * (1.0 + x * x) ** -0.5))
+SHIFTED = (lambda x: ((x - 1.0) ** 2 + 2.0) ** -1.25)
+
+
+def _skewed_square():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda x: SKEWED(x) ** 2,
+                                 [-mpmath.inf, -1, 0, 1, mpmath.inf]))
+
+
+def _mp_hilbert(v, xi):
+    # H[v](t) = (1/pi) int_0^inf (v(t + x) - v(t - x))/x dx
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        return np.array([float(mpmath.quad(
+            lambda x: (v(t + x) - v(t - x)) / x,
+            sorted({0, 1, abs(t) / 2, abs(t), 2 * abs(t) + 2})
+            + [mpmath.inf]) / mpmath.pi) for t in map(mpmath.mpf, xi)])
+
+
+class TestLineParseval:
+    """int v^2 dx on the Cayley ladder, against closed forms and mpmath."""
+
+    @pytest.mark.parametrize("v,decay,want,tol", [
+        (lambda x: -1.0 / (x * x + 1.0), 2, lambda: np.pi / 2.0, 1e-15),
+        (lambda x: x / (x * x + 1.0), 1, lambda: np.pi / 2.0, 1e-15),
+        (lambda x: (x - 3.0) / ((x - 3.0) ** 2 + 0.25), 1, lambda: np.pi,
+         1e-15),
+        (lambda x: np.exp(-x * x), 3, lambda: math.sqrt(np.pi / 2.0), 1e-15),
+        (lambda x: np.cosh(0.2 * x) ** -2.0, 3, lambda: 20.0 / 3.0, 1e-15),
+        (DECAY_15, 1.5, lambda: 2.0, 1e-15),
+        (SKEWED, 1.25, _skewed_square, 1e-10),
+        # int ((x - 1)^2 + 2)^(-5/2) dx = sqrt(2)/2^(5/2) * 4/3
+        (SHIFTED, 2.5, lambda: 1.0 / 3.0, 1e-14),
+    ], ids=["pole-v", "pole-u", "shifted-pole", "gaussian", "sech2-0.2",
+            "decay-1.5", "decay-1.25", "decay-2.5"])
+    def test_square_integral(self, v, decay, want, tol):
+        f = RealLineFunction(v, decay=decay)
+        lhs, rhs, gap = parseval_check(f, f)
+        assert abs(lhs - want()) <= tol * want() and gap == 0.0
+
+    @pytest.mark.parametrize("shift", [0.37, 0.0])
+    def test_kink_warns(self, shift):
+        # 1/(1 + |x - c|): int = 2; the kink leaves V unresolved
+        f = RealLineFunction(lambda x: 1.0 / (1.0 + np.abs(x - shift)),
+                             decay=1)
+        with pytest.warns(AccuracyWarning, match="not resolved") as record:
+            lhs = parseval_check(f, f)[0]
+        assert abs(lhs - 2.0) <= 1e-3
+        # the warning names the call of parseval_check, not the library
+        assert {w.filename for w in record} == {__file__}
+
+    def test_decay_below_one_rejected(self):
+        f = RealLineFunction(lambda x: (1.0 + x * x) ** -0.375, decay=0.75)
+        with pytest.raises(ContractError):
+            parseval_check(f, f)
 
 
 def test_square_integrability_flag():
@@ -337,6 +406,53 @@ class TestCayleyRoute:
         assert np.all(res.truncation_error >= err)
         assert res.grid_size == 2 ** 14
         assert any(note.startswith("unresolved") for note in res.notes)
+
+    @pytest.mark.parametrize("v,decay,tol", [
+        (DECAY_15, 1.5, 1e-10), (SKEWED, 1.25, 1e-9), (SHIFTED, 2.5, 1e-13),
+    ], ids=["decay-1.5", "decay-1.25", "decay-2.5"])
+    def test_non_integer_decay_tail_model(self, v, decay, tol):
+        # the model m = Re[a (x + i)^-p] of the tails is transformed in
+        # closed form; the ladder still stops on V, so N and notes stay
+        res = hilbert_line(RealLineFunction(v, decay=decay), XI_WIDE)
+        err = np.abs(res.values - _mp_hilbert(v, XI_WIDE))
+        assert err.max() <= tol
+        near = np.abs(XI_WIDE) <= 1e3
+        assert np.all(res.truncation_error[near] >= err[near])
+        assert res.grid_size == 2 ** 14
+        assert any(note.startswith("unresolved") for note in res.notes)
+
+    @pytest.mark.parametrize("v,decay,exact,square", [
+        (lambda x: 1.0 / (1.0 + x * x), 1.5,
+         lambda xi: -xi / (1.0 + xi * xi), lambda: np.pi / 2.0),
+        # g = exp(-x^2): H[g/(1 + x^2)] = (H[g] - xi e erfc(1))/(1 + xi^2),
+        # and int g^2/(1 + x^2)^2 dx = sqrt(2 pi) - (3 pi/2) e^2 erfc(sqrt 2)
+        (lambda x: np.exp(-x * x) / (1.0 + x * x), 1.5,
+         lambda xi: (_gauss_hilbert(xi) - xi * math.e * math.erfc(1.0))
+         / (1.0 + xi * xi),
+         lambda: math.sqrt(TWO_PI)
+         - 1.5 * np.pi * math.exp(2.0) * math.erfc(math.sqrt(2.0))),
+        # over-declared: x/(x^2 + 1) decays like 1/x, within check_decay's
+        # factor-10 allowance of 1.5 and 2.5
+        (lambda x: x / (1.0 + x * x), 1.5,
+         lambda xi: 1.0 / (1.0 + xi * xi), lambda: np.pi / 2.0),
+        (lambda x: x / (1.0 + x * x), 2.5,
+         lambda xi: 1.0 / (1.0 + xi * xi), lambda: np.pi / 2.0),
+    ], ids=["pole-1.5", "gaussian-pole-1.5", "odd-pole-1.5", "odd-pole-2.5"])
+    def test_resolved_input_takes_no_tail_model(self, v, decay, exact,
+                                                 square):
+        # a declared decay only bounds |v|: an input that decays faster
+        # resolves to rounding, has no branch point at theta = +-pi and gets
+        # no tail model, so it reads as with an integer declaration
+        f, f1 = RealLineFunction(v, decay=decay), RealLineFunction(v, decay=1)
+        res, base = hilbert_line(f, XI_WIDE), hilbert_line(f1, XI_WIDE)
+        assert res.notes == base.notes == ()
+        assert res.grid_size == base.grid_size
+        assert np.array_equal(res.values, base.values)
+        assert np.array_equal(res.truncation_error, base.truncation_error)
+        assert np.abs(res.values - exact(XI_WIDE)).max() <= 1e-14
+        lhs = parseval_check(f, f)[0]
+        assert lhs == parseval_check(f1, f1)[0]
+        assert abs(lhs - square()) <= 1e-14 * square()
 
     def test_cli_column_is_flagged_unresolved(self):
         # the CLI's line column: a piecewise-linear interpolant that jumps to
