@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (CapabilityError, ContractError, NonFiniteError,
                      OnContourError)
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
-                       QuadratureGrid, _classify, _pv, _pv_at_all_nodes,
+                       QuadratureGrid, _evaluate, _pv, _pv_at_all_nodes,
                        _require_periodic, _sample, circle,
                        periodic_trapezoid_grid, spectral_derivative,
                        trig_interp)
@@ -118,25 +118,19 @@ class FunctionalValue:
     near_zone: bool = False
 
 
-def _classified(smp, z):
-    """_classify of a target against the band of the grid length."""
-    return _classify(smp, z, DELTA_FRACTION * smp.length)
+_ON_CONTOUR = "target lies on the contour; use boundary_value / one_sided_limit"
 
 
-def _functional(smp, z, n, m, near_m, classified=None):
+def _functional(smp, z, n, m, near_m):
     """J_(n,m)[f](z) from one sampling, taking m = near_m instead for a
-    target in the near zone; OnContourError for a target on the contour.
-    ``classified`` is the target's _classify result when the caller already
-    has it."""
-    cl, inv, _ = classified or _classified(smp, z)
+    target in the near zone: a batch of one for _evaluate; OnContourError
+    for a target on the contour."""
+    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, m, near_m),))
+    cl, near = ev.classification(0), bool(ev.near[0])
     if cl.on_contour:
-        raise OnContourError(
-            "target lies on the contour; use boundary_value / one_sided_limit")
-    near = cl.distance < smp.near_zone
-    k = near_m if near else m
-    kernel = inv if n == k else inv ** (n - k + 1)     # numpy's ** 1 is slow
-    value = complex(np.sum(smp.f(k) * smp.dzw * kernel)) \
-        * float(math.factorial(n - k)) / (2j * np.pi)
+        raise OnContourError(_ON_CONTOUR)
+    value = complex(ev.sums[1, 0]) * float(math.factorial(
+        n - (near_m if near else m))) / (2j * np.pi)
     return FunctionalValue(value, complex(z), cl, (n, m), near)
 
 
@@ -241,35 +235,32 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
                                   n: int = 0) -> ResidualReport:
     """Residuals g_n = J_n[f] - f^(n) on the closed interior and G_n = J_n[f]
     on the closed exterior; on the contour both reduce to the principal-value
-    combination -f^(n)/2 + K_n/2, which vanishes identically.
+    combination -f^(n)/2 + K_n/2, which vanishes identically.  All targets
+    are classified and evaluated in one array pass, to the bits of one
+    cauchy_functional call each, and f^(n) is one call at the inside ones.
     """
     f.require_order(n)
     smp = _sample(contour, grid, f)
-    res, verdicts = [], []
-    max_in, max_out = 0.0, 0.0
-    for z in targets:
-        classified = _classified(smp, z)
-        cl = classified[0]
-        if cl.on_contour:
-            at, pv = _boundary_terms(smp, z, n, classified[2])
-            g = abs(-0.5 * at + pv / (2j * np.pi))
-            max_in = max(max_in, g)
-            max_out = max(max_out, g)
-        elif cl.inside:
-            dc = f.derivative_callable(n)
-            if dc is None:
-                raise CapabilityError(
-                    "interior residuals at n > 0 need an analytic derivative")
-            expected = complex(np.asarray(dc(np.array([z])))[0])
-            g = abs(_functional(smp, z, n, 0, n, classified).value
-                    - expected)
-            max_in = max(max_in, g)
-        else:
-            g = abs(_functional(smp, z, n, 0, n, classified).value)
-            max_out = max(max_out, g)
-        res.append(g)
-        verdicts.append(cl.verdict)
-    return ResidualReport(max_in, max_out, np.asarray(res), tuple(verdicts))
+    z = np.asarray(targets, dtype=complex).reshape(-1)
+    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, 0, n),))
+    side, g = ev.side, ev.values[0]
+    inside = side == 1
+    if inside.any():
+        dc = f.derivative_callable(n)
+        if dc is None:
+            raise CapabilityError(
+                "interior residuals at n > 0 need an analytic derivative")
+        g[inside] -= np.asarray(dc(z[inside]), dtype=complex)
+    res = np.hypot(g.real, g.imag)      # the bits of abs(complex)
+    s0, on = ev.located
+    for i in np.flatnonzero(side == 2):
+        at, pv = _boundary_terms(smp, z[i], n, (float(s0[i]), on[i]))
+        res[i] = abs(-0.5 * at + pv / (2j * np.pi))
+    # fmax, as max() from 0.0, passes over a NaN residual
+    return ResidualReport(
+        float(np.fmax.reduce(res[side >= 1], initial=0.0)),
+        float(np.fmax.reduce(res[~inside], initial=0.0)), res,
+        tuple(np.take(("outside", "inside", "on-contour"), side).tolist()))
 
 
 def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,

@@ -9,10 +9,12 @@ grid-level indentation: the singularity is subtracted analytically and the
 smooth remainder is integrated at full rule accuracy.
 """
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -168,7 +170,7 @@ def build_unit_circle(n: int):
     return circle(0.0, 1.0), periodic_trapezoid_grid(n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Samples:
     """The one sampling of a closed contour or an open arc, and of a density
     on it, that a call makes: z, z' and z'w at the grid nodes, the grid
@@ -197,38 +199,50 @@ class _Samples:
         node count."""
         return NEAR_ZONE_FACTOR * self.length / self.grid.n
 
-    def closest(self, point, below=np.inf):
-        """(distance from ``point`` to the curve, (s0, z(s0)) of the closest
-        curve point or None): exact on a circle; otherwise the nearest
-        node's gap, refined by Newton from that node when it is below
-        ``below``."""
-        curve = self.contour
+    def closest(self, points, below=np.inf):
+        """(distance from each point to the curve, (s0, z(s0)) of its closest
+        curve point): exact on a circle; otherwise the gap to the nearest
+        node, a row block at a time, refined by Newton from that node where
+        below ``below`` (s0 and z(s0) are NaN elsewhere).  (None, None)
+        while no distance is below ``below``.  DomainError for a non-finite
+        point: the one check of every off-curve evaluation."""
+        flat = np.asarray(points, dtype=complex).reshape(-1)
+        if np.count_nonzero(np.isfinite(flat)) < flat.size:
+            raise DomainError("cannot classify a non-finite point")
+        curve, s0, on = self.contour, None, None
         if getattr(curve, "kind", None) == "circle":
-            rel = point - curve.center
-            s0 = float(np.angle(rel)) % TWO_PI
-            return (float(abs(abs(rel) - curve.radius)),
-                    (s0, curve.center + curve.radius * np.exp(1j * s0)))
-        gaps = np.abs(self.zs - point)
-        j = int(np.argmin(gaps))
-        dist = float(gaps[j])
-        if not dist < below:
-            return dist, None
-        located = _newton_locate(curve, point, float(self.grid.nodes[j]))
-        return min(dist, float(abs(located[1] - point))), located
+            rel = flat - curve.center   # hypot: the bits of abs(complex)
+            dist = np.abs(np.hypot(rel.real, rel.imag) - curve.radius)
+            if flat.size and dist.min() < below:
+                s0 = np.arctan2(rel.imag, rel.real) % TWO_PI  # np.angle(rel)
+                on = curve.center + curve.radius * np.exp(1j * s0)
+            return dist, (s0, on)
+        dist, step = np.empty(flat.size), max(1, _BLOCK_ENTRIES // self.zs.size)
+        for lo in range(0, flat.size, step):
+            gaps = np.abs(self.zs[None] - flat[lo:lo + step, None])
+            dist[lo:lo + step] = block = gaps.min(axis=1)
+            if not block.min() < below:
+                continue
+            if s0 is None:              # s0 in the real parts
+                s0, on = np.full((2, flat.size), np.nan + 0j)
+            for j in (block < below).nonzero()[0]:
+                i = lo + j
+                s0[i], on[i] = _newton_locate(curve, flat[i], float(
+                    self.grid.nodes[gaps[j].argmin()]))
+                dist[i] = min(dist[i], abs(on[i] - flat[i]))
+        return dist, (None if s0 is None else s0.real, on)
 
     def locate(self, t0, delta=None):
         """(s0, z(s0)) of the curve point closest to t0, which lies on the
-        contour or arc; DomainError when t0 lies farther than delta
-        (default: the band of the grid length) from the curve."""
-        if not np.isfinite(t0):
-            raise DomainError("cannot locate a non-finite point")
+        contour or arc; DomainError when t0 is not finite or lies farther
+        than delta (default: the band of the grid length) from the curve."""
         if delta is None:
             delta = DELTA_FRACTION * self.length
-        dist, located = self.closest(t0)
-        if dist > delta:
+        dist, (s0, on) = self.closest(t0)
+        if dist[0] > delta:
             raise DomainError(
-                f"t0 is {dist:.3g} from the contour (delta={delta:.3g})")
-        return located
+                f"t0 is {dist[0]:.3g} from the contour (delta={delta:.3g})")
+        return float(s0[0]), on[0]
 
 
 def _sample(contour, grid, density=None):
@@ -236,7 +250,7 @@ def _sample(contour, grid, density=None):
     grid."""
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
-                    float(np.sum(np.abs(dzs) * grid.weights)), density)
+                    float((np.abs(dzs) * grid.weights).sum()), density)
 
 
 @lru_cache(maxsize=16)
@@ -336,15 +350,15 @@ def _newton_locate(curve, point, s0):
     else:
         fix, h = (lambda s: min(max(s, 0.0), 1.0)), 1e-7
     for _ in range(8):
-        zz = curve.z(np.array([s0]))[0] - point
-        dz = curve.dz(np.array([s0]))[0]
+        s = np.array([s0])
+        zz, dz = curve.z(s)[0] - point, curve.dz(s)[0]
         if curve.d2z is not None:
-            ddz = curve.d2z(np.array([s0]))[0]
+            ddz = curve.d2z(s)[0]
         else:
             ddz = (curve.dz(np.array([fix(s0 + h)]))[0]
                    - curve.dz(np.array([fix(s0 - h)]))[0]) / (2 * h)
-        g = 2.0 * np.real(np.conj(zz) * dz)
-        gg = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(zz) * ddz))
+        g = 2.0 * (zz.conjugate() * dz).real
+        gg = 2.0 * (np.abs(dz) ** 2 + (zz.conjugate() * ddz).real)
         if gg <= 0:
             break
         step = g / gg
@@ -401,31 +415,107 @@ def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
     smp = _sample(contour, grid)
     if delta is None:
         delta = DELTA_FRACTION * smp.length
-    return _classify(smp, z, delta)[0]
+    return _evaluate(smp, z, delta).classification(0)
 
 
-def _classify(smp, z, delta):
-    """(classify_point from the node samples ``smp``, 1/(z_j - z) at the
-    nodes for the kernel sums of the same target, and the (s0, z(s0)) of
-    the closest curve point when a Newton solve found it, else None)."""
-    if not np.isfinite(z):
-        raise DomainError("cannot classify a non-finite point")
+class _Evaluation(NamedTuple):
+    """Targets of a closed contour after one pass (_evaluate): distances,
+    closest() points, near-zone flags, and the kernel sums: row 0 the
+    winding sum, sum_j z'_j w_j/(z_j - z), row 1 + j that of functional
+    j = (n, k, k_near).  One target is finished in scalar arithmetic
+    (classification, cauchy._functional), a batch elementwise (side,
+    values), to the same bits."""
+
+    delta: float
+    dist: np.ndarray
+    located: tuple
+    near: np.ndarray
+    sums: np.ndarray
+    functionals: tuple
+
+    def classification(self, i):
+        """PointClassification of target i."""
+        dist = float(self.dist[i])
+        wind = complex(self.sums[0, i] / (2j * np.pi)) if dist > 0 \
+            else complex(np.nan)
+        rounded = round(wind.real) if cmath.isfinite(wind) else 0
+        verdict = "on-contour" if dist < self.delta else \
+            "inside" if rounded >= 1 else "outside"
+        return PointClassification(verdict, rounded, wind, dist, self.delta,
+                                   not abs(wind - rounded) < 0.25)
+
+    @property
+    def side(self):
+        """Every target's verdict: 0 outside, 1 inside, 2 on the contour."""
+        with np.errstate(invalid="ignore"):
+            wind = self.sums[0] / (2j * np.pi)
+        inside = np.isfinite(wind) & (np.rint(wind.real) >= 1)
+        return np.where(self.dist < self.delta, 2, inside)
+
+    @property
+    def values(self):
+        """Every functional at every target, complex(s) * (n-k)! / (2j*pi)
+        bit for bit as CPython takes it: its product by (n-k)!, then by
+        -1j, then each part over 2*pi."""
+        scales = np.array([[math.factorial(n - k) for k in ks] for n, *ks in
+                           self.functionals], dtype=float).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            p = self.sums[1:] * np.where(self.near, scales[:, 1:],
+                                         scales[:, :1]) * complex(0.0, -1.0)
+        return (p.view(float) / TWO_PI).view(complex)
+
+
+def _evaluate(smp, z, delta, functionals=()):
+    """_Evaluation of the targets z against the closed contour of ``smp``,
+    with J_(n,k)[f](z) = ((n-k)!/2*pi*i) sum_j f^(k)_j z'_j w_j/(z_j -
+    z)^(n-k+1) for each functional (n, k, k_near), k = k_near in the near
+    zone: one _kernel_sums pass per zone serves the winding sum and every
+    functional."""
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
+    z = np.asarray(z, dtype=complex).reshape(-1)
     # between nodes the nearest node overstates the distance to the curve:
     # closest() refines it in the near zone (exactly on a circle)
     dist, located = smp.closest(z, smp.near_zone)
-    d = smp.zs - z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        wind = complex(np.sum(smp.dzw * inv) / (2j * np.pi)) \
-            if dist > 0 else complex(np.nan)
-    rounded = int(np.round(np.real(wind))) if np.isfinite(wind) else 0
-    converged = np.isfinite(wind) and abs(wind - rounded) < 0.25
-    verdict = "on-contour" if dist < delta else \
-        "inside" if rounded >= 1 else "outside"
-    return PointClassification(verdict, rounded, wind, dist, delta,
-                               ill_conditioned=not converged), inv, located
+    if located[0] is None:      # no target in the near zone
+        near, zones = np.zeros(z.size, dtype=bool), [(None, 1)]
+    else:
+        near = dist < smp.near_zone
+        zones = [(None, 2)] if np.count_nonzero(near) == z.size else [
+            (np.flatnonzero(~near), 1), (np.flatnonzero(near), 2)]
+    sums = np.empty((1 + len(functionals), z.size), dtype=complex)
+    for rows, pick in zones:
+        columns = [(smp.dzw, 1)] + [(smp.f(spec[pick]) * smp.dzw,
+                                     spec[0] - spec[pick] + 1)
+                                    for spec in functionals]
+        with np.errstate(divide="ignore", invalid="ignore"):   # on a node
+            part = _kernel_sums(smp.zs, columns, z if rows is None else
+                                z[rows])
+        if rows is None:
+            sums = part
+        else:
+            sums[:, rows] = part
+    return _Evaluation(delta, dist, located, near, sums, functionals)
+
+
+def _kernel_sums(t, columns, z):
+    """sum_j c_j/(t_j - z)^p over the nodes t at every point of the array z
+    for each column (c, p), a row each, a block of z at a time: a block's
+    reciprocals serve every column, and its row sums are, bit for bit, the
+    1-D np.sum of one target."""
+    out = np.empty((len(columns), z.size), dtype=complex)
+    # t as a row: operands of one ndim broadcast faster
+    step, t = max(1, _BLOCK_ENTRIES // t.size), t[None]
+    for lo in range(0, z.size, step):
+        # in place: a fresh block-sized temporary costs more than its sums
+        inv = t - z[lo:lo + step, None]
+        np.divide(1.0, inv, out=inv)
+        terms = np.empty_like(inv)
+        for i, (c, p) in enumerate(columns):
+            # numpy's inv ** 1 is a general complex power: slow
+            np.multiply(c, inv if p == 1 else inv ** p, out=terms)
+            out[i, lo:lo + step] = terms.sum(axis=1)
+    return out
 
 
 def near_zone_width(contour, grid: QuadratureGrid) -> float:

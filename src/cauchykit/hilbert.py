@@ -13,9 +13,9 @@ sampled on N midpoint nodes, which never touch theta = +-pi, and N doubles
 until V's top Fourier modes reach rounding or stop falling; their fall
 extrapolates the error bar.  Parseval's line integral runs on the same
 nodes: int v^2 dx = (pi/N) sum V_j^2 (1 + x_j^2).  A non-integer decay p
-can leave V a branch point at theta = +-pi; where the ladder then stops with
-V unresolved, both take a model of v's tails out of V and add its share in
-closed form.  The circular transforms
+can leave V a branch point at theta = +-pi; where the ladder then reaches
+its cap with V unresolved, both take a model of v's tails out of V and add
+its share in closed form.  The circular transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
@@ -200,14 +200,16 @@ def _cayley_ladder(v: RealLineFunction):
 
 def _tail_model(p, x, V):
     """(M, a): the model m = Re[a*(x + i)^-p] of V's tails at the nodes x,
-    or (0, 0) for an integer decay p or zero tails.  (x + i)^-p tends to
+    or (0, 0) for an integer decay p, zero tails, or a ladder stalled below
+    the cap (a kink, a jump: its outermost node cot(pi/2N) is too near for
+    the tails to follow the declared power).  (x + i)^-p tends to
     R^-p at x = R and to R^-p exp(-i*pi*p) at -R, so at the outermost nodes
     Re a = V(R) R^p and Re(a exp(-i*pi*p)) = V(-R) R^p, solvable as p is not
     an integer.  (x + i)^-p is analytic in the upper half-plane, so H[m](xi)
     = Re[i*a*(xi + i)^-p]; and as int (x + i)^-2p dx = 0,
     int m^2 dx = (|a|^2/2) sqrt(pi) Gamma(p - 1/2)/Gamma(p)."""
     p = float(p)
-    if p.is_integer() or V[0] == V[-1] == 0.0:
+    if p.is_integer() or V[0] == V[-1] == 0.0 or x.size < _LADDER_CAP:
         return 0.0, 0j
     c_plus, c_minus = V[-1] * x[-1] ** p, V[0] * x[-1] ** p
     a = complex(c_plus, (c_minus - c_plus * np.cos(np.pi * p))

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
-from .geometry import (JordanArc, QuadratureGrid, _legendre_steps,
-                       _panel_samples, _row_blocks, _sample,
+from .geometry import (JordanArc, QuadratureGrid, _kernel_sums,
+                       _legendre_steps, _panel_samples, _row_blocks, _sample,
                        panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
@@ -65,41 +65,40 @@ def _on_arc_band(smp) -> float:
 
 def _off_arc_sums(smp, parts, z, p=1):
     """sum_j c_j/(t_j - z)^p over the nodes t_j and weights c_j of all parts
-    at each field point z (a complex for a scalar z), a block at a time.  A
-    point in the on-arc band of the arc of ``smp`` raises DomainError, one in
-    its near zone warns.  The nearest-node gap overstates the distance by
-    under half a node gap, so Newton refines it below two widths only."""
-    z = np.asarray(z, dtype=complex)
-    shape, z, out = z.shape, z.reshape(-1), np.zeros(z.size, dtype=complex)
-    near, band, warn = smp.near_zone, _on_arc_band(smp), False
-    cols = max([smp.zs.size] + [nodes.size for nodes, _ in parts])
-    for r in _row_blocks(z.size, cols):
-        zr = z[r, None]
-        dist = np.abs(smp.zs - zr).min(axis=1)
-        if dist.min() < 2.0 * near:
-            for i in np.flatnonzero(dist < 2.0 * near):
-                dist[i] = smp.closest(zr[i, 0], 2.0 * near)[0]
-            if dist.min() < band:
-                raise DomainError("field point on the arc; use plemelj_limits")
-            warn = warn or dist.min() < near
-        for nodes, c in parts:
-            k = np.reciprocal(nodes - zr)    # numpy's k ** 1 is a general
-            out[r] += (k if p == 1 else k ** p) @ c     # complex power: slow
-    if warn:
+    at each field point z (a complex for a scalar z).  A point in the on-arc
+    band of the arc of ``smp`` raises DomainError, one in its near zone
+    warns at the caller's caller; the nearest-node gap overstates the
+    distance by under half a node gap, so Newton refines it below two
+    widths only."""
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    dist, (s0, _) = smp.closest(flat, 2.0 * smp.near_zone)
+    nearest = np.inf if s0 is None else dist.min()
+    if nearest < _on_arc_band(smp):
+        raise DomainError("field point on the arc; use plemelj_limits")
+    if nearest < smp.near_zone:
         warnings.warn("field point is in the near zone of the arc; result "
                       "is ill-conditioned", AccuracyWarning, stacklevel=3)
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    rows = [_kernel_sums(t, ((c, p),), flat)[0] for t, c in parts]
+    out = sum(rows[1:], rows[0]) if rows else np.zeros(flat.size,
+                                                        dtype=complex)
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def _jump_part(g, arc, grid, z):
+    """The arc's samples on the grid and the part (nodes, g z'w) of g dt."""
+    if np.ndim(z):
+        raise TypeError("arc_cauchy_integral takes one field point z")
+    smp = _sample(arc, grid)
+    return smp, ((smp.zs, np.asarray(_as_density(g)(smp.zs), dtype=complex)
+                  * smp.dzw),)
 
 
 def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
                         n: int = 0) -> complex:
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
-    if np.ndim(z):
-        raise TypeError("arc_cauchy_integral takes one field point z")
-    smp = _sample(arc, grid)
-    c = np.asarray(_as_density(g)(smp.zs), dtype=complex) * smp.dzw
-    return math.factorial(n) / (2j * np.pi) * _off_arc_sums(
-        smp, ((smp.zs, c),), z, n + 1)
+    smp, parts = _jump_part(g, arc, grid, z)
+    return math.factorial(n) / (2j * np.pi) * _off_arc_sums(smp, parts, z,
+                                                            n + 1)
 
 
 def _arc_pv_rows(densities, smp, order, s0, t0, rows=None) -> list:
@@ -202,8 +201,10 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
 
 def reconstruct_from_jump(jump, arc: JordanArc, grid: QuadratureGrid,
                           z: complex) -> complex:
-    """f(z) rebuilt from its jump across L: (1/2*pi*i) int jump(t)/(t-z) dt."""
-    return arc_cauchy_integral(jump, arc, grid, z, n=0)
+    """f(z) rebuilt from its jump across L: (1/2*pi*i) int jump(t)/(t-z) dt,
+    arc_cauchy_integral at n = 0."""
+    smp, parts = _jump_part(jump, arc, grid, z)
+    return 1 / (2j * np.pi) * _off_arc_sums(smp, parts, z)
 
 
 def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,

@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cauchy import BoundaryFunction, _classified, _functional
+from .cauchy import _ON_CONTOUR, BoundaryFunction
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
-                     PrescriptionError)
-from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid,
-                       _resolution, _sample)
+                     OnContourError, PrescriptionError)
+from .geometry import (_UNRESOLVED, DELTA_FRACTION, ClosedContour,
+                       QuadratureGrid, _evaluate, _resolution, _sample)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -141,22 +141,24 @@ def catalog_function(p: SingularityPrescription) -> BoundaryFunction:
 def exterior_annihilation_check(p, contour: ClosedContour,
                                 grid: QuadratureGrid, targets,
                                 orders: Sequence[int] = (0,)) -> float:
-    """Max |J_n[f](z)| over exterior targets and the given orders n."""
+    """Max |J_n[f](z)| over exterior targets and the given orders n, all
+    classified and evaluated in one array pass, to the bits of
+    cauchy_functional."""
     f = catalog_function(p) if isinstance(p, SingularityPrescription) else p
+    for n in orders:
+        f.require_order(n)
     smp = _sample(contour, grid, f)
-    worst = 0.0
-    for z in np.atleast_1d(np.asarray(targets, dtype=complex)):
-        classified = None               # by the first order
-        for n in orders:
-            f.require_order(n)
-            if classified is None:
-                classified = _classified(smp, z)
-            # J_n as cauchy_functional evaluates it (near-zone reroute m = n)
-            fv = _functional(smp, z, n, 0, n, classified)
-            if not fv.classification.outside:
-                raise ContractError(f"target {z} is not exterior")
-            worst = max(worst, abs(fv.value))
-    return worst
+    z = np.asarray(targets, dtype=complex).reshape(-1)
+    # J_n with cauchy_functional's near-zone reroute m = n
+    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length,
+                   [(n, 0, n) for n in orders])
+    side = ev.side
+    if side.any():
+        i = side.nonzero()[0][0]
+        raise OnContourError(_ON_CONTOUR) if side[i] == 2 else \
+            ContractError(f"target {z[i]} is not exterior")
+    v = ev.values           # fmax, as max() from 0.0, passes over a NaN
+    return float(np.fmax.reduce(np.hypot(v.real, v.imag), None, initial=0.0))
 
 
 def taylor_coefficients(samples, n_max: int) -> np.ndarray:

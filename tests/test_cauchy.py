@@ -8,6 +8,7 @@ import pytest
 
 import cauchykit
 from cauchykit import cauchy as cauchy_module
+from cauchykit import geometry
 from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
                        ContractError, DomainError, NonFiniteError,
                        OnContourError,
@@ -440,14 +441,20 @@ def test_complement_routes_share_one_decay_check(route, decay):
 
 def test_first_order_kernel_is_bit_identical_to_the_power():
     # numpy's inv ** 1 is a general complex power; the first-order kernel
-    # is inv itself, bit-identical to it
+    # is inv itself, bit-identical to it, and a row of the blocked kernel
+    # sums is the 1-D np.sum of its target
     c, g = build_unit_circle(256)
     f, z = pole_density(), 0.3 + 0.2j
     smp = cauchy_module._sample(c, g, f)
-    inv = cauchy_module._classified(smp, z)[1]
+    inv = 1.0 / (smp.zs - z)
     assert np.array_equal((inv ** 1).view(float), inv.view(float))
-    want = complex(np.sum(f(smp.zs) * smp.dzw * inv ** 1)) / (2j * np.pi)
+    terms = f(smp.zs) * smp.dzw
+    want = complex(np.sum(terms * inv ** 1)) / (2j * np.pi)
     assert cauchy_functional(f, c, g, z).value == want
+    rows = geometry._kernel_sums(smp.zs, [(terms, 1), (terms, 3)],
+                                 np.array([0.1j, z]))
+    assert rows[0, 1] == np.sum(terms * inv)
+    assert rows[1, 1] == np.sum(terms * inv ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +574,9 @@ def test_pv_singular_weight_locates_on_one_sampling():
 
 
 def test_uniform_residuals_locate_an_on_contour_target_once():
-    # _classify's Newton solve for the near-zone distance also locates an
-    # on-contour target for the boundary terms: the scalar z and z' calls
-    # are those of boundary_value, four Newton steps and the final z(s0)
+    # the classification's Newton solve for the near-zone distance also
+    # locates an on-contour target for the boundary terms: the scalar z and
+    # z' calls are those of boundary_value, four Newton steps and z(s0)
     g = periodic_trapezoid_grid(N_GRID)
     scalar = []
     for route in (lambda f, c: boundary_value(f, c, g, ON),
@@ -589,6 +596,10 @@ def batch_targets(k):
 
 
 def test_batched_checks_sample_once_per_call():
+    # z, z' and each density order are sampled once on the grid, for 4
+    # targets as for 40; the interior reference f^(n) is one call at the
+    # inside targets, and only on-contour boundary terms and Newton steps
+    # make calls at one point
     g = periodic_trapezoid_grid(N_GRID)
     per_count = []
     for k in (1, 10):                   # 4 targets, then 40
@@ -603,13 +614,21 @@ def test_batched_checks_sample_once_per_call():
             else:
                 exterior_annihilation_check(f, c, g, targets[k:3 * k],
                                             (0, 1, 2))
-            counts.append(grid_calls(calls))
+            counts.append(calls)
         per_count.append(counts)
-    assert per_count[0] == per_count[1]
-    for counts in per_count[1]:
-        assert counts[("z", N_GRID)] == 1
-        assert counts[("dz", N_GRID)] == 1
-        assert {size for _, size in counts} == {N_GRID}
+    on_grid = [[{key: v for key, v in calls.items() if key[1] == N_GRID}
+                for calls in counts] for counts in per_count]
+    assert on_grid[0] == on_grid[1]
+    uniform, exterior = on_grid[1]
+    assert uniform == {("z", N_GRID): 1, ("dz", N_GRID): 1,
+                       ("f", N_GRID): 1, ("f1", N_GRID): 1}
+    assert exterior == {("z", N_GRID): 1, ("dz", N_GRID): 1,
+                        ("f", N_GRID): 1, ("f1", N_GRID): 1,
+                        ("f2", N_GRID): 1}
+    uniform, exterior = per_count[1]
+    assert {key for key in uniform if key[1] not in (1, N_GRID)} == \
+        {("f1", 10)}
+    assert {size for _, size in exterior} == {1, N_GRID}
     # the matrix route of K_n at every node takes the same samples
     calls = Counter()
     vanishing_contour_integral(pole_density(), counted_ellipse(calls), g)
@@ -617,15 +636,29 @@ def test_batched_checks_sample_once_per_call():
     assert calls[("dz", N_GRID)] == 1
 
 
+def counted_passes(monkeypatch):
+    """The point counts of the calls of _Samples.closest, the first step
+    of each classification pass."""
+    passes, closest = [], geometry._Samples.closest
+
+    def counted(self, points, below=np.inf):
+        passes.append(np.size(points))
+        return closest(self, points, below)
+    monkeypatch.setattr(geometry._Samples, "closest", counted)
+    return passes
+
+
 def test_batched_checks_classify_each_target_once(monkeypatch):
+    # one classification pass per call, shared by every order, gives the
+    # values of one public call per target (and per order) bit for bit
     g, f = periodic_trapezoid_grid(N_GRID), pole_density()
     c = ellipse(1.0, 0.6)
     targets = batch_targets(3)
     exterior = targets[3:9]
-    # the same values, one public call per target (and per order)
-    want_uniform = []
+    want_uniform, verdicts = [], []
     for z in targets:
         cl = classify_point(c, g, z)
+        verdicts.append(cl.verdict)
         if cl.on_contour:
             want_uniform.append(abs(one_sided_limit(f, c, g, z, "exterior")))
         else:
@@ -634,20 +667,45 @@ def test_batched_checks_classify_each_target_once(monkeypatch):
     want_exterior = max(abs(cauchy_functional(f, c, g, z, n).value)
                         for z in exterior for n in (0, 1, 2))
 
-    classified = []
-
-    def counted(smp, z, delta):
-        classified.append(z)
-        return classify(smp, z, delta)
-    classify = cauchy_module._classify
-    monkeypatch.setattr(cauchy_module, "_classify", counted)
+    passes = counted_passes(monkeypatch)
     report = uniform_convergence_residuals(f, c, g, targets, 0)
-    assert classified == targets
+    assert passes == [len(targets)]
     assert report.residuals.tolist() == want_uniform
-    classified.clear()
+    assert report.verdicts == tuple(verdicts)
+    passes.clear()
     worst = exterior_annihilation_check(f, c, g, exterior, (0, 1, 2))
-    assert classified == exterior
+    assert passes == [len(exterior)]
     assert worst == want_exterior
+
+
+def test_thousand_target_batch_equals_the_scalar_loop():
+    # 1,000 ellipse targets in one call: far and near on both sides and on
+    # the contour, each residual and verdict that of the scalar calls
+    e, g, f = ellipse(1.0, 0.6), periodic_trapezoid_grid(N_GRID), \
+        pole_density()
+    rng = np.random.default_rng(18)
+    s = 2.0 * np.pi * rng.random(1000)
+    rho = np.concatenate((rng.uniform(0.1, 0.95, 350),
+                          rng.uniform(1.05, 3.0, 350),
+                          1.0 + rng.choice([-1.0, 1.0], 250)
+                          * 10.0 ** rng.uniform(-4.0, -1.0, 250),
+                          np.ones(50)))
+    targets = e.z(s) * rho
+    report = uniform_convergence_residuals(f, e, g, targets, 0)
+    for z, res, verdict in zip(targets, report.residuals, report.verdicts):
+        cl = classify_point(e, g, z)
+        assert verdict == cl.verdict
+        if cl.on_contour:
+            want = abs(one_sided_limit(f, e, g, z, "exterior"))
+        else:
+            value = cauchy_functional(f, e, g, z).value
+            want = abs(value - f.func(z) if cl.inside else value)
+        assert res == want
+    assert report.verdicts.count("on-contour") == 50
+    outside = targets[np.array(report.verdicts) == "outside"]
+    worst = exterior_annihilation_check(f, e, g, outside, (0, 1, 2))
+    assert worst == max(abs(cauchy_functional(f, e, g, z, n).value)
+                        for z in outside for n in (0, 1, 2))
 
 
 PUBLIC_NAMES = """

@@ -12,7 +12,7 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
 from cauchykit.geometry import (_UNRESOLVED, DELTA_FRACTION,
-                                NEAR_ZONE_FACTOR, ClosedContour, _classify,
+                                NEAR_ZONE_FACTOR, ClosedContour,
                                 _has_close_pair, _resolution, _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
@@ -510,23 +510,28 @@ def test_locate_recovers_normal_offsets(kind, with_d2z):
 def test_circle_exact_branch_matches_the_newton_branch():
     # the exact closest point of a circle and Newton from the nearest node
     # of the same circle wrapped as a generic contour agree, in the near
-    # zone on both sides and on the contour between nodes
+    # zone on both sides and on the contour between nodes, one target at a
+    # time and as one array of targets
     exact = circle(0.3j, 1.2)
     generic = ClosedContour(z=exact.z, dz=exact.dz)
     grid = periodic_trapezoid_grid(64)
     smp_exact, smp_generic = _sample(exact, grid), _sample(generic, grid)
-    for s in (0.0, 0.7 * TWO_PI / 64, 2.0, 4.1, TWO_PI - 1e-3):
-        for d in (0.0, 1e-12, 1e-3, -1e-3, 0.2, -0.2):
-            z = 0.3j + (1.2 + d) * np.exp(1j * s)
-            cls = [classify_point(c, grid, z) for c in (exact, generic)]
-            assert cls[0].verdict == cls[1].verdict
-            assert cls[0].distance == pytest.approx(cls[1].distance,
-                                                    abs=1e-14)
-            located = [_classify(smp, z, cls[0].delta)[2]
-                       for smp in (smp_exact, smp_generic)]
-            (s_a, on_a), (s_b, on_b) = located
-            assert abs((s_a - s_b + np.pi) % TWO_PI - np.pi) <= 1e-14
-            assert abs(on_a - on_b) <= 1e-14
+    zs = [0.3j + (1.2 + d) * np.exp(1j * s)
+          for s in (0.0, 0.7 * TWO_PI / 64, 2.0, 4.1, TWO_PI - 1e-3)
+          for d in (0.0, 1e-12, 1e-3, -1e-3, 0.2, -0.2)]
+    for z in zs:
+        cls = [classify_point(c, grid, z) for c in (exact, generic)]
+        assert cls[0].verdict == cls[1].verdict
+        assert cls[0].distance == pytest.approx(cls[1].distance, abs=1e-14)
+        located = [smp.closest(z, smp.near_zone)[1]
+                   for smp in (smp_exact, smp_generic)]
+        (s_a, on_a), (s_b, on_b) = located
+        assert abs((s_a - s_b + np.pi) % TWO_PI - np.pi) <= 1e-14
+        assert abs(on_a - on_b) <= 1e-14
+    dist, (s0, on) = smp_generic.closest(np.array(zs), smp_generic.near_zone)
+    for i, z in enumerate(zs):
+        d, (s, o) = smp_generic.closest(z, smp_generic.near_zone)
+        assert (dist[i], s0[i], on[i]) == (d[0], s[0], o[0])
     # the exact branch calls no z beyond the grid sampling
     sizes = []
     counted = ClosedContour(z=lambda s: sizes.append(np.size(s)) or exact.z(s),

@@ -454,6 +454,23 @@ class TestCayleyRoute:
         assert lhs == parseval_check(f1, f1)[0]
         assert abs(lhs - square()) <= 1e-14 * square()
 
+    def test_stalled_ladder_takes_no_tail_model(self):
+        # a kink stalls the ladder at N = 128, where the outermost node is
+        # R = cot(pi/256) = 81 and v's tails need not follow the declared
+        # power yet: the over-declared decays 1.5 and 2.5 read what 1 does
+        v = lambda x: x / (x * x + 1.0) + 0.01 / (1.0 + np.abs(x - 0.37))
+        got = []
+        for decay in (1, 1.5, 2.5):
+            f = RealLineFunction(v, decay=decay)
+            res = hilbert_line(f, [0.0])
+            assert res.grid_size == 128
+            assert any(note.startswith("unresolved") for note in res.notes)
+            with pytest.warns(AccuracyWarning):
+                got.append((res.values[0], parseval_check(f, f)[0]))
+        assert got[0] == got[1] == got[2]
+        assert got[0][0] == pytest.approx(1.0027132448826332, rel=1e-12)
+        assert got[0][1] == pytest.approx(1.5750618646551007, rel=1e-12)
+
     def test_cli_column_is_flagged_unresolved(self):
         # the CLI's line column: a piecewise-linear interpolant that jumps to
         # zero at +-pi; the ladder stops once its modes no longer fall

@@ -8,11 +8,11 @@ import pytest
 from cauchykit import airfoil, geometry, plemelj
 from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
                        DomainError, EndpointError, JordanArc, NonFiniteError,
-                       arc_cauchy_integral, build_unit_circle,
+                       SheetDensity, arc_cauchy_integral, build_unit_circle,
                        gauss_panel_grid, one_sided_limit,
                        panels_from_breakpoints, plemelj_limits,
                        poincare_bertrand_residual, reconstruct_from_jump,
-                       segment)
+                       segment, sheet_velocity_field)
 
 from oracles import arc_integral_refined, graded_breaks, pv_arc_extrapolated
 
@@ -651,3 +651,41 @@ def test_seeded_arc_locate_keeps_the_endpoint_margin():
         for s in (0.0, 0.01, 0.995, 1.0):
             with pytest.raises(EndpointError):
                 plemelj_limits(g, arc, grid, complex(arc.z(np.array([s]))[0]))
+
+
+# ---------------------------------------------------------------------------
+# the three off-arc routes share one evaluator: its warning and its check
+
+
+GRID24 = gauss_panel_grid(24, 12)
+ARC_ROUTES = {
+    "arc_cauchy_integral": lambda z: arc_cauchy_integral(
+        lambda t: 1.0 - t ** 2, segment(-1.0, 1.0), GRID24, z),
+    "reconstruct_from_jump": lambda z: reconstruct_from_jump(
+        lambda t: 1.0 - t ** 2, segment(-1.0, 1.0), GRID24, z),
+    "sheet_velocity_field": lambda z: sheet_velocity_field(
+        None, SheetDensity(smooth=lambda x: 1.0 - np.asarray(x) ** 2), z),
+}
+
+
+@pytest.mark.parametrize("route", list(ARC_ROUTES))
+def test_near_zone_warning_names_the_caller(route):
+    with pytest.warns(AccuracyWarning) as record:
+        ARC_ROUTES[route](0.3 + 1e-4j)
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("route", list(ARC_ROUTES))
+def test_non_finite_field_points_rejected(route):
+    for z in (complex("nan"), complex("inf"), complex(0.2, -np.inf)):
+        with pytest.raises(DomainError, match="non-finite"):
+            ARC_ROUTES[route](z)
+    points = np.array([2j, complex("nan"), 1.5 + 0.5j])
+    if route == "sheet_velocity_field":
+        with pytest.raises(DomainError, match="non-finite"):
+            ARC_ROUTES[route](points)
+        with pytest.raises(DomainError, match="non-finite"):
+            sheet_velocity_field(None, None, points)
+    else:       # one field point only
+        with pytest.raises(TypeError):
+            ARC_ROUTES[route](points)
