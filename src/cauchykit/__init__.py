@@ -6,7 +6,7 @@ from .cauchy import (BoundaryFunction, FunctionalValue, ResidualReport,
                      boundary_value, cauchy_functional,
                      complement_boundary_value, complement_functional,
                      derivative_bound_check, generalized_functional,
-                     mean_value_check, one_sided_limit,
+                     mean_value_check, one_sided_limit, pv_contour_integral,
                      uniform_convergence_residuals, validate_derivatives,
                      vanishing_contour_integral)
 from .errors import (AccuracyWarning, CapabilityError, CauchyKitError,
@@ -18,8 +18,7 @@ from .geometry import (ClosedContour, JordanArc, PointClassification,
                        classify_point, contour_integral, ellipse,
                        gauss_panel_grid, near_zone_width,
                        panels_from_breakpoints, periodic_trapezoid_grid,
-                       pv_contour_integral, pv_singular_weight, segment,
-                       validate_contour)
+                       pv_singular_weight, segment, validate_contour)
 from .hilbert import (PeriodicFunction, RealLineFunction, TransformResult,
                       hilbert_circular, hilbert_circular_complementary,
                       hilbert_circular_complementary_inverse,

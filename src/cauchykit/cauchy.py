@@ -21,7 +21,7 @@ from .errors import (CapabilityError, ContractError, NonFiniteError,
                      OnContourError)
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
                        QuadratureGrid, _evaluate, _pv, _pv_at_all_nodes,
-                       _require_periodic, _sample, circle,
+                       _require_periodic, _sample, _warn_if_unresolved, circle,
                        periodic_trapezoid_grid, spectral_derivative,
                        trig_interp)
 
@@ -126,12 +126,11 @@ def _functional(smp, z, n, m, near_m):
     target in the near zone: a batch of one for _evaluate; OnContourError
     for a target on the contour."""
     ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, m, near_m),))
-    cl, near = ev.classification(0), bool(ev.near[0])
+    cl = ev.classification(0)
     if cl.on_contour:
         raise OnContourError(_ON_CONTOUR)
-    value = complex(ev.sums[1, 0]) * float(math.factorial(
-        n - (near_m if near else m))) / (2j * np.pi)
-    return FunctionalValue(value, complex(z), cl, (n, m), near)
+    return FunctionalValue(complex(ev.sums[1, 0]), complex(z), cl, (n, m),
+                           bool(ev.near[0]))
 
 
 def cauchy_functional(f: BoundaryFunction, contour: ClosedContour,
@@ -172,6 +171,21 @@ def _boundary_terms(smp, t0, n, located=None):
     at_t0 = complex(trig_interp(samples, s0)[0]) if dc is None \
         else complex(np.asarray(dc(np.array([on])))[0])
     return at_t0, _pv(samples, at_t0, smp.zs, smp.dzs, on, smp.grid, s0)
+
+
+def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
+                        t0: complex, delta: Optional[float] = None) -> complex:
+    """Principal value of f(t)/(t - t0) dt over the contour, t0 on it.
+
+    Satisfies the boundary relation P.V. of f/(t - t0) = i*pi*f(t0) for f
+    regular inside and on the contour; the location-independent constant for
+    the reversed kernel is available as :func:`pv_singular_weight`.  Warns
+    when a periodic grid does not resolve f.
+    """
+    smp = _sample(contour, grid, BoundaryFunction(f))
+    located = smp.locate(t0, delta)
+    _warn_if_unresolved(smp.f(0), grid, "the density")
+    return _boundary_terms(smp, t0, 0, located)[1]
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,
@@ -243,7 +257,7 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
     smp = _sample(contour, grid, f)
     z = np.asarray(targets, dtype=complex).reshape(-1)
     ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, 0, n),))
-    side, g = ev.side, ev.values[0]
+    side, g = ev.side, ev.sums[1]
     inside = side == 1
     if inside.any():
         dc = f.derivative_callable(n)

@@ -35,6 +35,9 @@ NEAR_ZONE_FACTOR = 10.0
 # smooth closed contour against dz/(t0 - z), for t0 on the contour.
 PV_SINGULAR_WEIGHT = -1j * np.pi
 
+# The Cauchy factor 1/(2*pi*i), to multiply by: a division costs more
+_CAUCHY = -0.5j / np.pi
+
 # Entries per row block of a matrix route (256 kB complex), so that memory
 # stays bounded whatever the node and target counts; larger blocks are no
 # faster, as the block then outgrows the cache.
@@ -43,7 +46,9 @@ _BLOCK_ENTRIES = 1 << 14
 # Fourier modes at rounding, relative to the largest sample; and the top-mode
 # level (|k| >= 3N/8) a periodic grid resolves: from it geometric decay
 # aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
-_ROUNDING, _UNRESOLVED = 1e-15, 1e-6
+# Node spacings within which _pv may take a node's quotient from the
+# interpolants: beyond, its cancellation costs <= 2e-15 (1/(t - 2), n = 256).
+_ROUNDING, _UNRESOLVED, _NODE_BAND = 1e-15, 1e-6, 1.0 / 64
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +425,19 @@ def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
 
 class _Evaluation(NamedTuple):
     """Targets of a closed contour after one pass (_evaluate): distances,
-    closest() points, near-zone flags, and the kernel sums: row 0 the
-    winding sum, sum_j z'_j w_j/(z_j - z), row 1 + j that of functional
-    j = (n, k, k_near).  One target is finished in scalar arithmetic
-    (classification, cauchy._functional), a batch elementwise (side,
-    values), to the same bits."""
+    closest() points, near-zone flags, and the finished kernel sums: row 0
+    the winding number, row 1 + j functional j = (n, k, k_near)."""
 
     delta: float
     dist: np.ndarray
     located: tuple
     near: np.ndarray
     sums: np.ndarray
-    functionals: tuple
 
     def classification(self, i):
         """PointClassification of target i."""
         dist = float(self.dist[i])
-        wind = complex(self.sums[0, i] / (2j * np.pi)) if dist > 0 \
-            else complex(np.nan)
+        wind = complex(self.sums[0, i]) if dist > 0 else complex(np.nan)
         rounded = round(wind.real) if cmath.isfinite(wind) else 0
         verdict = "on-contour" if dist < self.delta else \
             "inside" if rounded >= 1 else "outside"
@@ -447,30 +447,16 @@ class _Evaluation(NamedTuple):
     @property
     def side(self):
         """Every target's verdict: 0 outside, 1 inside, 2 on the contour."""
-        with np.errstate(invalid="ignore"):
-            wind = self.sums[0] / (2j * np.pi)
-        inside = np.isfinite(wind) & (np.rint(wind.real) >= 1)
+        inside = np.isfinite(self.sums[0]) & (np.rint(self.sums[0].real) >= 1)
         return np.where(self.dist < self.delta, 2, inside)
-
-    @property
-    def values(self):
-        """Every functional at every target, complex(s) * (n-k)! / (2j*pi)
-        bit for bit as CPython takes it: its product by (n-k)!, then by
-        -1j, then each part over 2*pi."""
-        scales = np.array([[math.factorial(n - k) for k in ks] for n, *ks in
-                           self.functionals], dtype=float).reshape(-1, 2)
-        with np.errstate(invalid="ignore"):
-            p = self.sums[1:] * np.where(self.near, scales[:, 1:],
-                                         scales[:, :1]) * complex(0.0, -1.0)
-        return (p.view(float) / TWO_PI).view(complex)
 
 
 def _evaluate(smp, z, delta, functionals=()):
     """_Evaluation of the targets z against the closed contour of ``smp``,
     with J_(n,k)[f](z) = ((n-k)!/2*pi*i) sum_j f^(k)_j z'_j w_j/(z_j -
     z)^(n-k+1) for each functional (n, k, k_near), k = k_near in the near
-    zone: one _kernel_sums pass per zone serves the winding sum and every
-    functional."""
+    zone: one _kernel_sums pass per zone serves the winding number and every
+    functional, each column carrying its factor, so the sums are finished."""
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -483,11 +469,14 @@ def _evaluate(smp, z, delta, functionals=()):
         near = dist < smp.near_zone
         zones = [(None, 2)] if np.count_nonzero(near) == z.size else [
             (np.flatnonzero(~near), 1), (np.flatnonzero(near), 2)]
+    dzw = smp.dzw * _CAUCHY
     sums = np.empty((1 + len(functionals), z.size), dtype=complex)
     for rows, pick in zones:
-        columns = [(smp.dzw, 1)] + [(smp.f(spec[pick]) * smp.dzw,
-                                     spec[0] - spec[pick] + 1)
-                                    for spec in functionals]
+        columns = [(dzw, 1)]
+        for spec in functionals:
+            p = spec[0] - spec[pick]
+            columns.append((smp.f(spec[pick]) * (
+                dzw if p < 2 else dzw * math.factorial(p)), p + 1))
         with np.errstate(divide="ignore", invalid="ignore"):   # on a node
             part = _kernel_sums(smp.zs, columns, z if rows is None else
                                 z[rows])
@@ -495,7 +484,7 @@ def _evaluate(smp, z, delta, functionals=()):
             sums = part
         else:
             sums[:, rows] = part
-    return _Evaluation(delta, dist, located, near, sums, functionals)
+    return _Evaluation(delta, dist, located, near, sums)
 
 
 def _kernel_sums(t, columns, z):
@@ -618,37 +607,33 @@ def trig_interp(samples: np.ndarray, s) -> np.ndarray:
 
 def _pv(samples, value_at_t0, zs, dzs, t0, grid, s0):
     """P.V. of g(t)/(t - t0) dt, t0 = z(s0), from the samples of g, z and z'
-    at the nodes: the trapezoid sum of the smooth (g(t) - g(t0))/(t - t0),
-    whose value at a node s0 is the spectral derivative there, plus the
-    subtracted pole's analytic +i*pi*g(t0)."""
-    d = np.abs((grid.nodes - s0 + np.pi) % TWO_PI - np.pi)
-    j0 = int(np.argmin(d))
+    at the nodes: the trapezoid sum of the smooth (g(t) - g(t0))/(t - t0)
+    plus the subtracted pole's analytic +i*pi*g(t0).  Near the nearest node,
+    s0 + delta, where that quotient cancels, it is the divided difference of
+    the trigonometric interpolants of g and z, each sum_k c_k e^(i k (s0 +
+    delta/2)) 2i sin(k delta/2)/delta (ik e^(i k s0) at delta = 0), which
+    does not cancel: within 1e-9, and within _NODE_BAND where its error, n
+    |delta| times their top-mode level, is below rounding.  Off the periodic
+    grid a node within 1e-9 raises CapabilityError."""
+    d = (grid.nodes - s0 + np.pi) % TWO_PI - np.pi
+    j0, n = int(np.argmin(np.abs(d))), grid.n
+    delta = float(d[j0])
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (samples - value_at_t0) * dzs / (zs - t0)
-    if d[j0] < 1e-9:
+    if abs(delta) < (_NODE_BAND * TWO_PI / n
+                     if grid.kind == "periodic-trapezoid" else 1e-9):
         _require_periodic(grid, "a principal value at a node")
-        quotient[j0] = spectral_derivative(samples)[j0]
+        rows = np.stack((samples, zs))
+        coef = np.fft.fft(rows)
+        if abs(delta) < 1e-9 or (abs(delta) * np.abs(coef[   # |k| >= 3n/8
+                :, 3 * n // 8:5 * n // 8 + 1]).max(axis=1)
+                <= _ROUNDING * np.abs(rows).max(axis=1)).all():
+            k = np.fft.fftfreq(n, 1.0 / n)
+            e = 1j * k if delta == 0 else 2j * np.sin(0.5 * delta * k) / delta
+            num, den = coef @ (np.exp(1j * (s0 + 0.5 * delta) * k) * e)
+            quotient[j0] = num / den * dzs[j0]
     smooth = complex(np.sum(quotient * grid.weights))
     return smooth + value_at_t0 * (1j * np.pi)
-
-
-def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
-                        t0: complex, delta: Optional[float] = None) -> complex:
-    """Principal value of f(t)/(t - t0) dt over the contour, t0 on it.
-
-    Satisfies the boundary relation P.V. of f/(t - t0) = i*pi*f(t0) for f
-    regular inside and on the contour; the location-independent constant for
-    the reversed kernel is available as :func:`pv_singular_weight`.  Warns
-    when a periodic grid does not resolve f.
-    """
-    smp = _sample(contour, grid)
-    s0, t0 = smp.locate(t0, delta)
-    samples = np.asarray(f(smp.zs), dtype=complex)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteError("density is non-finite at a quadrature node")
-    f_t0 = complex(np.asarray(f(np.array([t0])))[0])
-    _warn_if_unresolved(samples, grid, "the density")
-    return _pv(samples, f_t0, smp.zs, smp.dzs, t0, grid, s0)
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
-from .geometry import (JordanArc, QuadratureGrid, _kernel_sums,
+from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _kernel_sums,
                        _legendre_steps, _panel_samples, _row_blocks, _sample,
                        panels_from_breakpoints)
 
@@ -84,21 +84,20 @@ def _off_arc_sums(smp, parts, z, p=1):
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
-def _jump_part(g, arc, grid, z):
-    """The arc's samples on the grid and the part (nodes, g z'w) of g dt."""
+def _jump_part(g, arc, grid, z, n=0):
+    """The arc's samples on the grid and the part (nodes, n! g z'w/2*pi*i)."""
     if np.ndim(z):
         raise TypeError("arc_cauchy_integral takes one field point z")
     smp = _sample(arc, grid)
     return smp, ((smp.zs, np.asarray(_as_density(g)(smp.zs), dtype=complex)
-                  * smp.dzw),)
+                  * (smp.dzw * (_CAUCHY * math.factorial(n)))),)
 
 
 def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
                         n: int = 0) -> complex:
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
-    smp, parts = _jump_part(g, arc, grid, z)
-    return math.factorial(n) / (2j * np.pi) * _off_arc_sums(smp, parts, z,
-                                                            n + 1)
+    smp, parts = _jump_part(g, arc, grid, z, n)
+    return _off_arc_sums(smp, parts, z, n + 1)
 
 
 def _arc_pv_rows(densities, smp, order, s0, t0, rows=None) -> list:
@@ -204,7 +203,7 @@ def reconstruct_from_jump(jump, arc: JordanArc, grid: QuadratureGrid,
     """f(z) rebuilt from its jump across L: (1/2*pi*i) int jump(t)/(t-z) dt,
     arc_cauchy_integral at n = 0."""
     smp, parts = _jump_part(jump, arc, grid, z)
-    return 1 / (2j * np.pi) * _off_arc_sums(smp, parts, z)
+    return _off_arc_sums(smp, parts, z)
 
 
 def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,

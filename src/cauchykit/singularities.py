@@ -157,7 +157,7 @@ def exterior_annihilation_check(p, contour: ClosedContour,
         i = side.nonzero()[0][0]
         raise OnContourError(_ON_CONTOUR) if side[i] == 2 else \
             ContractError(f"target {z[i]} is not exterior")
-    v = ev.values           # fmax, as max() from 0.0, passes over a NaN
+    v = ev.sums[1:]         # fmax, as max() from 0.0, passes over a NaN
     return float(np.fmax.reduce(np.hypot(v.real, v.imag), None, initial=0.0))
 
 

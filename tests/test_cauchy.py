@@ -1,5 +1,9 @@
 import dataclasses
 import inspect
+import math
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 
@@ -174,6 +178,39 @@ class TestBoundaryRelations:
                 assert abs(one_sided_limit(f, c, g, t0, "interior")
                            - f(t0)) < 1e-8
                 assert abs(boundary_value(f, c, g, t0, 0) - f(t0)) < 1e-8
+
+
+NODE_OFFSETS = [0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-7, 1e-6, 1e-4,
+                1e-3, 1e-2]
+
+
+@pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+@pytest.mark.parametrize("ds", NODE_OFFSETS)
+def test_boundary_value_next_to_a_node(contour, ds):
+    # next to a node, g_j - g(t0) and z_j - t0 cancel in that node's
+    # quotient; plain quotients lost up to 1e-9 at ds = 1.5e-9
+    f, g = pole_density(), periodic_trapezoid_grid(256)
+    t0 = contour.z(g.nodes[37:38] + ds)[0]
+    for n in (0, 1):
+        want = f.derivative_callable(n)(t0)
+        assert abs(boundary_value(f, contour, g, t0, n) - want) <= 1e-14
+    pv = pv_contour_integral(f.func, contour, g, t0)
+    assert abs(pv / (1j * np.pi) - f.func(t0)) <= 1e-14
+
+
+@pytest.mark.parametrize("frac", [1e-2, 1.0 / 70])
+def test_next_to_a_node_the_smaller_error_wins(frac):
+    # 1/(t - 1.2) at n = 256: the trapezoid sum is exact to rounding, the
+    # interpolants only to ~1e-8, so inside the band the quotient stays
+    # plain (the interpolants' divided difference would read 1.2e-8)
+    a, g, c = 1.2, periodic_trapezoid_grid(256), circle(0.0, 1.0)
+    f = BoundaryFunction(lambda t: 1.0 / (t - a),
+                         derivs=(lambda t: -1.0 / (t - a) ** 2,))
+    t0 = c.z(g.nodes[51:52] + frac * 2.0 * np.pi / 256)[0]
+    for n in (0, 1):
+        want = f.derivative_callable(n)(t0)
+        assert abs(boundary_value(f, c, g, t0, n) - want) <= 1e-13
 
 
 class TestComplement:
@@ -442,19 +479,50 @@ def test_complement_routes_share_one_decay_check(route, decay):
 def test_first_order_kernel_is_bit_identical_to_the_power():
     # numpy's inv ** 1 is a general complex power; the first-order kernel
     # is inv itself, bit-identical to it, and a row of the blocked kernel
-    # sums is the 1-D np.sum of its target
+    # sums is the 1-D np.sum of its target, the Cauchy factor in the column
     c, g = build_unit_circle(256)
     f, z = pole_density(), 0.3 + 0.2j
     smp = cauchy_module._sample(c, g, f)
     inv = 1.0 / (smp.zs - z)
     assert np.array_equal((inv ** 1).view(float), inv.view(float))
-    terms = f(smp.zs) * smp.dzw
-    want = complex(np.sum(terms * inv ** 1)) / (2j * np.pi)
+    terms = f(smp.zs) * (smp.dzw * geometry._CAUCHY)
+    want = complex(np.sum(terms * inv ** 1))
     assert cauchy_functional(f, c, g, z).value == want
     rows = geometry._kernel_sums(smp.zs, [(terms, 1), (terms, 3)],
                                  np.array([0.1j, z]))
     assert rows[0, 1] == np.sum(terms * inv)
     assert rows[1, 1] == np.sum(terms * inv ** 3)
+
+
+def _finished_row(smp, z, n, k):
+    """J_(n,k) at z as one _kernel_sums row, its factor (n-k)!/(2 pi i) in
+    the column as _evaluate puts it."""
+    dzw, p = smp.dzw * geometry._CAUCHY, n - k
+    col = smp.f(k) * (dzw if p < 2 else dzw * math.factorial(p))
+    return geometry._kernel_sums(smp.zs, [(col, p + 1)], np.array([z]))[0, 0]
+
+
+@pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+@pytest.mark.parametrize("rho,near", [(0.3, False), (0.98, True),
+                                      (1.02, True), (3.0, False)])
+def test_functional_values_are_their_kernel_sums(contour, rho, near):
+    # no arithmetic after the sum: each value is its row, bit for bit
+    g, f = periodic_trapezoid_grid(256), pole_density()
+    F = BoundaryFunction(lambda t: t ** -2.0, decay=2,
+                         derivs=(lambda t: -2.0 * t ** -3.0,
+                                 lambda t: 6.0 * t ** -4.0))
+    z = contour.z(np.array([0.3]))[0] * rho
+    smp, cmp = (cauchy_module._sample(contour, g, h) for h in (f, F))
+    for n in (0, 1, 2):
+        fv = cauchy_functional(f, contour, g, z, n)
+        assert fv.near_zone == near
+        assert fv.value == _finished_row(smp, z, n, n if near else 0)
+        for m in range(n + 1):
+            assert generalized_functional(f, contour, g, z, n, m).value \
+                == _finished_row(smp, z, n, m)
+        assert complement_functional(F, contour, g, z, n).value \
+            == -_finished_row(cmp, z, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -751,3 +819,21 @@ def test_transform_result_and_parseval_check_are_pinned():
         == ["values", "targets", "truncation_error", "grid_size", "notes"]
     assert list(inspect.signature(cauchykit.parseval_check).parameters) \
         == ["u", "v"]
+
+
+def test_runtime_imports_are_stdlib_and_numpy():
+    # numpy is the only runtime dependency: importing the package and its
+    # CLI loads no other third-party module (mpmath is for the tests)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; before = set(sys.modules); "
+            "import cauchykit, cauchykit.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} "
+            "- {m.split('.')[0] for m in before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"cauchykit", "numpy"} <= loaded
+    assert loaded - sys.stdlib_module_names <= {"cauchykit", "numpy"}

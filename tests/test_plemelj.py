@@ -129,6 +129,19 @@ class TestReconstruction:
             rebuilt = reconstruct_from_jump(g, arc, grid, z)
             assert abs(direct - rebuilt) < 1e-12
 
+    def test_reconstruct_is_the_arc_integral_bit_for_bit(self, chord):
+        # both are the arc's kernel sum with n!/(2 pi i) in the weights
+        g = ArcDensity(lambda t: 1.0 - t ** 2)
+        for arc, grid in (chord, (HALF_CIRCLE, gauss_panel_grid(16, 12))):
+            smp = geometry._sample(arc, grid)
+            for z in (2j, -1.4 + 0.8j, 3.0 - 2.0j):
+                want = [geometry._kernel_sums(smp.zs, [(
+                    g(smp.zs) * (smp.dzw * (geometry._CAUCHY * f)), n + 1)],
+                    np.array([z]))[0, 0] for n, f in ((0, 1), (2, 2))]
+                assert reconstruct_from_jump(g, arc, grid, z) == want[0]
+                assert arc_cauchy_integral(g, arc, grid, z) == want[0]
+                assert arc_cauchy_integral(g, arc, grid, z, n=2) == want[1]
+
     def test_zero_jump(self, chord):
         arc, grid = chord
         assert reconstruct_from_jump(ArcDensity(np.zeros_like), arc, grid,
