@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _panel_samples,
-                       _pv_smooth_part, _sample, segment)
+from .geometry import (JordanArc, QuadratureGrid, _chord_pv, _panel_samples,
+                       _sample, segment)
 from .plemelj import _arc_pv_rows, _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
@@ -151,10 +151,8 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
     out = np.zeros_like(x)
     if gamma.weight_coef is not None:
         t, w = chebyshev4_rule(n)
-        phi_x = np.asarray(gamma.weight_coef(x), dtype=float)
-        out += _pv_smooth_part(gamma.weight_coef, t, w,
-                               np.asarray(gamma.weight_coef(t), dtype=float),
-                               x, phi_x) + phi_x * PV_WEIGHT4
+        out += _chord_pv(gamma.weight_coef, t, w, np.asarray(
+            gamma.weight_coef(t), dtype=float), x, PV_WEIGHT4)
     if gamma.smooth is not None:
         out += _smooth_chord_pv(gamma.smooth, x)
     return out / (2.0 * np.pi)
@@ -183,9 +181,7 @@ def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
     v_t = np.asarray(v(t), dtype=float)
 
     def phi(x):
-        x = _check_chord_targets(x)
-        v_x = np.asarray(v(x), dtype=float)
-        pv = _pv_smooth_part(v, t, w, v_t, x, v_x) + v_x * PV_WEIGHT3
+        pv = _chord_pv(v, t, w, v_t, _check_chord_targets(x), PV_WEIGHT3)
         return -(2.0 / np.pi) * pv
 
     return SheetDensity(weight_coef=phi)

@@ -21,8 +21,8 @@ from .errors import (CapabilityError, ContractError, NonFiniteError,
                      OnContourError)
 from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
                        QuadratureGrid, _evaluate, _pv, _pv_at_all_nodes,
-                       _require_periodic, _sample, _warn_if_unresolved, circle,
-                       periodic_trapezoid_grid, spectral_derivative,
+                       _require_periodic, _sample, _sided, _warn_if_unresolved,
+                       circle, periodic_trapezoid_grid, spectral_derivative,
                        trig_interp)
 
 
@@ -160,17 +160,16 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     return _functional(_sample(contour, grid, f), z, n, m, m)
 
 
-def _boundary_terms(smp, t0, n, located=None):
-    """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt) for t0 on the contour;
-    DomainError when t0 is off it.  ``located`` is t0's (s0, z(s0)) when the
-    caller already has it."""
-    s0, on = located or smp.locate(t0)
+def _boundary_terms(smp, n, t0=None, located=None, quiet=False):
+    """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt), arrays, at located = (s0,
+    t0) or the one contour point t0; ``quiet`` once f was found unresolved."""
+    s0, t0 = [np.array(a, ndmin=1) for a in located or smp.locate(t0)]
     samples = smp.f(n)
     # no callable for f^(n): smp.f(n) refused a non-periodic grid already
     dc = smp.density.derivative_callable(n)
-    at_t0 = complex(trig_interp(samples, s0)[0]) if dc is None \
-        else complex(np.asarray(dc(np.array([on])))[0])
-    return at_t0, _pv(samples, at_t0, smp.zs, smp.dzs, on, smp.grid, s0)
+    at = trig_interp(samples, s0) if dc is None \
+        else np.asarray(dc(t0), dtype=complex)
+    return at, _pv(samples, at, smp, s0, t0, quiet)
 
 
 def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
@@ -184,15 +183,15 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     """
     smp = _sample(contour, grid, BoundaryFunction(f))
     located = smp.locate(t0, delta)
-    _warn_if_unresolved(smp.f(0), grid, "the density")
-    return _boundary_terms(smp, t0, 0, located)[1]
+    quiet = _warn_if_unresolved(smp.f(0), grid, "the density")
+    return complex(_boundary_terms(smp, 0, located=located, quiet=quiet)[1][0])
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,
                    grid: QuadratureGrid, t0: complex, n: int = 0) -> complex:
     """K_n[f](t0) = (1/pi*i) P.V. of f^(n)(t)/(t - t0) dt; equals f^(n)(t0)."""
-    _, pv = _boundary_terms(_sample(contour, grid, f), t0, n)
-    return pv / (1j * np.pi)
+    _, pv = _boundary_terms(_sample(contour, grid, f), n, t0)
+    return complex(pv[0]) / (1j * np.pi)
 
 
 def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
@@ -205,9 +204,8 @@ def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
     """
     if side not in ("interior", "exterior"):
         raise ValueError("side must be 'interior' or 'exterior'")
-    at_t0, pv = _boundary_terms(_sample(contour, grid, f), t0, 0)
-    sign = 1.0 if side == "interior" else -1.0
-    return sign * 0.5 * at_t0 + pv / (2j * np.pi)
+    at, pv = _boundary_terms(_sample(contour, grid, f), 0, t0)
+    return complex(_sided(pv, at)[side == "exterior"][0])
 
 
 def complement_functional(F: BoundaryFunction, contour: ClosedContour,
@@ -265,11 +263,11 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
             raise CapabilityError(
                 "interior residuals at n > 0 need an analytic derivative")
         g[inside] -= np.asarray(dc(z[inside]), dtype=complex)
+    on = side == 2
+    if on.any():        # the exterior limit, f-
+        at, pv = _boundary_terms(smp, n, located=[a[on] for a in ev.located])
+        g[on] = _sided(pv, at)[1]
     res = np.hypot(g.real, g.imag)      # the bits of abs(complex)
-    s0, on = ev.located
-    for i in np.flatnonzero(side == 2):
-        at, pv = _boundary_terms(smp, z[i], n, (float(s0[i]), on[i]))
-        res[i] = abs(-0.5 * at + pv / (2j * np.pi))
     # fmax, as max() from 0.0, passes over a NaN residual
     return ResidualReport(
         float(np.fmax.reduce(res[side >= 1], initial=0.0)),

@@ -6,7 +6,8 @@ periodic trapezoid rule, which is spectrally accurate for analytic
 integrands.  Open arcs are parameterized over [0, 1] and integrated with
 composite Gauss-Legendre panels.  Principal values are never computed by
 grid-level indentation: the singularity is subtracted analytically and the
-smooth remainder is integrated at full rule accuracy.
+smooth remainder is integrated at full rule accuracy, by one routine
+(_subtracted_pv) for closed contours and the chord's Chebyshev rules alike.
 """
 
 import cmath
@@ -220,6 +221,8 @@ class _Samples:
             dist = np.abs(np.hypot(rel.real, rel.imag) - curve.radius)
             if flat.size and dist.min() < below:
                 s0 = np.arctan2(rel.imag, rel.real) % TWO_PI  # np.angle(rel)
+                if flat.size > 1:       # one point is below already
+                    s0[dist >= below] = np.nan
                 on = curve.center + curve.radius * np.exp(1j * s0)
             return dist, (s0, on)
         dist, step = np.empty(flat.size), max(1, _BLOCK_ENTRIES // self.zs.size)
@@ -573,15 +576,16 @@ def _resolution(samples, lowest=None):
 
 
 def _warn_if_unresolved(samples, grid, what, stacklevel=3):
-    """AccuracyWarning when a periodic grid (None: any equispaced periodic
-    samples) leaves the samples unresolved; ``stacklevel`` counts frames as
-    warnings.warn does from here, so 3 names the caller's caller."""
+    """AccuracyWarning, and True, when a periodic grid (None: any equispaced
+    periodic samples) leaves the samples unresolved; ``stacklevel`` counts
+    frames as warnings.warn does from here, so 3 names the caller's caller."""
     periodic = grid is None or grid.kind == "periodic-trapezoid"
     level = _resolution(samples)[0] if periodic else 0
     if level > _UNRESOLVED:
         warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
                       f"modes are {level:.1e} of its maximum", AccuracyWarning,
                       stacklevel=stacklevel)
+    return level > _UNRESOLVED
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:
@@ -605,35 +609,41 @@ def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def _pv(samples, value_at_t0, zs, dzs, t0, grid, s0):
-    """P.V. of g(t)/(t - t0) dt, t0 = z(s0), from the samples of g, z and z'
-    at the nodes: the trapezoid sum of the smooth (g(t) - g(t0))/(t - t0)
-    plus the subtracted pole's analytic +i*pi*g(t0).  Near the nearest node,
-    s0 + delta, where that quotient cancels, it is the divided difference of
-    the trigonometric interpolants of g and z, each sum_k c_k e^(i k (s0 +
-    delta/2)) 2i sin(k delta/2)/delta (ik e^(i k s0) at delta = 0), which
-    does not cancel: within 1e-9, and within _NODE_BAND where its error, n
-    |delta| times their top-mode level, is below rounding.  Off the periodic
-    grid a node within 1e-9 raises CapabilityError."""
-    d = (grid.nodes - s0 + np.pi) % TWO_PI - np.pi
-    j0, n = int(np.argmin(np.abs(d))), grid.n
-    delta = float(d[j0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = (samples - value_at_t0) * dzs / (zs - t0)
-    if abs(delta) < (_NODE_BAND * TWO_PI / n
-                     if grid.kind == "periodic-trapezoid" else 1e-9):
+def _pv(samples, g0, smp, s0, t0, quiet=False):
+    """P.V. of g(t)/(t - t0) dt at the points t0 = z(s0) of the contour of
+    ``smp``, g0 = g(t0): a _subtracted_pv sum.  At t0's nearest node, s0 +
+    delta, the quotient is the divided difference of the trigonometric
+    interpolants of g and z, the ratio of their sum_k c_k e^(i k (s0 +
+    delta/2)) sin(k delta/2) (c_k k at delta = 0), which does not cancel
+    (one FFT serves every row): within 1e-9, warning (unless ``quiet``)
+    where their top-mode level is above _UNRESOLVED, and within _NODE_BAND
+    where their error, n |delta| times that level, is below rounding.  Off
+    the periodic grid a node within 1e-9 raises CapabilityError."""
+    grid, n = smp.grid, smp.grid.n
+    # j0: the first node from s0 - h/2 on (off the periodic grid, s0 - 1e-9)
+    lead, band = (np.pi / n, _NODE_BAND * TWO_PI / n) \
+        if grid.kind == "periodic-trapezoid" else (1e-9, 1e-9)
+    j0 = np.searchsorted(grid.nodes, s0 - lead) % n
+    delta = (grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi
+    hit, fix = np.nonzero(np.abs(delta) < band)[0], None
+    if hit.size:
         _require_periodic(grid, "a principal value at a node")
-        rows = np.stack((samples, zs))
-        coef = np.fft.fft(rows)
-        if abs(delta) < 1e-9 or (abs(delta) * np.abs(coef[   # |k| >= 3n/8
-                :, 3 * n // 8:5 * n // 8 + 1]).max(axis=1)
-                <= _ROUNDING * np.abs(rows).max(axis=1)).all():
-            k = np.fft.fftfreq(n, 1.0 / n)
-            e = 1j * k if delta == 0 else 2j * np.sin(0.5 * delta * k) / delta
-            num, den = coef @ (np.exp(1j * (s0 + 0.5 * delta) * k) * e)
-            quotient[j0] = num / den * dzs[j0]
-    smooth = complex(np.sum(quotient * grid.weights))
-    return smooth + value_at_t0 * (1j * np.pi)
+        rows = np.stack((samples, smp.zs))
+        coef = np.fft.fft(rows)         # the top-mode level, as _resolution
+        level = (np.abs(coef[:, 3 * n // 8:5 * n // 8 + 1]).max(axis=1)
+                 / np.maximum(np.abs(rows).max(axis=1), 1e-300)).max() / n
+        gap = np.abs(delta[hit])
+        if not quiet and gap.min() < 1e-9 and level > _UNRESOLVED:
+            warnings.warn("a principal value on a node reads the interpolants' "
+                          f"error: their top modes reach {level:.1e} of their "
+                          "maximum", AccuracyWarning, stacklevel=4)
+        hit = hit[(gap < 1e-9) | (n * level * gap <= _ROUNDING)]
+        half, k = 0.5 * delta[hit, None], np.fft.fftfreq(n, 1.0 / n)
+        e = np.where(half == 0, k, np.sin(half * k)) * np.exp(
+            1j * (s0[hit, None] + half) * k)
+        num, den = (e[:, None] * coef).sum(axis=2).T
+        fix = hit, j0[hit], num / den * smp.dzw[j0[hit]]
+    return _subtracted_pv(samples, smp.zs, smp.dzw, g0, t0, 1j * np.pi, fix)
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
@@ -697,22 +707,43 @@ def _row_blocks(n_rows, n_cols):
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _pv_smooth_part(func, nodes, weights, f_nodes, targets, f_targets):
-    """sum_j (f(x_j) - f(xi))/(x_j - xi) w_j for every real target xi: the
-    subtracted part of P.V. int f(x)/(x - xi) dx on a fixed rule, with
-    f_nodes = f(x_j) and f_targets = f(xi).  Where a target hits a node
-    (|x_j - xi| < 1e-8) the quotient takes its removable value f'(xi), a
-    central difference of ``func``.  Rows go a block at a time, so memory
-    stays bounded."""
-    out = np.empty(targets.size)
-    for r in _row_blocks(targets.size, nodes.size):
-        diff = nodes - targets[r, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot = (f_nodes - f_targets[r, None]) / diff
-        rows, cols = np.nonzero(np.abs(diff) < 1e-8)
-        if rows.size:
-            xi, h = targets[r][rows], 1e-5
-            quot[rows, cols] = (np.asarray(func(xi + h))
-                                - np.asarray(func(xi - h))) / (2.0 * h)
-        out[r] = quot @ weights
+def _subtracted_pv(g, t, cw, g0, t0, weight, fix=None):
+    """P.V. of g(t)/(t - t0) dt on the rule (t, cw) at every target t0, g0 =
+    g(t0): sum_j (g_j - g0) cw_j/(t_j - t0) + weight g0, the subtracted
+    pole's P.V.; row rows[i] of ``fix`` = (rows, cols, values), rows rising,
+    takes values[i] for its term at node cols[i], which cancels there.  A
+    block's rows each sum, bit for bit, as their target alone would."""
+    out = weight * g0
+    for r in _row_blocks(t0.size, t.size):
+        with np.errstate(divide="ignore", invalid="ignore"):   # on a node
+            terms = (g - g0[r, None]) * cw / (t - t0[r, None])
+        if fix is not None:
+            rows, cols, values = fix
+            lo, hi = rows.searchsorted(r.start), rows.searchsorted(r.stop)
+            terms[rows[lo:hi] - r.start, cols[lo:hi]] = values[lo:hi]
+        out[r] += terms.sum(axis=1)
     return out
+
+
+def _chord_pv(func, nodes, weights, f_nodes, targets, weight):
+    """P.V. int f(x)/(x - xi) w(x) dx for every real target xi, f = ``func``,
+    on a fixed rule for the weight function w, with nodes decreasing (both
+    Chebyshev rules) and f_nodes = f(x_j): a _subtracted_pv sum, ``weight``
+    the P.V. of w.  A target within 1e-8 of a node takes the removable value
+    f'(xi) there, a central difference of ``func``."""
+    up = nodes[::-1]    # the first node from xi - 1e-8 on, counted upwards
+    j = np.searchsorted(up, targets - 1e-8) % nodes.size
+    hit, fix = np.nonzero(np.abs(up[j] - targets) < 1e-8)[0], None
+    if hit.size:
+        xi, h, col = targets[hit], 1e-5, nodes.size - 1 - j[hit]
+        fix = hit, col, (np.asarray(func(xi + h)) - np.asarray(
+            func(xi - h))) / (2.0 * h) * weights[col]
+    return _subtracted_pv(f_nodes, nodes, weights, np.asarray(
+        func(targets), dtype=float), targets, weight, fix)
+
+
+def _sided(pv, g0):
+    """(f+, f-) = pv/(2*pi*i) +- g0/2: the limits at t0 of the Cauchy integral
+    of g over a curve through t0, f+ from its left, pv its P.V. (Plemelj)."""
+    mean, half = pv * _CAUCHY, 0.5 * g0
+    return mean + half, mean - half

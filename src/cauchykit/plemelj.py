@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
 from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _kernel_sums,
                        _legendre_steps, _panel_samples, _row_blocks, _sample,
-                       panels_from_breakpoints)
+                       _sided, panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -191,10 +191,8 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
     panels = _panel_samples(arc, max(8, grid.n // 12), 12, smp)
     at = np.concatenate((panels.zs, (loc,)))
     vals = np.asarray(g(at), dtype=complex) + np.zeros(at.shape)
-    g0, pv = complex(vals[-1]), complex(_arc_pv_rows(
-        (lambda r: vals[:-1],), panels, 12, s0, loc)[0][0])
-    plus = 0.5 * g0 + pv / (2j * np.pi)
-    minus = -0.5 * g0 + pv / (2j * np.pi)
+    plus, minus = _sided(complex(_arc_pv_rows(
+        (lambda r: vals[:-1],), panels, 12, s0, loc)[0][0]), complex(vals[-1]))
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
 
 

@@ -167,6 +167,23 @@ def test_inverse_at_its_own_nodes_matches_neighbours():
     assert np.max(np.abs(at - near)) < 1e-10
 
 
+def test_chord_batch_with_node_hits_equals_the_scalar_calls():
+    # every node and every midpoint, shuffled: 255 rows over two row blocks,
+    # node hits among them, each value that of its own call, bit for bit
+    gamma = SheetDensity(weight_coef=lambda x: 1.0 + x ** 2 + np.sin(3.0 * x))
+    nodes = chebyshev4_rule(128)[0]
+    x = np.concatenate((nodes, 0.5 * (nodes[1:] + nodes[:-1])))
+    x = x[np.random.default_rng(3).permutation(x.size)]
+    phi = finite_hilbert_inverse(lambda t: np.cos(2.0 * t)).weight_coef
+    for route in (lambda x: finite_hilbert_transform(gamma, x), phi):
+        batch = route(x)
+        assert batch.tolist() == [route(x[i:i + 1])[0] for i in range(x.size)]
+    at, near = finite_hilbert_transform(gamma, nodes), 0.5 * (
+        finite_hilbert_transform(gamma, nodes - 1e-6)
+        + finite_hilbert_transform(gamma, nodes + 1e-6))
+    assert np.max(np.abs(at - near)) < 1e-9
+
+
 @pytest.mark.parametrize("route", ["transform", "inverse"])
 def test_chord_routes_memory_bounded(route):
     # one full 50,000 x 128 quotient matrix alone would take 51 MB

@@ -13,8 +13,8 @@ import pytest
 import cauchykit
 from cauchykit import cauchy as cauchy_module
 from cauchykit import geometry
-from cauchykit import (BoundaryFunction, CapabilityError, ClosedContour,
-                       ContractError, DomainError, NonFiniteError,
+from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
+                       ClosedContour, ContractError, DomainError, NonFiniteError,
                        OnContourError,
                        boundary_value, build_unit_circle, cauchy_functional,
                        circle, classify_point, complement_boundary_value,
@@ -211,6 +211,42 @@ def test_next_to_a_node_the_smaller_error_wins(frac):
     for n in (0, 1):
         want = f.derivative_callable(n)(t0)
         assert abs(boundary_value(f, c, g, t0, n) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("contour, n", [(circle(0.0, 1.0), 0),
+                                        (circle(0.0, 1.0), 1),
+                                        (ellipse(1.0, 0.6), 1)],
+                         ids=["circle-0", "circle-1", "ellipse-1"])
+def test_on_a_node_an_unresolved_interpolant_warns(contour, n):
+    # 1/(t - 1.1) at n = 256: the trapezoid sum resolves it, its
+    # interpolants do not (top-mode level 9.7e-6, 8.5e-5 and 1.2e-6 of the
+    # maximum), and on a node the quotient is theirs: it errs by 8.2e-6,
+    # 9.5e-4 and 2.5e-6
+    f = BoundaryFunction(lambda t: 1.0 / (t - 1.1),
+                         derivs=(lambda t: -1.0 / (t - 1.1) ** 2,))
+    g = periodic_trapezoid_grid(256)
+    for ds in (0.0, 5e-10):
+        t0 = contour.z(g.nodes[51:52] + ds)[0]
+        with pytest.warns(AccuracyWarning, match="on a node"):
+            val = boundary_value(f, contour, g, t0, n)
+        assert abs(val - f.derivative_callable(n)(t0)) > 1e-6
+
+
+@pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+def test_on_a_node_a_resolved_interpolant_is_silent(contour):
+    # the interpolants of 1/(t - 1.5) read below 1e-16 (those of 1/(t - 2),
+    # test_boundary_value_next_to_a_node), and those of 0 read 0: no
+    # warning (conftest), and the value is exact to rounding
+    f = BoundaryFunction(lambda t: 1.0 / (t - 1.5),
+                         derivs=(lambda t: -1.0 / (t - 1.5) ** 2,))
+    g = periodic_trapezoid_grid(256)
+    t0 = contour.z(g.nodes[51:52])[0]
+    for n in (0, 1):
+        want = f.derivative_callable(n)(t0)
+        assert abs(boundary_value(f, contour, g, t0, n) - want) <= 1e-15
+    zero = BoundaryFunction(lambda t: np.zeros_like(t))
+    assert boundary_value(zero, contour, g, t0) == 0.0
 
 
 class TestComplement:
@@ -774,6 +810,46 @@ def test_thousand_target_batch_equals_the_scalar_loop():
     worst = exterior_annihilation_check(f, e, g, outside, (0, 1, 2))
     assert worst == max(abs(cauchy_functional(f, e, g, z, n).value)
                         for z in outside for n in (0, 1, 2))
+
+
+@pytest.mark.parametrize("count", [10, 50])
+def test_on_contour_targets_take_one_principal_value_pass(monkeypatch,
+                                                          count):
+    # every on-contour target of a batch goes through one _pv call
+    g, f, e = periodic_trapezoid_grid(N_GRID), pole_density(), \
+        ellipse(1.0, 0.6)
+    on = e.z(2.0 * np.pi * (np.arange(count) + 0.3) / count)
+    targets = np.concatenate((on, [0.2 + 0.1j, 2.0 - 1.0j]))
+    sizes, pv = [], cauchy_module._pv
+
+    def counted(samples, g0, *rest):
+        sizes.append(np.size(g0))
+        return pv(samples, g0, *rest)
+    monkeypatch.setattr(cauchy_module, "_pv", counted)
+    report = uniform_convergence_residuals(f, e, g, targets, 0)
+    assert sizes == [count]
+    assert report.verdicts.count("on-contour") == count
+    assert report.max_outside < 1e-13
+
+
+@pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+def test_near_node_rows_of_a_batch_equal_the_scalar_calls(contour):
+    # on-contour targets at every NODE_OFFSETS offset from a node, on both
+    # sides and around four nodes, shuffled: 84 rows over two row blocks,
+    # each residual that of one scalar call, bit for bit
+    g, f = periodic_trapezoid_grid(N_GRID), pole_density()
+    offsets = np.array(NODE_OFFSETS)
+    s = (g.nodes[[37, 90, 150, 255], None]
+         + np.concatenate((offsets, -offsets[1:]))).ravel() % (2.0 * np.pi)
+    s = s[np.random.default_rng(20).permutation(s.size)]
+    targets = np.concatenate((contour.z(s), [0.3 + 0.1j, 2.5 + 0.0j]))
+    report = uniform_convergence_residuals(f, contour, g, targets, 0)
+    assert report.verdicts.count("on-contour") == s.size
+    for z, res, verdict in zip(targets, report.residuals, report.verdicts):
+        if verdict == "on-contour":
+            assert res == abs(one_sided_limit(f, contour, g, z, "exterior"))
+    assert report.max_outside < 1e-14
 
 
 PUBLIC_NAMES = """

@@ -541,6 +541,21 @@ def test_circle_exact_branch_matches_the_newton_branch():
     assert sizes == [grid.n]
 
 
+def test_circle_locates_only_the_points_below_the_bound():
+    # as on every other curve, s0 and z(s0) are NaN at a point that is not
+    # below ``below``, even when another point of the array is
+    c, grid = circle(0.3j, 1.2), periodic_trapezoid_grid(64)
+    smp = _sample(c, grid)
+    points = np.array([0.3j + 1.2005j, 0.3j + 4.0])
+    dist, (s0, on) = smp.closest(points, 0.01)
+    assert dist == pytest.approx([5e-4, 2.8], abs=1e-14)
+    assert s0[0] == pytest.approx(np.pi / 2, abs=1e-15)
+    assert on[0] == pytest.approx(1.5j, abs=1e-15)
+    assert np.isnan(s0[1]) and np.isnan(on[1])
+    _, (s_one, on_one) = smp.closest(points[:1], 0.01)
+    assert (s0[0], on[0]) == (s_one[0], on_one[0])
+
+
 def test_segment_closest_point_is_the_projection():
     # Newton from the nearest node of a straight arc lands on the exact
     # projection, clamped to the arc's ends
