@@ -1,9 +1,9 @@
 """Command-line front end: verification suites, airfoil tables, and the
 inverse-probe and transform utilities.
 
-Exit codes: 0 all checks pass, 1 a numeric check failed, 2 usage or parse
-error.  Output is CSV (default) or JSON tagged "cauchy-kit/1" (``probe``
-always writes JSON); files are byte-identical across runs for a fixed
+Exit codes: 0 all checks pass, 1 a numeric check failed, 2 usage, parse or
+--out write error.  Output is CSV (default) or JSON tagged "cauchy-kit/1"
+(``probe`` always writes JSON), byte-identical across runs for a fixed
 configuration and seed.  Each subcommand accepts only the options it reads.
 
 ``CHECKS`` is the one registry of checks, run by ``verify`` and asserted by
@@ -18,6 +18,7 @@ in ``convergence`` and ``direct-problem`` at n = 64.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,21 +275,46 @@ SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def _emit(text, out_path):
-    if out_path:
+    """Write text to out_path or stdout; the exit code, 2 if unwritable."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _dumps(obj, pad="\n"):
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, indented by
+    pad.  Leaves, and each list of plain floats in one call, go to the C
+    encoder, which json.dumps skips given an indent (a float's repr holds no
+    ", ")."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + _dumps(v, inner) for k, v in sorted(obj.items())) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(x) is float for x in obj):
+            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in obj)
+        return "[" + inner + body + pad + "]"
+    return json.dumps(obj)
 
 
 def _emit_json(doc, out_path):
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    return _emit(_dumps(doc) + "\n", out_path)
 
 
 def _csv(header, *columns):
     """The header line, then one line of %.12e fields per row of columns."""
-    return [header] + [",".join(f"{q:.12e}" for q in row)
-                       for row in zip(*columns)]
+    row = ",".join(["%.12e"] * len(columns))
+    return [header] + [row % values for values in zip(*columns)]
 
 
 def cmd_verify(args) -> int:
@@ -301,14 +327,15 @@ def cmd_verify(args) -> int:
                      "tolerance": tol, "pass": bool(residual <= tol)})
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json":
-        _emit_json({"schema": SCHEMA, "command": "verify", "suite": args.suite,
-                    "n": args.n, "seed": args.seed, "checks": rows,
-                    "all_pass": all_pass}, args.out)
+        status = _emit_json({"schema": SCHEMA, "command": "verify",
+                             "suite": args.suite, "n": args.n,
+                             "seed": args.seed, "checks": rows,
+                             "all_pass": all_pass}, args.out)
     else:
-        _emit("check,residual,tolerance,pass\n" + "".join(
+        status = _emit("check,residual,tolerance,pass\n" + "".join(
             f"{r['check']},{r['residual']:.6e},{r['tolerance']:.6e},"
             f"{int(r['pass'])}\n" for r in rows), args.out)
-    return 0 if all_pass else 1
+    return status or (0 if all_pass else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +369,7 @@ def cmd_airfoil(args) -> int:
     zz = zz[~((np.abs(zz.imag) < 1e-12) & (np.abs(zz.real) <= 1.0))]
     ww = flat_plate_complex_velocity(flow, zz)
     if args.format == "json":
-        _emit_json({
+        return _emit_json({
             "schema": SCHEMA, "command": "airfoil",
             "config": {"speed": args.u, "alpha": args.alpha, "rho": args.rho,
                        "n": n},
@@ -354,7 +381,6 @@ def cmd_airfoil(args) -> int:
             "field": {"z_re": zz.real.tolist(), "z_im": zz.imag.tolist(),
                       "w_re": ww.real.tolist(), "w_im": ww.imag.tolist()},
         }, args.out)
-        return 0
     lines = [f"# schema={SCHEMA}", "# command=airfoil",
              f"# U={args.u:.12e} alpha={args.alpha:.12e} rho={args.rho:.12e} n={n}"]
     lines += [f"# {key}=" + ",".join(f"{x:.12e}" for x in np.atleast_1d(val))
@@ -362,8 +388,7 @@ def cmd_airfoil(args) -> int:
     lines += _csv("x,u_plus,u_minus,v,gamma,dp",
                   xs, u_p, u_m, v_p, gamma_x, dp)
     lines += _csv("z_re,z_im,w_re,w_im", zz.real, zz.imag, ww.real, ww.imag)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +440,8 @@ def cmd_probe(args) -> int:
     coeffs = taylor_coefficients(samples_from_zero, n_max)
     report = pade_pole_probe(coeffs, degrees=args.degrees,
                              boundary_samples=samples_from_zero)
-    _emit_json({"schema": SCHEMA, "command": "probe", "samples": n,
-                "report": report.to_dict()}, args.out)
-    return 0
+    return _emit_json({"schema": SCHEMA, "command": "probe", "samples": n,
+                       "report": report.to_dict()}, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +461,20 @@ def cmd_transform(args) -> int:
         result = op(rlf, 0.9 * thetas).values
         thetas = 0.9 * thetas
     if args.format == "json":
-        _emit_json({"schema": SCHEMA, "command": "transform", "kind": args.kind,
-                    "theta": thetas.tolist(), "values": result.tolist()},
-                   args.out)
-        return 0
-    _emit("\n".join(_csv("theta,value", thetas, result)) + "\n", args.out)
-    return 0
+        return _emit_json({"schema": SCHEMA, "command": "transform",
+                           "kind": args.kind, "theta": thetas.tolist(),
+                           "values": result.tolist()}, args.out)
+    return _emit("\n".join(_csv("theta,value", thetas, result)) + "\n",
+                 args.out)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def build_parser():
+    """One parser per process: it keeps no state between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="cauchykit",
         description="Singular-integral toolkit: theorem verification suites, "

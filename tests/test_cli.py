@@ -7,6 +7,7 @@ import pytest
 from cauchykit import (RealLineFunction, SingularityPrescription,
                        catalog_function, hilbert_complementary, hilbert_line,
                        hilbert_line_inverse)
+from cauchykit import cli
 from cauchykit.cli import SUITES, main, parse_boundary_file
 from cauchykit.errors import ParseError
 
@@ -301,3 +302,124 @@ def test_parse_boundary_file_roundtrip(tmp_path):
     assert np.allclose(samples, np.exp(1j * thetas) ** 2)
     with pytest.raises(ParseError):
         parse_boundary_file(str(tmp_path / "missing.txt"))
+
+
+# the JSON writer: json.dumps(doc, indent=2, sort_keys=True) byte for byte,
+# with the stdlib's pure-Python encoder made to fail, so that no document
+# can fall back to it unnoticed
+
+
+def _no_python_encoder(*args, **kwargs):
+    raise AssertionError("the pure-Python JSON encoder ran")
+
+
+def _json_argv(tmp_path):
+    data = str(write_boundary_file(
+        tmp_path / "two.txt", lambda t: 1.0 / (t - 2.0) + 1.0 / (t + 3j), n=64))
+    return ([["verify", suite, "--n", "64", "--format", "json"]
+             for suite in SUITES]
+            + [["airfoil", "--n", n, "--format", "json"]
+               for n in ("64", "128", "256")]
+            + [["probe", data], ["probe", data, "--degrees", "1", "2"]]
+            + [["transform", data, "--kind", kind, "--format", "json"]
+               for kind in cli.TRANSFORM_KINDS])
+
+
+def test_every_json_document_is_written_as_json_dumps(tmp_path, monkeypatch,
+                                                      capsys):
+    docs, emit_json = [], cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json",
+                        lambda doc, out: docs.append(doc) or emit_json(doc, out))
+    written = []
+    with monkeypatch.context() as m:
+        m.setattr(json.encoder, "_make_iterencode", _no_python_encoder)
+        for argv in _json_argv(tmp_path):
+            assert main(argv) in (0, 1)
+            written.append(capsys.readouterr().out)
+    assert len(docs) == len(written) == 6 + 3 + 2 + len(cli.TRANSFORM_KINDS)
+    for doc, text in zip(docs, written):
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class Real(float):
+    pass
+
+
+@pytest.mark.parametrize("doc", [
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+     1.7976931348623157e308, 1e-7, 1e16, 0.1],
+    {"nan": float("nan"), "inf": [float("inf")], "neg": -float("inf")},
+    [], {}, [[]], {"a": {}}, [[], {}, [1.0]],
+    [[1.0, 2.5], [[3.0], [-0.0, []]], {"x": [0.5, 0.25]}],
+    (1.0, 2.0), {"t": (1.5, (2.5, 3.5), ())},
+    {"naïve": "Δ → ∞", "ключ": ["é, ü", "a, b\n\"c\"", "\u2028"]},
+    [np.float64(1.5), np.float64(-0.0), np.float64("nan"), 2.0],
+    {"f64": np.float64(0.1), "sub": [Real(2.5), Real(3.0)]},
+    [True, False, None, 1, -2, 10 ** 30], [1, 2.0, 3, 4.5], [0, 1],
+    {"b": True, "n": None, "i": 3, "s": "", "f": 1.0},
+    {"z": 1, "a": 2, "m": {"y": [1.0], "b": [2.0, 3.0]}},
+    {1: "int", 2: "keys"}, {1.5: "float", 0.5: "keys"}, {True: 1, False: 0},
+    {None: [0.5]}, 1.0, float("nan"), -0.0, 3, "a, b", None, True,
+], ids=repr)
+def test_json_writer_matches_json_dumps_on_edge_documents(monkeypatch, doc):
+    want = json.dumps(doc, indent=2, sort_keys=True)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _no_python_encoder)
+    assert cli._dumps(doc) == want
+
+
+# the process's one parser carries nothing from one call to the next
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_tolerance_override_does_not_persist(capsys):
+    assert main(["verify", "integral-theorems", "--tol", "1e-30"]) == 1
+    capsys.readouterr()
+    assert main(["verify", "integral-theorems"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], float(r[2])) for r in rows] == [
+        (c.id, float(f"{c.tolerance:.6e}")) for c in cli.CHECKS
+        if c.suite == "integral-theorems"]
+
+
+def test_degrees_do_not_persist(tmp_path, capsys):
+    data = str(write_boundary_file(
+        tmp_path / "two.txt", lambda t: 1.0 / (t - 2.0) + 1.0 / (t + 3j), n=64))
+    cli.build_parser.cache_clear()
+    assert main(["probe", data]) == 0
+    first = capsys.readouterr().out
+    assert main(["probe", data, "--degrees", "1", "2"]) == 0
+    assert capsys.readouterr().out != first
+    assert main(["probe", data]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "integral-theorems", "--tol", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "integral-theorems"]) == 0
+    assert capsys.readouterr().out.startswith("check,residual,tolerance,pass")
+
+
+# an --out path that cannot be written is a usage error, not a traceback
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", [
+    ["verify", "integral-theorems"], ["airfoil"], ["probe", "DATA"],
+    ["transform", "DATA", "--format", "json"]], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    data = str(write_boundary_file(tmp_path / "pole.txt",
+                                   lambda t: 1.0 / (t - 2.0), n=32))
+    out = tmp_path / "missing" / "x.out" if where == "missing-directory" \
+        else tmp_path
+    argv = [data if arg == "DATA" else arg for arg in command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
