@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (CapabilityError, ContractError, NonFiniteError,
                      OnContourError)
-from .geometry import (DELTA_FRACTION, ClosedContour, PointClassification,
-                       QuadratureGrid, _evaluate, _pv, _pv_at_all_nodes,
-                       _require_periodic, _sample, _sided, _warn_if_unresolved,
-                       circle, periodic_trapezoid_grid, spectral_derivative,
+from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
+                       _evaluate, _pv, _pv_at_all_nodes, _require_periodic,
+                       _sample, _sided, _warn_if_unresolved, circle,
+                       periodic_trapezoid_grid, spectral_derivative,
                        trig_interp)
 
 
@@ -125,7 +125,7 @@ def _functional(smp, z, n, m, near_m):
     """J_(n,m)[f](z) from one sampling, taking m = near_m instead for a
     target in the near zone: a batch of one for _evaluate; OnContourError
     for a target on the contour."""
-    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, m, near_m),))
+    ev = _evaluate(smp, z, ((n, m, near_m),))
     cl = ev.classification(0)
     if cl.on_contour:
         raise OnContourError(_ON_CONTOUR)
@@ -254,7 +254,7 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
     f.require_order(n)
     smp = _sample(contour, grid, f)
     z = np.asarray(targets, dtype=complex).reshape(-1)
-    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length, ((n, 0, n),))
+    ev = _evaluate(smp, z, ((n, 0, n),))
     side, g = ev.side, ev.sums[1]
     inside = side == 1
     if inside.any():

@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -567,6 +568,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)    # refused before any work is done
+    if out and (os.path.isdir(out) or not os.access(
+            os.path.dirname(out) or ".", os.W_OK)):
+        print(f"error: cannot write {out}: unwritable path", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CauchyKitError as exc:

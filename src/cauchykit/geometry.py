@@ -205,6 +205,11 @@ class _Samples:
         node count."""
         return NEAR_ZONE_FACTOR * self.length / self.grid.n
 
+    @property
+    def band(self):
+        """On-contour band: DELTA_FRACTION times the grid length."""
+        return DELTA_FRACTION * self.length
+
     def closest(self, points, below=np.inf):
         """(distance from each point to the curve, (s0, z(s0)) of its closest
         curve point): exact on a circle; otherwise the gap to the nearest
@@ -243,9 +248,8 @@ class _Samples:
     def locate(self, t0, delta=None):
         """(s0, z(s0)) of the curve point closest to t0, which lies on the
         contour or arc; DomainError when t0 is not finite or lies farther
-        than delta (default: the band of the grid length) from the curve."""
-        if delta is None:
-            delta = DELTA_FRACTION * self.length
+        than delta (default: the band) from the curve."""
+        delta = self.band if delta is None else delta
         dist, (s0, on) = self.closest(t0)
         if dist[0] > delta:
             raise DomainError(
@@ -420,10 +424,7 @@ def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
     """Classify z against the contour by winding number and its distance to
     the curve (to the nearest node, unless z is in the near zone).  The
     default band delta is DELTA_FRACTION times the grid length."""
-    smp = _sample(contour, grid)
-    if delta is None:
-        delta = DELTA_FRACTION * smp.length
-    return _evaluate(smp, z, delta).classification(0)
+    return _evaluate(_sample(contour, grid), z, delta=delta).classification(0)
 
 
 class _Evaluation(NamedTuple):
@@ -454,12 +455,14 @@ class _Evaluation(NamedTuple):
         return np.where(self.dist < self.delta, 2, inside)
 
 
-def _evaluate(smp, z, delta, functionals=()):
+def _evaluate(smp, z, functionals=(), delta=None):
     """_Evaluation of the targets z against the closed contour of ``smp``,
     with J_(n,k)[f](z) = ((n-k)!/2*pi*i) sum_j f^(k)_j z'_j w_j/(z_j -
     z)^(n-k+1) for each functional (n, k, k_near), k = k_near in the near
     zone: one _kernel_sums pass per zone serves the winding number and every
-    functional, each column carrying its factor, so the sums are finished."""
+    functional, each column carrying its factor, so the sums are finished.
+    ``delta`` is the on-contour band, smp.band by default."""
+    delta = smp.band if delta is None else delta
     if delta <= 0:
         raise DomainError("tolerance band delta must be positive")
     z = np.asarray(z, dtype=complex).reshape(-1)

@@ -15,7 +15,7 @@ explicitly does not assert pole locations.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -24,8 +24,8 @@ import numpy as np
 from .cauchy import _ON_CONTOUR, BoundaryFunction
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
                      OnContourError, PrescriptionError)
-from .geometry import (_UNRESOLVED, DELTA_FRACTION, ClosedContour,
-                       QuadratureGrid, _evaluate, _resolution, _sample)
+from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid, _evaluate,
+                       _resolution, _sample)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -40,8 +40,8 @@ RESIDUE_FLOOR = 1e-10
 class SingularityPrescription:
     """A singularity placed strictly outside the unit circle.
 
-    kinds: "pole" (with ``order``), "algebraic-branch" (exponent -1/2 on the
-    principal sheet, cut along the ray from the location away from the
+    kinds: "pole" (with an integer ``order`` >= 1), "algebraic-branch"
+    (exponent -1/2, cut along the ray from the location away from the
     origin), "log-branch" (same cut), and "constant" (no finite singularity;
     the degenerate catalog entry f = strength).
     """
@@ -63,8 +63,9 @@ class SingularityPrescription:
             raise PrescriptionError(
                 f"singularity at {self.location} is not strictly exterior "
                 f"(need |location| > {1.0 + EXTERIOR_MARGIN})")
-        if self.kind == "pole" and self.order < 1:
-            raise PrescriptionError("pole order must be >= 1")
+        if self.kind == "pole" and not (
+                isinstance(self.order, (int, np.integer)) and self.order >= 1):
+            raise PrescriptionError("pole order must be an integer >= 1")
 
 
 def _cut_sqrt(zeta, beta):
@@ -80,62 +81,43 @@ def _cut_log(zeta, beta):
     return np.log(np.asarray(zeta, dtype=complex) * rot) + 1j * (beta + np.pi)
 
 
+def _power(coef, a, alpha, beta):
+    """t -> coef (t - a)^alpha for an integer or half-integer alpha, the half
+    power on the sheet of _cut_sqrt(., beta)."""
+    def power(t):
+        d = np.asarray(t, dtype=complex) - a
+        if alpha == int(alpha):
+            return coef / d ** -alpha
+        half = int(alpha + 0.5)     # (t - a)^half / sqrt(t - a)
+        return (coef * d ** half if half else coef) / _cut_sqrt(d, beta)
+    return power
+
+
 def catalog_function(p: SingularityPrescription) -> BoundaryFunction:
-    """Closed-form boundary density for a prescription, with derivatives.
-
-    Branch cuts run along the outward ray through the singularity, so they
-    reach infinity without crossing the unit circle.
-    """
+    """Closed-form boundary density for a prescription, with derivatives:
+    s (t - a)^alpha, alpha = -k for a pole of order k and -1/2 for the
+    algebraic branch, and f^(m) = s (-1)^m prod_{j<m}(j - alpha) (t -
+    a)^(alpha - m); the log's derivatives are the pole s/(t - a)'s, one order
+    down.  Branch cuts run along the outward ray through the singularity, so
+    they never cross the unit circle."""
     s = complex(p.strength)
-
     if p.kind == "constant":
-        def make_const_deriv(_m):
-            return lambda t: np.zeros(np.shape(np.asarray(t)), dtype=complex)
-        return BoundaryFunction(
-            func=lambda t: np.full(np.shape(np.asarray(t)), s, dtype=complex),
-            derivs=tuple(make_const_deriv(m) for m in range(1, MAX_DERIV_ORDER + 1)))
-
+        def const(c):
+            return lambda t: np.full(np.shape(np.asarray(t)), c, dtype=complex)
+        return BoundaryFunction(const(s), (const(0.0),) * MAX_DERIV_ORDER)
     a = complex(p.location)
-
-    if p.kind == "pole":
-        k = p.order
-
-        def make_pole_deriv(m):
-            coef = s * (-1.0) ** m * math.prod(range(k, k + m))
-            return lambda t: coef / (np.asarray(t, dtype=complex) - a) ** (k + m)
-
-        return BoundaryFunction(
-            func=lambda t: s / (np.asarray(t, dtype=complex) - a) ** k,
-            derivs=tuple(make_pole_deriv(m) for m in range(1, MAX_DERIV_ORDER + 1)))
-
     beta = float(np.angle(a))
+    alpha, down = {"pole": (-p.order, 0), "algebraic-branch": (-0.5, 0),
+                   "log-branch": (-1, 1)}[p.kind]
 
-    if p.kind == "algebraic-branch":
-        def func(t):
-            t = np.asarray(t, dtype=complex)
-            return s / _cut_sqrt(t - a, beta)
-
-        def make_branch_deriv(m):
-            coef = s * math.prod(-0.5 - j for j in range(m))
-            return lambda t: coef * (np.asarray(t, dtype=complex) - a) ** (-m) \
-                / _cut_sqrt(np.asarray(t, dtype=complex) - a, beta)
-
-        return BoundaryFunction(
-            func=func,
-            derivs=tuple(make_branch_deriv(m) for m in range(1, MAX_DERIV_ORDER + 1)))
-
-    # log-branch
-    def logfunc(t):
-        t = np.asarray(t, dtype=complex)
-        return s * _cut_log(t - a, beta)
-
-    def make_log_deriv(m):
-        coef = s * (-1.0) ** (m - 1) * math.factorial(m - 1)
-        return lambda t: coef / (np.asarray(t, dtype=complex) - a) ** m
+    def deriv(m):
+        rising = math.prod(j - alpha for j in range(m))
+        return _power(s * (-1.0) ** m * rising if m else s, a, alpha - m, beta)
 
     return BoundaryFunction(
-        func=logfunc,
-        derivs=tuple(make_log_deriv(m) for m in range(1, MAX_DERIV_ORDER + 1)))
+        (lambda t: s * _cut_log(np.asarray(t, dtype=complex) - a, beta))
+        if down else deriv(0),
+        tuple(deriv(m - down) for m in range(1, MAX_DERIV_ORDER + 1)))
 
 
 def exterior_annihilation_check(p, contour: ClosedContour,
@@ -150,8 +132,7 @@ def exterior_annihilation_check(p, contour: ClosedContour,
     smp = _sample(contour, grid, f)
     z = np.asarray(targets, dtype=complex).reshape(-1)
     # J_n with cauchy_functional's near-zone reroute m = n
-    ev = _evaluate(smp, z, DELTA_FRACTION * smp.length,
-                   [(n, 0, n) for n in orders])
+    ev = _evaluate(smp, z, [(n, 0, n) for n in orders])
     side = ev.side
     if side.any():
         i = side.nonzero()[0][0]
@@ -196,22 +177,16 @@ class ProbeReport:
     residual_kind: str
     confident: bool
     poles_asserted: bool
-    unfiltered_roots: tuple = field(default=())
-    notes: tuple = field(default=())
+    unfiltered_roots: tuple = ()
+    notes: tuple = ()
 
     def to_dict(self):
-        return {
-            "locations": [[z.real, z.imag] for z in self.locations],
-            "strengths": [[z.real, z.imag] for z in self.strengths],
-            "degrees": list(self.degrees),
-            "coefficients_used": self.coefficients_used,
-            "residual": self.residual,
-            "residual_kind": self.residual_kind,
-            "confident": self.confident,
-            "poles_asserted": self.poles_asserted,
-            "unfiltered_roots": [[z.real, z.imag] for z in self.unfiltered_roots],
-            "notes": list(self.notes),
-        }
+        """Every field for JSON: a complex as [re, im], a tuple as a list."""
+        def plain(v):
+            if isinstance(v, complex):
+                return [v.real, v.imag]
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 class _PadeFit:

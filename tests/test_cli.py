@@ -423,3 +423,28 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_refused_before_any_check_runs(tmp_path, capsys,
+                                                          monkeypatch, where):
+    calls = []
+
+    def counted(residual):
+        def run(n, rng):
+            calls.append(n)
+            return residual(n, rng)
+        return run
+    monkeypatch.setattr(cli, "CHECKS", [
+        c._replace(residual=counted(c.residual)) for c in cli.CHECKS])
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" \
+        else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["verify", "plemelj", "--out", str(out)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+    # a writable path runs the suite
+    assert main(["verify", "integral-theorems", "--out",
+                 str(tmp_path / "ok.csv")]) == 0
+    assert calls

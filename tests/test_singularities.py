@@ -1,11 +1,15 @@
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
 from cauchykit import (AccuracyWarning, ContractError, NonFiniteError,
-                       PrescriptionError, SingularityPrescription, build_unit_circle,
-                       catalog_function, cauchy_functional,
+                       PrescriptionError, ProbeReport, SingularityPrescription,
+                       build_unit_circle, catalog_function, cauchy_functional,
                        exterior_annihilation_check, pade_pole_probe,
                        taylor_coefficients)
+from cauchykit.singularities import MAX_DERIV_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,20 @@ class TestPrescriptions:
     def test_pole_order_validated(self):
         with pytest.raises(PrescriptionError):
             SingularityPrescription("pole", 2.0 + 0.0j, order=0)
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, "2", None])
+    def test_pole_order_must_be_an_integer(self, order):
+        # a fractional order is not a pole: it would be a branch point
+        with pytest.raises(PrescriptionError, match="integer"):
+            SingularityPrescription("pole", 2.0 + 0.0j, order=order)
+
+    def test_numpy_integer_order_reads_as_int(self):
+        t = np.array([0.3 + 0.2j, -1.0 + 0.0j])
+        f, g = (catalog_function(SingularityPrescription(
+            "pole", 1.6 + 1.2j, 0.7 - 1.3j, order)) for order in (
+                3, np.int64(3)))
+        for fm, gm in zip((f.func,) + f.derivs, (g.func,) + g.derivs):
+            assert fm(t).tobytes() == gm(t).tobytes()
 
 
 class TestCatalog:
@@ -77,6 +95,50 @@ class TestCatalog:
                                                      strength=1.0 + 2.0j))
         t = np.array([1j, -0.5 + 0.0j])
         assert np.allclose(f(t), 1.0 + 2.0j)
+
+
+def _oracle(kind, a, s, order):
+    """The prescription as an mpmath function, its branch cut along the ray
+    arg = angle(a) by the same rotation as the catalog."""
+    a, s = mpmath.mpc(a), mpmath.mpc(s)
+    turn = mpmath.arg(a) + mpmath.pi
+    if kind == "pole":
+        return lambda t: s / (t - a) ** order
+    if kind == "algebraic-branch":
+        return lambda t: s / (mpmath.sqrt((t - a) * mpmath.expj(-turn))
+                              * mpmath.expj(turn / 2))
+    if kind == "log-branch":
+        return lambda t: s * (mpmath.log((t - a) * mpmath.expj(-turn))
+                              + 1j * turn)
+    return lambda t: s
+
+
+_ORACLE_POINTS = np.concatenate([
+    np.exp(2j * np.pi * (np.arange(6) + 0.3) / 6),
+    [0.0, 0.5 - 0.2j, -0.3 + 0.6j, 0.8j, -0.9 - 0.1j]])
+
+
+@pytest.mark.parametrize("kind,location,order", [
+    ("pole", 2.0, 1), ("pole", 1.6 + 1.2j, 2), ("pole", -1.5 - 0.7j, 3),
+    ("algebraic-branch", 2.0, 1), ("algebraic-branch", 1.6 + 1.2j, 1),
+    ("algebraic-branch", -2.5j, 1), ("log-branch", 3.0, 1),
+    ("log-branch", -1.2 + 1.1j, 1), ("constant", complex("nan"), 1)],
+    ids=["pole", "pole2-off-axis", "pole3", "branch", "branch-off-axis",
+         "branch-imaginary", "log", "log-off-axis", "constant"])
+def test_catalog_matches_mpmath(kind, location, order):
+    """Every density and derivative against high-precision differentiation
+    of the closed form, on the unit circle and inside it."""
+    strength = 0.7 - 1.3j
+    f = catalog_function(SingularityPrescription(kind, location, strength,
+                                                 order))
+    exact = _oracle(kind, location, strength, order)
+    assert len(f.derivs) == MAX_DERIV_ORDER
+    with mpmath.workdps(40):
+        for m, fm in enumerate((f.func,) + f.derivs):
+            got = fm(_ORACLE_POINTS)
+            for t, value in zip(_ORACLE_POINTS, got):
+                want = complex(mpmath.diff(exact, mpmath.mpc(t), m))
+                assert abs(value - want) <= 1e-12 * abs(want), (m, t)
 
 
 class TestDirectProblem:
@@ -189,6 +251,33 @@ class TestTaylorCoefficients:
         samples[7] = bad
         with pytest.raises(NonFiniteError):
             taylor_coefficients(samples, 10)
+
+
+class TestProbeReportJSON:
+    REPORT = ProbeReport(
+        locations=(2.0 - 0.5j, -3.0 + 0.0j), strengths=(1.0 + 0.0j, -0.25j),
+        degrees=(1, 2), coefficients_used=24, residual=3.5e-15,
+        residual_kind="held-out boundary nodes", confident=False,
+        poles_asserted=True, unfiltered_roots=(2.0 - 0.5j, 0.5 + 0.25j),
+        notes=("first note", "second note"))
+
+    def test_every_field_serialized(self):
+        assert self.REPORT.to_dict() == {
+            "locations": [[2.0, -0.5], [-3.0, 0.0]],
+            "strengths": [[1.0, 0.0], [-0.0, -0.25]],
+            "degrees": [1, 2],
+            "coefficients_used": 24,
+            "residual": 3.5e-15,
+            "residual_kind": "held-out boundary nodes",
+            "confident": False,
+            "poles_asserted": True,
+            "unfiltered_roots": [[2.0, -0.5], [0.5, 0.25]],
+            "notes": ["first note", "second note"],
+        }
+
+    def test_keys_are_the_dataclass_fields(self):
+        assert list(self.REPORT.to_dict()) == [
+            f.name for f in dataclasses.fields(ProbeReport)]
 
 
 class TestPadeProbe:
