@@ -569,8 +569,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)    # refused before any work is done
-    if out and (os.path.isdir(out) or not os.access(
-            os.path.dirname(out) or ".", os.W_OK)):
+    if out and (os.path.isdir(out) or not os.access(out if os.path.exists(
+            out) else os.path.dirname(out) or ".", os.W_OK)):
         print(f"error: cannot write {out}: unwritable path", file=sys.stderr)
         return 2
     try:

@@ -84,22 +84,22 @@ def _cut_log(zeta, beta):
 def _power(coef, a, alpha, beta):
     """t -> coef (t - a)^alpha for an integer or half-integer alpha, the half
     power on the sheet of _cut_sqrt(., beta)."""
+    if alpha == int(alpha):
+        return lambda t: coef / (np.asarray(t, dtype=complex) - a) ** -alpha
+    half = int(alpha + 0.5)     # (t - a)^half / sqrt(t - a)
+
     def power(t):
         d = np.asarray(t, dtype=complex) - a
-        if alpha == int(alpha):
-            return coef / d ** -alpha
-        half = int(alpha + 0.5)     # (t - a)^half / sqrt(t - a)
         return (coef * d ** half if half else coef) / _cut_sqrt(d, beta)
     return power
 
 
 def catalog_function(p: SingularityPrescription) -> BoundaryFunction:
-    """Closed-form boundary density for a prescription, with derivatives:
-    s (t - a)^alpha, alpha = -k for a pole of order k and -1/2 for the
-    algebraic branch, and f^(m) = s (-1)^m prod_{j<m}(j - alpha) (t -
-    a)^(alpha - m); the log's derivatives are the pole s/(t - a)'s, one order
-    down.  Branch cuts run along the outward ray through the singularity, so
-    they never cross the unit circle."""
+    """Closed-form density s (t - a)^alpha for a prescription, and its
+    derivatives f^(m) = s (-1)^m prod_{j<m}(j - alpha) (t - a)^(alpha - m):
+    alpha = -k for a pole of order k and -1/2 for the algebraic branch; the
+    log's derivatives are the pole s/(t - a)'s, one order down.  Branch cuts
+    run along the outward ray through the singularity, off the circle."""
     s = complex(p.strength)
     if p.kind == "constant":
         def const(c):
@@ -107,8 +107,8 @@ def catalog_function(p: SingularityPrescription) -> BoundaryFunction:
         return BoundaryFunction(const(s), (const(0.0),) * MAX_DERIV_ORDER)
     a = complex(p.location)
     beta = float(np.angle(a))
-    alpha, down = {"pole": (-p.order, 0), "algebraic-branch": (-0.5, 0),
-                   "log-branch": (-1, 1)}[p.kind]
+    down = p.kind == "log-branch"
+    alpha = -p.order if p.kind == "pole" else -1 if down else -0.5
 
     def deriv(m):
         rising = math.prod(j - alpha for j in range(m))

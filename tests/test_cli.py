@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -425,9 +426,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
-def test_unwritable_out_is_refused_before_any_check_runs(tmp_path, capsys,
-                                                          monkeypatch, where):
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The n of every registry residual call."""
     calls = []
 
     def counted(residual):
@@ -437,14 +438,47 @@ def test_unwritable_out_is_refused_before_any_check_runs(tmp_path, capsys,
         return run
     monkeypatch.setattr(cli, "CHECKS", [
         c._replace(residual=counted(c.residual)) for c in cli.CHECKS])
-    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" \
-        else tmp_path
+    return calls
+
+
+def deny_writes_in(monkeypatch, directory):
+    """os.access as a user who may not create files in directory, whatever
+    user the tests run as."""
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: os.fspath(
+        path) != str(directory) and access(path, mode))
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory",
+                                   "read-only-directory"])
+def test_unwritable_out_is_refused_before_any_check_runs(
+        tmp_path, capsys, monkeypatch, residual_calls, where):
+    out = {"missing-directory": tmp_path / "missing" / "x.csv",
+           "a-directory": tmp_path,
+           "read-only-directory": tmp_path / "x.csv"}[where]
     before = sorted(tmp_path.rglob("*"))
-    assert main(["verify", "plemelj", "--out", str(out)]) == 2
-    assert calls == []
+    with monkeypatch.context() as patch:
+        if where == "read-only-directory":
+            deny_writes_in(patch, tmp_path)
+        assert main(["verify", "plemelj", "--out", str(out)]) == 2
+    assert residual_calls == []
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
     assert sorted(tmp_path.rglob("*")) == before
     # a writable path runs the suite
     assert main(["verify", "integral-theorems", "--out",
                  str(tmp_path / "ok.csv")]) == 0
-    assert calls
+    assert residual_calls
+
+
+@pytest.mark.parametrize("where", ["devnull", "file-in-read-only-directory"])
+def test_writable_out_in_a_read_only_directory_is_written(
+        tmp_path, capsys, monkeypatch, residual_calls, where):
+    # writing an existing file needs permission on the file, not its directory
+    out = os.devnull if where == "devnull" else tmp_path / "x.csv"
+    if where != "devnull":
+        out.write_text("old\n")
+    deny_writes_in(monkeypatch, os.path.dirname(out))
+    assert main(["verify", "integral-theorems", "--out", str(out)]) == 0
+    assert residual_calls and capsys.readouterr() == ("", "")
+    if where != "devnull":
+        assert out.read_text().startswith("check,residual,tolerance,pass\n")

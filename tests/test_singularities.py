@@ -1,6 +1,5 @@
 import dataclasses
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +41,14 @@ class TestPrescriptions:
         # a fractional order is not a pole: it would be a branch point
         with pytest.raises(PrescriptionError, match="integer"):
             SingularityPrescription("pole", 2.0 + 0.0j, order=order)
+
+    @pytest.mark.parametrize("kind", ["algebraic-branch", "log-branch"])
+    def test_branch_order_is_ignored(self, kind):
+        t = np.array([0.3 + 0.2j, -1.0 + 0.0j])
+        f, g = (catalog_function(SingularityPrescription(
+            kind, 2.0 + 0.0j, order=order)) for order in (1, None))
+        for fm, gm in zip((f.func,) + f.derivs, (g.func,) + g.derivs):
+            assert fm(t).tobytes() == gm(t).tobytes()
 
     def test_numpy_integer_order_reads_as_int(self):
         t = np.array([0.3 + 0.2j, -1.0 + 0.0j])
@@ -97,7 +104,7 @@ class TestCatalog:
         assert np.allclose(f(t), 1.0 + 2.0j)
 
 
-def _oracle(kind, a, s, order):
+def _oracle(mpmath, kind, a, s, order):
     """The prescription as an mpmath function, its branch cut along the ray
     arg = angle(a) by the same rotation as the catalog."""
     a, s = mpmath.mpc(a), mpmath.mpc(s)
@@ -128,10 +135,11 @@ _ORACLE_POINTS = np.concatenate([
 def test_catalog_matches_mpmath(kind, location, order):
     """Every density and derivative against high-precision differentiation
     of the closed form, on the unit circle and inside it."""
+    mpmath = pytest.importorskip("mpmath")
     strength = 0.7 - 1.3j
     f = catalog_function(SingularityPrescription(kind, location, strength,
                                                  order))
-    exact = _oracle(kind, location, strength, order)
+    exact = _oracle(mpmath, kind, location, strength, order)
     assert len(f.derivs) == MAX_DERIV_ORDER
     with mpmath.workdps(40):
         for m, fm in enumerate((f.func,) + f.derivs):
