@@ -160,16 +160,16 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     return _functional(_sample(contour, grid, f), z, n, m, m)
 
 
-def _boundary_terms(smp, n, t0=None, located=None, quiet=False):
+def _boundary_terms(smp, n, t0=None, located=None):
     """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt), arrays, at located = (s0,
-    t0) or the one contour point t0; ``quiet`` once f was found unresolved."""
+    t0) or the one contour point t0."""
     s0, t0 = [np.array(a, ndmin=1) for a in located or smp.locate(t0)]
     samples = smp.f(n)
     # no callable for f^(n): smp.f(n) refused a non-periodic grid already
     dc = smp.density.derivative_callable(n)
     at = trig_interp(samples, s0) if dc is None \
         else np.asarray(dc(t0), dtype=complex)
-    return at, _pv(samples, at, smp, s0, t0, quiet)
+    return at, _pv(samples, at, smp, s0, t0, n)
 
 
 def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
@@ -183,8 +183,8 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     """
     smp = _sample(contour, grid, BoundaryFunction(f))
     located = smp.locate(t0, delta)
-    quiet = _warn_if_unresolved(smp.f(0), grid, "the density")
-    return complex(_boundary_terms(smp, 0, located=located, quiet=quiet)[1][0])
+    _warn_if_unresolved(smp.f(0), grid, "the density")
+    return complex(_boundary_terms(smp, 0, located=located)[1][0])
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,

@@ -47,8 +47,8 @@ _BLOCK_ENTRIES = 1 << 14
 # Fourier modes at rounding, relative to the largest sample; and the top-mode
 # level (|k| >= 3N/8) a periodic grid resolves: from it geometric decay
 # aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
-# Node spacings within which _pv may take a node's quotient from the
-# interpolants: beyond, its cancellation costs <= 2e-15 (1/(t - 2), n = 256).
+# Node spacings within which _pv takes the rule shifted by half a spacing:
+# beyond, a node's cancelling quotient costs <= 2e-15 (1/(t - 2), n = 256).
 _ROUNDING, _UNRESOLVED, _NODE_BAND = 1e-15, 1e-6, 1.0 / 64
 
 
@@ -275,14 +275,10 @@ def _equal_panels(n_panels, order):
     return grid
 
 
-def _panel_samples(arc, n_panels, order, smp=None):
+def _panel_samples(arc, n_panels, order):
     """_Samples of the arc on n_panels equal order-``order`` Gauss-Legendre
-    panels of [0, 1]: ``smp`` itself when its grid is exactly those panels."""
-    grid = _equal_panels(n_panels, order)
-    if (smp is not None and smp.grid.n == grid.n
-            and (smp.grid.nodes == grid.nodes).all()):
-        return smp
-    return _sample(arc, grid)
+    panels of [0, 1]."""
+    return _sample(arc, _equal_panels(n_panels, order))
 
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
@@ -559,7 +555,8 @@ def _resolution(samples, lowest=None):
     |k| <= N/2 (Trefethen & Weideman, SIAM Rev. 56, 2014): level, max |c_k|
     over lowest <= |k| (default 3N/8) over max|samples|; bar, the error of
     their interpolant: the tail beyond N/2 fitted to the bands from N/4 and
-    3N/8, or 2 sum_(|k| >= N/4) |c_k| where they do not fall."""
+    3N/8, or sum_(|k| >= N/4) |c_k| where they do not fall; either times 4,
+    for +-k, aliased and truncated."""
     n = samples.size
     if np.iscomplexobj(samples):        # max(|c_k|, |c_-k|) by |k|
         c = np.abs(np.fft.fft(samples)) / n
@@ -571,10 +568,10 @@ def _resolution(samples, lowest=None):
     lo, hi = c[n // 4:3 * n // 8].max(initial=0.0), c[3 * n // 8:].max()
     if hi <= _ROUNDING * scale:
         tail = 0.0
-    elif hi < lo:   # hi/lo per N/8 modes; x4 for +-k, aliased and truncated
+    elif hi < lo:   # hi/lo per N/8 modes
         tail = 4.0 * hi * (hi / lo) / (1.0 - (hi / lo) ** (8.0 / n))
     else:
-        tail = 2.0 * c[n // 4:].sum()
+        tail = 4.0 * c[n // 4:].sum()
     return level, float(tail + _ROUNDING * np.log2(n) * scale)
 
 
@@ -612,41 +609,30 @@ def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def _pv(samples, g0, smp, s0, t0, quiet=False):
+def _pv(samples, g0, smp, s0, t0, n):
     """P.V. of g(t)/(t - t0) dt at the points t0 = z(s0) of the contour of
-    ``smp``, g0 = g(t0): a _subtracted_pv sum.  At t0's nearest node, s0 +
-    delta, the quotient is the divided difference of the trigonometric
-    interpolants of g and z, the ratio of their sum_k c_k e^(i k (s0 +
-    delta/2)) sin(k delta/2) (c_k k at delta = 0), which does not cancel
-    (one FFT serves every row): within 1e-9, warning (unless ``quiet``)
-    where their top-mode level is above _UNRESOLVED, and within _NODE_BAND
-    where their error, n |delta| times that level, is below rounding.  Off
-    the periodic grid a node within 1e-9 raises CapabilityError."""
-    grid, n = smp.grid, smp.grid.n
+    ``smp``, g = f^(n) of its density, samples = smp.f(n) and g0 = g(t0): a
+    _subtracted_pv sum.  Within _NODE_BAND spacings of a node, where that
+    node's quotient cancels, a target takes the same sum on the rule shifted
+    by half a spacing, whose nodes all lie about h/2 from it; z, z' and g
+    there are sampled once per call, and only for such a target.  Off the
+    periodic grid a node within 1e-9 raises CapabilityError."""
+    grid, size = smp.grid, smp.grid.n
     # j0: the first node from s0 - h/2 on (off the periodic grid, s0 - 1e-9)
-    lead, band = (np.pi / n, _NODE_BAND * TWO_PI / n) \
+    lead, band = (np.pi / size, _NODE_BAND * TWO_PI / size) \
         if grid.kind == "periodic-trapezoid" else (1e-9, 1e-9)
-    j0 = np.searchsorted(grid.nodes, s0 - lead) % n
-    delta = (grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi
-    hit, fix = np.nonzero(np.abs(delta) < band)[0], None
-    if hit.size:
-        _require_periodic(grid, "a principal value at a node")
-        rows = np.stack((samples, smp.zs))
-        coef = np.fft.fft(rows)         # the top-mode level, as _resolution
-        level = (np.abs(coef[:, 3 * n // 8:5 * n // 8 + 1]).max(axis=1)
-                 / np.maximum(np.abs(rows).max(axis=1), 1e-300)).max() / n
-        gap = np.abs(delta[hit])
-        if not quiet and gap.min() < 1e-9 and level > _UNRESOLVED:
-            warnings.warn("a principal value on a node reads the interpolants' "
-                          f"error: their top modes reach {level:.1e} of their "
-                          "maximum", AccuracyWarning, stacklevel=4)
-        hit = hit[(gap < 1e-9) | (n * level * gap <= _ROUNDING)]
-        half, k = 0.5 * delta[hit, None], np.fft.fftfreq(n, 1.0 / n)
-        e = np.where(half == 0, k, np.sin(half * k)) * np.exp(
-            1j * (s0[hit, None] + half) * k)
-        num, den = (e[:, None] * coef).sum(axis=2).T
-        fix = hit, j0[hit], num / den * smp.dzw[j0[hit]]
-    return _subtracted_pv(samples, smp.zs, smp.dzw, g0, t0, 1j * np.pi, fix)
+    j0 = np.searchsorted(grid.nodes, s0 - lead) % size
+    near = np.abs((grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi) < band
+    if not near.any():
+        return _subtracted_pv(samples, smp.zs, smp.dzw, g0, t0, 1j * np.pi)
+    _require_periodic(grid, "a principal value at a node")
+    half = _sample(smp.contour, QuadratureGrid(
+        grid.nodes + np.pi / size, grid.weights, grid.kind), smp.density)
+    out = np.empty(t0.size, dtype=complex)
+    for rows, rule, g in ((~near, smp, samples), (near, half, half.f(n))):
+        out[rows] = _subtracted_pv(g, rule.zs, rule.dzw, g0[rows], t0[rows],
+                                   1j * np.pi)
+    return out
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,

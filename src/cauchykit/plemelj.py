@@ -177,18 +177,17 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
 
     f+-(z0) = +-g(z0)/2 + (1/2*pi*i) P.V. int_L g(t)/(t - z0) dt.  Their
     difference is g(z0) and their sum is the principal-value integral scaled
-    by 1/(pi*i).  z0 is located by Newton from the nearest grid node; the
+    by 1/(pi*i).  z0 is located by Newton from the nearest panel node; the
     principal value is taken on max(8, grid.n // 12) fixed order-12 panels
-    (_arc_pv_rows), the grid's own samples when it is those panels.
+    (_arc_pv_rows), so the grid sets only their count.
     """
     g = _as_density(g)
-    smp = _sample(arc, grid)
-    s0, loc = smp.locate(z0, _on_arc_band(smp))
+    panels = _panel_samples(arc, max(8, grid.n // 12), 12)
+    s0, loc = panels.locate(z0, _on_arc_band(panels))
     if s0 < margin or s0 > 1.0 - margin:
         raise EndpointError(
             f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
     loc = complex(loc)
-    panels = _panel_samples(arc, max(8, grid.n // 12), 12, smp)
     at = np.concatenate((panels.zs, (loc,)))
     vals = np.asarray(g(at), dtype=complex) + np.zeros(at.shape)
     plus, minus = _sided(complex(_arc_pv_rows(
@@ -217,20 +216,20 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     is an ordinary one with a removable point.  Every inner principal value
     is taken on n_panels fixed panels of order ``order`` (default max(8,
     grid.n // order)), so ``f2`` gets arrays of t and t' that broadcast
-    against each other and must broadcast too.  x0 is located by Newton from
-    the nearest node of ``grid``.  The outer integral runs over sigma, s =
-    sigma^4/(sigma^4 + (1 - sigma)^4) (Kress, Numer. Math. 58, 1990), on
-    panels split at sigma(x0).  With ``cross_check`` a second grid level
-    warns if the two disagree badly; a non-finite level raises
-    NonFiniteError."""
-    smp = _sample(arc, grid)
-    s0, x0c = smp.locate(x0, _on_arc_band(smp))
+    against each other and must broadcast too; the grid sets only that
+    default.  x0 is located by Newton from the nearest first-level panel
+    node.  The outer integral runs over sigma, s = sigma^4/(sigma^4 + (1 -
+    sigma)^4) (Kress, Numer. Math. 58, 1990), on panels split at sigma(x0).
+    With ``cross_check`` a second grid level warns if the two disagree
+    badly; a non-finite level raises NonFiniteError."""
     if n_panels is None:
         n_panels = max(8, grid.n // order)
-    res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order, smp)
+    inner = _panel_samples(arc, n_panels, order)
+    s0, x0c = inner.locate(x0, _on_arc_band(inner))
+    res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner)
     if cross_check:
         res2 = _pb_residual_once(f2, arc, s0, x0c, int(1.5 * n_panels) + 1,
-                                 order, smp)
+                                 order)
         # below 1e-11 both levels sit at the rule's rounding and far-panel
         # error, where a tenfold ratio between them says nothing
         if max(res, res2) > 10.0 * max(min(res, res2), 1e-11):
@@ -241,9 +240,9 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     return res
 
 
-def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, smp=None):
-    """|LHS - RHS| at one grid level, x0c = z(s0), reusing ``smp`` when its
-    grid is the inner panels.  The outer nodes: max(2, ...) equal sigma
+def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner=None):
+    """|LHS - RHS| at one grid level, x0c = z(s0), on the ``inner`` panel
+    samples (None: sampled here).  The outer nodes: max(2, ...) equal sigma
     panels on either side of sigma0, mapped to s, and dt/dsigma there."""
     p = _KRESS_ORDER
     sig0 = 1.0 / (1.0 + ((1.0 - s0) / s0) ** (1.0 / p))
@@ -258,7 +257,8 @@ def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, smp=None):
 
     # I(t') = P.V. int f2(t, t')/(t - t') dt and -B(t') = P.V. int
     # f2(t', t)/(t - t') dt at every outer node t', then at x0
-    inner = _panel_samples(arc, n_panels, order, smp)
+    if inner is None:
+        inner = _panel_samples(arc, n_panels, order)
     zs, sp, tp = inner.zs, np.append(s, s0), np.append(ts, x0c)
     I, minus_B = _arc_pv_rows((lambda r: f2(zs, tp[r, None]),
                                lambda r: f2(tp[r, None], zs)),

@@ -219,8 +219,6 @@ class _PadeFit:
             fit = np.polyval(a[::-1], t) / np.polyval(b[::-1], t)
             return float(np.max(np.abs(fit - f)) / scale)
         used = m + k + 1
-        if len(c) <= used:
-            return 0.0
         # expand a/b: cc_i = a_i - sum_j b_j cc_{i-j}
         cc, bl = a.tolist() + [0.0] * (len(c) - m - 1), b.tolist()
         for i in range(1, len(c)):
@@ -260,14 +258,16 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
                     boundary_samples=None) -> ProbeReport:
     """Estimate exterior poles from Taylor coefficients via a Pade fit.
 
-    With ``degrees = (m, k)`` fixed, fits that approximant; otherwise scans
-    k = 1..8 with m = k - 1 and keeps the smallest k whose held-out residual
-    has plateaued (within 10x of the best).  Roots are filtered against
-    Froissart noise by residue magnitude; a stability cross-check against
-    the (m+1, k+1) fit decides whether pole locations are asserted.  Branch
-    -type inputs fail the cross-check and are reported as root clusters
-    without assertion — the underlying inverse problem is an open
-    conjecture and this probe never claims uniqueness.
+    With ``degrees = (m, k)`` fixed, fits that approximant to m + k + 1
+    coefficients (m + k + 2 without ``boundary_samples``: the residual
+    holds one out); otherwise scans k = 1..8 with m = k - 1 and keeps the
+    smallest k whose held-out residual has plateaued (within 10x of the
+    best).  Roots are filtered against Froissart noise by residue
+    magnitude; a stability cross-check against the (m+1, k+1) fit decides
+    whether pole locations are asserted.  Branch-type inputs fail the
+    cross-check and are reported as root clusters without assertion — the
+    underlying inverse problem is an open conjecture and this probe never
+    claims uniqueness.
     """
     c = np.asarray(coefficients, dtype=complex)
     if not np.all(np.isfinite(c)):
@@ -294,10 +294,11 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
         m, k = degrees
         if m < 0 or k < 1:
             raise ContractError("need m >= 0 and k >= 1")
-        if len(c) < m + k + 1:
+        extra = 1 + (held is None)
+        if len(c) < m + k + extra:
             raise ContractError(
-                f"need at least m + k + 1 = {m + k + 1} coefficients, "
-                f"got {len(c)}")
+                f"need at least m + k + {extra} = {m + k + extra} "
+                f"coefficients, got {len(c)}")
         final = fit(m, k)
     roots, _ = final.roots
     poles, strengths = final.poles

@@ -217,19 +217,60 @@ def test_next_to_a_node_the_smaller_error_wins(frac):
                                         (circle(0.0, 1.0), 1),
                                         (ellipse(1.0, 0.6), 1)],
                          ids=["circle-0", "circle-1", "ellipse-1"])
-def test_on_a_node_an_unresolved_interpolant_warns(contour, n):
+def test_on_a_node_an_unresolved_interpolant_costs_nothing(contour, n):
     # 1/(t - 1.1) at n = 256: the trapezoid sum resolves it, its
     # interpolants do not (top-mode level 9.7e-6, 8.5e-5 and 1.2e-6 of the
-    # maximum), and on a node the quotient is theirs: it errs by 8.2e-6,
-    # 9.5e-4 and 2.5e-6
+    # maximum); on a node the sum runs on the half-shifted rule, so it errs
+    # as the same call half a spacing away does, and no warning (conftest)
     f = BoundaryFunction(lambda t: 1.0 / (t - 1.1),
                          derivs=(lambda t: -1.0 / (t - 1.1) ** 2,))
     g = periodic_trapezoid_grid(256)
+
+    def error(s):
+        t0 = contour.z(np.array([s]))[0]
+        return abs(boundary_value(f, contour, g, t0, n)
+                   - f.derivative_callable(n)(t0))
+    between = error(g.nodes[51] + np.pi / 256)
     for ds in (0.0, 5e-10):
-        t0 = contour.z(g.nodes[51:52] + ds)[0]
-        with pytest.warns(AccuracyWarning, match="on a node"):
-            val = boundary_value(f, contour, g, t0, n)
-        assert abs(val - f.derivative_callable(n)(t0)) > 1e-6
+        assert error(g.nodes[51] + ds) <= 2.0 * between + 1e-15
+
+
+H256 = 2.0 * np.pi / 256
+NEAR_NODE = [0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-7, 1e-6, 1e-4,
+             H256 / 100, H256 / 70, 0.99 * H256 / 64]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("analytic", [True, False], ids=["derivs", "spectral"])
+@pytest.mark.parametrize("a", [1.1, 1.2, 1.5, 2.0])
+@pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+def test_next_to_a_node_the_error_is_that_between_nodes(contour, a, analytic,
+                                                        n):
+    # 1/(t - a) at n = 256: within h/64 of a node (both sides of four
+    # nodes) the error is at most twice the worst at s_j +- h/4 and s_j +
+    # h/2, plus rounding of max |f^(n)| at the nodes, for K_n and, at order
+    # 0, the interior limit; and no call warns (conftest)
+    derivs = tuple(lambda t, m=m: (-1) ** m * math.factorial(m)
+                   / (t - a) ** (m + 1) for m in (1, 2, 3))
+    f = BoundaryFunction(lambda t: 1.0 / (t - a),
+                         derivs=derivs if analytic else ())
+    g = periodic_trapezoid_grid(256)
+    nodes = g.nodes[[37, 51, 100, 200], None]
+    offsets = np.array(NEAR_NODE)
+    near = contour.z((nodes + np.concatenate((offsets, -offsets[1:])))
+                     .ravel() % (2.0 * np.pi))
+    between = contour.z((nodes + H256 * np.array([-0.25, 0.25, 0.5]))
+                        .ravel())
+    exact = lambda t: (-1) ** n * math.factorial(n) / (t - a) ** (n + 1)
+    calls = [lambda t0: boundary_value(f, contour, g, t0, n)]
+    if n == 0:
+        calls.append(lambda t0: one_sided_limit(f, contour, g, t0))
+    floor = 1e-15 * np.abs(exact(contour.z(g.nodes))).max()
+    for call in calls:
+        worst = [max(abs(call(t0) - exact(t0)) for t0 in points)
+                 for points in (near, between)]
+        assert worst[0] <= 2.0 * worst[1] + floor
 
 
 @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
@@ -391,6 +432,19 @@ class TestIntegralTheorems:
         assert ok
         assert bound == pytest.approx(1.0, rel=1e-10)
         assert actual == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("z, R, n, m", [(0.1 + 0.2j, 0.5, 2, 1),
+                                         (0.0, 1.0, 1, 1), (0.3, 0.6, 2, 0)])
+def test_cauchy_inequality_without_derivative_callables(z, R, n, m):
+    # max |f^(m)| on the ring from spectral samples, and |f^(n)(z)| from
+    # the functional J_n: the bound and verdict of the analytic route
+    f = pole_density()
+    bound, actual, ok = derivative_bound_check(f, z, R, n, m)
+    spectral = derivative_bound_check(BoundaryFunction(f.func), z, R, n, m)
+    assert spectral[0] == pytest.approx(bound, abs=1e-10)
+    assert spectral[1] == pytest.approx(actual, abs=1e-10)
+    assert spectral[2] == ok
 
 
 def test_validate_derivatives(circle256):
@@ -701,7 +755,8 @@ def batch_targets(k):
 
 def test_batched_checks_sample_once_per_call():
     # z, z' and each density order are sampled once on the grid, for 4
-    # targets as for 40; the interior reference f^(n) is one call at the
+    # targets as for 40, and the on-node targets' z, z' and f^(n) once on
+    # the half-shifted rule; the interior reference f^(n) is one call at the
     # inside targets, and only on-contour boundary terms and Newton steps
     # make calls at one point
     g = periodic_trapezoid_grid(N_GRID)
@@ -724,8 +779,8 @@ def test_batched_checks_sample_once_per_call():
                 for calls in counts] for counts in per_count]
     assert on_grid[0] == on_grid[1]
     uniform, exterior = on_grid[1]
-    assert uniform == {("z", N_GRID): 1, ("dz", N_GRID): 1,
-                       ("f", N_GRID): 1, ("f1", N_GRID): 1}
+    assert uniform == {("z", N_GRID): 2, ("dz", N_GRID): 2,
+                       ("f", N_GRID): 1, ("f1", N_GRID): 2}
     assert exterior == {("z", N_GRID): 1, ("dz", N_GRID): 1,
                         ("f", N_GRID): 1, ("f1", N_GRID): 1,
                         ("f2", N_GRID): 1}

@@ -305,6 +305,40 @@ def test_parse_boundary_file_roundtrip(tmp_path):
         parse_boundary_file(str(tmp_path / "missing.txt"))
 
 
+def test_parse_boundary_file_skips_comments_and_blank_lines(tmp_path):
+    path = write_boundary_file(tmp_path / "ok.txt", lambda t: t ** 2, n=32)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:5] + ["", "# mid-file note", "   "]
+                              + rows[5:]) + "\n")
+    thetas, samples = parse_boundary_file(str(path))
+    assert thetas.size == 32
+    assert np.allclose(samples, np.exp(1j * thetas) ** 2)
+    # a non-numeric field names its line, counting the skipped ones
+    rows = path.read_text().splitlines()
+    rows[9] = rows[9].rsplit(" ", 1)[0] + " 1.0x"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 10: fields are not numeric") \
+            as info:
+        parse_boundary_file(str(path))
+    assert info.value.line == 10
+
+
+def test_a_write_that_fails_after_the_check_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    # the path passes main's check, and opening it fails anyway (a full
+    # disk, a file made read-only meanwhile): a usage error, not a traceback
+    out = tmp_path / "x.csv"
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert main(["verify", "integral-theorems", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
+
+
 # the JSON writer: json.dumps(doc, indent=2, sort_keys=True) byte for byte,
 # with the stdlib's pure-Python encoder made to fail, so that no document
 # can fall back to it unnoticed

@@ -485,6 +485,24 @@ class TestCayleyRoute:
         assert res.grid_size <= 256
         assert np.all(res.truncation_error >= err)
 
+    @pytest.mark.parametrize("column", [
+        lambda th: np.sin(3.0 * th) * np.exp(-th ** 2),
+        lambda th: np.exp(-4.0 * th ** 2),
+        lambda th: np.exp(-th ** 2),
+    ], ids=["sin3-gaussian", "gaussian-4", "gaussian"])
+    def test_bar_bounds_a_piecewise_linear_column(self, column):
+        # the CLI's line construction of smooth columns: the interpolant's
+        # kinks leave modes that do not fall geometrically, so the bar is
+        # the tail sum over both signs of k (over one sign it read 2.6e-4,
+        # 2.3e-4 and 5.0e-5 against the errors 2.8e-4, 3.0e-4 and 9.2e-5)
+        th = -np.pi + TWO_PI * np.arange(256) / 256
+        col = column(th)
+        res = hilbert_line(RealLineFunction(
+            lambda x: np.interp(x, th, col, left=0.0, right=0.0), decay=2.0,
+            window=np.pi), 0.9 * th)
+        err = np.abs(res.values - piecewise_linear_hilbert(th, col, 0.9 * th))
+        assert np.all(res.truncation_error >= err)
+
     def test_non_finite_sample_raises(self):
         v = RealLineFunction(lambda x: np.where(np.abs(x) > 20.0, np.nan,
                                                 1.0 / (1.0 + x * x)),

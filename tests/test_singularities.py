@@ -8,7 +8,7 @@ from cauchykit import (AccuracyWarning, ContractError, NonFiniteError,
                        build_unit_circle, catalog_function, cauchy_functional,
                        exterior_annihilation_check, pade_pole_probe,
                        taylor_coefficients)
-from cauchykit.singularities import MAX_DERIV_ORDER
+from cauchykit.singularities import ASSERT_RESIDUAL, MAX_DERIV_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +368,39 @@ class TestPadeProbe:
     def test_insufficient_coefficients_rejected(self):
         with pytest.raises(ContractError):
             pade_pole_probe(np.array([1.0, 0.5]), degrees=(2, 4))
+
+    def test_fixed_degrees_hold_a_coefficient_out(self):
+        # without samples, m + k + 1 coefficients leave none for the
+        # residual, which would read 0 and assert whatever it fitted
+        rng = np.random.default_rng(23)
+        c = rng.standard_normal(4)
+        with pytest.raises(ContractError, match="m \\+ k \\+ 2 = 4"):
+            pade_pole_probe(c[:3], degrees=(1, 1))
+        report = pade_pole_probe(c, degrees=(1, 1))
+        assert report.residual_kind == "held-out coefficients"
+        assert report.residual > ASSERT_RESIDUAL
+        assert not (report.poles_asserted or report.confident)
+        # boundary samples hold out nodes: m + k + 1 coefficients serve
+        f = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))
+        samples = boundary_samples(f, build_unit_circle(64))
+        report = pade_pole_probe(taylor_coefficients(samples, 2),
+                                 degrees=(1, 1), boundary_samples=samples)
+        assert report.residual_kind == "held-out boundary nodes"
+        assert report.coefficients_used == 3 and report.poles_asserted
+        with pytest.raises(ContractError, match="m \\+ k \\+ 1 = 3"):
+            pade_pole_probe(c[:2], degrees=(1, 1), boundary_samples=samples)
+
+    def test_branch_at_low_degree_is_not_asserted(self, circle256):
+        # one pole cannot fit a square-root branch: the held-out
+        # coefficients say so, with or without the cross-check's drift
+        f = catalog_function(
+            SingularityPrescription("algebraic-branch", 2.0 + 0.0j))
+        coeffs = taylor_coefficients(boundary_samples(f, circle256), 16)
+        report = pade_pole_probe(coeffs, degrees=(0, 1))
+        assert report.residual > ASSERT_RESIDUAL
+        assert not (report.poles_asserted or report.confident)
+        assert "rational fit residual is large; input may not be " \
+            "meromorphic" in report.notes
 
 
 class TestPadeFitRecord:
