@@ -138,16 +138,18 @@ def chebyshev3_rule(n: int):
 
 
 def _check_chord_targets(x):
+    """The chord targets x, flattened, and their shape (at least 1-D)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) >= 1.0):
         raise EndpointError("chord targets must lie strictly inside (-1, 1)")
-    return x
+    return x.reshape(-1), x.shape
 
 
 def finite_hilbert_transform(gamma: SheetDensity, targets,
                              n: int = DEFAULT_CHORD_NODES) -> np.ndarray:
-    """v(x) = (1/2*pi) P.V. int gamma(t)/(t - x) dt on the chord."""
-    x = _check_chord_targets(targets)
+    """v(x) = (1/2*pi) P.V. int gamma(t)/(t - x) dt on the chord, in the
+    shape of the targets."""
+    x, shape = _check_chord_targets(targets)
     out = np.zeros_like(x)
     if gamma.weight_coef is not None:
         t, w = chebyshev4_rule(n)
@@ -155,7 +157,7 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
             gamma.weight_coef(t), dtype=float), x, PV_WEIGHT4)
     if gamma.smooth is not None:
         out += _smooth_chord_pv(gamma.smooth, x)
-    return out / (2.0 * np.pi)
+    return (out / (2.0 * np.pi)).reshape(shape)
 
 
 def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
@@ -181,8 +183,9 @@ def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
     v_t = np.asarray(v(t), dtype=float)
 
     def phi(x):
-        pv = _chord_pv(v, t, w, v_t, _check_chord_targets(x), PV_WEIGHT3)
-        return -(2.0 / np.pi) * pv
+        x, shape = _check_chord_targets(x)
+        return (-(2.0 / np.pi) * _chord_pv(v, t, w, v_t, x, PV_WEIGHT3)
+                ).reshape(shape)
 
     return SheetDensity(weight_coef=phi)
 
@@ -299,14 +302,13 @@ def leading_edge_suction(cfg: FlowConfig, n: int = DEFAULT_CHORD_NODES) -> float
     return math.sqrt(max(l_mag ** 2 - n_force ** 2, 0.0))
 
 
-def far_field_circulation(cfg: FlowConfig, radius: float = 1e3,
-                          n_angles: int = 8) -> float:
+def far_field_circulation(cfg: FlowConfig) -> float:
     """Circulation recovered from the far-field vortex coefficient of w(z).
 
-    w ~ i*Gamma/(2*pi*z) far away; averaging z*w(z) over equispaced angles
-    cancels the higher multipoles."""
-    th = 2.0 * np.pi * (np.arange(n_angles) + 0.5) / n_angles
-    zs = radius * np.exp(1j * th)
+    w ~ i*Gamma/(2*pi*z) far away; averaging z*w(z) over 8 equispaced
+    angles at radius 1e3 cancels the higher multipoles."""
+    th = 2.0 * np.pi * (np.arange(8) + 0.5) / 8
+    zs = 1e3 * np.exp(1j * th)
     zw = zs * flat_plate_complex_velocity(cfg, zs)
     return float(np.real(np.mean(zw) * 2.0 * np.pi / 1j))
 

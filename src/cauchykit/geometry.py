@@ -14,7 +14,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (AccuracyWarning, CapabilityError, DomainError,
 
 TWO_PI = 2.0 * np.pi
 
-# On-contour tolerance delta, as a fraction of contour length.
+# On-curve band delta of a contour or an arc, as a fraction of its length.
 DELTA_FRACTION = 1e-8
 
 # Near-zone width, in multiples of (contour length / node count).  Targets
@@ -67,6 +67,18 @@ class QuadratureGrid:
     @property
     def n(self):
         return self.nodes.size
+
+    @cached_property
+    def _span(self):
+        """(sum of the weights, lowest node, highest node), read once."""
+        return (float(self.weights.sum()), float(self.nodes.min()),
+                float(self.nodes.max()))
+
+    @cached_property
+    def _half(self):
+        """The periodic rule shifted by half a spacing, built once."""
+        return QuadratureGrid(self.nodes + np.pi / self.n, self.weights,
+                              self.kind)
 
 
 def periodic_trapezoid_grid(n: int) -> QuadratureGrid:
@@ -207,7 +219,7 @@ class _Samples:
 
     @property
     def band(self):
-        """On-contour band: DELTA_FRACTION times the grid length."""
+        """On-curve band, contour or arc: DELTA_FRACTION times the length."""
         return DELTA_FRACTION * self.length
 
     def closest(self, points, below=np.inf):
@@ -245,21 +257,36 @@ class _Samples:
                 dist[i] = min(dist[i], abs(on[i] - flat[i]))
         return dist, (None if s0 is None else s0.real, on)
 
-    def locate(self, t0, delta=None):
+    def locate(self, t0):
         """(s0, z(s0)) of the curve point closest to t0, which lies on the
         contour or arc; DomainError when t0 is not finite or lies farther
-        than delta (default: the band) from the curve."""
-        delta = self.band if delta is None else delta
+        than the band from the curve."""
+        t0 = np.asarray(t0, dtype=complex)
+        if t0.ndim:
+            raise TypeError("expected one point t0, not an array")
         dist, (s0, on) = self.closest(t0)
-        if dist[0] > delta:
+        if dist[0] > self.band:
             raise DomainError(
-                f"t0 is {dist[0]:.3g} from the contour (delta={delta:.3g})")
+                f"t0 is {dist[0]:.3g} from the curve (band {self.band:.3g})")
         return float(s0[0]), on[0]
+
+
+def _require_span(grid, closed):
+    """InvalidGridError unless the weights sum to the curve's parameter
+    length, 2*pi on a closed contour and 1 on an arc, whose nodes must lie
+    in [0, 1]: a grid on another interval reads part of the curve."""
+    total, lo, hi = grid._span
+    length = TWO_PI if closed else 1.0
+    if not (abs(total - length) <= 1e-10 * length
+            and (closed or 0.0 <= lo and hi <= 1.0)):
+        raise InvalidGridError(f"grid weights sum to {total:.6g} on [{lo:.6g}"
+                               f", {hi:.6g}], not the curve's {length:.6g}")
 
 
 def _sample(contour, grid, density=None):
     """_Samples of the contour or arc, and of ``density`` if given, on the
-    grid."""
+    grid, which must span the curve's parameter interval."""
+    _require_span(grid, isinstance(contour, ClosedContour))
     zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
                     float((np.abs(dzs) * grid.weights).sum()), density)
@@ -415,12 +442,15 @@ class PointClassification:
         return self.verdict == "on-contour"
 
 
-def classify_point(contour: ClosedContour, grid: QuadratureGrid, z: complex,
-                   delta: Optional[float] = None) -> PointClassification:
+def classify_point(contour: ClosedContour, grid: QuadratureGrid,
+                   z: complex) -> PointClassification:
     """Classify z against the contour by winding number and its distance to
     the curve (to the nearest node, unless z is in the near zone).  The
-    default band delta is DELTA_FRACTION times the grid length."""
-    return _evaluate(_sample(contour, grid), z, delta=delta).classification(0)
+    on-contour band delta is DELTA_FRACTION times the grid length."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim:
+        raise TypeError("classify_point takes one point z, not an array")
+    return _evaluate(_sample(contour, grid), z).classification(0)
 
 
 class _Evaluation(NamedTuple):
@@ -451,16 +481,12 @@ class _Evaluation(NamedTuple):
         return np.where(self.dist < self.delta, 2, inside)
 
 
-def _evaluate(smp, z, functionals=(), delta=None):
+def _evaluate(smp, z, functionals=()):
     """_Evaluation of the targets z against the closed contour of ``smp``,
     with J_(n,k)[f](z) = ((n-k)!/2*pi*i) sum_j f^(k)_j z'_j w_j/(z_j -
     z)^(n-k+1) for each functional (n, k, k_near), k = k_near in the near
     zone: one _kernel_sums pass per zone serves the winding number and every
-    functional, each column carrying its factor, so the sums are finished.
-    ``delta`` is the on-contour band, smp.band by default."""
-    delta = smp.band if delta is None else delta
-    if delta <= 0:
-        raise DomainError("tolerance band delta must be positive")
+    functional, each column carrying its factor, so the sums are finished."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     # between nodes the nearest node overstates the distance to the curve:
     # closest() refines it in the near zone (exactly on a circle)
@@ -486,7 +512,7 @@ def _evaluate(smp, z, functionals=(), delta=None):
             sums = part
         else:
             sums[:, rows] = part
-    return _Evaluation(delta, dist, located, near, sums)
+    return _Evaluation(smp.band, dist, located, near, sums)
 
 
 def _kernel_sums(t, columns, z):
@@ -524,22 +550,22 @@ def contour_integral(f, contour: ClosedContour, grid: QuadratureGrid) -> complex
 
     Vanishes to rule accuracy for f regular inside and on the contour.
     """
+    _require_span(grid, True)
     vals = np.asarray(f(contour.z(grid.nodes)), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError("integrand is non-finite at a quadrature node")
     return complex(np.sum(vals * contour.dz(grid.nodes) * grid.weights))
 
 
-def pv_singular_weight(contour: ClosedContour, t0: complex,
-                       delta: Optional[float] = None) -> complex:
+def pv_singular_weight(contour: ClosedContour, t0: complex) -> complex:
     """Principal value of the bare kernel, P.V. of dz/(t0 - z) over the contour.
 
     Equal to -i*pi for every smooth closed contour and every on-contour t0
     (equivalently +i*pi for the kernel dz/(z - t0)).  t0 is located on a
     1,024-node trapezoid sampling of the contour, whose grid length sets
-    the default band delta.
+    the on-contour band.
     """
-    _sample(contour, periodic_trapezoid_grid(1024)).locate(t0, delta)
+    _sample(contour, periodic_trapezoid_grid(1024)).locate(t0)
     return PV_SINGULAR_WEIGHT
 
 
@@ -597,16 +623,17 @@ def spectral_derivative(samples: np.ndarray) -> np.ndarray:
 
 
 def trig_interp(samples: np.ndarray, s) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at s."""
+    """Evaluate the trigonometric interpolant of periodic samples at s; the
+    values take the shape of s, at least 1-D."""
     samples = np.asarray(samples, dtype=complex)
     n = samples.size
     coef = np.fft.fft(samples) / n
     k = np.fft.fftfreq(n, 1.0 / n)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(s.size, dtype=complex)
+    flat, out = s.reshape(-1), np.empty(s.size, dtype=complex)
     for r in _row_blocks(s.size, n):
-        out[r] = np.exp(1j * np.outer(s[r], k)) @ coef
-    return out
+        out[r] = np.exp(1j * np.outer(flat[r], k)) @ coef
+    return out.reshape(s.shape)
 
 
 def _pv(samples, g0, smp, s0, t0, n):
@@ -626,8 +653,7 @@ def _pv(samples, g0, smp, s0, t0, n):
     if not near.any():
         return _subtracted_pv(samples, smp.zs, smp.dzw, g0, t0, 1j * np.pi)
     _require_periodic(grid, "a principal value at a node")
-    half = _sample(smp.contour, QuadratureGrid(
-        grid.nodes + np.pi / size, grid.weights, grid.kind), smp.density)
+    half = _sample(smp.contour, grid._half, smp.density)
     out = np.empty(t0.size, dtype=complex)
     for rows, rule, g in ((~near, smp, samples), (near, half, half.f(n))):
         out[rows] = _subtracted_pv(g, rule.zs, rule.dzw, g0[rows], t0[rows],

@@ -58,11 +58,6 @@ def _as_density(g) -> ArcDensity:
     raise TypeError("expected an ArcDensity or callable")
 
 
-def _on_arc_band(smp) -> float:
-    """On-arc band: plemelj_limits locates within it, _off_arc_sums refuses."""
-    return 1e-8 * max(smp.length, 1.0)
-
-
 def _off_arc_sums(smp, parts, z, p=1):
     """sum_j c_j/(t_j - z)^p over the nodes t_j and weights c_j of all parts
     at each field point z (a complex for a scalar z).  A point in the on-arc
@@ -73,7 +68,7 @@ def _off_arc_sums(smp, parts, z, p=1):
     flat = np.asarray(z, dtype=complex).reshape(-1)
     dist, (s0, _) = smp.closest(flat, 2.0 * smp.near_zone)
     nearest = np.inf if s0 is None else dist.min()
-    if nearest < _on_arc_band(smp):
+    if nearest < smp.band:
         raise DomainError("field point on the arc; use plemelj_limits")
     if nearest < smp.near_zone:
         warnings.warn("field point is in the near zone of the arc; result "
@@ -171,22 +166,22 @@ def _arc_pv_rows(densities, smp, order, s0, t0, rows=None) -> list:
     return outs
 
 
-def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex,
-                   margin: float = DEFAULT_ENDPOINT_MARGIN):
+def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):
     """One-sided limits f+(z0), f-(z0) of the arc integral at interior z0.
 
     f+-(z0) = +-g(z0)/2 + (1/2*pi*i) P.V. int_L g(t)/(t - z0) dt.  Their
     difference is g(z0) and their sum is the principal-value integral scaled
-    by 1/(pi*i).  z0 is located by Newton from the nearest panel node; the
-    principal value is taken on max(8, grid.n // 12) fixed order-12 panels
-    (_arc_pv_rows), so the grid sets only their count.
+    by 1/(pi*i).  z0 is located by Newton from the nearest panel node (and
+    refused within DEFAULT_ENDPOINT_MARGIN of an end); the principal value
+    is taken on max(8, grid.n // 12) fixed order-12 panels (_arc_pv_rows),
+    so the grid sets only their count.
     """
     g = _as_density(g)
     panels = _panel_samples(arc, max(8, grid.n // 12), 12)
-    s0, loc = panels.locate(z0, _on_arc_band(panels))
-    if s0 < margin or s0 > 1.0 - margin:
-        raise EndpointError(
-            f"z0 at parameter {s0:.4f} is within the endpoint margin {margin}")
+    s0, loc = panels.locate(z0)
+    if not DEFAULT_ENDPOINT_MARGIN <= s0 <= 1.0 - DEFAULT_ENDPOINT_MARGIN:
+        raise EndpointError(f"z0 at parameter {s0:.4f} is within the "
+                            f"endpoint margin {DEFAULT_ENDPOINT_MARGIN}")
     loc = complex(loc)
     at = np.concatenate((panels.zs, (loc,)))
     vals = np.asarray(g(at), dtype=complex) + np.zeros(at.shape)
@@ -225,7 +220,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     if n_panels is None:
         n_panels = max(8, grid.n // order)
     inner = _panel_samples(arc, n_panels, order)
-    s0, x0c = inner.locate(x0, _on_arc_band(inner))
+    s0, x0c = inner.locate(x0)
     res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner)
     if cross_check:
         res2 = _pb_residual_once(f2, arc, s0, x0c, int(1.5 * n_panels) + 1,

@@ -434,3 +434,34 @@ class TestSheetVelocityField:
             w_sheet = sheet_velocity_field(None, dens, z)
             w_plate = flat_plate_complex_velocity(cfg, z)
             assert abs(w_sheet - w_plate) < 1e-10
+
+
+def test_sheet_density_adds_its_smooth_part():
+    gamma = SheetDensity(weight_coef=lambda x: 1.0 + x,
+                         smooth=lambda x: x ** 2)
+    x = np.array([-0.5, 0.0, 0.7, 1.0])
+    assert np.allclose(gamma(x), np.sqrt(1.0 - x ** 2) + x ** 2,
+                       rtol=0.0, atol=1e-15)
+    assert gamma(0.7) == pytest.approx(np.sqrt(0.51) + 0.49, abs=1e-15)
+
+
+def test_weight_basis_density_stays_on_the_chord():
+    with pytest.raises(DomainError, match="standard chord"):
+        sheet_velocity_field(None, SheetDensity(weight_coef=lambda x: 1.0 + x),
+                             3.0, arc=segment(0.0, 2.0))
+
+
+def test_chord_transforms_keep_the_targets_shape():
+    # a 2 x 2 array of targets gives a 2 x 2 array, each value that of the
+    # flat call; the inverse's density does the same
+    x = np.array([[0.1, -0.3], [0.55, 0.9]])
+    gamma = SheetDensity(weight_coef=lambda t: 1.0 + t ** 2,
+                         smooth=lambda t: np.cos(t))
+    v = finite_hilbert_transform(gamma, x)
+    assert v.shape == (2, 2)
+    assert np.array_equal(v.ravel(), finite_hilbert_transform(gamma,
+                                                              x.ravel()))
+    phi = finite_hilbert_inverse(lambda t: 1.0 + 0.0 * t).weight_coef
+    assert phi(x).shape == (2, 2)
+    assert np.array_equal(phi(x).ravel(), phi(x.ravel()))
+    assert finite_hilbert_transform(gamma, 0.1).shape == (1,)

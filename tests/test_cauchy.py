@@ -449,11 +449,39 @@ def test_cauchy_inequality_without_derivative_callables(z, R, n, m):
 
 def test_validate_derivatives(circle256):
     c, g = circle256
-    assert validate_derivatives(pole_density(), c, g, rng=0) < 1e-6
+    assert validate_derivatives(pole_density(), c, g) < 1e-6
     bad = BoundaryFunction(lambda t: 1.0 / (t - 2.0),
                            derivs=(lambda t: 1.0 / (t - 2.0) ** 2,))
     with pytest.raises(ContractError):
-        validate_derivatives(bad, c, g, rng=0)
+        validate_derivatives(bad, c, g)
+
+
+def test_routes_that_need_an_analytic_derivative_say_so(circle256):
+    c, g = circle256
+    bare = BoundaryFunction(lambda t: 1.0 / (t - 2.0))
+    with pytest.raises(CapabilityError, match="analytic derivative"):
+        uniform_convergence_residuals(bare, c, g, [0.3, 3.0], 1)
+    # outside only, the order-1 residual needs no callable
+    assert uniform_convergence_residuals(bare, c, g, [3.0], 1).max_outside \
+        < 1e-12
+    with pytest.raises(CapabilityError, match="analytically"):
+        mean_value_check(bare, 0.0, 0.5, g, n=1)
+
+
+def test_validate_derivatives_reads_every_node(circle256):
+    # f' wrong by 1 % on one sixteenth of the circle: an 8-node sample of
+    # the 256 nodes missed its 16 nodes for most seeds
+    c, g = circle256
+
+    def wrong(t):
+        share = (np.angle(t) % (2.0 * np.pi)) < np.pi / 8.0
+        return -1.0 / (t - 2.0) ** 2 * np.where(share, 1.01, 1.0)
+
+    with pytest.raises(ContractError):
+        validate_derivatives(BoundaryFunction(lambda t: 1.0 / (t - 2.0),
+                                              derivs=(wrong,)), c, g)
+    assert validate_derivatives(pole_density(), c, g) \
+        == validate_derivatives(pole_density(), c, g)
 
 
 class TestPanelGridDerivatives:
@@ -943,6 +971,35 @@ def test_public_names_are_pinned():
     assert issubclass(cauchykit.AccuracyWarning, RuntimeWarning)
 
 
+# the settings no caller set are constants: each signature is pinned, so a
+# removed setting cannot return unnoticed
+PINNED_SIGNATURES = {
+    cauchykit.classify_point: ["contour", "grid", "z"],
+    cauchykit.pv_singular_weight: ["contour", "t0"],
+    cauchykit.pv_contour_integral: ["f", "contour", "grid", "t0"],
+    cauchykit.plemelj_limits: ["g", "arc", "grid", "z0"],
+    cauchykit.derivative_bound_check: ["f", "z", "R", "n", "m"],
+    cauchykit.far_field_circulation: ["cfg"],
+    cauchykit.validate_derivatives: ["f", "contour", "grid"],
+    geometry._Samples.locate: ["self", "t0"],
+    geometry._evaluate: ["smp", "z", "functionals"],
+}
+
+
+@pytest.mark.parametrize("fn", list(PINNED_SIGNATURES),
+                         ids=lambda fn: fn.__qualname__)
+def test_settings_no_caller_sets_stay_constants(fn):
+    assert list(inspect.signature(fn).parameters) == PINNED_SIGNATURES[fn]
+
+
+def test_on_curve_band_is_decided_in_one_place():
+    from cauchykit import plemelj
+    assert not hasattr(plemelj, "_on_arc_band")
+    smp = geometry._sample(cauchykit.segment(-0.01, 0.01), gauss_panel_grid())
+    assert smp.band == pytest.approx(geometry.DELTA_FRACTION * 0.02,
+                                     rel=1e-14)
+
+
 def test_transform_result_and_parseval_check_are_pinned():
     # the window echo and the geometry argument are gone: the input types
     # choose Parseval's geometry
@@ -968,3 +1025,68 @@ def test_runtime_imports_are_stdlib_and_numpy():
     loaded = set(proc.stdout.split())
     assert {"cauchykit", "numpy"} <= loaded
     assert loaded - sys.stdlib_module_names <= {"cauchykit", "numpy"}
+
+
+# ---------------------------------------------------------------------------
+# scalar routes take one target; a grid must span its curve's interval
+
+
+T_ON = complex(np.exp(0.3j))
+SEG = cauchykit.segment(-1.0, 1.0)
+SCALAR_ROUTES = {
+    "boundary_value": lambda z: boundary_value(
+        pole_density(), *build_unit_circle(64), z),
+    "one_sided_limit": lambda z: one_sided_limit(
+        pole_density(), *build_unit_circle(64), z),
+    "pv_contour_integral": lambda z: pv_contour_integral(
+        lambda t: 1.0 / (t - 2.0), *build_unit_circle(64), z),
+    "complement_boundary_value": lambda z: complement_boundary_value(
+        BoundaryFunction(lambda t: t ** -2.0, decay=2),
+        *build_unit_circle(64), z),
+    "pv_singular_weight": lambda z: pv_singular_weight(circle(), z),
+    "classify_point": lambda z: classify_point(*build_unit_circle(64), z),
+    "cauchy_functional": lambda z: cauchy_functional(
+        pole_density(), *build_unit_circle(64), 0.3 * z),
+    "generalized_functional": lambda z: generalized_functional(
+        pole_density(), *build_unit_circle(64), 0.3 * z, 1, 1),
+    "complement_functional": lambda z: complement_functional(
+        BoundaryFunction(lambda t: t ** -2.0, decay=2),
+        *build_unit_circle(64), 3.0 * z),
+    "plemelj_limits": lambda z: cauchykit.plemelj_limits(
+        lambda t: t, SEG, gauss_panel_grid(), z.real),
+    "poincare_bertrand_residual": lambda z:
+        cauchykit.poincare_bertrand_residual(
+            lambda t, u: t * u, SEG, gauss_panel_grid(), z.real,
+            cross_check=False),
+}
+
+
+@pytest.mark.parametrize("route", list(SCALAR_ROUTES))
+def test_scalar_routes_refuse_an_array_of_targets(route):
+    call = SCALAR_ROUTES[route]
+    call(T_ON)          # one target is served
+    for z in (np.array([T_ON]), np.array([T_ON, 5.0 * T_ON])):
+        with pytest.raises(TypeError):
+            call(z)
+
+
+def test_a_grid_must_span_the_curves_parameter_interval():
+    # 16 panels of [0, 1] read a sixth of the unit circle: every route
+    # refuses them, and the same panels on [0, 2*pi] give J_0 at 0.3
+    c, f = circle(), pole_density()
+    short = gauss_panel_grid(16, 16)
+    for call in (lambda: cauchy_functional(f, c, short, 0.3),
+                 lambda: classify_point(c, short, 0.3),
+                 lambda: pv_contour_integral(f.func, c, short, T_ON),
+                 lambda: mean_value_check(f, 0.0, 1.0, short),
+                 lambda: cauchykit.contour_integral(f.func, c, short)):
+        with pytest.raises(cauchykit.InvalidGridError):
+            call()
+    full = gauss_panel_grid(16, 16, a=0.0, b=2.0 * np.pi)
+    assert cauchy_functional(f, c, full, 0.3).value \
+        == pytest.approx(1.0 / (0.3 - 2.0), abs=1e-14)
+    # an arc's grid spans [0, 1]: weights summing to 1 elsewhere refuse too
+    for grid in (gauss_panel_grid(16, 12, a=0.0, b=2.0),
+                 gauss_panel_grid(16, 12, a=-0.5, b=0.5)):
+        with pytest.raises(cauchykit.InvalidGridError):
+            cauchykit.arc_cauchy_integral(lambda t: t, SEG, grid, 2j)

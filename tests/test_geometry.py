@@ -63,14 +63,14 @@ def test_nonfinite_integrand_raises():
 
 def test_classify_basic_points():
     contour, grid = build_unit_circle(64)
-    inside = classify_point(contour, grid, 0.0 + 0.0j, 1e-8)
+    inside = classify_point(contour, grid, 0.0 + 0.0j)
     assert inside.verdict == "inside" and inside.winding == 1
-    outside = classify_point(contour, grid, 2.0 + 0.0j, 1e-8)
+    outside = classify_point(contour, grid, 2.0 + 0.0j)
     assert outside.verdict == "outside" and outside.winding == 0
-    on = classify_point(contour, grid, 1.0 + 0.0j, 1e-6)
+    on = classify_point(contour, grid, 1.0 + 0.0j)
     assert on.verdict == "on-contour"
     with pytest.raises(DomainError):
-        classify_point(contour, grid, complex("nan"), 1e-8)
+        classify_point(contour, grid, complex("nan"))
 
 
 def test_near_zone_distance_is_to_the_curve_not_the_nodes():
@@ -99,7 +99,7 @@ def test_winding_is_integer_away_from_contour():
         r = rng.choice([rng.uniform(0.0, 1.0 - margin),
                         rng.uniform(1.0 + margin, 4.0)])
         z = r * np.exp(2j * np.pi * rng.random())
-        cl = classify_point(contour, grid, z, 1e-10)
+        cl = classify_point(contour, grid, z)
         assert abs(cl.winding_estimate - cl.winding) < 1e-6
 
 
@@ -673,3 +673,12 @@ class TestPanelGrids:
         samples = self.pole(contour.z(self.GRID.nodes))
         with pytest.raises(CapabilityError):
             pv_at_all_nodes(samples, contour, self.GRID)
+
+
+def test_arc_endpoints_are_its_ends():
+    arc = segment(1.0 + 1.0j, 2.0)
+    assert (arc.a, arc.b) == (1.0 + 1.0j, 2.0 + 0.0j)
+    quarter = JordanArc(z=lambda s: np.exp(0.5j * np.pi * np.asarray(s)),
+                        dz=lambda s: 0.5j * np.pi
+                        * np.exp(0.5j * np.pi * np.asarray(s)))
+    assert quarter.a == 1.0 and quarter.b == pytest.approx(1j, abs=1e-16)

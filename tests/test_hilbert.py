@@ -528,3 +528,17 @@ class TestPeriodicRouteEstimate:
         err = np.abs(res.values - (np.cos(w * xi) - np.sin(240 * w * xi)))
         assert np.all(res.truncation_error >= err)
         assert res.truncation_error[0] >= 1.0
+
+
+def test_line_transform_keeps_the_targets_shape():
+    # H[1/(1 + x^2)](xi) = -xi/(1 + xi^2) on a 2 x 3 array of targets
+    v = RealLineFunction(lambda x: 1.0 / (1.0 + x ** 2), decay=2)
+    xi = np.arange(6.0).reshape(2, 3) - 2.5
+    res = hilbert_line(v, xi)
+    assert res.values.shape == res.truncation_error.shape == (2, 3)
+    assert np.allclose(res.values, -xi / (1.0 + xi ** 2), rtol=0.0,
+                       atol=1e-14)
+    periodic = RealLineFunction(lambda x: np.sin(x), decay=0.0,
+                                period=2.0 * np.pi)
+    assert np.allclose(hilbert_line(periodic, xi).values, np.cos(xi),
+                       rtol=0.0, atol=1e-13)

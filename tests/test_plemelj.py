@@ -650,6 +650,27 @@ def test_one_on_arc_band_for_limits_and_field():
             fn(g, CURVED, grid, off)
 
 
+@pytest.mark.parametrize("a", [1.0, 0.01])
+def test_on_arc_band_scales_with_the_arc(a):
+    # the band is 1e-8 of the arc's length, as on a closed contour: the
+    # chord and a chord a hundred times shorter locate (or refuse as off the
+    # arc) the same offsets relative to their length, in both directions
+    arc, grid = segment(-a, a), gauss_panel_grid(24, 12)
+    g = ArcDensity(lambda t: t ** 2)
+    z = complex(arc.z(np.array([0.35]))[0])
+    for rel in (0.5e-8, -0.5e-8):
+        plus, minus = plemelj_limits(g, arc, grid, z + 2j * a * rel)
+        assert plus.value - minus.value == pytest.approx(z ** 2, abs=1e-12)
+        with pytest.raises(DomainError):
+            arc_cauchy_integral(g, arc, grid, z + 2j * a * rel)
+    for rel in (2e-8, -2e-8):
+        with pytest.raises(DomainError):
+            plemelj_limits(g, arc, grid, z + 2j * a * rel)
+        with pytest.warns(AccuracyWarning):
+            assert np.isfinite(arc_cauchy_integral(g, arc, grid,
+                                                   z + 2j * a * rel))
+
+
 @pytest.mark.parametrize("z", [np.array([2j]), np.array([2j, 3.0 + 1j])])
 def test_arc_integral_takes_one_field_point(chord, z):
     arc, grid = chord

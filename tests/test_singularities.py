@@ -470,3 +470,19 @@ class TestPadeFitRecord:
             report = pade_pole_probe(coeffs, degrees=(1, 2), **kwargs)
             assert report.locations == () and report.poles_asserted
             assert not any("drift" in note for note in report.notes)
+
+
+def test_probe_refuses_too_few_coefficients_and_bad_degrees():
+    with pytest.raises(ContractError, match="too few coefficients"):
+        pade_pole_probe(np.array([1.0, 0.5]))
+    c = 0.5 ** np.arange(16)
+    for degrees in ((-1, 1), (1, 0)):
+        with pytest.raises(ContractError, match="m >= 0 and k >= 1"):
+            pade_pole_probe(c, degrees=degrees)
+
+
+@pytest.mark.parametrize("where", [complex("nan"), complex("inf"),
+                                   complex(3.0, np.inf)])
+def test_prescription_needs_a_finite_location(where):
+    with pytest.raises(PrescriptionError, match="finite location"):
+        SingularityPrescription("pole", where)
