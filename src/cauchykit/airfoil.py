@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _chord_pv, _panel_samples,
-                       _sample, segment)
+from .geometry import (JordanArc, QuadratureGrid, _chord_pv, _equal_panels,
+                       _finite, _sample, segment)
 from .plemelj import _arc_pv_rows, _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
@@ -91,27 +91,37 @@ class SheetDensity:
     def total_strength(self, n: int = DEFAULT_CHORD_NODES) -> float:
         """Integral of gamma over the chord (the bound circulation)."""
         return float(sum(np.sum(c.real) for _, c in self._parts(
-            _sheet_panels(_CHORD, n), n)))
+            _sheet_panels(_CHORD, n), n, True)))
 
-    def _parts(self, smp, n):
+    def _parts(self, smp, n, on_chord):
         """(nodes, weights) of gamma dt: the weight-basis part on the n-node
-        matched Gauss-Chebyshev rule, the smooth part on the nodes of smp."""
-        on_chord, parts = smp.contour is _CHORD, []
+        Gauss-Chebyshev rule (chord only), the smooth part on smp's nodes."""
+        zs, parts = smp.zs, []
         if self.weight_coef is not None:
             if not on_chord:
                 raise DomainError("weight-basis densities live on the "
                                   "standard chord; pass arc=None")
             x, w = chebyshev4_rule(n)
-            parts.append((x, w * np.asarray(self.weight_coef(x))))
+            parts.append((x, w * _finite(np.asarray(self.weight_coef(x)),
+                                         "the weight coefficient at a node")))
         if self.smooth is not None:
-            vals = self.smooth(smp.zs.real if on_chord else smp.zs)
-            parts.append((smp.zs, np.asarray(vals, dtype=complex) * smp.dzw))
+            vals = _finite(np.asarray(self.smooth(zs.real if on_chord else
+                                                  zs), dtype=complex),
+                           "the smooth part at a node")
+            parts.append((zs, vals * smp.dzw))
         return parts
+
+
+def _on_chord(smp):
+    """Whether smp samples the chord: real nodes in [-1, 1], from -1 to 1."""
+    zs = smp.zs
+    return not zs.imag.any() and np.abs(zs.real).max() <= 1.0 and \
+        smp.contour.z(np.array([0.0, 1.0])).tolist() == [-1.0, 1.0]
 
 
 def _sheet_panels(arc, n):
     """The arc on smooth sheet parts' default max(16, n // 4) panels."""
-    return _panel_samples(arc, max(16, n // 4), 12)
+    return _sample(arc, _equal_panels(max(16, n // 4), 12))
 
 
 def chebyshev4_rule(n: int):
@@ -153,19 +163,21 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
     out = np.zeros_like(x)
     if gamma.weight_coef is not None:
         t, w = chebyshev4_rule(n)
-        out += _chord_pv(gamma.weight_coef, t, w, np.asarray(
-            gamma.weight_coef(t), dtype=float), x, PV_WEIGHT4)
+        out += _chord_pv(gamma.weight_coef, t, w, _finite(np.asarray(
+            gamma.weight_coef(t), dtype=float), "the weight coefficient at a "
+            "node"), x, PV_WEIGHT4)
     if gamma.smooth is not None:
         out += _smooth_chord_pv(gamma.smooth, x)
     return (out / (2.0 * np.pi)).reshape(shape)
 
 
-def _smooth_chord_pv(func, x, n_panels: int = 24, order: int = 12):
-    """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1]."""
+def _smooth_chord_pv(func, x):
+    """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1] (24 panels)."""
     s0 = 0.5 * (x + 1.0)
-    panels = _panel_samples(_CHORD, n_panels, order)
-    vals = np.asarray(func(np.real(panels.zs)), dtype=complex)
-    pv, = _arc_pv_rows((lambda r: vals,), panels, order, s0, _CHORD.z(s0))
+    panels = _sample(_CHORD, _equal_panels(24, 12))
+    vals = _finite(np.asarray(func(np.real(panels.zs)), dtype=complex),
+                   "the smooth part at a node")
+    pv, = _arc_pv_rows((lambda r: vals,), panels, s0, _CHORD.z(s0))
     return np.real(pv)
 
 
@@ -180,7 +192,7 @@ def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
     vanishes at the trailing edge like sqrt(1 - x).
     """
     t, w = chebyshev3_rule(n)
-    v_t = np.asarray(v(t), dtype=float)
+    v_t = _finite(np.asarray(v(t), dtype=float), "the downwash at a node")
 
     def phi(x):
         x, shape = _check_chord_targets(x)
@@ -326,9 +338,10 @@ def sheet_velocity_field(q: Optional[SheetDensity], gamma: Optional[SheetDensity
     DomainError, a near one warns.  A narrow normalized bump recovers the
     point source / point vortex far fields Q/(2*pi*z) and i*Gamma/(2*pi*z).
     """
-    arc = _CHORD if arc is None else arc
+    on_chord, arc = arc is None, arc or _CHORD     # the default: no test
     smp = _sheet_panels(arc, n) if grid is None else _sample(arc, grid)
+    on_chord = on_chord or _on_chord(smp)
     parts = [(t, factor * c)
              for dens, factor in ((q, -0.5 / np.pi), (gamma, -0.5j / np.pi))
-             if dens is not None for t, c in dens._parts(smp, n)]
+             if dens is not None for t, c in dens._parts(smp, n, on_chord)]
     return _off_arc_sums(smp, parts, z)

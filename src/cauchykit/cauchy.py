@@ -17,13 +17,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CapabilityError, ContractError, NonFiniteError,
-                     OnContourError)
+from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
-                       _evaluate, _pv, _pv_at_all_nodes, _require_periodic,
-                       _require_span, _sample, _sided, _warn_if_unresolved,
-                       circle, periodic_trapezoid_grid, spectral_derivative,
-                       trig_interp)
+                       _evaluate, _finite, _pv, _pv_at_all_nodes,
+                       _require_periodic, _require_span, _sample, _sided,
+                       _warn_if_unresolved, circle, periodic_trapezoid_grid,
+                       spectral_derivative, trig_interp)
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,7 @@ class BoundaryFunction:
             vals = np.asarray(self.func(smp.zs), dtype=complex)
             for _ in range(m):
                 vals = spectral_derivative(vals) / smp.dzs
-        if not np.isfinite(vals).all():
-            raise NonFiniteError(f"f^({m}) is non-finite at a quadrature node")
-        return vals
+        return _finite(vals, f"f^({m}) at a quadrature node")
 
     def require_decay(self):
         """ContractError unless the declared decay at infinity is >= 2, as

@@ -56,13 +56,15 @@ _ROUNDING, _UNRESOLVED, _NODE_BAND = 1e-15, 1e-6, 1.0 / 64
 # quadrature grids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Nodes and weights of a fixed quadrature rule on a parameter interval."""
+    """Nodes and weights of a quadrature rule on a parameter interval, and a
+    panel rule's breakpoints (else None); grids compare by identity."""
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
+    breaks: Optional[np.ndarray] = None
 
     @property
     def n(self):
@@ -108,15 +110,15 @@ def _legendre_steps(order):
 
 
 def panels_from_breakpoints(breaks, order: int = 12) -> QuadratureGrid:
-    """Composite Gauss-Legendre rule over consecutive [breaks] intervals."""
-    breaks = np.asarray(breaks, dtype=float)
+    """Composite Gauss-Legendre rule over the [breaks] intervals it records."""
+    breaks = np.array(breaks, dtype=float)
     if breaks.size < 2 or np.any(np.diff(breaks) <= 0):
         raise InvalidGridError("breakpoints must be strictly increasing")
     x0, w0 = _leggauss(order)
     lo = breaks[:-1, None]
     h = 0.5 * (breaks[1:, None] - lo)
     return QuadratureGrid((lo + h * (x0 + 1.0)).ravel(), (h * w0).ravel(),
-                          "gauss-legendre-panels")
+                          "gauss-legendre-panels", breaks)
 
 
 def gauss_panel_grid(n_panels: int = 24, order: int = 12, *, a: float = 0.0,
@@ -283,6 +285,14 @@ def _require_span(grid, closed):
                                f", {hi:.6g}], not the curve's {length:.6g}")
 
 
+def _finite(values, what):
+    """values, or NonFiniteError if one of them is not finite: the one
+    check of every sampled density."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} is not finite")
+    return values
+
+
 def _sample(contour, grid, density=None):
     """_Samples of the contour or arc, and of ``density`` if given, on the
     grid, which must span the curve's parameter interval."""
@@ -297,15 +307,9 @@ def _equal_panels(n_panels, order):
     """gauss_panel_grid(n_panels, order), built once; its arrays are shared
     by every caller, so they are read-only."""
     grid = gauss_panel_grid(n_panels, order)
-    grid.nodes.setflags(write=False)
-    grid.weights.setflags(write=False)
+    for values in (grid.nodes, grid.weights, grid.breaks):
+        values.setflags(write=False)
     return grid
-
-
-def _panel_samples(arc, n_panels, order):
-    """_Samples of the arc on n_panels equal order-``order`` Gauss-Legendre
-    panels of [0, 1]."""
-    return _sample(arc, _equal_panels(n_panels, order))
 
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
@@ -551,9 +555,8 @@ def contour_integral(f, contour: ClosedContour, grid: QuadratureGrid) -> complex
     Vanishes to rule accuracy for f regular inside and on the contour.
     """
     _require_span(grid, True)
-    vals = np.asarray(f(contour.z(grid.nodes)), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("integrand is non-finite at a quadrature node")
+    vals = _finite(np.asarray(f(contour.z(grid.nodes)), dtype=complex),
+                   "the integrand at a quadrature node")
     return complex(np.sum(vals * contour.dz(grid.nodes) * grid.weights))
 
 
@@ -753,8 +756,8 @@ def _chord_pv(func, nodes, weights, f_nodes, targets, weight):
         xi, h, col = targets[hit], 1e-5, nodes.size - 1 - j[hit]
         fix = hit, col, (np.asarray(func(xi + h)) - np.asarray(
             func(xi - h))) / (2.0 * h) * weights[col]
-    return _subtracted_pv(f_nodes, nodes, weights, np.asarray(
-        func(targets), dtype=float), targets, weight, fix)
+    return _subtracted_pv(f_nodes, nodes, weights, _finite(np.asarray(
+        func(targets), dtype=float), "f at a target"), targets, weight, fix)
 
 
 def _sided(pv, g0):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
-from .geometry import (_ROUNDING, _resolution, _warn_if_unresolved,
+from .geometry import (_ROUNDING, _finite, _resolution, _warn_if_unresolved,
                        trig_interp)
 
 TWO_PI = 2.0 * np.pi
@@ -99,8 +99,8 @@ class PeriodicFunction:
     carried_mean: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=float))
+        object.__setattr__(self, "samples", _finite(np.asarray(
+            self.samples, dtype=float), "a periodic sample"))
         n = self.samples.size
         if n < 8 or n % 2:
             raise InvalidGridError(f"periodic samples need even n >= 8, got {n}")

@@ -13,14 +13,14 @@ integrals on fixed Gauss-Legendre panels sampled once (_arc_pv_rows).
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
-from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _kernel_sums,
-                       _legendre_steps, _panel_samples, _row_blocks, _sample,
-                       _sided, panels_from_breakpoints)
+from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _equal_panels,
+                       _finite, _kernel_sums, _legendre_steps, _row_blocks,
+                       _sample, _sided, panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -84,8 +84,9 @@ def _jump_part(g, arc, grid, z, n=0):
     if np.ndim(z):
         raise TypeError("arc_cauchy_integral takes one field point z")
     smp = _sample(arc, grid)
-    return smp, ((smp.zs, np.asarray(_as_density(g)(smp.zs), dtype=complex)
-                  * (smp.dzw * (_CAUCHY * math.factorial(n)))),)
+    g = _finite(np.asarray(_as_density(g)(smp.zs), dtype=complex),
+                "the density at a quadrature node")
+    return smp, ((smp.zs, g * (smp.dzw * (_CAUCHY * math.factorial(n)))),)
 
 
 def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
@@ -95,31 +96,32 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
     return _off_arc_sums(smp, parts, z, n + 1)
 
 
-def _arc_pv_rows(densities, smp, order, s0, t0, rows=None) -> list:
+def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     """P.V. int_L g(r)/(t - t0[r]) dt for every row r and density g, t0 =
-    z(s0) on the arc (scalars: one target for ``rows`` rows); g(r) gives the
-    density at the nodes of ``smp`` (_panel_samples) for the rows in the
-    slice r, a block at a time.  The plain rule serves every panel but t0's
-    own and its two neighbours; there, with tau = (t - mid)/half mapping a
-    panel onto [-1, 1], the density's Legendre interpolant is integrated
-    against 1/(tau - tau0) exactly (Helsing & Ojala, J. Comput. Phys. 227,
-    2008): moments by recurrence from m_0 = log(1 - tau0) - log(-1 - tau0),
-    a P.V. on the own panel, then a Legendre-Vandermonde solve."""
-    n, zs, dzw = smp.grid.n // order, smp.zs, smp.dzw
-    ends = smp.contour.z(np.arange(n + 1) / n)
-    half = 0.5 * (ends[1:] - ends[:-1])
+    z(s0) on the arc or contour (scalars: one target for ``rows`` rows);
+    g(r) gives the density at the nodes of ``smp``, whose grid is a panel
+    rule, for the rows in the slice r, a block at a time.  The plain rule
+    serves every panel but t0's own and its two neighbours, whose ends are
+    the grid's breaks; there, with tau = (t - mid)/half mapping a panel onto
+    [-1, 1], the density's Legendre interpolant is integrated against
+    1/(tau - tau0) exactly (Helsing & Ojala, J. Comput. Phys. 227, 2008):
+    moments by recurrence from m_0 = log(1 - tau0) - log(-1 - tau0), a P.V.
+    on the own panel, then a Legendre-Vandermonde solve."""
+    breaks, zs, dzw = smp.grid.breaks, smp.zs, smp.dzw
+    n, ends = breaks.size - 1, smp.contour.z(breaks)
+    order, half = zs.size // n, 0.5 * (ends[1:] - ends[:-1])
     s0, t0 = np.asarray(s0, dtype=float), np.asarray(t0, dtype=complex)
-    targets, sn = t0.reshape(-1, 1), s0.reshape(-1, 1) * n
+    targets, s0 = t0.reshape(-1, 1), s0.reshape(-1, 1)
     # each target's near panels (inside the arc) and their ends b.  m_0 is
     # the log of the ratio of a panel's end differences, +-(end - t0) along
     # the panel and shared with the next panel, so the logs of a break
     # cancel; one within the band of t0 (or behind it) is held at the band
     width = min(3, n)
-    b = np.minimum(np.maximum(sn.astype(int) - 1, 0), n - width) \
-        + np.arange(width + 1)
+    b = np.minimum(np.maximum(np.searchsorted(breaks, s0, "right") - 2, 0),
+                   n - width) + np.arange(width + 1)
     near, diff = b[:, :-1], ends[b] - targets
     along = half[np.minimum(b, n - 1)]
-    u = np.where(b > sn, diff, -diff) / along
+    u = np.where(breaks[b] > s0, diff, -diff) / along
     band = np.where(b % n, _BREAK_BAND, _EPS)      # inner breaks, arc ends
     d = np.where(u.real > band, u, band) * along
     m0 = np.log(d[:, 1:] / d[:, :-1]).ravel()
@@ -173,20 +175,21 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):
     difference is g(z0) and their sum is the principal-value integral scaled
     by 1/(pi*i).  z0 is located by Newton from the nearest panel node (and
     refused within DEFAULT_ENDPOINT_MARGIN of an end); the principal value
-    is taken on max(8, grid.n // 12) fixed order-12 panels (_arc_pv_rows),
-    so the grid sets only their count.
+    is taken on _pv_panels (_arc_pv_rows), so the grid sets only their
+    count.
     """
     g = _as_density(g)
-    panels = _panel_samples(arc, max(8, grid.n // 12), 12)
+    panels = _pv_panels(arc, grid)
     s0, loc = panels.locate(z0)
     if not DEFAULT_ENDPOINT_MARGIN <= s0 <= 1.0 - DEFAULT_ENDPOINT_MARGIN:
         raise EndpointError(f"z0 at parameter {s0:.4f} is within the "
                             f"endpoint margin {DEFAULT_ENDPOINT_MARGIN}")
     loc = complex(loc)
     at = np.concatenate((panels.zs, (loc,)))
-    vals = np.asarray(g(at), dtype=complex) + np.zeros(at.shape)
+    vals = _finite(np.asarray(g(at), dtype=complex) + np.zeros(at.shape),
+                   "the density at a quadrature node")
     plus, minus = _sided(complex(_arc_pv_rows(
-        (lambda r: vals[:-1],), panels, 12, s0, loc)[0][0]), complex(vals[-1]))
+        (lambda r: vals[:-1],), panels, s0, loc)[0][0]), complex(vals[-1]))
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
 
 
@@ -198,9 +201,14 @@ def reconstruct_from_jump(jump, arc: JordanArc, grid: QuadratureGrid,
     return _off_arc_sums(smp, parts, z)
 
 
+def _pv_panels(arc, grid):
+    """The arc on the principal values' own max(8, grid.n // 12) equal
+    panels of order 12, which three near panels need on a break."""
+    return _sample(arc, _equal_panels(max(8, grid.n // 12), 12))
+
+
 def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
-                               x0: complex, n_panels: Optional[int] = None,
-                               order: int = 12, cross_check: bool = True) -> float:
+                               x0: complex, cross_check: bool = True) -> float:
     """|LHS - RHS| of the order-exchange identity for nested principal values.
 
         LHS = P.V. int dt'/(t'-x0) P.V. int f2(t,t')/(t-t') dt
@@ -209,22 +217,19 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     The inner RHS kernel splits by partial fractions into two single-pole
     principal values whose sum vanishes at t = x0, so the outer RHS integral
     is an ordinary one with a removable point.  Every inner principal value
-    is taken on n_panels fixed panels of order ``order`` (default max(8,
-    grid.n // order)), so ``f2`` gets arrays of t and t' that broadcast
-    against each other and must broadcast too; the grid sets only that
-    default.  x0 is located by Newton from the nearest first-level panel
-    node.  The outer integral runs over sigma, s = sigma^4/(sigma^4 + (1 -
+    is taken on fixed panels (first level: _pv_panels), so ``f2`` gets
+    arrays of t and t' that broadcast against each other and must broadcast
+    too.  x0 is located by Newton from the nearest first-level panel node.
+    The outer integral runs over sigma, s = sigma^4/(sigma^4 + (1 -
     sigma)^4) (Kress, Numer. Math. 58, 1990), on panels split at sigma(x0).
     With ``cross_check`` a second grid level warns if the two disagree
     badly; a non-finite level raises NonFiniteError."""
-    if n_panels is None:
-        n_panels = max(8, grid.n // order)
-    inner = _panel_samples(arc, n_panels, order)
+    inner = _pv_panels(arc, grid)
     s0, x0c = inner.locate(x0)
-    res = _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner)
+    res = _pb_residual_once(f2, arc, s0, x0c, inner)
     if cross_check:
-        res2 = _pb_residual_once(f2, arc, s0, x0c, int(1.5 * n_panels) + 1,
-                                 order)
+        finer = _equal_panels(int(1.5 * (inner.grid.breaks.size - 1)) + 1, 12)
+        res2 = _pb_residual_once(f2, arc, s0, x0c, _sample(arc, finer))
         # below 1e-11 both levels sit at the rule's rounding and far-panel
         # error, where a tenfold ratio between them says nothing
         if max(res, res2) > 10.0 * max(min(res, res2), 1e-11):
@@ -235,11 +240,12 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     return res
 
 
-def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner=None):
+def _pb_residual_once(f2, arc, s0, x0c, inner):
     """|LHS - RHS| at one grid level, x0c = z(s0), on the ``inner`` panel
-    samples (None: sampled here).  The outer nodes: max(2, ...) equal sigma
-    panels on either side of sigma0, mapped to s, and dt/dsigma there."""
-    p = _KRESS_ORDER
+    samples.  The outer nodes: max(2, ...) equal sigma panels of the inner
+    order on either side of sigma0, mapped to s, and dt/dsigma there."""
+    n_panels = inner.grid.breaks.size - 1
+    order, p = inner.grid.n // n_panels, _KRESS_ORDER
     sig0 = 1.0 / (1.0 + ((1.0 - s0) / s0) ** (1.0 / p))
     left, right = (max(2, math.ceil(n_panels * f)) for f in (sig0, 1 - sig0))
     outer = panels_from_breakpoints(np.concatenate((np.linspace(
@@ -252,12 +258,10 @@ def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner=None):
 
     # I(t') = P.V. int f2(t, t')/(t - t') dt and -B(t') = P.V. int
     # f2(t', t)/(t - t') dt at every outer node t', then at x0
-    if inner is None:
-        inner = _panel_samples(arc, n_panels, order)
     zs, sp, tp = inner.zs, np.append(s, s0), np.append(ts, x0c)
     I, minus_B = _arc_pv_rows((lambda r: f2(zs, tp[r, None]),
                                lambda r: f2(tp[r, None], zs)),
-                              inner, order, sp, tp)
+                              inner, sp, tp)
 
     # LHS: outer P.V. of I(t')/(t' - x0), with residue I(x0) at sigma0
     h = I[:-1] * dts / (ts - x0c) - I[-1] / (sig - sig0)
@@ -266,8 +270,8 @@ def _pb_residual_once(f2, arc, s0, x0c, n_panels, order, inner=None):
     # RHS: outer integral of [A(t) + B(t)]/(t - x0), removable at x0, with
     # A(t) = P.V. int f2(t, t')/(t' - x0) dt' and B(t) = -P.V. int f2(t,
     # t')/(t' - t) dt' (minus_B above with t and t' renamed)
-    A, = _arc_pv_rows((lambda r: f2(ts[r, None], zs),), inner, order, s0,
-                      x0c, ts.size)
+    A, = _arc_pv_rows((lambda r: f2(ts[r, None], zs),), inner, s0, x0c,
+                      ts.size)
     rhs = complex(np.sum((A - minus_B[:-1]) / (ts - x0c) * dts * w)
                   - np.pi ** 2 * np.ravel(f2(tp[-1:], tp[-1:]))[0])
     if not np.isfinite(lhs - rhs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cauchykit import (AccuracyWarning, DomainError, EndpointError,
-                       FlowConfig, SheetDensity, chebyshev3_rule,
+                       FlowConfig, JordanArc, SheetDensity, chebyshev3_rule,
                        chebyshev4_rule, circulation,
                        far_field_circulation, finite_hilbert_inverse,
                        finite_hilbert_transform, flat_plate_complex_velocity,
@@ -449,6 +449,25 @@ def test_weight_basis_density_stays_on_the_chord():
     with pytest.raises(DomainError, match="standard chord"):
         sheet_velocity_field(None, SheetDensity(weight_coef=lambda x: 1.0 + x),
                              3.0, arc=segment(0.0, 2.0))
+
+
+def test_weight_basis_sheet_on_any_chord_arc():
+    # the chord is recognised from its samples, not by identity; an arc
+    # through -1 and 1 that leaves the real segment, or runs from 1 to -1,
+    # is still refused
+    z = 0.3 + 0.8j
+    for gamma in (SheetDensity(weight_coef=lambda x: 1.0 + x),
+                  SheetDensity(weight_coef=lambda x: 1.0 + x,
+                               smooth=lambda x: x ** 2)):
+        ref = sheet_velocity_field(None, gamma, z)
+        got = sheet_velocity_field(None, gamma, z, arc=segment(-1.0, 1.0))
+        assert abs(got - ref) <= 1e-15
+    upper = JordanArc(z=lambda s: -np.exp(-1j * np.pi * np.asarray(s)),
+                      dz=lambda s: 1j * np.pi * np.exp(-1j * np.pi
+                                                       * np.asarray(s)))
+    for arc in (upper, segment(1.0, -1.0)):
+        with pytest.raises(DomainError, match="standard chord"):
+            sheet_velocity_field(None, gamma, z, arc=arc)
 
 
 def test_chord_transforms_keep_the_targets_shape():

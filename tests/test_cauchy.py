@@ -12,7 +12,7 @@ import pytest
 
 import cauchykit
 from cauchykit import cauchy as cauchy_module
-from cauchykit import geometry
+from cauchykit import geometry, plemelj
 from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        ClosedContour, ContractError, DomainError, NonFiniteError,
                        OnContourError,
@@ -983,6 +983,9 @@ PINNED_SIGNATURES = {
     cauchykit.validate_derivatives: ["f", "contour", "grid"],
     geometry._Samples.locate: ["self", "t0"],
     geometry._evaluate: ["smp", "z", "functionals"],
+    cauchykit.poincare_bertrand_residual: ["f2", "arc", "grid", "x0",
+                                           "cross_check"],
+    plemelj._arc_pv_rows: ["densities", "smp", "s0", "t0", "rows"],
 }
 
 

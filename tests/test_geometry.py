@@ -257,6 +257,24 @@ def test_panels_match_per_panel_construction():
         panels_from_breakpoints([0.0, 1.0, 1.0])
 
 
+def test_panel_grids_record_their_breaks():
+    breaks = np.array([0.0, 0.1, 0.5, 1.0])
+    grid = panels_from_breakpoints(breaks, 8)
+    breaks[1] = 0.2                     # the grid keeps its own copy
+    assert grid.breaks.tolist() == [0.0, 0.1, 0.5, 1.0]
+    assert np.array_equal(gauss_panel_grid(4, 12, a=-1.0, b=3.0).breaks,
+                          np.linspace(-1.0, 3.0, 5))
+    assert periodic_trapezoid_grid(8).breaks is None
+
+
+def test_grids_compare_and_hash_by_identity():
+    a, b = periodic_trapezoid_grid(8), periodic_trapezoid_grid(8)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    panels = gauss_panel_grid(4, 8)
+    assert {panels: 1}[panels] == 1
+
+
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_circle_pv_route_matches_matrix_form(n):
     # the FFT route taken for kind="circle" against the difference-quotient

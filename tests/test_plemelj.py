@@ -8,8 +8,10 @@ import pytest
 from cauchykit import airfoil, geometry, plemelj
 from cauchykit import (AccuracyWarning, ArcDensity, BoundaryFunction,
                        DomainError, EndpointError, JordanArc, NonFiniteError,
-                       SheetDensity, arc_cauchy_integral, build_unit_circle,
-                       gauss_panel_grid, one_sided_limit,
+                       PeriodicFunction, SheetDensity, arc_cauchy_integral,
+                       build_unit_circle, circle, ellipse,
+                       finite_hilbert_inverse, finite_hilbert_transform,
+                       gauss_panel_grid, hilbert_circular, one_sided_limit,
                        panels_from_breakpoints, plemelj_limits,
                        poincare_bertrand_residual, reconstruct_from_jump,
                        segment, sheet_velocity_field)
@@ -241,21 +243,6 @@ class TestPoincareBertrand:
             poincare_bertrand_residual(
                 lambda t, tp: np.ones_like(np.asarray(t)), arc, grid, 2j)
 
-    def test_order_without_n_panels_sets_the_panels(self, chord):
-        # without n_panels the grid gives the node count: grid.n // order
-        # panels of the caller's order (24 panels of order 12 by default)
-        arc, grid = chord
-        f2 = lambda t, tp: np.asarray(t) * tp + np.exp(np.asarray(t) + 0 * tp)
-        res = {order: poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j,
-                                                 order=order)
-               for order in (8, 12, 20)}
-        assert res[8] != res[20]
-        for order, r in res.items():
-            assert r == poincare_bertrand_residual(
-                f2, arc, grid, 0.2 + 0.0j, n_panels=grid.n // order,
-                order=order)
-        assert poincare_bertrand_residual(f2, arc, grid, 0.2 + 0.0j) == res[12]
-
 
 # ---------------------------------------------------------------------------
 # the inner principal values as one blocked matrix, against one row per block
@@ -323,11 +310,6 @@ def test_pb_residual_bounds(arc, x0):
             assert poincare_bertrand_residual(
                 f2, arc, gauss_panel_grid(n_panels, 12), x0,
                 cross_check=False) <= bound
-        for order in (8, 12, 20):
-            res = poincare_bertrand_residual(
-                f2, arc, gauss_panel_grid(8, order), x0, n_panels=8,
-                order=order, cross_check=False)
-            assert np.isfinite(res) and res <= 1e-8
 
 
 @pytest.mark.parametrize("n_panels", [16, 24])
@@ -341,9 +323,10 @@ def test_pb_residual_is_steady_in_the_last_bits_of_s0(n_panels):
         below.append(np.nextafter(below[-1], 0.0))
         above.append(np.nextafter(above[-1], 1.0))
     steps = below + above[1:]
+    inner = geometry._sample(arc, gauss_panel_grid(n_panels, 12))
     for f2 in PB_DENSITIES.values():
         res = [plemelj._pb_residual_once(f2, arc, s, arc.z(np.array([s]))[0],
-                                         n_panels, 12) for s in steps]
+                                         inner) for s in steps]
         assert max(res) - min(res) <= 1e-10
 
 
@@ -451,12 +434,12 @@ def special_targets(n_panels, order):
 def test_arc_pv_rows_match_closed_forms(arc, order):
     coefs = ([1.0], [0.3, -1.2, 0.7 + 0.2j, 0.5], [0, 0, 0, 0, 0, 1.0])
     for n_panels in (8, 16, 24, 37):
-        smp = geometry._panel_samples(arc, n_panels, order)
+        smp = geometry._sample(arc, gauss_panel_grid(n_panels, order))
         s0 = special_targets(n_panels, order)
         t0 = arc.z(s0)
         got = plemelj._arc_pv_rows(
             [lambda r, c=c: sum(ck * smp.zs ** k for k, ck in enumerate(c))
-             for c in coefs], smp, order, s0, t0)
+             for c in coefs], smp, s0, t0)
         for c, pv in zip(coefs, got):
             ref = np.array([closed_form_pv(c, arc, s) for s in s0])
             assert np.all(np.isfinite(pv))
@@ -468,7 +451,7 @@ def test_arc_pv_is_steady_in_the_last_bits_of_s0(n_panels):
     # t - t0 is formed in the arc's own coordinate, never against s - s0,
     # so moving s0 by up to 3 ulps moves a principal value by rounding only
     g = lambda t: t ** 2 + 0.5 * np.exp(t)
-    smp = geometry._panel_samples(HALF_CIRCLE, n_panels, 12)
+    smp = geometry._sample(HALF_CIRCLE, gauss_panel_grid(n_panels, 12))
     vals = g(smp.zs)
     for s0 in (1.0 / 3.0, 0.4137, 0.5, 0.61):
         steps = [s0]
@@ -478,7 +461,7 @@ def test_arc_pv_is_steady_in_the_last_bits_of_s0(n_panels):
                 s = np.nextafter(s, direction)
                 steps.append(s)
         steps = np.array(steps)
-        pv, = plemelj._arc_pv_rows((lambda r: vals,), smp, 12, steps,
+        pv, = plemelj._arc_pv_rows((lambda r: vals,), smp, steps,
                                    HALF_CIRCLE.z(steps))
         assert np.max(np.abs(pv - pv[0])) <= 1e-14 * abs(pv[0])
         plus = [plemelj_limits(g, CURVED, smp.grid, complex(t))[0].value
@@ -516,6 +499,35 @@ def test_smooth_chord_pv_at_midchord():
     assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+def test_arc_pv_rows_read_graded_panels_from_the_grid():
+    # panels halved six times toward both ends; targets on every inner
+    # break, on nodes, and next to the ends
+    arc = segment(-1.0, 1.0)
+    grid = panels_from_breakpoints(graded_breaks(0.0, 1.0, 12, 6), 12)
+    smp = geometry._sample(arc, grid)
+    s0 = np.concatenate((grid.breaks[1:-1], grid.nodes[5::17],
+                         [0.4137, 0.03, 0.97, 0.001, 0.999]))
+    pv, = plemelj._arc_pv_rows((lambda r: 1.0 - smp.zs ** 2,), smp, s0,
+                               arc.z(s0))
+    x = 2.0 * s0 - 1.0
+    ref = -2.0 * x + (1.0 - x ** 2) * np.log((1.0 - x) / (1.0 + x))
+    assert np.max(np.abs(pv - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("contour", [circle(), ellipse(1.0, 0.6)],
+                         ids=["circle", "ellipse"])
+def test_arc_pv_rows_on_closed_contour_panels(contour):
+    # f is analytic inside, so P.V. of f(t)/(t - t0) dt is i*pi*f(t0); the
+    # near panels do not yet wrap around s = 0, so s0 keeps 0.5 from it
+    smp = geometry._sample(contour, gauss_panel_grid(16, 16, a=0.0,
+                                                     b=2.0 * np.pi))
+    f = lambda t: 1.0 / (t - 2.0) + t ** 3
+    s0 = np.linspace(0.5, 2.0 * np.pi - 0.5, 37)
+    t0 = contour.z(s0)
+    pv, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s0, t0)
+    assert np.max(np.abs(pv - 1j * np.pi * f(t0))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # several densities in one sweep of _arc_pv_rows
 
@@ -532,16 +544,16 @@ def test_arc_pv_rows_densities_match_single_density_calls(arc, n_panels):
     sp = np.append(sig ** 4 / (sig ** 4 + (1.0 - sig) ** 4), s0)
     tp = arc.z(sp)
     x0c = arc.z(np.array([s0]))[0]
-    smp = geometry._panel_samples(arc, n_panels, 12)
+    smp = geometry._sample(arc, gauss_panel_grid(n_panels, 12))
     zs = smp.zs
     per_row = (lambda r: f2(zs, tp[r, None]), lambda r: f2(tp[r, None], zs),
                lambda r: np.exp(zs))
     shared = (lambda r: f2(tp[r, None], zs), lambda r: f2(zs, tp[r, None]))
     for densities, s_rows, t_rows in ((per_row, sp, tp), (shared, s0, x0c)):
-        together = plemelj._arc_pv_rows(densities, smp, 12, s_rows, t_rows,
+        together = plemelj._arc_pv_rows(densities, smp, s_rows, t_rows,
                                         sp.size)
-        apart = [plemelj._arc_pv_rows((d,), smp, 12, s_rows, t_rows,
-                                      sp.size)[0] for d in densities]
+        apart = [plemelj._arc_pv_rows((d,), smp, s_rows, t_rows, sp.size)[0]
+                 for d in densities]
         assert len(together) == len(densities)
         for got, ref in zip(together, apart):
             assert got.shape == sp.shape
@@ -566,8 +578,9 @@ def test_pb_level_samples_the_inner_rows_once():
     f2 = PB_DENSITIES["t*t'"]
     s0, n_panels = 0.4, 24
     x0c = complex(HALF_CIRCLE.z(np.array([s0]))[0])
-    plemelj._pb_residual_once(f2, counted_arc(HALF_CIRCLE, calls), s0, x0c,
-                              n_panels, 12)
+    arc = counted_arc(HALF_CIRCLE, calls)
+    plemelj._pb_residual_once(f2, arc, s0, x0c, geometry._sample(
+        arc, gauss_panel_grid(n_panels, 12)))
     # the outer panels split at sigma(0.4) = 0.4^(1/4)/(0.4^(1/4) + 0.6^(1/4))
     # = 0.4746...: ceil(24 * 0.4746) = 12 on the left, 13 on the right
     outer, inner = (12 + 13) * 12, n_panels * 12
@@ -723,3 +736,44 @@ def test_non_finite_field_points_rejected(route):
     else:       # one field point only
         with pytest.raises(TypeError):
             ARC_ROUTES[route](points)
+
+
+# ---------------------------------------------------------------------------
+# a density that is not finite at a node raises, on every arc, chord and
+# circular route
+
+
+def nan_beyond(t):
+    t = np.asarray(t)
+    return np.where(np.real(t) > 0.9, np.nan, 1.0 + t)
+
+
+NON_FINITE_ROUTES = {
+    "arc_cauchy_integral": lambda arc, grid: arc_cauchy_integral(
+        nan_beyond, arc, grid, 2j),
+    "reconstruct_from_jump": lambda arc, grid: reconstruct_from_jump(
+        nan_beyond, arc, grid, 2j),
+    "plemelj_limits": lambda arc, grid: plemelj_limits(
+        nan_beyond, arc, grid, 0.2 + 0j),
+    "sheet_velocity_field": lambda arc, grid: sheet_velocity_field(
+        SheetDensity(smooth=nan_beyond), None, 2j, arc=arc, grid=grid),
+    "total_strength": lambda arc, grid: SheetDensity(
+        smooth=nan_beyond).total_strength(),
+    "finite_hilbert_transform-weight": lambda arc, grid:
+        finite_hilbert_transform(SheetDensity(weight_coef=nan_beyond), 0.3),
+    "finite_hilbert_transform-smooth": lambda arc, grid:
+        finite_hilbert_transform(SheetDensity(smooth=nan_beyond), 0.3),
+    "finite_hilbert_inverse": lambda arc, grid: finite_hilbert_inverse(
+        nan_beyond),
+    "finite_hilbert_inverse-target": lambda arc, grid: finite_hilbert_inverse(
+        lambda t: np.where(np.asarray(t) == 0.95, np.nan, 1.0)
+    ).weight_coef(0.95),
+    "hilbert_circular": lambda arc, grid: hilbert_circular(
+        PeriodicFunction(np.r_[np.nan, np.zeros(15)])),
+}
+
+
+@pytest.mark.parametrize("route", list(NON_FINITE_ROUTES))
+def test_non_finite_density_raises(route):
+    with pytest.raises(NonFiniteError):
+        NON_FINITE_ROUTES[route](segment(-1.0, 1.0), gauss_panel_grid(24, 12))
