@@ -50,6 +50,7 @@ _BLOCK_ENTRIES = 1 << 14
 # Node spacings within which _pv takes the rule shifted by half a spacing:
 # beyond, a node's cancelling quotient costs <= 2e-15 (1/(t - 2), n = 256).
 _ROUNDING, _UNRESOLVED, _NODE_BAND = 1e-15, 1e-6, 1.0 / 64
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -579,19 +580,56 @@ def _require_periodic(grid, step):
             f"{step} needs a periodic trapezoid grid, not {grid.kind}")
 
 
+def _spectrum(samples):
+    """(pos, neg, amp): the trigonometric interpolant of periodic samples as
+    sum_m pos_m z^m + neg_m conj(z)^m over the levels m = 0, ..., N/2, with
+    z = exp(i*s), and amp[m] = max(|c_m|, |c_-m|) of their Fourier
+    coefficients c_k.  Complex samples take pos_m = c_m and neg_m = c_-m,
+    the Nyquist mode in neg.  Real samples take one rfft, their half
+    spectrum: pos_m = 2*c_m for 0 < m < N/2, the Nyquist mode split evenly
+    between pos and neg, and neg zero below it; so the sum's real part is
+    their interpolant, and its imaginary part minus the conjugate
+    interpolant (the multiplier i*sign(k), module hilbert)."""
+    n = samples.size
+    if np.iscomplexobj(samples):
+        c = np.fft.fft(samples) / n
+        pos, neg = c[:n // 2 + 1].copy(), np.zeros(n // 2 + 1, dtype=complex)
+        neg[1:] = c[:(n - 1) // 2:-1]
+        if n % 2 == 0:
+            pos[-1] = 0.0
+        return pos, neg, np.maximum(np.abs(pos), np.abs(neg))
+    pos = np.fft.rfft(samples) / n
+    amp = np.abs(pos)
+    pos[1:(n + 1) // 2] *= 2.0
+    neg = np.zeros_like(pos)
+    if n % 2 == 0:
+        pos[-1] *= 0.5
+        neg[-1] = pos[-1]
+    return pos, neg, amp
+
+
+def _cut(pos, neg, n, scale):
+    """(m, dropped): of the _spectrum levels pos, neg of n samples whose
+    largest is ``scale``, the levels below m, above the interpolant's
+    rounding level, and the summed |pos| + |neg| of the rest, the top levels
+    whose sum is below sqrt(N)*eps*scale; that sum bounds what dropping them
+    changes."""
+    top = np.cumsum((np.abs(pos) + np.abs(neg))[::-1])
+    d = min(int(np.count_nonzero(top < math.sqrt(n) * _EPS * scale)),
+            top.size - 1)
+    return top.size - d, float(top[d - 1]) if d else 0.0
+
+
 def _resolution(samples, lowest=None):
     """(level, bar) of periodic samples from their Fourier coefficients c_k,
     |k| <= N/2 (Trefethen & Weideman, SIAM Rev. 56, 2014): level, max |c_k|
     over lowest <= |k| (default 3N/8) over max|samples|; bar, the error of
-    their interpolant: the tail beyond N/2 fitted to the bands from N/4 and
-    3N/8, or sum_(|k| >= N/4) |c_k| where they do not fall; either times 4,
-    for +-k, aliased and truncated."""
+    their interpolant as trig_interp sums it: the tail beyond N/2 fitted to
+    the bands from N/4 and 3N/8, or sum_(|k| >= N/4) |c_k| where they do
+    not fall, either times 4, for +-k, aliased and truncated; plus the
+    modes _cut drops, and rounding, growing as log2 of the modes kept."""
     n = samples.size
-    if np.iscomplexobj(samples):        # max(|c_k|, |c_-k|) by |k|
-        c = np.abs(np.fft.fft(samples)) / n
-        c = np.maximum(c[:n // 2 + 1], c[-np.arange(n // 2 + 1)])
-    else:
-        c = np.abs(np.fft.rfft(samples)) / n
+    pos, neg, c = _spectrum(samples)
     scale = max(float(np.abs(samples).max()), 1e-300)
     level = float(c[lowest or 3 * n // 8:].max()) / scale
     lo, hi = c[n // 4:3 * n // 8].max(initial=0.0), c[3 * n // 8:].max()
@@ -601,7 +639,8 @@ def _resolution(samples, lowest=None):
         tail = 4.0 * hi * (hi / lo) / (1.0 - (hi / lo) ** (8.0 / n))
     else:
         tail = 4.0 * c[n // 4:].sum()
-    return level, float(tail + _ROUNDING * np.log2(n) * scale)
+    m, dropped = _cut(pos, neg, n, scale)
+    return level, float(tail + _ROUNDING * np.log2(m) * scale + dropped)
 
 
 def _warn_if_unresolved(samples, grid, what, stacklevel=3):
@@ -627,15 +666,19 @@ def spectral_derivative(samples: np.ndarray) -> np.ndarray:
 
 def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     """Evaluate the trigonometric interpolant of periodic samples at s; the
-    values take the shape of s, at least 1-D."""
-    samples = np.asarray(samples, dtype=complex)
-    n = samples.size
-    coef = np.fft.fft(samples) / n
-    k = np.fft.fftfreq(n, 1.0 / n)
+    values take the shape of s, at least 1-D.  It sums the _spectrum's
+    levels above their rounding level (_cut), a block of rows at a time, on
+    the powers of z = exp(i*s); for real samples the values are complex,
+    their imaginary part minus the conjugate interpolant."""
+    samples = np.asarray(samples)
+    pos, neg, _ = _spectrum(samples)
+    m = _cut(pos, neg, samples.size, np.abs(samples).max())[0]
+    pos, neg = pos[:m], np.conj(neg[:m])
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    flat, out = s.reshape(-1), np.empty(s.size, dtype=complex)
-    for r in _row_blocks(s.size, n):
-        out[r] = np.exp(1j * np.outer(flat[r], k)) @ coef
+    z, out = np.exp(1j * s.reshape(-1)), np.empty(s.size, dtype=complex)
+    for r in _row_blocks(s.size, m):
+        powers = np.vander(z[r], m, increasing=True)
+        out[r] = powers @ pos + np.conj(powers @ neg)
     return out.reshape(s.shape)
 
 

@@ -15,7 +15,14 @@ extrapolates the error bar.  Parseval's line integral runs on the same
 nodes: int v^2 dx = (pi/N) sum V_j^2 (1 + x_j^2).  A non-integer decay p
 can leave V a branch point at theta = +-pi; where the ladder then reaches
 its cap with V unresolved, both take a model of v's tails out of V and add
-its share in closed form.  The circular transforms
+its share in closed form.  Both line routes, the Cayley map and one period
+of a periodic input, evaluate the conjugate interpolant from one rfft of
+the real samples: their half spectrum sums to the interpolant less i times
+its conjugate (the multiplier i*sign(k) below), without the top modes whose
+summed size is below sqrt(N)*eps*max|samples|, the interpolant's own
+rounding level (Trefethen & Weideman, SIAM Rev. 56, 2014).  The error bar
+includes that dropped sum, which bounds the change exactly.  The circular
+transforms
 
     Hc[v](theta)  = (1/2*pi) P.V. int v(phi) cot((phi - theta)/2) dphi
 
@@ -36,8 +43,8 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
-from .geometry import (_ROUNDING, _finite, _resolution, _warn_if_unresolved,
-                       trig_interp)
+from .geometry import (_ROUNDING, _UNRESOLVED, _finite, _resolution,
+                       _warn_if_unresolved, trig_interp)
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,15 +66,21 @@ class RealLineFunction:
     ``decay`` is the exponent p in |f(x)| = O(|x|^-p).  ``window`` is a
     half-width X where :meth:`check_decay` samples f, at X and 4X; it bounds
     no integral.  Line transforms and Parseval's line check sample f on the
-    whole line, out to |x| ~ 10^4, so f must be defined everywhere.  A nonzero
-    ``period`` flags an oscillatory non-decaying input that is handled by
-    the circular machinery over one period.
+    whole line, out to |x| ~ 10^4, so f must be defined everywhere.  A
+    ``period``, finite and > 0, flags an oscillatory non-decaying input that
+    is handled by the circular machinery over one period.
     """
 
     func: Callable
     decay: float
     window: float = DEFAULT_WINDOW
     period: Optional[float] = None
+
+    def __post_init__(self):
+        if self.period is not None and not (math.isfinite(self.period)
+                                            and self.period > 0):
+            raise ContractError(f"period must be finite and > 0, got "
+                                f"{self.period}")
 
     def __call__(self, x):
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -128,8 +141,10 @@ class TransformResult:
 
     ``grid_size`` is the node count N; ``truncation_error`` extrapolates the
     input's Fourier modes beyond N/2 from its top ones (less the tail model
-    of an unresolved non-integer decay), plus rounding; ``notes`` names the
-    periodic route or an unresolved input."""
+    of an unresolved non-integer decay), plus rounding, plus the summed size
+    of the top modes the evaluation drops below its rounding level
+    (sqrt(N)*eps of the largest sample); ``notes`` names the periodic route
+    or an unresolved input."""
 
     values: np.ndarray
     targets: np.ndarray
@@ -147,7 +162,9 @@ def _line_transform(v, targets, sign) -> TransformResult:
 
     A periodic input collapses onto one period through x = P*theta/(2*pi),
     H[v](xi) = Hc[v~](2*pi*xi/P); a decaying one goes through the Cayley
-    map (module docstring).  Both interpolate the conjugate samples."""
+    map (module docstring).  Both interpolate the conjugate samples; a
+    period whose samples leave their top modes above _UNRESOLVED is noted
+    as unresolved, as the Cayley ladder notes its V."""
     if not isinstance(v, RealLineFunction):
         raise TypeError("expected a RealLineFunction")
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -155,7 +172,8 @@ def _line_transform(v, targets, sign) -> TransformResult:
         raise DomainError("targets must be finite")
     if v.period is not None:
         n = DEFAULT_CIRCLE_SAMPLES
-        samples = v(v.period * (np.arange(n) / n - 0.5))
+        samples = _finite(v(v.period * (np.arange(n) / n - 0.5)),
+                          "a periodic line input")
         s = (TWO_PI * targets / v.period + np.pi) % TWO_PI
         vals = _conjugate_at(samples, s)
         notes = ("periodic route",)
@@ -167,8 +185,12 @@ def _line_transform(v, targets, sign) -> TransformResult:
         vals = _conjugate_at(samples, s) + np.dot(samples, x) / n
         if a:                   # H[m]
             vals += np.real(1j * a * (targets + 1j) ** -v.decay)
-    bar = np.full(vals.shape, _resolution(samples)[1])
-    return TransformResult(sign * vals, targets, bar, n, notes)
+    level, bar = _resolution(samples)
+    if v.period is not None and level > _UNRESOLVED:
+        notes += (f"unresolved: at N = {n} the top Fourier modes of one "
+                  f"period are {level:.1e} of its maximum",)
+    return TransformResult(sign * vals, targets, np.full(vals.shape, bar), n,
+                           notes)
 
 
 def _cayley_ladder(v: RealLineFunction):
@@ -265,8 +287,9 @@ def _conjugate(samples):
 
 
 def _conjugate_at(samples, s):
-    """Hc of real equispaced samples, interpolated at s (from sample 0)."""
-    return np.real(trig_interp(_conjugate(samples), s))
+    """Hc of real equispaced samples, interpolated at s (from sample 0):
+    minus the imaginary part of their half-spectrum interpolant."""
+    return -np.imag(trig_interp(samples, s))
 
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:

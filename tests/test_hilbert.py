@@ -14,6 +14,8 @@ from cauchykit import (AccuracyWarning, ContractError, DomainError,
                        hilbert_line_inverse, normalization_check,
                        parseval_check)
 
+from cauchykit.geometry import _ROUNDING, _cut, _spectrum
+from cauchykit.hilbert import _cayley_ladder, _conjugate_at
 from oracles import piecewise_linear_hilbert
 
 TWO_PI = 2.0 * np.pi
@@ -78,6 +80,13 @@ class TestLineTransforms:
         res = hilbert_line(vs, xi)
         assert np.max(np.abs(res.values - np.cos(xi))) < 1e-12
         assert "periodic route" in res.notes
+
+    @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+    def test_period_must_be_finite_and_positive(self, period):
+        # period = -1 read H[sin(2 pi x)](0.1) as -0.809, not +0.809
+        with pytest.raises(ContractError, match="period"):
+            RealLineFunction(lambda x: np.sin(TWO_PI * x), decay=0,
+                             period=period)
 
     def test_periodic_route_off_grid_near_quarter_band(self):
         # 512 samples per period; mode 127 (near n/4) checks that the
@@ -509,6 +518,94 @@ class TestCayleyRoute:
                              decay=2, window=4.0)
         with pytest.raises(NonFiniteError):
             hilbert_line(v, np.array([0.5]))
+
+
+def _full_spectrum_conjugate(samples, s):
+    # Hc's multiplier i*sign(k) on every mode of the samples' FFT, the
+    # Nyquist mode zeroed, summed at s in extended precision
+    n = samples.size
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble)
+    c = 1j * np.sign(k) * np.fft.fft(samples) / n
+    c[n // 2] = 0.0
+    return np.real(np.exp(1j * np.outer(s.astype(np.longdouble), k))
+                   @ c.astype(np.clongdouble)).astype(float)
+
+
+def _cut_of(samples):
+    scale = np.abs(samples).max()
+    return _cut(*_spectrum(samples)[:2], samples.size, scale), scale
+
+
+class TestPeriodicRoute:
+    """The periodic route's checks of its samples, and the cut of the
+    conjugate interpolant at its rounding level on both routes."""
+
+    def test_non_finite_sample_raises(self):
+        v = RealLineFunction(lambda x: np.where(
+            np.mod(x, 1.0) > 0.3, np.nan, np.sin(TWO_PI * x)), decay=0,
+            period=1.0)
+        with pytest.raises(NonFiniteError):
+            hilbert_line(v, np.array([0.1]))
+
+    def test_unresolved_period_is_noted(self):
+        # |sin(pi x)| has a kink each period, its modes fall like k^-2:
+        # H = (4/pi) sum_k sin(2 pi k xi)/(4k^2 - 1) errs by 2.5e-5 at 0.1
+        kink = RealLineFunction(lambda x: np.abs(np.sin(np.pi * x)),
+                                decay=0, period=1.0)
+        res = hilbert_line(kink, [0.1])
+        k = np.arange(1.0, 2e5)
+        want = 4.0 / np.pi * np.sum(np.sin(TWO_PI * k * 0.1)
+                                    / (4.0 * k * k - 1.0))
+        assert abs(res.values[0] - want) > 1e-5
+        assert res.truncation_error[0] >= abs(res.values[0] - want)
+        assert res.notes[0] == "periodic route"
+        assert res.notes[1].startswith("unresolved")
+
+    @pytest.mark.parametrize("v,period", [
+        (np.sin, TWO_PI),
+        # four modes up to 12, as the benchmark's periodic line input
+        (lambda x: 0.3 + np.sin(TWO_PI * 2 * x / 1.7)
+         - 0.6 * np.cos(TWO_PI * 5 * x / 1.7)
+         + 0.4 * np.sin(TWO_PI * 9 * x / 1.7)
+         + 0.2 * np.cos(TWO_PI * 12 * x / 1.7), 1.7),
+    ], ids=["sine", "four-modes"])
+    def test_resolved_period_is_not_noted(self, v, period):
+        res = hilbert_line(RealLineFunction(v, decay=0, period=period),
+                           np.linspace(-2.0, 2.0, 9))
+        assert res.notes == ("periodic route",)
+
+    def test_cut_keeps_a_top_mode(self):
+        # a small mode 255 of 512 samples: every mode the conjugate carries
+        # is kept, and the value is the full spectrum's to rounding
+        th = -np.pi + TWO_PI * np.arange(512) / 512
+        samples = np.sin(th) + 1e-3 * np.cos(255.0 * th)
+        (m, dropped), scale = _cut_of(samples)
+        assert m >= 256
+        s = np.random.default_rng(2).uniform(0.0, TWO_PI, 41)
+        diff = np.abs(_conjugate_at(samples, s)
+                      - _full_spectrum_conjugate(samples, s))
+        assert diff.max() <= dropped + _ROUNDING * np.log2(m) * scale
+
+    @pytest.mark.parametrize("v,decay", [
+        (lambda x: np.cosh(0.05 * x) ** -2.0, 3),
+        (lambda x: np.exp(-x * x), 3),
+        (SHIFTED, 2.5),
+    ], ids=["sech2-0.05", "gaussian", "decay-2.5"])
+    def test_cut_changes_the_cayley_route_by_its_dropped_tail(self, v,
+                                                               decay):
+        # at the XI_WIDE targets, the half-spectrum value is the full
+        # spectrum's to within the dropped tail plus the bar's rounding
+        # floor, and the bar includes that tail
+        f = RealLineFunction(v, decay=decay)
+        x, V, M, a, _ = _cayley_ladder(f)
+        samples, n = V - M, x.size
+        s = 2.0 * np.arctan(XI_WIDE) + np.pi * (1.0 - 1.0 / n)
+        (m, dropped), scale = _cut_of(samples)
+        assert 0.0 < dropped and m < n // 2
+        diff = np.abs(_conjugate_at(samples, s)
+                      - _full_spectrum_conjugate(samples, s))
+        assert diff.max() <= dropped + _ROUNDING * np.log2(m) * scale
+        assert np.all(hilbert_line(f, XI_WIDE).truncation_error >= dropped)
 
 
 class TestPeriodicRouteEstimate:
