@@ -23,9 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _chord_pv, _equal_panels,
-                       _finite, _sample, segment)
-from .plemelj import _arc_pv_rows, _off_arc_sums
+from .geometry import (JordanArc, QuadratureGrid, _arc_pv_rows, _chord_pv,
+                       _equal_panels, _finite, _sample, segment)
+from .plemelj import _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
 _CHORD = segment(-1.0, 1.0)

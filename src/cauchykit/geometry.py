@@ -4,10 +4,17 @@ integration primitives (plain and principal-value).
 Closed contours are parameterized over [0, 2*pi) and integrated with the
 periodic trapezoid rule, which is spectrally accurate for analytic
 integrands.  Open arcs are parameterized over [0, 1] and integrated with
-composite Gauss-Legendre panels.  Principal values are never computed by
-grid-level indentation: the singularity is subtracted analytically and the
-smooth remainder is integrated at full rule accuracy, by one routine
-(_subtracted_pv) for closed contours and the chord's Chebyshev rules alike.
+composite Gauss-Legendre panels, which may also cover a closed contour.
+Principal values are never computed by grid-level indentation, and each
+is as exact next to a node as between nodes.  On a closed contour and on
+the chord's Chebyshev rules the singularity is subtracted analytically
+(_subtracted_pv); next to a node, whose quotient cancels, a target takes a
+rule that forms no quotient near it (_near_split): the trapezoid rule
+shifted by half a spacing, the chord's rule shifted by a quarter in theta,
+or on panels the product integral, which integrates the density's Legendre
+interpolant against the kernel exactly on the three panels nearest the
+target, wrapping across s = 0 on a closed contour (_arc_pv_rows).  An arc
+takes that product integral at every target.
 """
 
 import cmath
@@ -47,9 +54,11 @@ _BLOCK_ENTRIES = 1 << 14
 # Fourier modes at rounding, relative to the largest sample; and the top-mode
 # level (|k| >= 3N/8) a periodic grid resolves: from it geometric decay
 # aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
-# Node spacings within which _pv takes the rule shifted by half a spacing:
+# Node spacings within which _pv and _chord_pv take their shifted rules:
 # beyond, a node's cancelling quotient costs <= 2e-15 (1/(t - 2), n = 256).
-_ROUNDING, _UNRESOLVED, _NODE_BAND = 1e-15, 1e-6, 1.0 / 64
+# Half-panels within which _arc_pv_rows counts a target as on a panel break
+# (far above the rounding of t0 - break, far below what a panel resolves).
+_ROUNDING, _UNRESOLVED, _NODE_BAND, _BREAK_BAND = 1e-15, 1e-6, 1.0 / 64, 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -620,27 +629,14 @@ def _cut(pos, neg, n, scale):
     return top.size - d, float(top[d - 1]) if d else 0.0
 
 
-def _resolution(samples, lowest=None):
-    """(level, bar) of periodic samples from their Fourier coefficients c_k,
-    |k| <= N/2 (Trefethen & Weideman, SIAM Rev. 56, 2014): level, max |c_k|
-    over lowest <= |k| (default 3N/8) over max|samples|; bar, the error of
-    their interpolant as trig_interp sums it: the tail beyond N/2 fitted to
-    the bands from N/4 and 3N/8, or sum_(|k| >= N/4) |c_k| where they do
-    not fall, either times 4, for +-k, aliased and truncated; plus the
-    modes _cut drops, and rounding, growing as log2 of the modes kept."""
-    n = samples.size
-    pos, neg, c = _spectrum(samples)
-    scale = max(float(np.abs(samples).max()), 1e-300)
-    level = float(c[lowest or 3 * n // 8:].max()) / scale
-    lo, hi = c[n // 4:3 * n // 8].max(initial=0.0), c[3 * n // 8:].max()
-    if hi <= _ROUNDING * scale:
-        tail = 0.0
-    elif hi < lo:   # hi/lo per N/8 modes
-        tail = 4.0 * hi * (hi / lo) / (1.0 - (hi / lo) ** (8.0 / n))
-    else:
-        tail = 4.0 * c[n // 4:].sum()
-    m, dropped = _cut(pos, neg, n, scale)
-    return level, float(tail + _ROUNDING * np.log2(m) * scale + dropped)
+def _level(samples, lowest=None, amp=None):
+    """max |c_k| of the Fourier coefficients c_k of periodic samples over
+    lowest <= |k| <= N/2 (default 3N/8), over max|samples|, read from amp[m]
+    = max(|c_m|, |c_-m|), the _spectrum's, taken here when not given
+    (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    amp = _spectrum(samples)[2] if amp is None else amp
+    return (float(amp[lowest or 3 * samples.size // 8:].max())
+            / max(float(np.abs(samples).max()), 1e-300))
 
 
 def _warn_if_unresolved(samples, grid, what, stacklevel=3):
@@ -648,7 +644,7 @@ def _warn_if_unresolved(samples, grid, what, stacklevel=3):
     periodic samples) leaves the samples unresolved; ``stacklevel`` counts
     frames as warnings.warn does from here, so 3 names the caller's caller."""
     periodic = grid is None or grid.kind == "periodic-trapezoid"
-    level = _resolution(samples)[0] if periodic else 0
+    level = _level(samples) if periodic else 0
     if level > _UNRESOLVED:
         warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
                       f"modes are {level:.1e} of its maximum", AccuracyWarning,
@@ -667,13 +663,18 @@ def spectral_derivative(samples: np.ndarray) -> np.ndarray:
 def trig_interp(samples: np.ndarray, s) -> np.ndarray:
     """Evaluate the trigonometric interpolant of periodic samples at s; the
     values take the shape of s, at least 1-D.  It sums the _spectrum's
-    levels above their rounding level (_cut), a block of rows at a time, on
-    the powers of z = exp(i*s); for real samples the values are complex,
-    their imaginary part minus the conjugate interpolant."""
+    levels above their rounding level (_cut); for real samples the values
+    are complex, their imaginary part minus the conjugate interpolant."""
     samples = np.asarray(samples)
     pos, neg, _ = _spectrum(samples)
     m = _cut(pos, neg, samples.size, np.abs(samples).max())[0]
-    pos, neg = pos[:m], np.conj(neg[:m])
+    return _sum_levels(pos[:m], neg[:m], s)
+
+
+def _sum_levels(pos, neg, s):
+    """sum_m pos_m z^m + neg_m conj(z)^m at z = exp(i*s), in the shape of s
+    (at least 1-D), a block of rows at a time, on the powers of z."""
+    m, neg = pos.size, np.conj(neg)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     z, out = np.exp(1j * s.reshape(-1)), np.empty(s.size, dtype=complex)
     for r in _row_blocks(s.size, m):
@@ -686,25 +687,128 @@ def _pv(samples, g0, smp, s0, t0, n):
     """P.V. of g(t)/(t - t0) dt at the points t0 = z(s0) of the contour of
     ``smp``, g = f^(n) of its density, samples = smp.f(n) and g0 = g(t0): a
     _subtracted_pv sum.  Within _NODE_BAND spacings of a node, where that
-    node's quotient cancels, a target takes the same sum on the rule shifted
-    by half a spacing, whose nodes all lie about h/2 from it; z, z' and g
-    there are sampled once per call, and only for such a target.  Off the
-    periodic grid a node within 1e-9 raises CapabilityError."""
-    grid, size = smp.grid, smp.grid.n
-    # j0: the first node from s0 - h/2 on (off the periodic grid, s0 - 1e-9)
-    lead, band = (np.pi / size, _NODE_BAND * TWO_PI / size) \
-        if grid.kind == "periodic-trapezoid" else (1e-9, 1e-9)
-    j0 = np.searchsorted(grid.nodes, s0 - lead) % size
-    near = np.abs((grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi) < band
-    if not near.any():
-        return _subtracted_pv(samples, smp.zs, smp.dzw, g0, t0, 1j * np.pi)
-    _require_periodic(grid, "a principal value at a node")
-    half = _sample(smp.contour, grid._half, smp.density)
-    out = np.empty(t0.size, dtype=complex)
-    for rows, rule, g in ((~near, smp, samples), (near, half, half.f(n))):
-        out[rows] = _subtracted_pv(g, rule.zs, rule.dzw, g0[rows], t0[rows],
-                                   1j * np.pi)
-    return out
+    node's quotient cancels, a target takes a rule that forms no quotient
+    near it: on the periodic grid the same sum on the rule shifted by half
+    a spacing, whose nodes all lie about h/2 from it, with z, z' and g there
+    sampled once per call and only for such a target; on a panel grid the
+    product integral _arc_pv_rows (CapabilityError on any other grid)."""
+    grid, size, rule = smp.grid, smp.grid.n, (samples, smp.zs, smp.dzw)
+    if grid.breaks is not None:
+        # the nodes either side of s0, read in the grid's period
+        s = grid.breaks[0] + (s0 - grid.breaks[0]) % TWO_PI
+        ring = np.concatenate((grid.nodes[-1:] - TWO_PI, grid.nodes,
+                               grid.nodes[:1] + TWO_PI))
+        j = np.searchsorted(ring, s)
+        lo, hi = ring[j - 1], ring[j]
+        return _near_split(
+            np.minimum(s - lo, hi - s) < _NODE_BAND * (hi - lo), g0, t0,
+            1j * np.pi, rule, lambda rows: _arc_pv_rows(
+                (lambda r: samples,), smp, s0[rows], t0[rows])[0])
+    # j0: the first node from s0 - h/2 on
+    j0 = np.searchsorted(grid.nodes, s0 - np.pi / size) % size
+
+    def half(rows):
+        _require_periodic(grid, "a principal value next to a node")
+        shifted = _sample(smp.contour, grid._half, smp.density)
+        return _subtracted_pv(shifted.f(n), shifted.zs, shifted.dzw, g0[rows],
+                              t0[rows], 1j * np.pi)
+    return _near_split(np.abs((grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi)
+                       < _NODE_BAND * TWO_PI / size, g0, t0, 1j * np.pi, rule,
+                       half)
+
+
+def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
+    """P.V. int g(r)/(t - t0[r]) dt over the arc or closed contour of
+    ``smp`` for every row r and density g, t0 = z(s0) on the curve
+    (scalars: one target for ``rows`` rows); g(r) gives the density at the
+    nodes of ``smp``, whose grid is a panel rule, for the rows in the slice
+    r, a block at a time.  The plain rule serves every panel but t0's own
+    and its two neighbours, whose ends are the grid's breaks; on a closed
+    contour they wrap across s = 0.  There, with tau = (t - mid)/half
+    mapping a panel onto [-1, 1], the density's Legendre interpolant is
+    integrated against 1/(tau - tau0) exactly (Helsing & Ojala, J. Comput.
+    Phys. 227, 2008): moments by recurrence from m_0 = log(1 - tau0) -
+    log(-1 - tau0), a P.V. on the own panel, then a Legendre-Vandermonde
+    solve.  No node quotient enters the near panels, so next to a node the
+    value is as exact as between nodes."""
+    breaks, zs, dzw = smp.grid.breaks, smp.zs, smp.dzw
+    n, ends = breaks.size - 1, smp.contour.z(breaks)
+    order, half = zs.size // n, 0.5 * (ends[1:] - ends[:-1])
+    s0, t0 = np.asarray(s0, dtype=float), np.asarray(t0, dtype=complex)
+    targets, s0 = t0.reshape(-1, 1), s0.reshape(-1, 1)
+    # each target's own panel p, its near panels and their ends b, counted
+    # on from p - 1: clamped into an arc, and on a closed contour read mod n
+    # (at), which needs three distinct near panels.  m_0 is the log of the
+    # ratio of a panel's end differences, +-(end - t0) (- behind t0), shared
+    # with the next panel, so the logs of a break cancel.  An end within the
+    # band of t0 (or behind it), measured along a panel (lean), is held at
+    # the band: on an arc, along the panel that starts there, and eps on the
+    # arc's ends; on a closed contour only t0's own panel's ends, along it,
+    # as an end two panels off can lie behind t0's tangent on a coarse grid
+    closed = isinstance(smp.contour, ClosedContour)
+    if closed:      # s0 in [0, 2*pi); the grid's period may start elsewhere
+        if n < 3:
+            raise CapabilityError("a principal value next to a node of a "
+                                  "closed contour needs three panels or more")
+        s0 = breaks[0] + (s0 - breaks[0]) % TWO_PI
+    width, p = min(3, n), np.searchsorted(breaks, s0, "right") - 1
+    if closed:
+        b = p - 1 + np.arange(width + 1)
+        at = b % n
+        band = np.array([-np.inf, _BREAK_BAND, _BREAK_BAND, -np.inf])
+    else:
+        at = b = np.minimum(np.maximum(p - 1, 0), n - width) + np.arange(
+            width + 1)
+        band = np.where(b % n, _BREAK_BAND, _EPS)
+    diff, along = ends[at] - targets, half[np.minimum(at, n - 1)]
+    lean = half[at[:, 1:2]] if closed else along
+    u = np.where(b > p, diff, -diff) / lean
+    d = np.where(u.real > band, u, band) * lean
+    m0 = np.log(d[:, 1:] / d[:, :-1]).ravel()
+    # one recurrence (_legendre_steps) for the moments at every tau0 and the
+    # matrices of the panels lo..hi-1 (mod n; a slice where none wraps, as
+    # gathers cost one target a few us), in P_i/c_i: the weights do not see
+    # c_i
+    near, lo, hi, k = at[:, :-1], b[:, 0].min(), b[:, -1].max(), m0.size
+    panels = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
+    x = np.concatenate(((-1.0 - diff[:, :-1] / along[:, :-1]).ravel(), (
+        (zs.reshape(n, order)[panels] - ends[panels, None])
+        / half[panels, None] - 1.0).ravel()))
+    steps = np.multiply.outer(_legendre_steps(order), x)
+    v = np.empty((order, x.size), dtype=complex)
+    v[0], v[1], v[0, :k] = 1.0, x, m0
+    v[1, :k] = x[:k] * m0 + 2.0
+    vr = list(v)                        # row views, indexed without numpy
+    for i in range(1, order - 1):
+        np.multiply(steps[i - 1], vr[i], out=vr[i + 1])
+        np.subtract(vr[i + 1], vr[i - 1], out=vr[i + 1])
+    vt = v[:, k:].reshape(order, hi - lo, order).transpose(1, 0, 2)
+    if t0.size == 1:        # one target: its near panels by one solve
+        w, inv = zs - t0.reshape(-1)[0], None
+        np.divide(dzw, w, out=w, where=w != 0)   # a node on t0 is near
+        w.reshape(n, order)[panels] = np.linalg.solve(
+            vt, v[:, :k].T[..., None])[..., 0]
+    else:                   # many: each panel's inverse serves its targets
+        moments = v[:, :k].T.copy().reshape(near.shape + (1, order))
+        inv = np.linalg.inv(np.swapaxes(vt, 1, 2))
+
+        def weights(r):
+            """Node weights of the targets in the slice r."""
+            w = zs - targets[r]
+            np.divide(dzw, w, out=w, where=w != 0)
+            w.reshape(-1, n, order)[np.arange(len(w))[:, None], near[r]] = (
+                moments[r] @ inv[b[r, :-1] - lo])[..., 0, :]
+            return w
+    del v, vr, vt, x, steps
+    rows = t0.size if rows is None else rows
+    outs = [np.empty(rows, dtype=complex) for _ in densities]
+    # a block's weights and its gathered inverses each fill at most a block
+    for r in _row_blocks(rows, max(zs.size, width * order * order)):
+        wr = w if inv is None else weights(r)
+        for g, out in zip(densities, outs):     # a scalar g(r) broadcasts
+            out[r] = np.einsum("...j,...j->...", np.atleast_1d(g(r)), wr)
+        del wr                          # the next block reuses its memory
+    return outs
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
@@ -715,8 +819,10 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     projection pi*i*(P+ - P-): the Fourier multiplier +pi*i on the modes
     exp(i*k*s) with k >= 0 (regular inside) and -pi*i on k < 0 (regular
     outside, vanishing at infinity), the Nyquist mode counted with k < 0.
-    It costs one FFT (Henrici, SIAM Rev. 21, 1979).  Other contours use the
-    same discrete sum as the n x n matrix of subtracted difference quotients
+    It costs one FFT (Henrici, SIAM Rev. 21, 1979).  On a panel grid each
+    node takes _arc_pv_rows, as a target next to a node does in _pv.  Other
+    contours on the periodic grid take its discrete sum as the n x n
+    matrix of subtracted difference quotients
     (whose diagonal is the spectral derivative of the samples) plus the
     analytic +i*pi*g(t0), arranged as
     sum_j R_ij z'_j w_j (g_j - g_i) with R_ij = 1/(z_j - z_i).  R is
@@ -731,11 +837,13 @@ def _pv_at_all_nodes(samples, smp):
     """pv_at_all_nodes from the contour's node samples ``smp``."""
     samples = np.asarray(samples, dtype=complex)
     grid = smp.grid
-    if smp.contour.kind == "circle" and grid.kind == "periodic-trapezoid":
+    if grid.breaks is not None:
+        return _arc_pv_rows((lambda r: samples,), smp, grid.nodes, smp.zs)[0]
+    _require_periodic(grid, "pv_at_all_nodes")
+    if smp.contour.kind == "circle":
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
-    _require_periodic(grid, "pv_at_all_nodes off the circle")
     n = grid.n
     zs, dzw = smp.zs, smp.dzw
     # the sums see g minus its node mean, whose constant part adds nothing
@@ -768,39 +876,54 @@ def _row_blocks(n_rows, n_cols):
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _subtracted_pv(g, t, cw, g0, t0, weight, fix=None):
+def _subtracted_pv(g, t, cw, g0, t0, weight):
     """P.V. of g(t)/(t - t0) dt on the rule (t, cw) at every target t0, g0 =
     g(t0): sum_j (g_j - g0) cw_j/(t_j - t0) + weight g0, the subtracted
-    pole's P.V.; row rows[i] of ``fix`` = (rows, cols, values), rows rising,
-    takes values[i] for its term at node cols[i], which cancels there.  A
-    block's rows each sum, bit for bit, as their target alone would."""
+    pole's P.V.  A block's rows each sum, bit for bit, as their target alone
+    would."""
     out = weight * g0
     for r in _row_blocks(t0.size, t.size):
-        with np.errstate(divide="ignore", invalid="ignore"):   # on a node
-            terms = (g - g0[r, None]) * cw / (t - t0[r, None])
-        if fix is not None:
-            rows, cols, values = fix
-            lo, hi = rows.searchsorted(r.start), rows.searchsorted(r.stop)
-            terms[rows[lo:hi] - r.start, cols[lo:hi]] = values[lo:hi]
-        out[r] += terms.sum(axis=1)
+        out[r] += ((g - g0[r, None]) * cw / (t - t0[r, None])).sum(axis=1)
+    return out
+
+
+def _near_split(near, g0, t0, weight, rule, near_pv):
+    """_subtracted_pv at every target t0 of the samples g on the nodes t
+    with weights cw, (g, t, cw) = ``rule``; but the targets t0[rows], rows =
+    ``near`` a node, whose quotient cancels there, take near_pv(rows), by a
+    rule of the same degree that forms no quotient near them, called only
+    when some target is near.  So next to a node the error is that between
+    nodes (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    if not near.any():
+        return _subtracted_pv(*rule, g0, t0, weight)
+    out = np.empty(t0.size, dtype=np.result_type(g0, weight))
+    out[~near] = _subtracted_pv(*rule, g0[~near], t0[~near], weight)
+    out[near] = near_pv(near)
     return out
 
 
 def _chord_pv(func, nodes, weights, f_nodes, targets, weight):
     """P.V. int f(x)/(x - xi) w(x) dx for every real target xi, f = ``func``,
-    on a fixed rule for the weight function w, with nodes decreasing (both
-    Chebyshev rules) and f_nodes = f(x_j): a _subtracted_pv sum, ``weight``
-    the P.V. of w.  A target within 1e-8 of a node takes the removable value
-    f'(xi) there, a central difference of ``func``."""
-    up = nodes[::-1]    # the first node from xi - 1e-8 on, counted upwards
-    j = np.searchsorted(up, targets - 1e-8) % nodes.size
-    hit, fix = np.nonzero(np.abs(up[j] - targets) < 1e-8)[0], None
-    if hit.size:
-        xi, h, col = targets[hit], 1e-5, nodes.size - 1 - j[hit]
-        fix = hit, col, (np.asarray(func(xi + h)) - np.asarray(
-            func(xi - h))) / (2.0 * h) * weights[col]
-    return _subtracted_pv(f_nodes, nodes, weights, _finite(np.asarray(
-        func(targets), dtype=float), "f at a target"), targets, weight, fix)
+    on the n-point Gauss-Chebyshev rule for w(x) = sqrt((1 - c x)/(1 + c
+    x)), c = +-1, whose P.V. is ``weight`` = -c*pi: nodes x_j = c cos(h j),
+    j = 1..n, h = 2*pi/(2n + 1), decreasing, with f_nodes = f(x_j).  It is
+    the (2n + 1)-point trapezoid rule in theta = arccos(c x) with its pairs
+    +-theta_j merged, so a target within _NODE_BAND spacings of some h j in
+    theta takes the same rule shifted a quarter spacing: nodes c cos(h(j +
+    1/4)), j = 0..2n, weights (h/2)(1 - c x_j), exact to the same degree, on
+    no end and h/4 from every x_j (_near_split)."""
+    c, h = -weight / np.pi, TWO_PI / (2 * nodes.size + 1)
+    q = np.arccos(c * targets) / h
+    f0 = _finite(np.asarray(func(targets), dtype=float), "f at a target")
+
+    def quarter(rows):
+        x = c * np.cos(h * (np.arange(2 * nodes.size + 1) + 0.25))
+        return _subtracted_pv(_finite(np.asarray(func(x), dtype=float),
+                                      "f at a node"), x,
+                              0.5 * h * (1.0 - c * x), f0[rows],
+                              targets[rows], weight)
+    return _near_split(np.abs(q - np.rint(q)) < _NODE_BAND, f0, targets,
+                       weight, (f_nodes, nodes, weights), quarter)
 
 
 def _sided(pv, g0):

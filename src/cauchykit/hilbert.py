@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
-from .geometry import (_ROUNDING, _UNRESOLVED, _finite, _resolution,
-                       _warn_if_unresolved, trig_interp)
+from .geometry import (_EPS, _ROUNDING, _UNRESOLVED, _cut, _finite, _level,
+                       _spectrum, _sum_levels, _warn_if_unresolved)
 
 TWO_PI = 2.0 * np.pi
 
@@ -141,10 +141,11 @@ class TransformResult:
 
     ``grid_size`` is the node count N; ``truncation_error`` extrapolates the
     input's Fourier modes beyond N/2 from its top ones (less the tail model
-    of an unresolved non-integer decay), plus rounding, plus the summed size
-    of the top modes the evaluation drops below its rounding level
-    (sqrt(N)*eps of the largest sample); ``notes`` names the periodic route
-    or an unresolved input."""
+    of an unresolved non-integer decay), plus rounding (on the periodic
+    route per target, growing with the mode number and |xi|/P), plus the
+    summed size of the top modes the evaluation drops below its rounding
+    level (sqrt(N)*eps of the largest sample); ``notes`` names the periodic
+    route or an unresolved input."""
 
     values: np.ndarray
     targets: np.ndarray
@@ -174,23 +175,26 @@ def _line_transform(v, targets, sign) -> TransformResult:
         n = DEFAULT_CIRCLE_SAMPLES
         samples = _finite(v(v.period * (np.arange(n) / n - 0.5)),
                           "a periodic line input")
-        s = (TWO_PI * targets / v.period + np.pi) % TWO_PI
-        vals = _conjugate_at(samples, s)
+        # the phase of a mode k at the target, 2*pi*k*xi/P, rounds by about
+        # 1.5 eps |phase| k; a sample's, at |x| <= P/2, by about k*pi*eps
+        phase = TWO_PI * targets / v.period
+        vals, level, bar = _conjugate_at(samples, (phase + np.pi) % TWO_PI,
+                                         2.0 * _EPS * (np.abs(phase) + np.pi))
         notes = ("periodic route",)
+        if level > _UNRESOLVED:
+            notes += (f"unresolved: at N = {n} the top Fourier modes of one "
+                      f"period are {level:.1e} of its maximum",)
     else:
         x, V, M, a, notes = _cayley_ladder(v)
         samples, n = V - M, x.size
         # phi = 2 arctan(xi), measured from the first node -pi + pi/n
-        s = 2.0 * np.arctan(targets) + np.pi * (1.0 - 1.0 / n)
-        vals = _conjugate_at(samples, s) + np.dot(samples, x) / n
+        vals, _, bar = _conjugate_at(samples, 2.0 * np.arctan(targets)
+                                     + np.pi * (1.0 - 1.0 / n))
+        vals += np.dot(samples, x) / n
         if a:                   # H[m]
             vals += np.real(1j * a * (targets + 1j) ** -v.decay)
-    level, bar = _resolution(samples)
-    if v.period is not None and level > _UNRESOLVED:
-        notes += (f"unresolved: at N = {n} the top Fourier modes of one "
-                  f"period are {level:.1e} of its maximum",)
-    return TransformResult(sign * vals, targets, np.full(vals.shape, bar), n,
-                           notes)
+    return TransformResult(sign * vals, targets, bar + np.zeros(vals.shape),
+                           n, notes)
 
 
 def _cayley_ladder(v: RealLineFunction):
@@ -210,7 +214,7 @@ def _cayley_ladder(v: RealLineFunction):
         if not np.all(np.isfinite(V)):
             raise NonFiniteError("line input is not finite at "
                                  f"x = {x[~np.isfinite(V)][0]:.6g}")
-        level = _resolution(V, n // 2 + 1 - (n // 2 + 1) // 8)[0]
+        level = _level(V, n // 2 + 1 - (n // 2 + 1) // 8)
         if level <= _ROUNDING:
             return x, V, 0.0, 0j, ()
         if level > prev / _STALL or n >= _LADDER_CAP:
@@ -286,10 +290,33 @@ def _conjugate(samples):
     return np.fft.irfft(coef, len(samples))
 
 
-def _conjugate_at(samples, s):
-    """Hc of real equispaced samples, interpolated at s (from sample 0):
-    minus the imaginary part of their half-spectrum interpolant."""
-    return -np.imag(trig_interp(samples, s))
+def _conjugate_at(samples, s, phase_error=0.0):
+    """(values, level, bar) of Hc of real equispaced samples, interpolated
+    at s (from sample 0), from one half spectrum (geometry._spectrum):
+    - values: minus the imaginary part of its interpolant, cut at the
+      interpolant's rounding level (geometry._cut);
+    - level: its top modes over max|samples| (geometry._level);
+    - bar: the tail beyond N/2 fitted to the bands from N/4 and 3N/8, or
+      sum_(|k| >= N/4) |c_k| where they do not fall, either times 4, for
+      +-k, aliased and truncated; plus the modes the cut drops; plus
+      rounding, 1e-15*log2(m)*max|samples| over the m levels kept, and
+      phase_error (per target) times sum_k |k c_k|, what an error of s
+      costs."""
+    n = samples.size
+    pos, neg, c = _spectrum(samples)
+    scale = max(float(np.abs(samples).max()), 1e-300)
+    m, dropped = _cut(pos, neg, n, scale)
+    lo, hi = c[n // 4:3 * n // 8].max(initial=0.0), c[3 * n // 8:].max()
+    if hi <= _ROUNDING * scale:
+        tail = 0.0
+    elif hi < lo:   # hi/lo per N/8 modes
+        tail = 4.0 * hi * (hi / lo) / (1.0 - (hi / lo) ** (8.0 / n))
+    else:
+        tail = 4.0 * c[n // 4:].sum()
+    pos, neg = pos[:m], neg[:m]
+    return (-np.imag(_sum_levels(pos, neg, s)), _level(samples, amp=c),
+            float(tail + _ROUNDING * np.log2(m) * scale + dropped)
+            + phase_error * (np.arange(m) @ (np.abs(pos) + np.abs(neg))))
 
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:

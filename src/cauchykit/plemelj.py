@@ -7,7 +7,8 @@ Unlike the closed-contour functionals, the arc integral
 
 is a single analytic function off the arc, with a simple zero at infinity;
 only across L does it jump, by g.  Principal values on the arc are product
-integrals on fixed Gauss-Legendre panels sampled once (_arc_pv_rows).
+integrals on fixed Gauss-Legendre panels sampled once, by the evaluator
+that closed contours on panels take next to a node (geometry._arc_pv_rows).
 """
 
 import math
@@ -18,17 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
-from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _equal_panels,
-                       _finite, _kernel_sums, _legendre_steps, _row_blocks,
-                       _sample, _sided, panels_from_breakpoints)
+from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _arc_pv_rows,
+                       _equal_panels, _finite, _kernel_sums, _sample, _sided,
+                       panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
-# Half-panels within which a target counts as on a panel break (far above
-# the rounding of t0 - break, far below what a panel resolves), and on an
-# arc end; the order of Kress's map for the outer Poincare-Bertrand integral
-# (from 5 up, the end nodes of fine grids round onto the arc ends)
-_BREAK_BAND, _EPS, _KRESS_ORDER = 1e-8, np.finfo(float).eps, 4
+# The order of Kress's map for the outer Poincare-Bertrand integral (from 5
+# up, the end nodes of fine grids round onto the arc ends)
+_KRESS_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -94,78 +93,6 @@ def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
     """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
     smp, parts = _jump_part(g, arc, grid, z, n)
     return _off_arc_sums(smp, parts, z, n + 1)
-
-
-def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
-    """P.V. int_L g(r)/(t - t0[r]) dt for every row r and density g, t0 =
-    z(s0) on the arc or contour (scalars: one target for ``rows`` rows);
-    g(r) gives the density at the nodes of ``smp``, whose grid is a panel
-    rule, for the rows in the slice r, a block at a time.  The plain rule
-    serves every panel but t0's own and its two neighbours, whose ends are
-    the grid's breaks; there, with tau = (t - mid)/half mapping a panel onto
-    [-1, 1], the density's Legendre interpolant is integrated against
-    1/(tau - tau0) exactly (Helsing & Ojala, J. Comput. Phys. 227, 2008):
-    moments by recurrence from m_0 = log(1 - tau0) - log(-1 - tau0), a P.V.
-    on the own panel, then a Legendre-Vandermonde solve."""
-    breaks, zs, dzw = smp.grid.breaks, smp.zs, smp.dzw
-    n, ends = breaks.size - 1, smp.contour.z(breaks)
-    order, half = zs.size // n, 0.5 * (ends[1:] - ends[:-1])
-    s0, t0 = np.asarray(s0, dtype=float), np.asarray(t0, dtype=complex)
-    targets, s0 = t0.reshape(-1, 1), s0.reshape(-1, 1)
-    # each target's near panels (inside the arc) and their ends b.  m_0 is
-    # the log of the ratio of a panel's end differences, +-(end - t0) along
-    # the panel and shared with the next panel, so the logs of a break
-    # cancel; one within the band of t0 (or behind it) is held at the band
-    width = min(3, n)
-    b = np.minimum(np.maximum(np.searchsorted(breaks, s0, "right") - 2, 0),
-                   n - width) + np.arange(width + 1)
-    near, diff = b[:, :-1], ends[b] - targets
-    along = half[np.minimum(b, n - 1)]
-    u = np.where(breaks[b] > s0, diff, -diff) / along
-    band = np.where(b % n, _BREAK_BAND, _EPS)      # inner breaks, arc ends
-    d = np.where(u.real > band, u, band) * along
-    m0 = np.log(d[:, 1:] / d[:, :-1]).ravel()
-    # one recurrence (_legendre_steps) for the moments at every tau0 and the
-    # matrices of the panels lo..hi-1, in P_i/c_i: the weights do not see c_i
-    lo, hi, k = near.min(), near.max() + 1, m0.size
-    x = np.concatenate(((-1.0 - diff[:, :-1] / along[:, :-1]).ravel(), (
-        (zs.reshape(n, order)[lo:hi] - ends[lo:hi, None])
-        / half[lo:hi, None] - 1.0).ravel()))
-    steps = np.multiply.outer(_legendre_steps(order), x)
-    v = np.empty((order, x.size), dtype=complex)
-    v[0], v[1], v[0, :k] = 1.0, x, m0
-    v[1, :k] = x[:k] * m0 + 2.0
-    vr = list(v)                        # row views, indexed without numpy
-    for i in range(1, order - 1):
-        np.multiply(steps[i - 1], vr[i], out=vr[i + 1])
-        np.subtract(vr[i + 1], vr[i - 1], out=vr[i + 1])
-    vt = v[:, k:].reshape(order, hi - lo, order).transpose(1, 0, 2)
-    if t0.size == 1:        # one target: its panels lo..hi-1 by one solve
-        w, inv = zs - t0.reshape(-1)[0], None
-        np.divide(dzw, w, out=w, where=w != 0)   # a node on t0 is near
-        w[lo * order:hi * order] = np.linalg.solve(
-            vt, v[:, :k].T[..., None]).ravel()
-    else:                   # many: each panel's inverse serves its targets
-        moments = v[:, :k].T.copy().reshape(near.shape + (1, order))
-        inv = np.linalg.inv(np.swapaxes(vt, 1, 2))
-
-        def weights(r):
-            """Node weights of the targets in the slice r."""
-            w = zs - targets[r]
-            np.divide(dzw, w, out=w, where=w != 0)
-            w.reshape(-1, n, order)[np.arange(len(w))[:, None], near[r]] = (
-                moments[r] @ inv[near[r] - lo])[..., 0, :]
-            return w
-    del v, vr, vt, x, steps
-    rows = t0.size if rows is None else rows
-    outs = [np.empty(rows, dtype=complex) for _ in densities]
-    # a block's weights and its gathered inverses each fill at most a block
-    for r in _row_blocks(rows, max(zs.size, width * order * order)):
-        wr = w if inv is None else weights(r)
-        for g, out in zip(densities, outs):     # a scalar g(r) broadcasts
-            out[r] = np.einsum("...j,...j->...", np.atleast_1d(g(r)), wr)
-        del wr                          # the next block reuses its memory
-    return outs
 
 
 def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):

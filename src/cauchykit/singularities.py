@@ -25,7 +25,7 @@ from .cauchy import _ON_CONTOUR, BoundaryFunction
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
                      OnContourError, PrescriptionError)
 from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid, _evaluate,
-                       _resolution, _sample)
+                       _level, _sample)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -158,7 +158,7 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
     coef = np.fft.fft(samples) / n
     head = np.max(np.abs(coef[n - min(8, n // 2 - 1):]), initial=0.0) \
         / max(np.max(np.abs(samples)), 1e-300)
-    if head > _UNRESOLVED and head > _resolution(samples)[0]:
+    if head > _UNRESOLVED and head > _level(samples):
         warnings.warn("boundary data is not regular inside the circle "
                       "(interior singularity detected)", AccuracyWarning,
                       stacklevel=2)

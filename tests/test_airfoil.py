@@ -185,6 +185,33 @@ def test_chord_batch_with_node_hits_equals_the_scalar_calls():
 
 
 @pytest.mark.parametrize("route", ["transform", "inverse"])
+def test_chord_routes_next_to_a_node_against_mpmath(route):
+    # phi = 1/(t - a) outside the chord: P.V. int w(t) phi(t)/(t - x) dt =
+    # (P.V. int w/(t - x) - int w/(t - a))/(x - a), the first -pi for w =
+    # sqrt((1 - t)/(1 + t)) and +pi for its mirror; on and 1e-12 ... 1e-6
+    # from nodes of the route's own rule, as between nodes
+    mpmath = pytest.importorskip("mpmath")
+    a, n = 1.5, 32
+    phi = lambda t: 1.0 / (np.asarray(t) - a)
+    if route == "transform":
+        sign, nodes, scale = 1, chebyshev4_rule(n)[0], 1.0 / (2.0 * np.pi)
+        run = lambda x: finite_hilbert_transform(SheetDensity(
+            weight_coef=phi), x, n)
+    else:
+        sign, nodes, scale = -1, chebyshev3_rule(n)[0], -2.0 / np.pi
+        run = finite_hilbert_inverse(phi, n).weight_coef
+    with mpmath.workdps(30):
+        far = float(mpmath.quad(lambda t: mpmath.sqrt((1 - sign * t) / (
+            1 + sign * t)) / (t - a), [-1, 0, 1]))
+    offsets = np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+    x = np.concatenate(((nodes[[0, 3, 15, 31], None] + offsets).ravel(),
+                        (nodes[[0, 3, 15, 31], None] - offsets[1:]).ravel(),
+                        0.5 * (nodes[1:] + nodes[:-1])))
+    want = scale * (-sign * np.pi - far) / (x - a)
+    assert np.max(np.abs(run(x) - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("route", ["transform", "inverse"])
 def test_chord_routes_memory_bounded(route):
     # one full 50,000 x 128 quotient matrix alone would take 51 MB
     x = np.linspace(-0.99, 0.99, 50_000)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
-                       DomainError, InvalidGridError,
-                       JordanArc, NonFiniteError, OnContourError,
-                       build_unit_circle, cauchy_functional, circle,
-                       classify_point, contour_integral, ellipse,
+                       DomainError, InvalidGridError, JordanArc,
+                       NonFiniteError, OnContourError,
+                       boundary_value, build_unit_circle, cauchy_functional,
+                       circle, classify_point, contour_integral, ellipse,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
 from cauchykit.geometry import (_UNRESOLVED, DELTA_FRACTION,
                                 NEAR_ZONE_FACTOR, ClosedContour,
-                                _has_close_pair, _resolution, _sample,
+                                _has_close_pair, _level, _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
@@ -637,7 +637,7 @@ RESOLUTION_TABLE = {
 @pytest.mark.parametrize("col,n", enumerate((64, 256, 1024)))
 def test_resolution_level_pins_the_table(name, col, n):
     func, levels = RESOLUTION_TABLE[name]
-    level = _resolution(func(periodic_trapezoid_grid(n).nodes))[0]
+    level = _level(func(periodic_trapezoid_grid(n).nodes))
     want = levels[col]
     if isinstance(want, str):
         assert level <= 2.0 * float(want[2:]) < _UNRESOLVED
@@ -661,36 +661,97 @@ def test_pv_of_a_jump_warns(s0):
 
 
 class TestPanelGrids:
-    """Closed contours on Gauss panels: exact where the step is exact,
-    CapabilityError where a step assumes equispaced periodic nodes."""
+    """Closed contours on Gauss panels: every principal value is a product
+    integral on the panels (_arc_pv_rows), exact on and next to a node and
+    across s = 0; a step that assumes equispaced periodic nodes raises
+    CapabilityError (TestPanelGridDerivatives, test_cauchy)."""
 
     GRID = gauss_panel_grid(16, 16, a=0.0, b=TWO_PI)
+    CONTOURS = pytest.mark.parametrize(
+        "contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
+        ids=["circle", "ellipse"])
 
     @staticmethod
     def pole(t):
         return 1.0 / (t - 2.0)
 
-    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
-                             ids=["circle", "ellipse"])
+    @CONTOURS
     def test_pv_between_nodes_is_exact(self, contour):
         t0 = contour.z(np.array([0.7]))[0]
         val = pv_contour_integral(self.pole, contour, self.GRID, t0)
         assert abs(val - 1j * np.pi * self.pole(t0)) <= 1e-13
 
-    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
-                             ids=["circle", "ellipse"])
+    @CONTOURS
     @pytest.mark.parametrize("node", [0, 5, 100])
     def test_pv_on_a_node_raises(self, contour, node):
+        # named for the CapabilityError it once pinned; now exact
         t0 = contour.z(self.GRID.nodes[node:node + 1])[0]
-        with pytest.raises(CapabilityError):
-            pv_contour_integral(self.pole, contour, self.GRID, t0)
+        val = pv_contour_integral(self.pole, contour, self.GRID, t0)
+        assert abs(val - 1j * np.pi * self.pole(t0)) <= 1e-13
 
-    @pytest.mark.parametrize("contour", [circle(0.0, 1.0), ellipse(1.0, 0.6)],
-                             ids=["circle", "ellipse"])
+    @CONTOURS
     def test_pv_at_all_nodes_raises(self, contour):
+        # named for the CapabilityError it once pinned; now exact
         samples = self.pole(contour.z(self.GRID.nodes))
-        with pytest.raises(CapabilityError):
-            pv_at_all_nodes(samples, contour, self.GRID)
+        pv = pv_at_all_nodes(samples, contour, self.GRID)
+        assert np.max(np.abs(pv - 1j * np.pi * samples)) <= 1e-13
+
+    @CONTOURS
+    @pytest.mark.parametrize("grid", [
+        GRID, gauss_panel_grid(16, 16, a=-np.pi, b=np.pi),
+        panels_from_breakpoints(0.3 - np.pi + TWO_PI * (
+            np.linspace(0.0, 1.0, 17)
+            + 0.08 * np.sin(TWO_PI * np.linspace(0.0, 1.0, 17))), 16)],
+        ids=["from-0", "from-minus-pi", "graded-from-0.3-minus-pi"])
+    def test_next_to_nodes_breaks_and_s0_zero(self, contour, grid):
+        # f is analytic inside: P.V. of f(t)/(t - t0) dt is i*pi*f(t0) and
+        # K_0[f](t0) is f(t0), at s = 0 and beside it, on every break, on
+        # and next to nodes at panel ends and inside panels, and across the
+        # contour; t0's s0 lies in [0, 2*pi) whatever interval the grid spans
+        f = BoundaryFunction(lambda t: 1.0 / (t - 2.0) + t ** 3)
+        nodes = grid.nodes[[0, 1, 15, 16, 100, 255], None]
+        offsets = np.array([0.0, 1e-12, 1e-9, 1e-6])
+        s0 = np.concatenate(([0.0, 0.01, TWO_PI - 0.01], grid.breaks,
+                             (nodes + offsets).ravel(),
+                             (nodes - offsets[1:]).ravel(),
+                             np.linspace(0.0, TWO_PI, 48, endpoint=False)
+                             + 0.05)) % TWO_PI
+        for t0 in contour.z(s0):
+            want = f(t0)
+            pv = pv_contour_integral(f.func, contour, grid, t0)
+            assert abs(pv - 1j * np.pi * want) <= 1e-13
+            assert abs(boundary_value(f, contour, grid, t0) - want) \
+                <= 1e-13
+
+    @CONTOURS
+    def test_coarse_panels(self, contour):
+        # eight panels turn by up to 75 degrees each on the ellipse: a near
+        # panel's end beyond t0's own panel is never held at the break band
+        grid = gauss_panel_grid(8, 16, a=0.0, b=TWO_PI)
+        f = lambda t: 1.0 / (t - 2.0) + t ** 3
+        s0 = np.concatenate((np.linspace(0.0, TWO_PI, 97, endpoint=False)
+                             + 0.0123, grid.nodes, grid.nodes + 1e-9))
+        for t0 in contour.z(s0):
+            pv = pv_contour_integral(f, contour, grid, t0)
+            assert abs(pv - 1j * np.pi * f(t0)) <= 1e-11
+        samples = f(contour.z(grid.nodes))
+        pv = pv_at_all_nodes(samples, contour, grid)
+        assert np.max(np.abs(pv - 1j * np.pi * samples)) <= 1e-11
+
+    @CONTOURS
+    def test_two_panels_refuse_next_to_a_node(self, contour):
+        # the three near panels of a closed contour must be distinct; with
+        # two, a target between nodes takes the subtracted sum alone
+        grid = gauss_panel_grid(2, 16, a=0.0, b=TWO_PI)
+        f = lambda t: 1.0 / (t - 2.0) + t ** 3
+        t0 = contour.z(np.array([0.5 * (grid.nodes[3] + grid.nodes[4])]))[0]
+        pv = pv_contour_integral(f, contour, grid, t0)
+        assert abs(pv - 1j * np.pi * f(t0)) <= 1e-8
+        with pytest.raises(CapabilityError, match="three panels"):
+            pv_contour_integral(f, contour, grid,
+                                contour.z(grid.nodes[3:4])[0])
+        with pytest.raises(CapabilityError, match="three panels"):
+            pv_at_all_nodes(f(contour.z(grid.nodes)), contour, grid)
 
 
 def test_arc_endpoints_are_its_ends():

@@ -582,7 +582,7 @@ class TestPeriodicRoute:
         (m, dropped), scale = _cut_of(samples)
         assert m >= 256
         s = np.random.default_rng(2).uniform(0.0, TWO_PI, 41)
-        diff = np.abs(_conjugate_at(samples, s)
+        diff = np.abs(_conjugate_at(samples, s)[0]
                       - _full_spectrum_conjugate(samples, s))
         assert diff.max() <= dropped + _ROUNDING * np.log2(m) * scale
 
@@ -602,7 +602,7 @@ class TestPeriodicRoute:
         s = 2.0 * np.arctan(XI_WIDE) + np.pi * (1.0 - 1.0 / n)
         (m, dropped), scale = _cut_of(samples)
         assert 0.0 < dropped and m < n // 2
-        diff = np.abs(_conjugate_at(samples, s)
+        diff = np.abs(_conjugate_at(samples, s)[0]
                       - _full_spectrum_conjugate(samples, s))
         assert diff.max() <= dropped + _ROUNDING * np.log2(m) * scale
         assert np.all(hilbert_line(f, XI_WIDE).truncation_error >= dropped)
@@ -613,6 +613,30 @@ class TestPeriodicRouteEstimate:
         res = hilbert_line(RealLineFunction(np.sin, decay=0,
                                             period=TWO_PI), np.array([0.3]))
         assert res.truncation_error[0] <= 1e-14
+
+    def test_bar_bounds_the_error_of_a_few_modes(self):
+        # 200 seeded inputs of one to four modes k <= 40, periods 0.5 to 3.5
+        # and targets out to |xi| = 100: the phases 2*pi*k*xi/P round by
+        # about k*eps*|phase|, which the bar carries per target; against a
+        # long-double closed form
+        rng = np.random.default_rng(11)
+        two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+        for _ in range(200):
+            k = rng.choice(np.arange(1, 41), size=rng.integers(1, 5),
+                           replace=False)
+            a, b = rng.normal(size=(2, k.size, 1))
+            period = float(0.5 + 3.0 * rng.random())
+            xi = 10.0 ** rng.uniform(0.0, 2.0) * rng.uniform(-1.0, 1.0, 20)
+            v = lambda x, k=k, a=a, b=b, p=period: np.sum(
+                a * np.sin(np.outer(k, TWO_PI * x / p))
+                + b * np.cos(np.outer(k, TWO_PI * x / p)), axis=0) + 0.5
+            res = hilbert_line(RealLineFunction(v, decay=0, period=period),
+                               xi)
+            phase = np.outer(k, two_pi * xi.astype(np.longdouble)
+                             / np.longdouble(period))
+            want = np.sum(a * np.cos(phase) - b * np.sin(phase), axis=0)
+            err = np.abs(res.values - want).astype(float)
+            assert np.all(res.truncation_error >= err)
 
     def test_high_mode_estimate_bounds_the_error(self):
         # mode 240 of 512 samples per period: the estimate reads its whole

@@ -517,15 +517,26 @@ def test_arc_pv_rows_read_graded_panels_from_the_grid():
 @pytest.mark.parametrize("contour", [circle(), ellipse(1.0, 0.6)],
                          ids=["circle", "ellipse"])
 def test_arc_pv_rows_on_closed_contour_panels(contour):
-    # f is analytic inside, so P.V. of f(t)/(t - t0) dt is i*pi*f(t0); the
-    # near panels do not yet wrap around s = 0, so s0 keeps 0.5 from it
-    smp = geometry._sample(contour, gauss_panel_grid(16, 16, a=0.0,
-                                                     b=2.0 * np.pi))
+    # f is analytic inside, so P.V. of f(t)/(t - t0) dt is i*pi*f(t0): at
+    # s = 0 and next to it, where the near panels wrap, on every break, and
+    # on and next to every node; the grid spans [0, 2*pi) or [-pi, pi), and
+    # s0 lies in [0, 2*pi) either way
     f = lambda t: 1.0 / (t - 2.0) + t ** 3
-    s0 = np.linspace(0.5, 2.0 * np.pi - 0.5, 37)
-    t0 = contour.z(s0)
-    pv, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s0, t0)
-    assert np.max(np.abs(pv - 1j * np.pi * f(t0))) <= 1e-13
+    offsets = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    for a in (0.0, -np.pi):
+        grid = gauss_panel_grid(16, 16, a=a, b=a + 2.0 * np.pi)
+        smp = geometry._sample(contour, grid)
+        s0 = np.concatenate((np.linspace(0.5, 2.0 * np.pi - 0.5, 37),
+                             [0.0, 0.01, 2.0 * np.pi - 0.01],
+                             grid.breaks % (2.0 * np.pi),
+                             ((grid.nodes[:, None] + offsets).ravel()
+                              % (2.0 * np.pi))))
+        t0 = contour.z(s0)
+        pv, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s0, t0)
+        assert np.max(np.abs(pv - 1j * np.pi * f(t0))) <= 1e-13
+        for s, t in zip(s0[37:40], t0[37:40]):      # and one target alone
+            one, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s, t)
+            assert abs(one[0] - 1j * np.pi * f(t)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
