@@ -6,15 +6,15 @@ periodic trapezoid rule, which is spectrally accurate for analytic
 integrands.  Open arcs are parameterized over [0, 1] and integrated with
 composite Gauss-Legendre panels, which may also cover a closed contour.
 Principal values are never computed by grid-level indentation, and each
-is as exact next to a node as between nodes.  On a closed contour and on
-the chord's Chebyshev rules the singularity is subtracted analytically
-(_subtracted_pv); next to a node, whose quotient cancels, a target takes a
-rule that forms no quotient near it (_near_split): the trapezoid rule
-shifted by half a spacing, the chord's rule shifted by a quarter in theta,
-or on panels the product integral, which integrates the density's Legendre
-interpolant against the kernel exactly on the three panels nearest the
-target, wrapping across s = 0 on a closed contour (_arc_pv_rows).  An arc
-takes that product integral at every target.
+is as exact next to a node as between nodes.  On any closed-contour grid
+and on the chord's Chebyshev rules the singularity is subtracted
+analytically (_subtracted_pv); next to a node, whose quotient cancels, a
+target takes the same rule moved off its nodes (_near_split): the
+trapezoid rule shifted by half a spacing, panels of one order more on the
+same breaks (QuadratureGrid._shifted), or the chord's rule shifted by a
+quarter in theta.  An arc, and pv_at_all_nodes on panels, take the product
+integral, which integrates the density's Legendre interpolant against the
+kernel exactly on the three panels nearest the target (_arc_pv_rows).
 """
 
 import cmath
@@ -54,8 +54,8 @@ _BLOCK_ENTRIES = 1 << 14
 # Fourier modes at rounding, relative to the largest sample; and the top-mode
 # level (|k| >= 3N/8) a periodic grid resolves: from it geometric decay
 # aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
-# Node spacings within which _pv and _chord_pv take their shifted rules:
-# beyond, a node's cancelling quotient costs <= 2e-15 (1/(t - 2), n = 256).
+# Node gaps (weights in _pv) within which _pv and _chord_pv take shifted
+# rules: beyond, a node's cancelling quotient costs <= 2e-15 (n = 256).
 # Half-panels within which _arc_pv_rows counts a target as on a panel break
 # (far above the rounding of t0 - break, far below what a panel resolves).
 _ROUNDING, _UNRESOLVED, _NODE_BAND, _BREAK_BAND = 1e-15, 1e-6, 1.0 / 64, 1e-8
@@ -87,8 +87,21 @@ class QuadratureGrid:
                 float(self.nodes.max()))
 
     @cached_property
-    def _half(self):
-        """The periodic rule shifted by half a spacing, built once."""
+    def _ring(self):
+        """Nodes and weights between copies of their last and first entries,
+        the copied nodes moved by -2*pi and 2*pi; built once."""
+        return [np.concatenate((a[-1:] - p, a, a[:1] + p))
+                for a, p in ((self.nodes, TWO_PI), (self.weights, 0.0))]
+
+    @cached_property
+    def _shifted(self):
+        """The rule moved off its nodes, built once: the trapezoid rule
+        shifted half a spacing; panels of order m + 1 on the same breaks,
+        whose nodes interlace with the grid's (CapabilityError otherwise)."""
+        if self.breaks is not None:
+            return panels_from_breakpoints(
+                self.breaks, self.n // (self.breaks.size - 1) + 1)
+        _require_periodic(self, "a principal value next to a node")
         return QuadratureGrid(self.nodes + np.pi / self.n, self.weights,
                               self.kind)
 
@@ -686,35 +699,22 @@ def _sum_levels(pos, neg, s):
 def _pv(samples, g0, smp, s0, t0, n):
     """P.V. of g(t)/(t - t0) dt at the points t0 = z(s0) of the contour of
     ``smp``, g = f^(n) of its density, samples = smp.f(n) and g0 = g(t0): a
-    _subtracted_pv sum.  Within _NODE_BAND spacings of a node, where that
-    node's quotient cancels, a target takes a rule that forms no quotient
-    near it: on the periodic grid the same sum on the rule shifted by half
-    a spacing, whose nodes all lie about h/2 from it, with z, z' and g there
-    sampled once per call and only for such a target; on a panel grid the
-    product integral _arc_pv_rows (CapabilityError on any other grid)."""
-    grid, size, rule = smp.grid, smp.grid.n, (samples, smp.zs, smp.dzw)
-    if grid.breaks is not None:
-        # the nodes either side of s0, read in the grid's period
-        s = grid.breaks[0] + (s0 - grid.breaks[0]) % TWO_PI
-        ring = np.concatenate((grid.nodes[-1:] - TWO_PI, grid.nodes,
-                               grid.nodes[:1] + TWO_PI))
-        j = np.searchsorted(ring, s)
-        lo, hi = ring[j - 1], ring[j]
-        return _near_split(
-            np.minimum(s - lo, hi - s) < _NODE_BAND * (hi - lo), g0, t0,
-            1j * np.pi, rule, lambda rows: _arc_pv_rows(
-                (lambda r: samples,), smp, s0[rows], t0[rows])[0])
-    # j0: the first node from s0 - h/2 on
-    j0 = np.searchsorted(grid.nodes, s0 - np.pi / size) % size
+    _subtracted_pv sum; but a target within _NODE_BAND of a node's weight
+    (its local gap, on graded panels too) of that node, whose quotient
+    cancels, takes the sum on the rule moved off its nodes (grid._shifted),
+    sampled once per call and only for such a target (_near_split)."""
+    # the nodes either side of s0, read in the grid's period
+    ring, w = smp.grid._ring
+    s = ring[1] + (s0 - ring[1]) % TWO_PI
+    j = np.searchsorted(ring, s)
 
-    def half(rows):
-        _require_periodic(grid, "a principal value next to a node")
-        shifted = _sample(smp.contour, grid._half, smp.density)
-        return _subtracted_pv(shifted.f(n), shifted.zs, shifted.dzw, g0[rows],
-                              t0[rows], 1j * np.pi)
-    return _near_split(np.abs((grid.nodes[j0] - s0 + np.pi) % TWO_PI - np.pi)
-                       < _NODE_BAND * TWO_PI / size, g0, t0, 1j * np.pi, rule,
-                       half)
+    def moved(rows):
+        off = _sample(smp.contour, smp.grid._shifted, smp.density)
+        return _subtracted_pv(off.f(n), off.zs, off.dzw, g0[rows], t0[rows],
+                              1j * np.pi)
+    return _near_split(np.minimum((s - ring[j - 1]) / w[j - 1],
+                                  (ring[j] - s) / w[j]) < _NODE_BAND,
+                       g0, t0, 1j * np.pi, (samples, smp.zs, smp.dzw), moved)
 
 
 def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
@@ -820,14 +820,13 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     exp(i*k*s) with k >= 0 (regular inside) and -pi*i on k < 0 (regular
     outside, vanishing at infinity), the Nyquist mode counted with k < 0.
     It costs one FFT (Henrici, SIAM Rev. 21, 1979).  On a panel grid each
-    node takes _arc_pv_rows, as a target next to a node does in _pv.  Other
-    contours on the periodic grid take its discrete sum as the n x n
-    matrix of subtracted difference quotients
-    (whose diagonal is the spectral derivative of the samples) plus the
-    analytic +i*pi*g(t0), arranged as
+    node takes _arc_pv_rows (samples give no density for _pv's shifted
+    rule).  Other contours on the periodic grid take its discrete sum as the
+    n x n matrix of subtracted difference quotients (whose diagonal is the
+    spectral derivative of the samples) plus the analytic +i*pi*g(t0), as
     sum_j R_ij z'_j w_j (g_j - g_i) with R_ij = 1/(z_j - z_i).  R is
-    antisymmetric, so each pair j > i is formed once and applied to both
-    of its rows, a block of rows at a time in one buffer, so memory stays
+    antisymmetric, so each pair j > i is formed once and applied to both of
+    its rows, a block of rows at a time in one buffer, so memory stays
     bounded; g enters less its node mean, so a large mean costs no accuracy.
     """
     return _pv_at_all_nodes(samples, _sample(contour, grid))

@@ -8,7 +8,7 @@ Unlike the closed-contour functionals, the arc integral
 is a single analytic function off the arc, with a simple zero at infinity;
 only across L does it jump, by g.  Principal values on the arc are product
 integrals on fixed Gauss-Legendre panels sampled once, by the evaluator
-that closed contours on panels take next to a node (geometry._arc_pv_rows).
+that pv_at_all_nodes takes on closed-contour panels (geometry._arc_pv_rows).
 """
 
 import math

@@ -25,7 +25,7 @@ from .cauchy import _ON_CONTOUR, BoundaryFunction
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
                      OnContourError, PrescriptionError)
 from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid, _evaluate,
-                       _level, _sample)
+                       _level, _sample, _spectrum)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
@@ -155,14 +155,14 @@ def taylor_coefficients(samples, n_max: int) -> np.ndarray:
         raise ContractError(f"need 0 <= n_max < n/2 = {n // 2}, got {n_max}")
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("boundary samples contain NaN or infinity")
-    coef = np.fft.fft(samples) / n
-    head = np.max(np.abs(coef[n - min(8, n // 2 - 1):]), initial=0.0) \
+    pos, neg, amp = _spectrum(samples)     # c_k and c_-k, one FFT
+    head = np.max(np.abs(neg[1:min(8, n // 2 - 1) + 1]), initial=0.0) \
         / max(np.max(np.abs(samples)), 1e-300)
-    if head > _UNRESOLVED and head > _level(samples):
+    if head > _UNRESOLVED and head > _level(samples, amp=amp):
         warnings.warn("boundary data is not regular inside the circle "
                       "(interior singularity detected)", AccuracyWarning,
                       stacklevel=2)
-    return coef[:n_max + 1].copy()
+    return pos[:n_max + 1].copy()
 
 
 @dataclass(frozen=True)

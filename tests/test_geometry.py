@@ -11,7 +11,7 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
-from cauchykit.geometry import (_UNRESOLVED, DELTA_FRACTION,
+from cauchykit.geometry import (_NODE_BAND, _UNRESOLVED, DELTA_FRACTION,
                                 NEAR_ZONE_FACTOR, ClosedContour,
                                 _has_close_pair, _level, _sample,
                                 near_zone_width, panels_from_breakpoints,
@@ -661,10 +661,12 @@ def test_pv_of_a_jump_warns(s0):
 
 
 class TestPanelGrids:
-    """Closed contours on Gauss panels: every principal value is a product
-    integral on the panels (_arc_pv_rows), exact on and next to a node and
-    across s = 0; a step that assumes equispaced periodic nodes raises
-    CapabilityError (TestPanelGridDerivatives, test_cauchy)."""
+    """Closed contours on Gauss panels: a principal value is the subtracted
+    sum, next to a node on the rule with one more node per panel
+    (grid._shifted), exact on and next to a node and across s = 0;
+    pv_at_all_nodes is a product integral on the panels (_arc_pv_rows); a
+    step that assumes equispaced periodic nodes raises CapabilityError
+    (TestPanelGridDerivatives, test_cauchy)."""
 
     GRID = gauss_panel_grid(16, 16, a=0.0, b=TWO_PI)
     CONTOURS = pytest.mark.parametrize(
@@ -701,15 +703,22 @@ class TestPanelGrids:
         GRID, gauss_panel_grid(16, 16, a=-np.pi, b=np.pi),
         panels_from_breakpoints(0.3 - np.pi + TWO_PI * (
             np.linspace(0.0, 1.0, 17)
-            + 0.08 * np.sin(TWO_PI * np.linspace(0.0, 1.0, 17))), 16)],
-        ids=["from-0", "from-minus-pi", "graded-from-0.3-minus-pi"])
+            + 0.08 * np.sin(TWO_PI * np.linspace(0.0, 1.0, 17))), 16),
+        gauss_panel_grid(16, 8, a=0.0, b=TWO_PI),
+        panels_from_breakpoints(
+            -np.pi + TWO_PI * (np.arange(17) / 16.0) ** 1.5, 16)],
+        ids=["from-0", "from-minus-pi", "graded-from-0.3-minus-pi",
+             "order-8", "graded-1.5-from-minus-pi"])
     def test_next_to_nodes_breaks_and_s0_zero(self, contour, grid):
         # f is analytic inside: P.V. of f(t)/(t - t0) dt is i*pi*f(t0) and
-        # K_0[f](t0) is f(t0), at s = 0 and beside it, on every break, on
-        # and next to nodes at panel ends and inside panels, and across the
-        # contour; t0's s0 lies in [0, 2*pi) whatever interval the grid spans
-        f = BoundaryFunction(lambda t: 1.0 / (t - 2.0) + t ** 3)
-        nodes = grid.nodes[[0, 1, 15, 16, 100, 255], None]
+        # K_n[f](t0) is f^(n)(t0), at s = 0 and beside it, on every break,
+        # on and next to nodes at panel ends and inside panels, and across
+        # the contour; t0's s0 lies in [0, 2*pi) whatever interval the grid
+        # spans
+        f = BoundaryFunction(lambda t: 1.0 / (t - 2.0) + t ** 3, derivs=(
+            lambda t: -1.0 / (t - 2.0) ** 2 + 3.0 * t ** 2,))
+        order = grid.n // (grid.breaks.size - 1)
+        nodes = grid.nodes[[0, 1, order - 1, order, 100, -1], None]
         offsets = np.array([0.0, 1e-12, 1e-9, 1e-6])
         s0 = np.concatenate(([0.0, 0.01, TWO_PI - 0.01], grid.breaks,
                              (nodes + offsets).ravel(),
@@ -722,6 +731,8 @@ class TestPanelGrids:
             assert abs(pv - 1j * np.pi * want) <= 1e-13
             assert abs(boundary_value(f, contour, grid, t0) - want) \
                 <= 1e-13
+            assert abs(boundary_value(f, contour, grid, t0, 1)
+                       - f.derivs[0](t0)) <= 1e-13
 
     @CONTOURS
     def test_coarse_panels(self, contour):
@@ -740,18 +751,55 @@ class TestPanelGrids:
 
     @CONTOURS
     def test_two_panels_refuse_next_to_a_node(self, contour):
-        # the three near panels of a closed contour must be distinct; with
-        # two, a target between nodes takes the subtracted sum alone
+        # named for the CapabilityError it once pinned next to a node: two
+        # panels limit the rule itself, on and next to a node as between
+        # nodes; the product integral of pv_at_all_nodes needs three
+        # distinct near panels
         grid = gauss_panel_grid(2, 16, a=0.0, b=TWO_PI)
         f = lambda t: 1.0 / (t - 2.0) + t ** 3
-        t0 = contour.z(np.array([0.5 * (grid.nodes[3] + grid.nodes[4])]))[0]
-        pv = pv_contour_integral(f, contour, grid, t0)
-        assert abs(pv - 1j * np.pi * f(t0)) <= 1e-8
-        with pytest.raises(CapabilityError, match="three panels"):
-            pv_contour_integral(f, contour, grid,
-                                contour.z(grid.nodes[3:4])[0])
+        s0 = np.concatenate(([0.5 * (grid.nodes[3] + grid.nodes[4])],
+                             grid.nodes[[0, 3, 31]],
+                             grid.nodes[[0, 3, 31]] + 1e-9))
+        for t0 in contour.z(s0):
+            pv = pv_contour_integral(f, contour, grid, t0)
+            assert abs(pv - 1j * np.pi * f(t0)) <= 1e-8
         with pytest.raises(CapabilityError, match="three panels"):
             pv_at_all_nodes(f(contour.z(grid.nodes)), contour, grid)
+
+    @CONTOURS
+    def test_band_edges_where_a_small_panel_meets_a_large_one(self, contour):
+        # the band is a node's weight, not the gap across a break, which on
+        # this grid reaches past nodes of the moved rule: targets on those
+        # and at the band's edge either side of every node, in the smallest
+        # panel and in the largest, which it meets across s = pi
+        grid = panels_from_breakpoints(
+            -np.pi + TWO_PI * (np.arange(17) / 16.0) ** 1.5, 20)
+        ends = np.r_[:20, -20:0]
+        edge = 0.999 * _NODE_BAND * grid.weights[ends]
+        f = lambda t: 1.0 / (t - 2.0) + t ** 3
+        for t0 in contour.z(np.concatenate((
+                grid._shifted.nodes[np.r_[:21, -21:0]],
+                grid.nodes[ends] - edge, grid.nodes[ends] + edge)) % TWO_PI):
+            pv = pv_contour_integral(f, contour, grid, t0)
+            assert abs(pv - 1j * np.pi * f(t0)) <= 1e-13
+
+    def test_shifted_rule_keeps_off_the_nodes(self):
+        # Gauss nodes of orders m and m + 1 interlace: on equal and graded
+        # panels alike each node of grid._shifted keeps 0.7/(m + 2) of the
+        # nearest grid node's weight from that node, beyond the band in
+        # which _pv takes the shifted rule, and to m = 22 beyond twice the
+        # band, so that a target in the band is as far from every shifted
+        # node as a target outside it from every grid node
+        for order in range(2, 41):
+            for grid in (gauss_panel_grid(3, order, a=0.0, b=TWO_PI),
+                         panels_from_breakpoints(-np.pi + TWO_PI * (
+                             np.arange(17) / 16.0) ** 1.5, order)):
+                (ring, w), s = grid._ring, grid._shifted.nodes
+                j = np.searchsorted(ring, s)
+                gap = np.minimum((s - ring[j - 1]) / w[j - 1],
+                                 (ring[j] - s) / w[j])
+                assert gap.min() >= 0.7 / (order + 2)
+                assert gap.min() > (2 if order <= 22 else 1) * _NODE_BAND
 
 
 def test_arc_endpoints_are_its_ends():
