@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EndpointError
-from .geometry import (JordanArc, QuadratureGrid, _arc_pv_rows, _chord_pv,
-                       _equal_panels, _finite, _sample, segment)
+from .geometry import (JordanArc, QuadratureGrid, _arc_panels, _arc_pv_rows,
+                       _chord_pv, _equal_panels, _finite, _sample, segment)
 from .plemelj import _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
@@ -174,7 +174,7 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
 def _smooth_chord_pv(func, x):
     """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1] (24 panels)."""
     s0 = 0.5 * (x + 1.0)
-    panels = _sample(_CHORD, _equal_panels(24, 12))
+    panels = _arc_panels(_CHORD, 24)
     vals = _finite(np.asarray(func(np.real(panels.zs)), dtype=complex),
                    "the smooth part at a node")
     pv, = _arc_pv_rows((lambda r: vals,), panels, s0, _CHORD.z(s0))

@@ -14,7 +14,10 @@ trapezoid rule shifted by half a spacing, panels of one order more on the
 same breaks (QuadratureGrid._shifted), or the chord's rule shifted by a
 quarter in theta.  An arc, and pv_at_all_nodes on panels, take the product
 integral, which integrates the density's Legendre interpolant against the
-kernel exactly on the three panels nearest the target (_arc_pv_rows).
+kernel exactly on the three panels nearest the target (_arc_pv_rows), with
+each panel's inverse Legendre-Vandermonde matrix from the samples' record
+(_Samples.panels), built once and warning when it is off; the arcs' own
+panels, with their records, are kept for the last two arcs (_arc_panels).
 """
 
 import cmath
@@ -59,6 +62,10 @@ _BLOCK_ENTRIES = 1 << 14
 # Half-panels within which _arc_pv_rows counts a target as on a panel break
 # (far above the rounding of t0 - break, far below what a panel resolves).
 _ROUNDING, _UNRESOLVED, _NODE_BAND, _BREAK_BAND = 1e-15, 1e-6, 1.0 / 64, 1e-8
+# max |inv V - I| of a panel's Legendre-Vandermonde inverse (_Panels) above
+# which its product integrals warn: order 24 reads 3e-13 on the ellipse (1,
+# 0.6), order 32 from 9e-10 on the unit circle, and errs from 5e-9
+_INVERSE_RESIDUAL = 1e-11
 _EPS = float(np.finfo(float).eps)
 
 
@@ -236,6 +243,11 @@ class _Samples:
             self.by_order[m] = self.density._at_nodes(self, m)
         return self.by_order[m]
 
+    @cached_property
+    def panels(self):
+        """The _Panels record of a panel grid, built on first use."""
+        return _panel_record(self)
+
     @property
     def near_zone(self):
         """Near-zone width: NEAR_ZONE_FACTOR times the grid length over the
@@ -335,6 +347,30 @@ def _equal_panels(n_panels, order):
     return grid
 
 
+@lru_cache(maxsize=2)
+def _shared_arc_panels(arc, n_panels):
+    """_arc_panels of a hashable arc, read-only, as every caller shares it."""
+    smp = _sample(arc, _equal_panels(n_panels, 12))
+    for values in (smp.zs, smp.dzs, smp.dzw):
+        values.setflags(write=False)
+    return smp
+
+
+def _arc_panels(arc, n_panels):
+    """The arc sampled on n_panels equal panels of order 12, with its panel
+    record (_Samples.panels) once built, kept for the last two (arc,
+    n_panels) keys: a caller alternating between two arcs samples and
+    factors each once, while a round over two or more other keys leaves no
+    entry behind, so repeating that round samples the same again (the
+    bench's traced passes compare their counts).  An unhashable arc is
+    sampled per call."""
+    try:
+        hash(arc)
+    except TypeError:
+        return _sample(arc, _equal_panels(n_panels, 12))
+    return _shared_arc_panels(arc, n_panels)
+
+
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution; warn
     when a periodic trapezoid grid does not resolve z' (at a corner)."""
@@ -385,7 +421,12 @@ def _has_close_pair(zs, h):
 
 @dataclass(frozen=True)
 class JordanArc:
-    """Open regular path z(s), s in [0, 1], endpoints a = z(0), b = z(1)."""
+    """Open regular path z(s), s in [0, 1], endpoints a = z(0), b = z(1).
+
+    ``z`` and ``dz`` must accept ndarray arguments and be pure functions of
+    s: the arc's panel samples are kept for reuse (_arc_panels), so a z
+    that changes between calls is read as it was.
+    """
 
     z: Callable
     dz: Callable
@@ -696,25 +737,80 @@ def _sum_levels(pos, neg, s):
     return out.reshape(s.shape)
 
 
+def _node_gap(grid, s0):
+    """Each s0's gap to the nearer of the grid's nodes either side of it, in
+    that node's weight, read in the grid's period (QuadratureGrid._ring)."""
+    ring, w = grid._ring
+    s = ring[1] + (s0 - ring[1]) % TWO_PI
+    j = np.searchsorted(ring, s)
+    return np.minimum((s - ring[j - 1]) / w[j - 1], (ring[j] - s) / w[j])
+
+
 def _pv(samples, g0, smp, s0, t0, n):
     """P.V. of g(t)/(t - t0) dt at the points t0 = z(s0) of the contour of
     ``smp``, g = f^(n) of its density, samples = smp.f(n) and g0 = g(t0): a
     _subtracted_pv sum; but a target within _NODE_BAND of a node's weight
     (its local gap, on graded panels too) of that node, whose quotient
     cancels, takes the sum on the rule moved off its nodes (grid._shifted),
-    sampled once per call and only for such a target (_near_split)."""
-    # the nodes either side of s0, read in the grid's period
-    ring, w = smp.grid._ring
-    s = ring[1] + (s0 - ring[1]) % TWO_PI
-    j = np.searchsorted(ring, s)
+    sampled once per call and only for such a target (_near_split).  On
+    panels of order 48 and more a moved node can lie within the band of a
+    grid node; a target near both stays on the rule it is farther from."""
+    gap = _node_gap(smp.grid, s0)
+    near = gap < _NODE_BAND
+    if near.any():
+        near[near] = _node_gap(smp.grid._shifted, s0[near]) > gap[near]
 
     def moved(rows):
         off = _sample(smp.contour, smp.grid._shifted, smp.density)
         return _subtracted_pv(off.f(n), off.zs, off.dzw, g0[rows], t0[rows],
                               1j * np.pi)
-    return _near_split(np.minimum((s - ring[j - 1]) / w[j - 1],
-                                  (ring[j] - s) / w[j]) < _NODE_BAND,
-                       g0, t0, 1j * np.pi, (samples, smp.zs, smp.dzw), moved)
+    return _near_split(near, g0, t0, 1j * np.pi, (samples, smp.zs, smp.dzw),
+                       moved)
+
+
+class _Panels(NamedTuple):
+    """The record of a panel grid on its curve (_Samples.panels): z at the
+    breaks, each panel's half-length (half its end difference), and the
+    inverse of each panel's Legendre-Vandermonde matrix V, V[j, i] = P_i/c_i
+    at the panel's node j in its tau (_legendre_steps), with residual =
+    max |inv V - I| over the panels."""
+
+    ends: np.ndarray
+    half: np.ndarray
+    inv: np.ndarray
+    residual: float
+
+
+def _panel_record(smp):
+    """_Panels of the panel samples ``smp``: one recurrence over every node,
+    one batched inverse; read-only, as a memo may share it (_arc_panels)."""
+    breaks, zs = smp.grid.breaks, smp.zs
+    n = breaks.size - 1
+    order = zs.size // n
+    ends = np.array(smp.contour.z(breaks), dtype=complex)
+    half = 0.5 * (ends[1:] - ends[:-1])
+    x = ((zs.reshape(n, order) - ends[:-1, None]) / half[:, None]
+         - 1.0).ravel()
+    v = np.empty((order, x.size), dtype=complex)
+    v[0], v[1] = 1.0, x
+    vand = _recur(v, x).reshape(order, n, order).transpose(1, 2, 0)
+    inv = np.linalg.inv(vand)
+    residual = float(np.abs(inv @ vand - np.eye(order)).max())
+    for values in (ends, half, inv):
+        values.setflags(write=False)
+    return _Panels(ends, half, inv, residual)
+
+
+def _recur(v, x):
+    """v, its rows 2.. filled in place from rows 0 and 1 by the recurrence
+    of _legendre_steps at the points x: from 1 and x the values P_i/c_i,
+    from m_0 and x m_0 + 2 their moments against 1/(tau - x)."""
+    steps = np.multiply.outer(_legendre_steps(v.shape[0]), x)
+    vr = list(v)                        # row views, indexed without numpy
+    for i in range(1, v.shape[0] - 1):
+        np.multiply(steps[i - 1], vr[i], out=vr[i + 1])
+        np.subtract(vr[i + 1], vr[i - 1], out=vr[i + 1])
+    return v
 
 
 def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
@@ -728,12 +824,22 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     mapping a panel onto [-1, 1], the density's Legendre interpolant is
     integrated against 1/(tau - tau0) exactly (Helsing & Ojala, J. Comput.
     Phys. 227, 2008): moments by recurrence from m_0 = log(1 - tau0) -
-    log(-1 - tau0), a P.V. on the own panel, then a Legendre-Vandermonde
-    solve.  No node quotient enters the near panels, so next to a node the
-    value is as exact as between nodes."""
+    log(-1 - tau0), a P.V. on the own panel, times the panel's inverse
+    Legendre-Vandermonde matrix from the record smp.panels, which warns
+    (AccuracyWarning) when its residual exceeds _INVERSE_RESIDUAL.  No node
+    quotient enters the near panels, so next to a node the value is as
+    exact as between nodes."""
     breaks, zs, dzw = smp.grid.breaks, smp.zs, smp.dzw
-    n, ends = breaks.size - 1, smp.contour.z(breaks)
-    order, half = zs.size // n, 0.5 * (ends[1:] - ends[:-1])
+    n, closed = breaks.size - 1, isinstance(smp.contour, ClosedContour)
+    if closed and n < 3:
+        raise CapabilityError("a principal value next to a node of a closed "
+                              "contour needs three panels or more")
+    record, order = smp.panels, zs.size // n
+    if record.residual > _INVERSE_RESIDUAL:
+        warnings.warn(f"the panels' Legendre-Vandermonde inverses are off by "
+                      f"{record.residual:.1e}: principal values on them lose "
+                      f"digits", AccuracyWarning, stacklevel=3)
+    ends, half = record.ends, record.half
     s0, t0 = np.asarray(s0, dtype=float), np.asarray(t0, dtype=complex)
     targets, s0 = t0.reshape(-1, 1), s0.reshape(-1, 1)
     # each target's own panel p, its near panels and their ends b, counted
@@ -745,11 +851,7 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     # the band: on an arc, along the panel that starts there, and eps on the
     # arc's ends; on a closed contour only t0's own panel's ends, along it,
     # as an end two panels off can lie behind t0's tangent on a coarse grid
-    closed = isinstance(smp.contour, ClosedContour)
     if closed:      # s0 in [0, 2*pi); the grid's period may start elsewhere
-        if n < 3:
-            raise CapabilityError("a principal value next to a node of a "
-                                  "closed contour needs three panels or more")
         s0 = breaks[0] + (s0 - breaks[0]) % TWO_PI
     width, p = min(3, n), np.searchsorted(breaks, s0, "right") - 1
     if closed:
@@ -764,50 +866,39 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     lean = half[at[:, 1:2]] if closed else along
     u = np.where(b > p, diff, -diff) / lean
     d = np.where(u.real > band, u, band) * lean
-    m0 = np.log(d[:, 1:] / d[:, :-1]).ravel()
-    # one recurrence (_legendre_steps) for the moments at every tau0 and the
-    # matrices of the panels lo..hi-1 (mod n; a slice where none wraps, as
-    # gathers cost one target a few us), in P_i/c_i: the weights do not see
-    # c_i
-    near, lo, hi, k = at[:, :-1], b[:, 0].min(), b[:, -1].max(), m0.size
-    panels = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
-    x = np.concatenate(((-1.0 - diff[:, :-1] / along[:, :-1]).ravel(), (
-        (zs.reshape(n, order)[panels] - ends[panels, None])
-        / half[panels, None] - 1.0).ravel()))
-    steps = np.multiply.outer(_legendre_steps(order), x)
-    v = np.empty((order, x.size), dtype=complex)
-    v[0], v[1], v[0, :k] = 1.0, x, m0
-    v[1, :k] = x[:k] * m0 + 2.0
-    vr = list(v)                        # row views, indexed without numpy
-    for i in range(1, order - 1):
-        np.multiply(steps[i - 1], vr[i], out=vr[i + 1])
-        np.subtract(vr[i + 1], vr[i - 1], out=vr[i + 1])
-    vt = v[:, k:].reshape(order, hi - lo, order).transpose(1, 0, 2)
-    if t0.size == 1:        # one target: its near panels by one solve
-        w, inv = zs - t0.reshape(-1)[0], None
-        np.divide(dzw, w, out=w, where=w != 0)   # a node on t0 is near
-        w.reshape(n, order)[panels] = np.linalg.solve(
-            vt, v[:, :k].T[..., None])[..., 0]
-    else:                   # many: each panel's inverse serves its targets
-        moments = v[:, :k].T.copy().reshape(near.shape + (1, order))
-        inv = np.linalg.inv(np.swapaxes(vt, 1, 2))
+    # the moments at every tau0, in P_i/c_i as the record's inverses: the
+    # weights do not see c_i
+    near = at[:, :-1]
+    v = np.empty((order, near.size), dtype=complex)
+    x = (-1.0 - diff[:, :-1] / along[:, :-1]).ravel()
+    v[0] = np.log(d[:, 1:] / d[:, :-1]).ravel()
+    v[1] = x * v[0] + 2.0
+    moments = _recur(v, x).T.reshape(near.shape + (1, order))
 
-        def weights(r):
-            """Node weights of the targets in the slice r."""
-            w = zs - targets[r]
-            np.divide(dzw, w, out=w, where=w != 0)
-            w.reshape(-1, n, order)[np.arange(len(w))[:, None], near[r]] = (
-                moments[r] @ inv[b[r, :-1] - lo])[..., 0, :]
-            return w
-    del v, vr, vt, x, steps
     rows = t0.size if rows is None else rows
+    blocks = _row_blocks(rows, max(zs.size, width * order * order))
+    # a block's weights and its gathered inverses each fill at most a block,
+    # in one buffer each, which every block reuses
+    size = min(blocks[0].stop, t0.size)
+    w_buf = np.empty((size, zs.size), dtype=complex)
+    inv_buf = np.empty((size, width, order, order), dtype=complex)
+
+    def weights(r):
+        """Node weights of the targets in the slice r."""
+        t, pick = targets[r], near[r]
+        w = np.subtract(zs, t, out=w_buf[:len(t)])
+        np.divide(dzw, w, out=w, where=w != 0)   # a node on t0 is near
+        inv = np.take(record.inv, pick, axis=0, out=inv_buf[:len(t)],
+                      mode="clip")          # "raise" copies once more
+        w.reshape(-1, n, order)[np.arange(len(t))[:, None], pick] = (
+            moments[r] @ inv)[..., 0, :]
+        return w
+    one = weights(slice(None))[0] if t0.size == 1 else None
     outs = [np.empty(rows, dtype=complex) for _ in densities]
-    # a block's weights and its gathered inverses each fill at most a block
-    for r in _row_blocks(rows, max(zs.size, width * order * order)):
-        wr = w if inv is None else weights(r)
+    for r in blocks:
+        wr = weights(r) if one is None else one
         for g, out in zip(densities, outs):     # a scalar g(r) broadcasts
             out[r] = np.einsum("...j,...j->...", np.atleast_1d(g(r)), wr)
-        del wr                          # the next block reuses its memory
     return outs
 
 

@@ -7,8 +7,12 @@ Unlike the closed-contour functionals, the arc integral
 
 is a single analytic function off the arc, with a simple zero at infinity;
 only across L does it jump, by g.  Principal values on the arc are product
-integrals on fixed Gauss-Legendre panels sampled once, by the evaluator
-that pv_at_all_nodes takes on closed-contour panels (geometry._arc_pv_rows).
+integrals on fixed Gauss-Legendre panels, by the evaluator that
+pv_at_all_nodes takes on closed-contour panels (geometry._arc_pv_rows).
+The panels' samples and their record (z at the breaks, half-lengths and
+inverse Legendre-Vandermonde matrices, _Samples.panels) are kept for the
+last two arcs (geometry._arc_panels), read-only, so a call on a recent
+arc samples and factors nothing and computes only its own moments.
 """
 
 import math
@@ -19,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
-from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _arc_pv_rows,
-                       _equal_panels, _finite, _kernel_sums, _sample, _sided,
-                       panels_from_breakpoints)
+from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _arc_panels,
+                       _arc_pv_rows, _equal_panels, _finite, _kernel_sums,
+                       _sample, _sided, panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -130,8 +134,9 @@ def reconstruct_from_jump(jump, arc: JordanArc, grid: QuadratureGrid,
 
 def _pv_panels(arc, grid):
     """The arc on the principal values' own max(8, grid.n // 12) equal
-    panels of order 12, which three near panels need on a break."""
-    return _sample(arc, _equal_panels(max(8, grid.n // 12), 12))
+    panels of order 12, which three near panels need on a break, shared
+    with their record for the last two arcs (geometry._arc_panels)."""
+    return _arc_panels(arc, max(8, grid.n // 12))
 
 
 def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,

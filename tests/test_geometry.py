@@ -11,9 +11,10 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
-from cauchykit.geometry import (_NODE_BAND, _UNRESOLVED, DELTA_FRACTION,
-                                NEAR_ZONE_FACTOR, ClosedContour,
-                                _has_close_pair, _level, _sample,
+from cauchykit.geometry import (_INVERSE_RESIDUAL, _NODE_BAND, _UNRESOLVED,
+                                DELTA_FRACTION, NEAR_ZONE_FACTOR,
+                                ClosedContour, _has_close_pair, _level,
+                                _pv_at_all_nodes, _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
@@ -800,6 +801,54 @@ class TestPanelGrids:
                                  (ring[j] - s) / w[j])
                 assert gap.min() >= 0.7 / (order + 2)
                 assert gap.min() > (2 if order <= 22 else 1) * _NODE_BAND
+
+    @CONTOURS
+    def test_on_moved_nodes_at_order_48(self, contour):
+        # from order 48 a node of grid._shifted lies within the band of a
+        # grid node: a target on it stays on the grid's rule, whose node it
+        # is farther from, and reads the value, not 0/0 and a RuntimeWarning
+        grid = gauss_panel_grid(4, 48, a=0.0, b=TWO_PI)
+        moved = grid._shifted.nodes
+        f = lambda t: 1.0 / (t - 2.0) + t ** 3
+        for t0 in contour.z(np.concatenate((moved, moved[:8] + 1e-9,
+                                            moved[-8:] - 1e-9))):
+            pv = pv_contour_integral(f, contour, grid, t0)
+            assert abs(pv - 1j * np.pi * f(t0)) <= 1e-13
+
+    @CONTOURS
+    @pytest.mark.parametrize("n_panels, order, trusted", [
+        (16, 16, True), (16, 24, True), (8, 32, False), (4, 40, False)])
+    def test_panel_record_warns_when_its_inverses_are_off(
+            self, contour, n_panels, order, trusted):
+        # pv_at_all_nodes reads each panel's inverse Legendre-Vandermonde
+        # matrix from the samples' record, which past order 24 loses digits
+        # (8 x 32 errs by 5e-9 on the circle): each call on such a record
+        # warns, whether it built the record or found it built
+        grid = gauss_panel_grid(n_panels, order, a=0.0, b=TWO_PI)
+        smp = _sample(contour, grid)
+        samples = 1.0 / (smp.zs - 2.0) + smp.zs ** 3
+        for _ in range(2):
+            if trusted:
+                pv = _pv_at_all_nodes(samples, smp)
+                assert np.max(np.abs(pv - 1j * np.pi * samples)) <= 1e-12
+            else:
+                with pytest.warns(AccuracyWarning, match="Vandermonde"):
+                    _pv_at_all_nodes(samples, smp)
+        assert (smp.panels.residual <= _INVERSE_RESIDUAL) == trusted
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.5, 1.0, 1.9])
+def test_order_12_arc_panels_are_trusted(turn):
+    # the arcs' own panels (plemelj, airfoil) have order 12 and from 8 per
+    # arc up: on a segment and on circular arcs turning up to 1.9 pi their
+    # record reads far below the bound at which it warns
+    arc = segment(-1.0, 1.0) if not turn else JordanArc(
+        z=lambda s: np.exp(1j * np.pi * turn * np.asarray(s)),
+        dz=lambda s: 1j * np.pi * turn * np.exp(1j * np.pi * turn
+                                                * np.asarray(s)))
+    for n_panels in (8, 16, 24, 37):
+        record = _sample(arc, gauss_panel_grid(n_panels, 12)).panels
+        assert record.residual <= 1e-3 * _INVERSE_RESIDUAL
 
 
 def test_arc_endpoints_are_its_ends():

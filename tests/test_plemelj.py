@@ -583,8 +583,9 @@ def counted_arc(arc, calls):
 
 def test_pb_level_samples_the_inner_rows_once():
     # z and z' at the outer nodes and once at the inner panels' nodes, and
-    # z at the panel ends once per evaluator call (I and -B together, then
-    # A); however many rows there are, nothing is sampled per row
+    # z at the panel ends once for the panel record that both evaluator
+    # calls (I and -B together, then A) read; however many rows there are,
+    # nothing is sampled per row
     calls = Counter()
     f2 = PB_DENSITIES["t*t'"]
     s0, n_panels = 0.4, 24
@@ -597,7 +598,7 @@ def test_pb_level_samples_the_inner_rows_once():
     outer, inner = (12 + 13) * 12, n_panels * 12
     assert calls == Counter({("z", outer): 1, ("dz", outer): 1,
                              ("z", inner): 1, ("dz", inner): 1,
-                             ("z", n_panels + 1): 2})
+                             ("z", n_panels + 1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +645,116 @@ def test_pb_runs_no_locate_or_length_sweep():
     with pytest.raises(DomainError):
         poincare_bertrand_residual(PB_DENSITIES["t*t'"], arc, grid,
                                    x0 + 1e-6, cross_check=False)
+
+
+# ---------------------------------------------------------------------------
+# the principal values' panels are shared for the last two arcs
+
+
+def limits_on(arc, s=0.4137):
+    z0 = complex(arc.z(np.array([s]))[0])
+    return plemelj_limits(ArcDensity(lambda t: t ** 2), arc,
+                          gauss_panel_grid(24, 12), z0)
+
+
+def test_two_arcs_keep_their_panels_and_a_third_evicts_the_first():
+    # z and z' at the 288 panel nodes and z at the 25 breaks, once per arc
+    # while it is among the last two; locating z0 adds scalar Newton steps
+    counts = [Counter() for _ in range(3)]
+    arcs = [counted_arc(CURVED, c) for c in counts]
+    sampled = Counter({("z", 288): 1, ("dz", 288): 1, ("z", 25): 1})
+
+    def panel_calls(c):
+        return Counter({key: k for key, k in c.items() if key[1] > 1})
+    limits_on(arcs[0])
+    limits_on(arcs[0], 0.7)
+    assert panel_calls(counts[0]) == sampled
+    limits_on(arcs[1])
+    limits_on(arcs[0])
+    limits_on(arcs[1])
+    assert panel_calls(counts[0]) == panel_calls(counts[1]) == sampled
+    limits_on(arcs[2])          # evicts arcs[0], the least recent
+    limits_on(arcs[1])
+    limits_on(arcs[0])
+    assert panel_calls(counts[0]) == sampled + sampled
+    assert panel_calls(counts[1]) == panel_calls(counts[2]) == sampled
+
+
+def test_first_and_repeat_calls_are_bit_identical():
+    # a fresh arc misses the memo, its repeat hits it: the same bits, as a
+    # caller that fingerprints repeated passes requires
+    f2, grid = PB_DENSITIES["t*t'"], gauss_panel_grid(24, 12)
+    for make in (lambda: counted_arc(CURVED, Counter()),
+                 lambda: segment(-1.0, 1.0 + 0.5j)):
+        arc = make()
+        first = [limits_on(arc, s) for s in (0.3, 0.4137, 0.8)]
+        again = [limits_on(arc, s) for s in (0.3, 0.4137, 0.8)]
+        assert first == again
+        arc = make()
+        x0 = complex(arc.z(np.array([0.4]))[0])
+        pb = [poincare_bertrand_residual(f2, arc, grid, x0)
+              for _ in range(2)]
+        assert pb[0] == pb[1]
+
+
+def test_unhashable_arc_is_sampled_per_call():
+    class Unhashable:
+        __hash__ = None
+
+        def __init__(self, arc):
+            self.z, self.dz, self.d2z = arc.z, arc.dz, arc.d2z
+    calls = Counter()
+    arc = Unhashable(counted_arc(CURVED, calls))
+    first, again = limits_on(arc), limits_on(arc)
+    assert first == again
+    assert calls["dz", 288] == 2
+
+
+def test_f2_writing_into_its_nodes_raises_and_leaves_the_panels():
+    # the inner panels' nodes are shared, so they are read-only: an f2 that
+    # writes into them raises, and the next call reads the arc unchanged
+    arc, grid = segment(-1.0, 1.0 + 0.5j), gauss_panel_grid(24, 12)
+    f2, x0 = PB_DENSITIES["t*t'"], complex(0.2 + 0.3j)
+    want = poincare_bertrand_residual(f2, arc, grid, x0)
+
+    def writes(t, tp):
+        np.asarray(t)[...] = 0.0
+        return f2(t, tp)
+    with pytest.raises(ValueError, match="read-only"):
+        poincare_bertrand_residual(writes, arc, grid, x0)
+    assert poincare_bertrand_residual(f2, arc, grid, x0) == want
+    assert limits_on(segment(-1.0, 1.0 + 0.5j)) == limits_on(arc)
+
+
+def test_alternating_plain_and_counted_rounds_sample_alike():
+    # a round of calls on two plain arcs between rounds on counting copies
+    # of them (as the bench alternates untraced and traced passes) leaves
+    # none of the counting arcs' panels behind, so every counted round
+    # samples the same; a memo of three or more entries would not
+    th0, span = 0.3, 2.0
+    circular = JordanArc(z=lambda s: np.exp(1j * (th0 + span * np.asarray(
+        s, dtype=float))), dz=lambda s: 1j * span * np.exp(1j * (
+            th0 + span * np.asarray(s, dtype=float))))
+    plain = [segment(-1.0, 1.0), circular]
+    calls = Counter()
+    counted = [counted_arc(arc, calls) for arc in plain]
+    grid, g = gauss_panel_grid(24, 12), ArcDensity(lambda t: 1.0 + t * t)
+    f2 = PB_DENSITIES["t*t'"]
+
+    def round_on(arcs):
+        for s in (0.2, 0.45, 0.7):
+            for arc in arcs:
+                plemelj_limits(g, arc, grid, complex(arc.z(np.array([s]))[0]))
+        poincare_bertrand_residual(f2, arcs[0], grid, complex(arcs[0].z(
+            np.array([0.6]))[0]))
+    rounds = []
+    for _ in range(3):
+        round_on(plain)
+        calls.clear()
+        round_on(counted)
+        rounds.append(+calls)
+    assert rounds[0] == rounds[1] == rounds[2]
+    assert rounds[0]["dz", 288] == 2
 
 
 def test_seeded_arc_locate_keeps_off_arc_errors():
