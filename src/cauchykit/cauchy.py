@@ -299,7 +299,7 @@ def mean_value_check(f: BoundaryFunction, center: complex, radius: float,
     dc = f.derivative_callable(n)
     if dc is None:
         raise CapabilityError("mean-value check needs f^(n) analytically")
-    ring = center + radius * np.exp(1j * grid.nodes)
+    ring = center + radius * grid._phase
     rhs = complex(np.sum(np.asarray(dc(ring)) * grid.weights) / (2.0 * np.pi))
     lhs = complex(np.asarray(dc(np.array([center])))[0])
     return lhs, rhs, abs(lhs - rhs)

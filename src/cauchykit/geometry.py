@@ -3,8 +3,10 @@ integration primitives (plain and principal-value).
 
 Closed contours are parameterized over [0, 2*pi) and integrated with the
 periodic trapezoid rule, which is spectrally accurate for analytic
-integrands.  Open arcs are parameterized over [0, 1] and integrated with
-composite Gauss-Legendre panels, which may also cover a closed contour.
+integrands.  A circle is sampled from its grid's phases exp(i s_j), built
+once per grid (QuadratureGrid._phase), and calls neither z nor z'.  Open
+arcs are parameterized over [0, 1] and integrated with composite
+Gauss-Legendre panels, which may also cover a closed contour.
 Principal values are never computed by grid-level indentation, and each
 is as exact next to a node as between nodes.  On any closed-contour grid
 and on the chord's Chebyshev rules the singularity is subtracted
@@ -14,10 +16,11 @@ trapezoid rule shifted by half a spacing, panels of one order more on the
 same breaks (QuadratureGrid._shifted), or the chord's rule shifted by a
 quarter in theta.  An arc, and pv_at_all_nodes on panels, take the product
 integral, which integrates the density's Legendre interpolant against the
-kernel exactly on the three panels nearest the target (_arc_pv_rows), with
-each panel's inverse Legendre-Vandermonde matrix from the samples' record
-(_Samples.panels), built once and warning when it is off; the arcs' own
-panels, with their records, are kept for the last two arcs (_arc_panels).
+kernel exactly on the three panels nearest the target (_arc_pv_weights),
+with each panel's inverse Legendre-Vandermonde matrix from the samples'
+record (_Samples.panels), built once and warning when it is off; the arcs'
+own panels, with their records, are kept for the last two arcs
+(_arc_panels).
 """
 
 import cmath
@@ -59,8 +62,9 @@ _BLOCK_ENTRIES = 1 << 14
 # aliases 1e-16 into a trapezoid sum; a jump reads ~1/N (1e-3 at N = 1,024).
 # Node gaps (weights in _pv) within which _pv and _chord_pv take shifted
 # rules: beyond, a node's cancelling quotient costs <= 2e-15 (n = 256).
-# Half-panels within which _arc_pv_rows counts a target as on a panel break
-# (far above the rounding of t0 - break, far below what a panel resolves).
+# Half-panels within which _arc_pv_weights counts a target as on a panel
+# break (far above the rounding of t0 - break, far below what a panel
+# resolves).
 _ROUNDING, _UNRESOLVED, _NODE_BAND, _BREAK_BAND = 1e-15, 1e-6, 1.0 / 64, 1e-8
 # max |inv V - I| of a panel's Legendre-Vandermonde inverse (_Panels) above
 # which its product integrals warn: order 24 reads 3e-13 on the ellipse (1,
@@ -99,6 +103,14 @@ class QuadratureGrid:
         the copied nodes moved by -2*pi and 2*pi; built once."""
         return [np.concatenate((a[-1:] - p, a, a[:1] + p))
                 for a, p in ((self.nodes, TWO_PI), (self.weights, 0.0))]
+
+    @cached_property
+    def _phase(self):
+        """exp(i s) at the nodes, built once and read-only: a circle's
+        samples (_sample) are its center and radius times these."""
+        phase = np.exp(1j * self.nodes)
+        phase.setflags(write=False)
+        return phase
 
     @cached_property
     def _shifted(self):
@@ -169,8 +181,12 @@ class ClosedContour:
     """Counterclockwise simple closed curve z(s), s in [0, 2*pi).
 
     ``z`` and ``dz`` must accept ndarray arguments.  ``kind`` of "circle"
-    enables exact point location; generic smooth contours are located by
-    Newton steps from the nearest grid node.
+    declares z(s) = center + radius*exp(i s): such a contour is sampled from
+    its grid's phases exp(i s_j) (QuadratureGrid._phase), without calling
+    ``z`` or ``dz``, located exactly, and transformed by one FFT;
+    validate_contour checks the declaration.  Generic smooth contours are
+    sampled by their callables and located by Newton steps from the nearest
+    grid node.
     """
 
     z: Callable
@@ -191,6 +207,10 @@ class ClosedContour:
 
 
 def circle(center: complex = 0.0 + 0.0j, radius: float = 1.0) -> ClosedContour:
+    """Counterclockwise circle z(s) = center + radius*exp(i s), of kind
+    "circle": on a grid it is sampled as center + radius*phase and z' as
+    1j*radius*phase from the grid's phases, the same expressions as its
+    callables, so the samples are theirs bit for bit."""
     if radius <= 0:
         raise DomainError("circle radius must be positive")
     c, r = complex(center), float(radius)
@@ -330,9 +350,17 @@ def _finite(values, what):
 
 def _sample(contour, grid, density=None):
     """_Samples of the contour or arc, and of ``density`` if given, on the
-    grid, which must span the curve's parameter interval."""
-    _require_span(grid, isinstance(contour, ClosedContour))
-    zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
+    grid, which must span the curve's parameter interval.  A circle is
+    sampled from the grid's phases, by circle()'s own expressions, and
+    calls neither z nor dz."""
+    closed = isinstance(contour, ClosedContour)
+    _require_span(grid, closed)
+    if closed and contour.kind == "circle":
+        phase = grid._phase
+        zs = contour.center + contour.radius * phase
+        dzs = 1j * contour.radius * phase
+    else:
+        zs, dzs = contour.z(grid.nodes), contour.dz(grid.nodes)
     return _Samples(contour, grid, zs, dzs, dzs * grid.weights,
                     float((np.abs(dzs) * grid.weights).sum()), density)
 
@@ -373,9 +401,20 @@ def _arc_panels(arc, n_panels):
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution; warn
-    when a periodic trapezoid grid does not resolve z' (at a corner)."""
+    when a periodic trapezoid grid does not resolve z' (at a corner).  A
+    contour of kind "circle", which is sampled from the grid's phases, must
+    have z and z' at the nodes (one call each) within 1e-12*(|center| +
+    radius) of center + radius*exp(i s) and 1j*radius*exp(i s)."""
     smp = _sample(contour, grid)
     zs, dzs = smp.zs, smp.dzs
+    if contour.kind == "circle":
+        bound = 1e-12 * (abs(contour.center) + contour.radius)
+        gap = np.abs(np.concatenate((contour.z(grid.nodes) - zs,
+                                     contour.dz(grid.nodes) - dzs))).max()
+        if not gap <= bound:        # NaN too
+            raise DomainError(f"a contour of kind 'circle' is {gap:.3g} off "
+                              f"center + radius*exp(i s) at a node (bound "
+                              f"{bound:.3g})")
     if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(dzs))):
         raise DomainError("contour is non-finite at a node")
     if np.min(np.abs(dzs)) <= 0:
@@ -813,13 +852,14 @@ def _recur(v, x):
     return v
 
 
-def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
-    """P.V. int g(r)/(t - t0[r]) dt over the arc or closed contour of
-    ``smp`` for every row r and density g, t0 = z(s0) on the curve
-    (scalars: one target for ``rows`` rows); g(r) gives the density at the
-    nodes of ``smp``, whose grid is a panel rule, for the rows in the slice
-    r, a block at a time.  The plain rule serves every panel but t0's own
-    and its two neighbours, whose ends are the grid's breaks; on a closed
+def _arc_pv_weights(smp, s0, t0):
+    """(weights, blocks): weights(r), the node weights w of P.V. int
+    g(t)/(t - t0[r]) dt = sum_j w_j g_j over the arc or closed contour of
+    ``smp``, a row for each target t0 = z(s0) on the curve in the slice r,
+    written into one buffer that every call reuses; and blocks, the slices
+    of the targets (_row_blocks) whose weights fit that buffer.  The grid
+    is a panel rule.  The plain rule serves every panel but t0's own and
+    its two neighbours, whose ends are the grid's breaks; on a closed
     contour they wrap across s = 0.  There, with tau = (t - mid)/half
     mapping a panel onto [-1, 1], the density's Legendre interpolant is
     integrated against 1/(tau - tau0) exactly (Helsing & Ojala, J. Comput.
@@ -838,7 +878,7 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     if record.residual > _INVERSE_RESIDUAL:
         warnings.warn(f"the panels' Legendre-Vandermonde inverses are off by "
                       f"{record.residual:.1e}: principal values on them lose "
-                      f"digits", AccuracyWarning, stacklevel=3)
+                      f"digits", AccuracyWarning, stacklevel=4)
     ends, half = record.ends, record.half
     s0, t0 = np.asarray(s0, dtype=float), np.asarray(t0, dtype=complex)
     targets, s0 = t0.reshape(-1, 1), s0.reshape(-1, 1)
@@ -875,11 +915,10 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
     v[1] = x * v[0] + 2.0
     moments = _recur(v, x).T.reshape(near.shape + (1, order))
 
-    rows = t0.size if rows is None else rows
-    blocks = _row_blocks(rows, max(zs.size, width * order * order))
-    # a block's weights and its gathered inverses each fill at most a block,
-    # in one buffer each, which every block reuses
-    size = min(blocks[0].stop, t0.size)
+    # a block's weights and its gathered inverses each fill at most a
+    # block, in one buffer each, which every block reuses
+    blocks = _row_blocks(t0.size, max(zs.size, width * order * order))
+    size = blocks[0].stop
     w_buf = np.empty((size, zs.size), dtype=complex)
     inv_buf = np.empty((size, width, order, order), dtype=complex)
 
@@ -887,18 +926,32 @@ def _arc_pv_rows(densities, smp, s0, t0, rows=None) -> list:
         """Node weights of the targets in the slice r."""
         t, pick = targets[r], near[r]
         w = np.subtract(zs, t, out=w_buf[:len(t)])
-        np.divide(dzw, w, out=w, where=w != 0)   # a node on t0 is near
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dzw, w, out=w)    # a node on t0 is in its own panel
         inv = np.take(record.inv, pick, axis=0, out=inv_buf[:len(t)],
                       mode="clip")          # "raise" copies once more
         w.reshape(-1, n, order)[np.arange(len(t))[:, None], pick] = (
             moments[r] @ inv)[..., 0, :]
         return w
-    one = weights(slice(None))[0] if t0.size == 1 else None
-    outs = [np.empty(rows, dtype=complex) for _ in densities]
+    return weights, blocks
+
+
+def _weighted(g, w):
+    """sum_j g_j w_j along the last axis; a scalar g broadcasts."""
+    return np.einsum("...j,...j->...", np.atleast_1d(g), w)
+
+
+def _arc_pv_rows(densities, smp, s0, t0) -> list:
+    """P.V. int g(r)/(t - t0[r]) dt over the arc or closed contour of
+    ``smp`` for every target t0 = z(s0) on the curve and density g, on the
+    weights of _arc_pv_weights; g(r) gives the density at the nodes of
+    ``smp`` for the targets in the slice r, a block at a time."""
+    weights, blocks = _arc_pv_weights(smp, s0, t0)
+    outs = [np.empty(blocks[-1].stop, dtype=complex) for _ in densities]
     for r in blocks:
-        wr = weights(r) if one is None else one
-        for g, out in zip(densities, outs):     # a scalar g(r) broadcasts
-            out[r] = np.einsum("...j,...j->...", np.atleast_1d(g(r)), wr)
+        wr = weights(r)
+        for g, out in zip(densities, outs):
+            out[r] = _weighted(g(r), wr)
     return outs
 
 

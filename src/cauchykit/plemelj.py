@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
 from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _arc_panels,
-                       _arc_pv_rows, _equal_panels, _finite, _kernel_sums,
-                       _sample, _sided, panels_from_breakpoints)
+                       _arc_pv_rows, _arc_pv_weights, _equal_panels, _finite,
+                       _kernel_sums, _sample, _sided, _weighted,
+                       panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
 
@@ -189,22 +190,27 @@ def _pb_residual_once(f2, arc, s0, x0c, inner):
     dts = arc.dz(s) * (p * (sig * (1.0 - sig)) ** (p - 1) / (lo + hi) ** 2)
 
     # I(t') = P.V. int f2(t, t')/(t - t') dt and -B(t') = P.V. int
-    # f2(t', t)/(t - t') dt at every outer node t', then at x0
+    # f2(t', t)/(t - t') dt at every outer node t', then at x0; and A(t) =
+    # P.V. int f2(t, t')/(t' - x0) dt' at every outer node t, from the
+    # samples f2(t', t) of -B against x0's weights (its last row unused)
     zs, sp, tp = inner.zs, np.append(s, s0), np.append(ts, x0c)
-    I, minus_B = _arc_pv_rows((lambda r: f2(zs, tp[r, None]),
-                               lambda r: f2(tp[r, None], zs)),
-                              inner, sp, tp)
+    weights, blocks = _arc_pv_weights(inner, sp, tp)
+    at_x0 = _arc_pv_weights(inner, s0, x0c)[0](slice(None))[0]
+    I, minus_B, A = np.empty((3, tp.size), dtype=complex)
+    for r in blocks:
+        wr = weights(r)
+        I[r] = _weighted(f2(zs, tp[r, None]), wr)
+        g = f2(tp[r, None], zs)
+        minus_B[r], A[r] = _weighted(g, wr), _weighted(g, at_x0)
 
     # LHS: outer P.V. of I(t')/(t' - x0), with residue I(x0) at sigma0
     h = I[:-1] * dts / (ts - x0c) - I[-1] / (sig - sig0)
     lhs = complex(np.sum(h * w) + I[-1] * np.log((1.0 - sig0) / sig0))
 
     # RHS: outer integral of [A(t) + B(t)]/(t - x0), removable at x0, with
-    # A(t) = P.V. int f2(t, t')/(t' - x0) dt' and B(t) = -P.V. int f2(t,
-    # t')/(t' - t) dt' (minus_B above with t and t' renamed)
-    A, = _arc_pv_rows((lambda r: f2(ts[r, None], zs),), inner, s0, x0c,
-                      ts.size)
-    rhs = complex(np.sum((A - minus_B[:-1]) / (ts - x0c) * dts * w)
+    # B(t) = -P.V. int f2(t, t')/(t' - t) dt' (minus_B above with t and t'
+    # renamed)
+    rhs = complex(np.sum((A[:-1] - minus_B[:-1]) / (ts - x0c) * dts * w)
                   - np.pi ** 2 * np.ravel(f2(tp[-1:], tp[-1:]))[0])
     if not np.isfinite(lhs - rhs):
         raise NonFiniteError(f"Poincare-Bertrand residual is not finite at "

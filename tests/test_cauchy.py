@@ -24,8 +24,8 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        mean_value_check, one_sided_limit,
                        periodic_trapezoid_grid, pv_contour_integral,
                        pv_singular_weight,
-                       uniform_convergence_residuals, validate_derivatives,
-                       vanishing_contour_integral)
+                       uniform_convergence_residuals, validate_contour,
+                       validate_derivatives, vanishing_contour_integral)
 
 from oracles import random_trig_poly
 
@@ -670,9 +670,56 @@ def counted_density(f, calls):
         decay=f.decay)
 
 
+def counted_circle(calls):
+    c = circle(0.3j, 1.2)
+    return ClosedContour(z=counted("z", c.z, calls),
+                         dz=counted("dz", c.dz, calls), d2z=c.d2z,
+                         kind="circle", center=c.center, radius=c.radius)
+
+
 def grid_calls(calls):
     """The calls that sample more than one point."""
     return {k: v for k, v in calls.items() if k[1] > 1}
+
+
+def test_alternating_plain_and_counted_rounds_sample_closed_contours_alike():
+    # a round of calls on a plain circle and ellipse, each on its own fixed
+    # grid, between rounds on counting copies of them (as the bench
+    # alternates untraced and traced passes) leaves nothing behind that
+    # changes what a counted round samples: the grids keep their phases and
+    # shifted rules, never a contour's samples
+    calls = Counter()
+    grids = periodic_trapezoid_grid(64), periodic_trapezoid_grid(128)
+    plain = circle(0.3j, 1.2), ellipse(1.0, 0.6)
+    counted = counted_circle(calls), counted_ellipse(calls)
+    f = pole_density()
+    # on each curve: between nodes, and next to a node (the shifted rule)
+    on = [[complex(c.z(np.array([s]))[0]) for s in (1.3 * np.pi / g.n,
+                                                    2.0 * np.pi / g.n + 1e-9)]
+          for c, g in zip(plain, grids)]
+
+    def round_on(contours, f):
+        for c, g, (between, next_to) in zip(contours, grids, on):
+            validate_contour(c, g)
+            for z in (0.1 + 0.2j, 3.0, 1.02 * between, 0.98 * next_to):
+                cauchy_functional(f, c, g, z, 1)
+            classify_point(c, g, 1.01 * between)
+            boundary_value(f, c, g, between)
+            boundary_value(f, c, g, next_to)
+            uniform_convergence_residuals(f, c, g, [0.2j, 2.5, between], 1)
+    rounds = []
+    for _ in range(3):
+        round_on(plain, f)
+        calls.clear()
+        round_on(counted, counted_density(f, calls))
+        rounds.append(+calls)
+    assert rounds[0] == rounds[1] == rounds[2]
+    # the circle's z and z' are called once each, by validate_contour's
+    # check of the circle's declaration; the ellipse samples every call, and
+    # both sample the density
+    assert rounds[0]["z", 64] == rounds[0]["dz", 64] == 1
+    assert rounds[0]["z", 128] == rounds[0]["dz", 128] == 10
+    assert rounds[0]["f", 64] + rounds[0]["f1", 64] == 9
 
 
 COMPLEMENT = BoundaryFunction(lambda t: t ** -2.0,
@@ -985,7 +1032,7 @@ PINNED_SIGNATURES = {
     geometry._evaluate: ["smp", "z", "functionals"],
     cauchykit.poincare_bertrand_residual: ["f2", "arc", "grid", "x0",
                                            "cross_check"],
-    plemelj._arc_pv_rows: ["densities", "smp", "s0", "t0", "rows"],
+    plemelj._arc_pv_rows: ["densities", "smp", "s0", "t0"],
 }
 
 

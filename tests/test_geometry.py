@@ -225,6 +225,62 @@ def test_validate_contour_rejects_non_finite_nodes(part):
         validate_contour(bad, periodic_trapezoid_grid(64))
 
 
+CIRCLE_GRIDS = [periodic_trapezoid_grid(n) for n in (8, 16, 64, 256, 1024,
+                                                     4096)]
+
+
+@pytest.mark.parametrize("grid", CIRCLE_GRIDS
+                         + [CIRCLE_GRIDS[2]._shifted, CIRCLE_GRIDS[3]._shifted,
+                            gauss_panel_grid(16, 16, a=0.0, b=TWO_PI)],
+                         ids=["n8", "n16", "n64", "n256", "n1024", "n4096",
+                              "n64-shifted", "n256-shifted", "panels"])
+def test_circle_samples_equal_its_callables_bit_for_bit(grid):
+    # a circle is sampled from the grid's phases by its callables' own
+    # expressions, so every sample and the length keep their bits
+    for center, radius in ((0.0, 1.0), (0.3j, 1.2), (2.0 - 1.0j, 0.01),
+                           (-1e3 + 5.0j, 500.0), (-0.0 - 0.0j, 3.7)):
+        c = circle(center, radius)
+        smp = _sample(c, grid)
+        dz = c.dz(grid.nodes)
+        for got, want in ((smp.zs, c.z(grid.nodes)), (smp.dzs, dz),
+                          (smp.dzw, dz * grid.weights)):
+            assert got.tobytes() == want.tobytes()
+        assert smp.length == float((np.abs(dz) * grid.weights).sum())
+
+
+def test_grid_phase_is_built_once_and_read_only():
+    grid = periodic_trapezoid_grid(64)
+    phase = grid._phase
+    assert grid._phase is phase
+    assert phase.tobytes() == np.exp(1j * grid.nodes).tobytes()
+    with pytest.raises(ValueError):
+        phase[0] = 0.0
+    # the shifted rule has phases of its own
+    assert grid._shifted._phase.tobytes() == np.exp(
+        1j * grid._shifted.nodes).tobytes()
+
+
+@pytest.mark.parametrize("grid", CIRCLE_GRIDS,
+                         ids=["n8", "n16", "n64", "n256", "n1024", "n4096"])
+def test_validate_contour_checks_the_circle_contract(grid):
+    # kind "circle" declares z = center + radius*exp(i s), which the phase
+    # samples read in place of z and z': a curve that is not that is refused.
+    # A reversed circle is generic, sampled by its callables, and refused
+    # as clockwise only
+    for c in (circle(), circle(0.3j, 1.2), circle(-1e3 + 5.0j, 500.0)):
+        validate_contour(c, grid)
+        with pytest.raises(DomainError, match="turning number"):
+            validate_contour(c.reversed(), grid)
+    ell, c = ellipse(1.0, 0.6), circle(0.3j, 1.2)
+    declared = [ClosedContour(ell.z, ell.dz, kind="circle", radius=1.0),
+                ClosedContour(lambda s: c.z(np.asarray(s) + 0.1),
+                              lambda s: c.dz(np.asarray(s) + 0.1),
+                              kind="circle", center=0.3j, radius=1.2)]
+    for bad in declared:
+        with pytest.raises(DomainError, match="kind 'circle'"):
+            validate_contour(bad, grid)
+
+
 def test_trapezoid_geometric_convergence_on_ellipse():
     ell = ellipse(1.0, 0.5)
     errs = []
@@ -551,13 +607,14 @@ def test_circle_exact_branch_matches_the_newton_branch():
     for i, z in enumerate(zs):
         d, (s, o) = smp_generic.closest(z, smp_generic.near_zone)
         assert (dist[i], s0[i], on[i]) == (d[0], s[0], o[0])
-    # the exact branch calls no z beyond the grid sampling
+    # the exact branch calls no z, and a circle is sampled from the grid's
+    # phases, so z is never called
     sizes = []
     counted = ClosedContour(z=lambda s: sizes.append(np.size(s)) or exact.z(s),
                             dz=exact.dz, kind="circle", center=0.3j,
                             radius=1.2)
     classify_point(counted, grid, 0.3j + 1.2 * np.exp(0.7j))
-    assert sizes == [grid.n]
+    assert sizes == []
 
 
 def test_circle_locates_only_the_points_below_the_bound():

@@ -345,12 +345,13 @@ def test_pb_calls_f2_per_row_block_not_per_node(monkeypatch):
                                    0.2 + 0.0j, cross_check=False)
         return len(calls)
 
-    # one call per row block and density (25 at 28 panels)
+    # one call per row block for I and one for -B and A, which read the
+    # same samples (21 at 28 panels)
     assert count(28) <= 100
     # with every matrix in one block the count no longer depends on the
-    # grid: I, -B and A once each, and f2(x0, x0)
+    # grid: I once, -B and A together once, and f2(x0, x0)
     monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 1 << 30)
-    assert count(16) == count(28) == 4
+    assert count(16) == count(28) == 3
 
 
 def test_pb_cross_check_warns_on_slow_convergence():
@@ -544,7 +545,7 @@ def test_arc_pv_rows_on_closed_contour_panels(contour):
 
 
 # rows at Kress-mapped nodes, crowding both arc ends, then s0 = 0.03; and
-# one target shared by every row
+# the target at s0 = 0.03 alone
 @pytest.mark.parametrize("n_panels", [16, 24, 37])
 @pytest.mark.parametrize("arc", [segment(-1.0, 1.0), HALF_CIRCLE],
                          ids=["segment", "half-circle"])
@@ -561,13 +562,12 @@ def test_arc_pv_rows_densities_match_single_density_calls(arc, n_panels):
                lambda r: np.exp(zs))
     shared = (lambda r: f2(tp[r, None], zs), lambda r: f2(zs, tp[r, None]))
     for densities, s_rows, t_rows in ((per_row, sp, tp), (shared, s0, x0c)):
-        together = plemelj._arc_pv_rows(densities, smp, s_rows, t_rows,
-                                        sp.size)
-        apart = [plemelj._arc_pv_rows((d,), smp, s_rows, t_rows, sp.size)[0]
+        together = plemelj._arc_pv_rows(densities, smp, s_rows, t_rows)
+        apart = [plemelj._arc_pv_rows((d,), smp, s_rows, t_rows)[0]
                  for d in densities]
         assert len(together) == len(densities)
         for got, ref in zip(together, apart):
-            assert got.shape == sp.shape
+            assert got.shape == (np.size(t_rows),)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
