@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
-                       _evaluate, _finite, _pv, _pv_at_all_nodes,
+                       _evaluate, _finite, _pv, _pv_summands,
                        _require_periodic, _require_span, _sample, _sided,
                        _warn_if_unresolved, circle, periodic_trapezoid_grid,
                        spectral_derivative, trig_interp)
@@ -279,12 +279,17 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     """Contour integral of the on-contour functional K_n[f] (or K-_n[F]).
 
     Each integrand value is itself a principal-value integral; the result
-    vanishes for admissible densities.
+    vanishes for admissible densities.  It is the trapezoid sum of K_n at
+    the nodes, as pv_at_all_nodes gives it, against z'w; off the circle on
+    the periodic grid it never forms K_n at a node, and its one pair sum,
+    over the antisymmetric 1/(t_j - t_i), does not depend on the density
+    (_pv_summands).  The decay of a complement density is checked first.
     """
-    smp = _sample(contour, grid, f)
-    k_vals = _pv_at_all_nodes(smp.f(n), smp) / (1j * np.pi)
     if complement:
         f.require_decay()
+    smp = _sample(contour, grid, f)
+    k_vals = _pv_summands(smp.f(n), smp) / (1j * np.pi)
+    if complement:
         k_vals = -k_vals
     return complex(np.sum(k_vals * smp.dzw))
 

@@ -968,10 +968,9 @@ def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
     rule).  Other contours on the periodic grid take its discrete sum as the
     n x n matrix of subtracted difference quotients (whose diagonal is the
     spectral derivative of the samples) plus the analytic +i*pi*g(t0), as
-    sum_j R_ij z'_j w_j (g_j - g_i) with R_ij = 1/(z_j - z_i).  R is
-    antisymmetric, so each pair j > i is formed once and applied to both of
-    its rows, a block of rows at a time in one buffer, so memory stays
-    bounded; g enters less its node mean, so a large mean costs no accuracy.
+    sum_j R_ij z'_j w_j (g_j - g_i) with R_ij = 1/(z_j - z_i): the pair sums
+    R @ [z'w g, z'w] of _pair_sums, which forms each pair once in bounded
+    memory; g enters less its node mean, so a large mean costs no accuracy.
     """
     return _pv_at_all_nodes(samples, _sample(contour, grid))
 
@@ -987,13 +986,38 @@ def _pv_at_all_nodes(samples, smp):
         k = np.fft.fftfreq(grid.n)
         return np.fft.ifft(np.where(k >= 0, 1j * np.pi, -1j * np.pi)
                            * np.fft.fft(samples))
-    n = grid.n
-    zs, dzw = smp.zs, smp.dzw
     # the sums see g minus its node mean, whose constant part adds nothing
     # to sum_j R_ij z'_j w_j (g_j - g_i): a large mean leaves no rounding
     g = samples - np.mean(samples)
-    cols = np.stack([dzw * g, dzw], axis=1)
-    acc = np.zeros((n, 2), dtype=complex)
+    acc = _pair_sums(smp.zs, np.stack([smp.dzw * g, smp.dzw], axis=1))
+    return (samples * (1j * np.pi) + grid.weights * spectral_derivative(samples)
+            + acc[:, 0] - g * acc[:, 1])
+
+
+def _pv_summands(samples, smp):
+    """Values v at the nodes whose sum against u = z'w is that of the
+    principal values PV of _pv_at_all_nodes, sum_i u_i v_i = sum_i u_i PV_i:
+    PV itself on a circle or on panels.  Other contours on the periodic
+    grid take no pair sum of the density: R_ij = 1/(z_j - z_i) is
+    antisymmetric, so sum_i u_i sum_j R_ij u_j (g_j - g_i) = -2 sum_i u_i g_i
+    a_i, a = R u (_pair_sums), with g the samples less their node mean."""
+    grid = smp.grid
+    if grid.breaks is not None or smp.contour.kind == "circle":
+        return _pv_at_all_nodes(samples, smp)
+    _require_periodic(grid, "pv_at_all_nodes")
+    a = _pair_sums(smp.zs, smp.dzw[:, None])[:, 0]
+    return (samples * (1j * np.pi) + grid.weights * spectral_derivative(samples)
+            - 2.0 * (samples - np.mean(samples)) * a)
+
+
+def _pair_sums(zs, cols):
+    """R @ cols for the n nodes zs and an n x k array cols, R_ij = 1/(z_j -
+    z_i) off the diagonal and 0 on it.  R is antisymmetric, so each pair j >
+    i is formed once and applied to both of its rows, a block of rows at a
+    time (_row_blocks) in one buffer that every block reuses, so memory
+    stays bounded; the pair loop of every node-pair sum on a periodic grid."""
+    n = zs.size
+    acc = np.zeros(cols.shape, dtype=complex)
     blocks = _row_blocks(n, n)
     buf = np.empty((blocks[0].stop - blocks[0].start) * n, dtype=complex)
     for r in blocks:
@@ -1008,8 +1032,7 @@ def _pv_at_all_nodes(samples, smp):
         np.fill_diagonal(recip, 0.0)
         acc[r] += recip @ cols[r.start:]
         acc[r.stop:] -= recip[:, m:].T @ cols[r]
-    return (samples * (1j * np.pi) + grid.weights * spectral_derivative(samples)
-            + acc[:, 0] - g * acc[:, 1])
+    return acc
 
 
 def _row_blocks(n_rows, n_cols):

@@ -172,3 +172,23 @@ def piecewise_linear_hilbert(xs, ys, xi):
         lb = np.where(b == xi, 0.0, np.log(np.abs(b - xi)))
     line = ys[:-1] + slope * (xi - a)
     return np.sum(slope * (b - a) + line * (lb - la), axis=1) / np.pi
+
+
+def node_pv_integral_longdouble(samples, diag, zs, u):
+    """(1/i*pi) sum_i u_i [i*pi f_i + d_i + sum_(j != i) u_j (f_j - f_i)/(z_j
+    - z_i)] for each column f of ``samples`` and d of ``diag``: the trapezoid
+    integral of the principal values at every node, u = z'w, formed term by
+    term in np.clongdouble from the same double inputs, no pair shared."""
+    L = np.clongdouble
+    f, d, z, u = (np.asarray(a, dtype=L) for a in (samples, diag, zs, u))
+    total, ipi = np.zeros(f.shape[1:], dtype=L), L(1j) * L(np.pi)
+    for lo in range(0, z.size, 64):
+        rows = np.arange(lo, min(lo + 64, z.size))
+        gap = z[None, :] - z[rows, None]
+        gap[rows - lo, rows] = 1.0
+        quot = u / gap
+        quot[rows - lo, rows] = 0.0
+        pair = np.einsum("ij,ij...->i...", quot, f[None, :] - f[rows, None])
+        total += np.einsum("i,i...->...", u[rows],
+                           f[rows] + (d[rows] + pair) / ipi)
+    return total

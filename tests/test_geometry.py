@@ -14,12 +14,13 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
 from cauchykit.geometry import (_INVERSE_RESIDUAL, _NODE_BAND, _UNRESOLVED,
                                 DELTA_FRACTION, NEAR_ZONE_FACTOR,
                                 ClosedContour, _has_close_pair, _level,
-                                _pv_at_all_nodes, _sample,
+                                _pair_sums, _pv_at_all_nodes, _sample,
                                 near_zone_width, panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
 
-from oracles import pv_closed_extrapolated, random_trig_poly
+from oracles import (node_pv_integral_longdouble, pv_closed_extrapolated,
+                     random_trig_poly)
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,6 +401,66 @@ def test_matrix_pv_memory_bounded():
     ell, grid = ellipse(1.0, 0.6), periodic_trapezoid_grid(4096)
     assert _peak_bytes(
         lambda: vanishing_contour_integral(f, ell, grid)) < 2e6
+
+
+@pytest.mark.parametrize("n", [8, 64, 300, 1024])
+def test_pair_sums_match_the_dense_matrix(n):
+    # each pair is formed once, in row blocks (the last one shorter at
+    # n=300), against R @ cols with the full R_ij = 1/(z_j - z_i), 0 on its
+    # diagonal, for one column and for two
+    zs = _c_shape().z(periodic_trapezoid_grid(n).nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dense = 1.0 / (zs[None, :] - zs[:, None])
+    dense[np.arange(n), np.arange(n)] = 0.0
+    rng = np.random.default_rng(n)
+    cols = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    for c in (cols[:, :1], cols):
+        ref = dense @ c
+        got = _pair_sums(zs, c)
+        assert got.shape == c.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _vanishing_cases(pole, inner):
+    """(density, order, complement): a density regular inside at orders
+    0-2, the same offset by 1e6, and a complement density at orders 0-2."""
+    derivs = (lambda t: -1.0 / (t - pole) ** 2 + np.exp(t),
+              lambda t: 2.0 / (t - pole) ** 3 + np.exp(t))
+    f = BoundaryFunction(lambda t: 1.0 / (t - pole) + np.exp(t), derivs)
+    offset = BoundaryFunction(lambda t: 1e6 + f.func(t), derivs)
+    F = BoundaryFunction(lambda t: 1.0 / (t - inner) ** 2, decay=2)
+    return ([(f, k, False) for k in range(3)] + [(offset, 0, False)]
+            + [(F, k, True) for k in range(3)])
+
+
+@pytest.mark.parametrize("n", [64, 300, 1024])
+def test_vanishing_integral_matches_the_long_double_sum(n):
+    # the density-free pair sum of vanishing_contour_integral against the
+    # discrete double sum formed term by term in long double: it reads as
+    # close as pv_at_all_nodes summed against z'w does, both within 4 eps
+    # of sum_i |z'_i w_i f_i| (at most 1.4 eps of it seen), with the 1e6
+    # offset about 3e-10
+    circ = circle(0.3 + 0.2j, 2.5)
+    grid = periodic_trapezoid_grid(n)
+    for contour, pole, inner in (
+            (ellipse(1.0, 0.6), 2.0, 0.2j), (_c_shape(), 2.0 + 3.0j, -0.7),
+            (ClosedContour(circ.z, circ.dz, circ.d2z), 2.0 + 3.0j, 0.3)):
+        cases = _vanishing_cases(pole, inner)
+        smp = _sample(contour, grid)
+        samples = np.stack([f.samples(contour, grid, k) for f, k, _ in cases],
+                           axis=1)
+        diag = np.stack([grid.weights * spectral_derivative(s)
+                         for s in samples.T], axis=1)
+        exact = node_pv_integral_longdouble(samples, diag, smp.zs, smp.dzw)
+        for (f, k, complement), s, ref in zip(cases, samples.T, exact):
+            ref = -ref if complement else ref
+            got = vanishing_contour_integral(f, contour, grid, k, complement)
+            summed = np.sum(pv_at_all_nodes(s, contour, grid) / (1j * np.pi)
+                            * smp.dzw)
+            summed = -summed if complement else summed
+            bar = 4 * np.finfo(float).eps * np.sum(np.abs(smp.dzw * s))
+            assert abs(got - ref) <= bar
+            assert abs(summed - ref) <= bar
 
 
 def test_trig_interp_memory_bounded():
