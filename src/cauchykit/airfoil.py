@@ -45,6 +45,8 @@ class FlowConfig:
     density: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.speed, self.alpha, self.density))):
+            raise DomainError("speed, alpha and density must be finite")
         if self.speed <= 0:
             raise DomainError("free-stream speed must be positive")
         if self.density <= 0:
@@ -177,8 +179,7 @@ def _smooth_chord_pv(func, x):
     panels = _arc_panels(_CHORD, 24)
     vals = _finite(np.asarray(func(np.real(panels.zs)), dtype=complex),
                    "the smooth part at a node")
-    pv, = _arc_pv_rows((lambda r: vals,), panels, s0, _CHORD.z(s0))
-    return np.real(pv)
+    return np.real(_arc_pv_rows(vals, panels, s0, _CHORD.z(s0)))
 
 
 def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:

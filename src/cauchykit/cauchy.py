@@ -82,7 +82,7 @@ class BoundaryFunction:
     def require_decay(self):
         """ContractError unless the declared decay at infinity is >= 2, as
         the complement functionals need."""
-        if self.decay is None or self.decay < 2:
+        if self.decay is None or not (self.decay >= 2):    # NaN fails too
             raise ContractError("complement density must declare decay >= 2")
 
 

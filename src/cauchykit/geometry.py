@@ -154,8 +154,9 @@ def _legendre_steps(order):
 def panels_from_breakpoints(breaks, order: int = 12) -> QuadratureGrid:
     """Composite Gauss-Legendre rule over the [breaks] intervals it records."""
     breaks = np.array(breaks, dtype=float)
-    if breaks.size < 2 or np.any(np.diff(breaks) <= 0):
-        raise InvalidGridError("breakpoints must be strictly increasing")
+    if not (breaks.size > 1 and np.isfinite(breaks).all()
+            and np.all(np.diff(breaks) > 0)):
+        raise InvalidGridError("breaks must be finite and strictly increasing")
     x0, w0 = _leggauss(order)
     lo = breaks[:-1, None]
     h = 0.5 * (breaks[1:, None] - lo)
@@ -211,9 +212,9 @@ def circle(center: complex = 0.0 + 0.0j, radius: float = 1.0) -> ClosedContour:
     "circle": on a grid it is sampled as center + radius*phase and z' as
     1j*radius*phase from the grid's phases, the same expressions as its
     callables, so the samples are theirs bit for bit."""
-    if radius <= 0:
-        raise DomainError("circle radius must be positive")
     c, r = complex(center), float(radius)
+    if not (cmath.isfinite(c) and math.isfinite(r) and r > 0):
+        raise DomainError("circle needs a finite center and radius > 0")
     return ClosedContour(
         z=lambda s: c + r * np.exp(1j * np.asarray(s, dtype=float)),
         dz=lambda s: 1j * r * np.exp(1j * np.asarray(s, dtype=float)),
@@ -223,8 +224,8 @@ def circle(center: complex = 0.0 + 0.0j, radius: float = 1.0) -> ClosedContour:
 
 def ellipse(a: float, b: float) -> ClosedContour:
     """Counterclockwise ellipse with semi-axes a (real) and b (imaginary)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("ellipse semi-axes must be positive")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise DomainError("ellipse semi-axes must be finite and positive")
     return ClosedContour(
         z=lambda s: a * np.cos(np.asarray(s, dtype=float))
         + 1j * b * np.sin(np.asarray(s, dtype=float)),
@@ -512,9 +513,9 @@ def _newton_locate(curve, point, s0):
 
 def segment(a: complex, b: complex) -> JordanArc:
     """Straight arc from a to b."""
-    if a == b:
-        raise DomainError("arc endpoints must differ")
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)) or a == b:
+        raise DomainError("arc endpoints must be finite and differ")
     return JordanArc(
         z=lambda s: a + (b - a) * np.asarray(s, dtype=float),
         dz=lambda s: np.full(np.shape(np.asarray(s)), b - a, dtype=complex),
@@ -941,18 +942,16 @@ def _weighted(g, w):
     return np.einsum("...j,...j->...", np.atleast_1d(g), w)
 
 
-def _arc_pv_rows(densities, smp, s0, t0) -> list:
-    """P.V. int g(r)/(t - t0[r]) dt over the arc or closed contour of
-    ``smp`` for every target t0 = z(s0) on the curve and density g, on the
-    weights of _arc_pv_weights; g(r) gives the density at the nodes of
-    ``smp`` for the targets in the slice r, a block at a time."""
+def _arc_pv_rows(samples, smp, s0, t0) -> np.ndarray:
+    """P.V. int g(t)/(t - t0) dt over the arc or closed contour of ``smp``
+    for every target t0 = z(s0) on the curve, from the density's samples g
+    at the nodes of ``smp``, on the weights of _arc_pv_weights, a block of
+    targets at a time."""
     weights, blocks = _arc_pv_weights(smp, s0, t0)
-    outs = [np.empty(blocks[-1].stop, dtype=complex) for _ in densities]
+    out = np.empty(blocks[-1].stop, dtype=complex)
     for r in blocks:
-        wr = weights(r)
-        for g, out in zip(densities, outs):
-            out[r] = _weighted(g(r), wr)
-    return outs
+        out[r] = _weighted(samples, weights(r))
+    return out
 
 
 def pv_at_all_nodes(samples: np.ndarray, contour: ClosedContour,
@@ -980,7 +979,7 @@ def _pv_at_all_nodes(samples, smp):
     samples = np.asarray(samples, dtype=complex)
     grid = smp.grid
     if grid.breaks is not None:
-        return _arc_pv_rows((lambda r: samples,), smp, grid.nodes, smp.zs)[0]
+        return _arc_pv_rows(samples, smp, grid.nodes, smp.zs)
     _require_periodic(grid, "pv_at_all_nodes")
     if smp.contour.kind == "circle":
         k = np.fft.fftfreq(grid.n)

@@ -32,11 +32,13 @@ i*sign(k)*exp(i*k*theta), so sin(k.) maps to cos(k.) and cos(k.) to
 "Fast Fourier methods in computational complex analysis", SIAM Rev. 21,
 1979).  The constant mode and the unpaired Nyquist mode cos(n*theta/2) map
 to zero, so round trips hold on zero-mean inputs and means are carried
-separately as metadata.
+separately as metadata.  As Hbar = -H = H^-1 and Hcheck = -Hc = Hc^-1,
+each complementary transform is an alias of an inverse, and each
+complementary inverse an alias of a forward transform.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +61,15 @@ _LADDER_START, _LADDER_CAP = 64, 2 ** 14
 _STALL = 4.0
 
 
+def _real(values, what):
+    """values as floats, or ContractError if one has a nonzero imaginary
+    part; a real dtype is never scanned."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        raise ContractError(f"{what} has a nonzero imaginary part")
+    return np.real(values).astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class RealLineFunction:
     """Real function on the line with decay metadata.
@@ -66,7 +77,8 @@ class RealLineFunction:
     ``decay`` is the exponent p in |f(x)| = O(|x|^-p).  ``window`` is a
     half-width X where :meth:`check_decay` samples f, at X and 4X; it bounds
     no integral.  Line transforms and Parseval's line check sample f on the
-    whole line, out to |x| ~ 10^4, so f must be defined everywhere.  A
+    whole line, out to |x| ~ 10^4, so f must be defined everywhere, and
+    real: a value with a nonzero imaginary part raises ContractError.  A
     ``period``, finite and > 0, flags an oscillatory non-decaying input that
     is handled by the circular machinery over one period.
     """
@@ -83,7 +95,7 @@ class RealLineFunction:
                                 f"{self.period}")
 
     def __call__(self, x):
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        return _real(self.func(np.asarray(x, dtype=float)), "a line input")
 
     @property
     def square_integrable(self) -> bool:
@@ -106,14 +118,15 @@ class RealLineFunction:
 
 @dataclass(frozen=True)
 class PeriodicFunction:
-    """Real samples on n equispaced angles theta_j in [-pi, pi)."""
+    """Real samples on n equispaced angles theta_j in [-pi, pi); one with
+    a nonzero imaginary part raises ContractError."""
 
     samples: np.ndarray
     carried_mean: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _finite(np.asarray(
-            self.samples, dtype=float), "a periodic sample"))
+        object.__setattr__(self, "samples", _finite(_real(
+            self.samples, "a periodic sample"), "a periodic sample"))
         n = self.samples.size
         if n < 8 or n % 2:
             raise InvalidGridError(f"periodic samples need even n >= 8, got {n}")
@@ -131,8 +144,7 @@ class PeriodicFunction:
 
     @classmethod
     def from_function(cls, func, n: int = DEFAULT_CIRCLE_SAMPLES):
-        th = -np.pi + TWO_PI * np.arange(n) / n
-        return cls(np.asarray(func(th), dtype=float))
+        return cls(func(-np.pi + TWO_PI * np.arange(n) / n))
 
 
 @dataclass(frozen=True)
@@ -244,7 +256,8 @@ def _tail_model(p, x, V):
 
 
 def hilbert_line(v, targets) -> TransformResult:
-    """u(xi) = H[v](xi) = (1/pi) P.V. int v(x)/(x - xi) dx.
+    """u(xi) = H[v](xi) = (1/pi) P.V. int v(x)/(x - xi) dx; also
+    hilbert_complementary_inverse, as Hbar^-1 = H.
 
     Oscillatory periodic inputs (declared via ``period``) route through the
     circular transform over one period; decaying inputs need decay >= 1,
@@ -254,7 +267,8 @@ def hilbert_line(v, targets) -> TransformResult:
 
 
 def hilbert_line_inverse(u, targets) -> TransformResult:
-    """v(x) = H^-1[u](x) = (-1/pi) P.V. int u(xi)/(xi - x) dxi.
+    """v(x) = H^-1[u](x) = (-1/pi) P.V. int u(xi)/(xi - x) dxi; also
+    hilbert_complementary, as Hbar = -H = H^-1.
 
     Targets must be finite and the input needs decay >= 1, checked at X
     and 4X, as for :func:`hilbert_line`.  The input is sampled on the whole
@@ -264,16 +278,9 @@ def hilbert_line_inverse(u, targets) -> TransformResult:
     return _line_transform(u, targets, -1.0)
 
 
-def hilbert_complementary(V, targets) -> TransformResult:
-    """U = Hbar[V] = -H[V]; the complementary transform equals H^-1."""
-    base = hilbert_line(V, targets)
-    return replace(base, values=-base.values)
-
-
-def hilbert_complementary_inverse(U, targets) -> TransformResult:
-    """V = Hbar^-1[U] = H[U] = -H^-1[U]."""
-    base = hilbert_line_inverse(U, targets)
-    return replace(base, values=-base.values)
+# Hbar = -H = H^-1 and Hbar^-1 = H
+hilbert_complementary = hilbert_line_inverse
+hilbert_complementary_inverse = hilbert_line
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +328,22 @@ def _conjugate_at(samples, s, phase_error=0.0):
 
 def hilbert_circular(v: PeriodicFunction) -> PeriodicFunction:
     """u = Hc[v] on the sample grid; maps sin(k.) to cos(k.) and
-    cos(k.) to -sin(k.), annihilating the constant and Nyquist modes."""
+    cos(k.) to -sin(k.), annihilating the constant and Nyquist modes.
+    Also hilbert_circular_complementary_inverse, as Hcheck^-1 = Hc."""
     u = _conjugate(v.samples)
     return PeriodicFunction(u, carried_mean=v.mean())
 
 
 def hilbert_circular_inverse(u: PeriodicFunction) -> PeriodicFunction:
-    """v = Hc^-1[u]; reproduces a zero-mean input of the forward transform."""
+    """v = Hc^-1[u]; reproduces a zero-mean input of the forward transform.
+    Also hilbert_circular_complementary, as Hcheck = -Hc = Hc^-1."""
     vv = -_conjugate(u.samples)
     return PeriodicFunction(vv, carried_mean=u.mean())
 
 
-def hilbert_circular_complementary(V: PeriodicFunction) -> PeriodicFunction:
-    """U = Hcheck[V] = -Hc[V]."""
-    base = hilbert_circular(V)
-    return PeriodicFunction(-base.samples, carried_mean=base.carried_mean)
-
-
-def hilbert_circular_complementary_inverse(U: PeriodicFunction) -> PeriodicFunction:
-    """V = Hcheck^-1[U] = -Hc^-1[U]."""
-    base = hilbert_circular_inverse(U)
-    return PeriodicFunction(-base.samples, carried_mean=base.carried_mean)
+# Hcheck = -Hc = Hc^-1 and Hcheck^-1 = Hc
+hilbert_circular_complementary = hilbert_circular_inverse
+hilbert_circular_complementary_inverse = hilbert_circular
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Unlike the closed-contour functionals, the arc integral
     f(z) = (1/2*pi*i) int_L g(t)/(t - z) dt
 
 is a single analytic function off the arc, with a simple zero at infinity;
-only across L does it jump, by g.  Principal values on the arc are product
+only across L does it jump, by g, so reconstruct_from_jump is another name
+for arc_cauchy_integral (at n = 0).  Principal values on the arc are product
 integrals on fixed Gauss-Legendre panels, by the evaluator that
 pv_at_all_nodes takes on closed-contour panels (geometry._arc_pv_rows).
 The panels' samples and their record (z at the breaks, half-lengths and
@@ -83,21 +84,22 @@ def _off_arc_sums(smp, parts, z, p=1):
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
-def _jump_part(g, arc, grid, z, n=0):
-    """The arc's samples on the grid and the part (nodes, n! g z'w/2*pi*i)."""
+def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
+                        n: int = 0) -> complex:
+    """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc,
+    one part (nodes, n! g z'w/2*pi*i) of _off_arc_sums; also
+    reconstruct_from_jump, as f is rebuilt from its jump g by n = 0."""
     if np.ndim(z):
         raise TypeError("arc_cauchy_integral takes one field point z")
     smp = _sample(arc, grid)
     g = _finite(np.asarray(_as_density(g)(smp.zs), dtype=complex),
                 "the density at a quadrature node")
-    return smp, ((smp.zs, g * (smp.dzw * (_CAUCHY * math.factorial(n)))),)
+    return _off_arc_sums(smp, ((smp.zs, g * (smp.dzw * (
+        _CAUCHY * math.factorial(n)))),), z, n + 1)
 
 
-def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
-                        n: int = 0) -> complex:
-    """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc."""
-    smp, parts = _jump_part(g, arc, grid, z, n)
-    return _off_arc_sums(smp, parts, z, n + 1)
+# f(z) = (1/2*pi*i) int_L jump(t)/(t - z) dt: the arc integral at n = 0
+reconstruct_from_jump = arc_cauchy_integral
 
 
 def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):
@@ -120,17 +122,9 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):
     at = np.concatenate((panels.zs, (loc,)))
     vals = _finite(np.asarray(g(at), dtype=complex) + np.zeros(at.shape),
                    "the density at a quadrature node")
-    plus, minus = _sided(complex(_arc_pv_rows(
-        (lambda r: vals[:-1],), panels, s0, loc)[0][0]), complex(vals[-1]))
+    plus, minus = _sided(complex(_arc_pv_rows(vals[:-1], panels, s0, loc)[0]),
+                         complex(vals[-1]))
     return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
-
-
-def reconstruct_from_jump(jump, arc: JordanArc, grid: QuadratureGrid,
-                          z: complex) -> complex:
-    """f(z) rebuilt from its jump across L: (1/2*pi*i) int jump(t)/(t-z) dt,
-    arc_cauchy_integral at n = 0."""
-    smp, parts = _jump_part(jump, arc, grid, z)
-    return _off_arc_sums(smp, parts, z)
 
 
 def _pv_panels(arc, grid):

@@ -31,6 +31,16 @@ def test_flow_config_validation():
         FlowConfig(1.0, 1.7)
 
 
+@pytest.mark.parametrize("args", [(np.nan, 0.1, 1.0), (np.inf, 0.1, 1.0),
+                                  (1.0, np.nan, 1.0), (1.0, 0.1, np.nan),
+                                  (1.0, 0.1, np.inf)],
+                         ids=["u-nan", "u-inf", "alpha-nan", "rho-nan",
+                              "rho-inf"])
+def test_flow_config_refuses_non_finite_values(args):
+    with pytest.raises(DomainError, match="finite"):
+        FlowConfig(*args)
+
+
 def test_chebyshev_rules_integrate_weights():
     x4, w4 = chebyshev4_rule(64)
     assert w4.sum() == pytest.approx(np.pi, abs=1e-12)

@@ -587,7 +587,7 @@ def test_non_finite_density_raises_at_order_one(spectral):
     lambda F, c, g: complement_boundary_value(F, c, g, 1.0),
     lambda F, c, g: vanishing_contour_integral(F, c, g, complement=True),
 ], ids=["functional", "boundary-value", "vanishing-integral"])
-@pytest.mark.parametrize("decay", [None, 1])
+@pytest.mark.parametrize("decay", [None, 1, float("nan")])
 def test_complement_routes_share_one_decay_check(route, decay):
     c, g = build_unit_circle(64)
     with pytest.raises(ContractError, match="decay >= 2"):
@@ -1031,6 +1031,19 @@ def test_public_names_are_pinned():
     assert issubclass(cauchykit.AccuracyWarning, RuntimeWarning)
 
 
+# each mirrored operator is the function whose identity it restates:
+# Hbar = -H = H^-1, Hbar^-1 = H, Hcheck = -Hc = Hc^-1, Hcheck^-1 = Hc, and
+# the jump reconstruction is the arc integral at n = 0
+@pytest.mark.parametrize("alias, target", [
+    ("hilbert_complementary", "hilbert_line_inverse"),
+    ("hilbert_complementary_inverse", "hilbert_line"),
+    ("hilbert_circular_complementary", "hilbert_circular_inverse"),
+    ("hilbert_circular_complementary_inverse", "hilbert_circular"),
+    ("reconstruct_from_jump", "arc_cauchy_integral")])
+def test_mirrored_names_are_their_targets(alias, target):
+    assert getattr(cauchykit, alias) is getattr(cauchykit, target)
+
+
 # the settings no caller set are constants: each signature is pinned, so a
 # removed setting cannot return unnoticed
 PINNED_SIGNATURES = {
@@ -1045,7 +1058,7 @@ PINNED_SIGNATURES = {
     geometry._evaluate: ["smp", "z", "functionals"],
     cauchykit.poincare_bertrand_residual: ["f2", "arc", "grid", "x0",
                                            "cross_check"],
-    plemelj._arc_pv_rows: ["densities", "smp", "s0", "t0"],
+    plemelj._arc_pv_rows: ["samples", "smp", "s0", "t0"],
 }
 
 

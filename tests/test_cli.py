@@ -111,6 +111,15 @@ class TestAirfoil:
         assert main(["airfoil", "--alpha", "2.0"]) == 2
         assert main(["airfoil", "--u", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--u", "nan"), ("--alpha", "nan"), ("--rho", "inf")])
+    def test_non_finite_physics_exits_2_writing_nothing(self, capsys, option,
+                                                         value):
+        # a NaN reached the JSON writer as a bare NaN token, not JSON
+        assert main(["airfoil", option, value, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
 
 class TestProbe:
     def test_recovers_exterior_pole(self, tmp_path):
@@ -205,9 +214,11 @@ class TestTransform:
         assert np.max(np.abs(got - np.sin(th))) < 1e-10
 
 
+# the alias's id by name: its __name__ is its target's
 @pytest.mark.parametrize("kind,op", [
     ("line", hilbert_line), ("line-inverse", hilbert_line_inverse),
-    ("line-complementary", hilbert_complementary)])
+    pytest.param("line-complementary", hilbert_complementary,
+                 id="line-complementary-hilbert_complementary")])
 def test_line_kinds_echo_the_library(tmp_path, kind, op):
     # the CLI returns the library's line transform of its own
     # RealLineFunction (the interpolated column, zero outside the samples)

@@ -38,6 +38,28 @@ def test_bad_grid_sizes_rejected(n):
         periodic_trapezoid_grid(n)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: circle(0.0, np.nan), lambda: circle(complex(np.nan, 0.0), 1.0),
+    lambda: circle(0.0, np.inf), lambda: ellipse(np.inf, 1.0),
+    lambda: ellipse(1.0, np.nan), lambda: segment(0.0, np.nan),
+    lambda: segment(complex(np.inf, 0.0), 1.0)],
+    ids=["circle-radius-nan", "circle-center-nan", "circle-radius-inf",
+         "ellipse-inf", "ellipse-nan", "segment-nan", "segment-inf"])
+def test_curves_refuse_non_finite_parameters(make):
+    # circle(0, nan) classified every point "outside"
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("breaks", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                    [np.nan, 1.0]],
+                         ids=["inner-nan", "end-inf", "start-nan"])
+def test_breakpoints_must_be_finite(breaks):
+    # np.diff(breaks) <= 0 is False for NaN
+    with pytest.raises(InvalidGridError):
+        panels_from_breakpoints(breaks)
+
+
 def test_closed_loop_integral_of_one_vanishes():
     contour, grid = build_unit_circle(256)
     val = contour_integral(lambda t: np.ones_like(t), contour, grid)

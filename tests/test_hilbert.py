@@ -60,6 +60,16 @@ class TestLineTransforms:
         with pytest.raises(ContractError):
             hilbert_line(wrong, np.array([0.0]))
 
+    def test_imaginary_values_are_refused(self):
+        # hilbert_line read 1j/(x^2 + 1) as 0
+        v = RealLineFunction(lambda x: 1j / (x ** 2 + 1.0), decay=2)
+        with pytest.raises(ContractError, match="imaginary"):
+            hilbert_line(v, [0.5])
+        real = RealLineFunction(lambda x: (1.0 + 0j) / (x ** 2 + 1.0),
+                                decay=2)
+        assert hilbert_line(real, [0.5]).values[0] == pytest.approx(
+            -0.4, abs=1e-12)
+
     @pytest.mark.parametrize("transform", [hilbert_line, hilbert_line_inverse])
     def test_non_finite_targets_rejected(self, transform):
         with pytest.raises(DomainError):
@@ -150,6 +160,19 @@ class TestCircularTransforms:
         u = hilbert_circular(pf)
         assert np.max(np.abs(u.samples - np.cos(pf.thetas))) < 1e-10
 
+    def test_imaginary_samples_are_refused(self):
+        # PeriodicFunction(exp(i theta)) kept cos(theta), and said so only
+        # by numpy's ComplexWarning
+        th = -np.pi + TWO_PI * np.arange(64) / 64
+        for make in (lambda: PeriodicFunction(np.exp(1j * th)),
+                     lambda: PeriodicFunction.from_function(
+                         lambda t: np.exp(1j * t), 64)):
+            with pytest.raises(ContractError, match="imaginary"):
+                make()
+        real = PeriodicFunction(np.cos(th) + 0j)
+        assert real.samples.dtype == float
+        assert np.array_equal(real.samples, np.cos(th))
+
     def test_constant_annihilated(self):
         pf = PeriodicFunction(np.full(64, 2.7))
         u = hilbert_circular(pf)
@@ -215,10 +238,14 @@ class TestCircularTransforms:
             assert np.max(np.abs(got.samples + np.sin(k * cos_k.thetas))) \
                 < 1e-10
 
+    # ids by name: an alias's __name__ is its target's
     @pytest.mark.parametrize("transform", [
         hilbert_circular, hilbert_circular_inverse,
         hilbert_circular_complementary,
-        hilbert_circular_complementary_inverse])
+        hilbert_circular_complementary_inverse], ids=[
+        "hilbert_circular", "hilbert_circular_inverse",
+        "hilbert_circular_complementary",
+        "hilbert_circular_complementary_inverse"])
     def test_constant_and_nyquist_modes_annihilated(self, transform):
         n = 64
         const = PeriodicFunction(np.full(n, -1.25))

@@ -438,10 +438,9 @@ def test_arc_pv_rows_match_closed_forms(arc, order):
         smp = geometry._sample(arc, gauss_panel_grid(n_panels, order))
         s0 = special_targets(n_panels, order)
         t0 = arc.z(s0)
-        got = plemelj._arc_pv_rows(
-            [lambda r, c=c: sum(ck * smp.zs ** k for k, ck in enumerate(c))
-             for c in coefs], smp, s0, t0)
-        for c, pv in zip(coefs, got):
+        for c in coefs:
+            pv = plemelj._arc_pv_rows(sum(ck * smp.zs ** k for k, ck in
+                                          enumerate(c)), smp, s0, t0)
             ref = np.array([closed_form_pv(c, arc, s) for s in s0])
             assert np.all(np.isfinite(pv))
             assert np.max(np.abs(pv - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -462,8 +461,7 @@ def test_arc_pv_is_steady_in_the_last_bits_of_s0(n_panels):
                 s = np.nextafter(s, direction)
                 steps.append(s)
         steps = np.array(steps)
-        pv, = plemelj._arc_pv_rows((lambda r: vals,), smp, steps,
-                                   HALF_CIRCLE.z(steps))
+        pv = plemelj._arc_pv_rows(vals, smp, steps, HALF_CIRCLE.z(steps))
         assert np.max(np.abs(pv - pv[0])) <= 1e-14 * abs(pv[0])
         plus = [plemelj_limits(g, CURVED, smp.grid, complex(t))[0].value
                 for t in HALF_CIRCLE.z(steps)]
@@ -508,8 +506,7 @@ def test_arc_pv_rows_read_graded_panels_from_the_grid():
     smp = geometry._sample(arc, grid)
     s0 = np.concatenate((grid.breaks[1:-1], grid.nodes[5::17],
                          [0.4137, 0.03, 0.97, 0.001, 0.999]))
-    pv, = plemelj._arc_pv_rows((lambda r: 1.0 - smp.zs ** 2,), smp, s0,
-                               arc.z(s0))
+    pv = plemelj._arc_pv_rows(1.0 - smp.zs ** 2, smp, s0, arc.z(s0))
     x = 2.0 * s0 - 1.0
     ref = -2.0 * x + (1.0 - x ** 2) * np.log((1.0 - x) / (1.0 + x))
     assert np.max(np.abs(pv - ref)) <= 1e-13
@@ -533,42 +530,11 @@ def test_arc_pv_rows_on_closed_contour_panels(contour):
                              ((grid.nodes[:, None] + offsets).ravel()
                               % (2.0 * np.pi))))
         t0 = contour.z(s0)
-        pv, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s0, t0)
+        pv = plemelj._arc_pv_rows(f(smp.zs), smp, s0, t0)
         assert np.max(np.abs(pv - 1j * np.pi * f(t0))) <= 1e-13
         for s, t in zip(s0[37:40], t0[37:40]):      # and one target alone
-            one, = plemelj._arc_pv_rows((lambda r: f(smp.zs),), smp, s, t)
+            one = plemelj._arc_pv_rows(f(smp.zs), smp, s, t)
             assert abs(one[0] - 1j * np.pi * f(t)) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
-# several densities in one sweep of _arc_pv_rows
-
-
-# rows at Kress-mapped nodes, crowding both arc ends, then s0 = 0.03; and
-# the target at s0 = 0.03 alone
-@pytest.mark.parametrize("n_panels", [16, 24, 37])
-@pytest.mark.parametrize("arc", [segment(-1.0, 1.0), HALF_CIRCLE],
-                         ids=["segment", "half-circle"])
-def test_arc_pv_rows_densities_match_single_density_calls(arc, n_panels):
-    f2 = lambda t, tp: np.asarray(t) * (np.asarray(t) + tp) + 1.0 / (tp - 3.0)
-    s0 = 0.03
-    sig = gauss_panel_grid(n_panels + 1, 12).nodes
-    sp = np.append(sig ** 4 / (sig ** 4 + (1.0 - sig) ** 4), s0)
-    tp = arc.z(sp)
-    x0c = arc.z(np.array([s0]))[0]
-    smp = geometry._sample(arc, gauss_panel_grid(n_panels, 12))
-    zs = smp.zs
-    per_row = (lambda r: f2(zs, tp[r, None]), lambda r: f2(tp[r, None], zs),
-               lambda r: np.exp(zs))
-    shared = (lambda r: f2(tp[r, None], zs), lambda r: f2(zs, tp[r, None]))
-    for densities, s_rows, t_rows in ((per_row, sp, tp), (shared, s0, x0c)):
-        together = plemelj._arc_pv_rows(densities, smp, s_rows, t_rows)
-        apart = [plemelj._arc_pv_rows((d,), smp, s_rows, t_rows)[0]
-                 for d in densities]
-        assert len(together) == len(densities)
-        for got, ref in zip(together, apart):
-            assert got.shape == (np.size(t_rows),)
-            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def counted_arc(arc, calls):
