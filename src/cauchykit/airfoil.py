@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, EndpointError
 from .geometry import (JordanArc, QuadratureGrid, _arc_panels, _arc_pv_rows,
-                       _chord_pv, _equal_panels, _finite, _sample, segment)
+                       _chord_pv, _equal_panels, _finite, _real, _sample,
+                       segment)
 from .plemelj import _off_arc_sums
 
 DEFAULT_CHORD_NODES = 128
@@ -151,7 +152,7 @@ def chebyshev3_rule(n: int):
 
 def _check_chord_targets(x):
     """The chord targets x, flattened, and their shape (at least 1-D)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_real(x, "a chord target", DomainError))
     if np.any(np.abs(x) >= 1.0):
         raise EndpointError("chord targets must lie strictly inside (-1, 1)")
     return x.reshape(-1), x.shape
@@ -165,9 +166,9 @@ def finite_hilbert_transform(gamma: SheetDensity, targets,
     out = np.zeros_like(x)
     if gamma.weight_coef is not None:
         t, w = chebyshev4_rule(n)
-        out += _chord_pv(gamma.weight_coef, t, w, _finite(np.asarray(
-            gamma.weight_coef(t), dtype=float), "the weight coefficient at a "
-            "node"), x, PV_WEIGHT4)
+        what = "the weight coefficient at a node"
+        out += _chord_pv(gamma.weight_coef, t, w, _finite(_real(
+            gamma.weight_coef(t), what), what), x, PV_WEIGHT4)
     if gamma.smooth is not None:
         out += _smooth_chord_pv(gamma.smooth, x)
     return (out / (2.0 * np.pi)).reshape(shape)
@@ -177,8 +178,8 @@ def _smooth_chord_pv(func, x):
     """P.V. int psi(t)/(t - x) dt for smooth psi on [-1, 1] (24 panels)."""
     s0 = 0.5 * (x + 1.0)
     panels = _arc_panels(_CHORD, 24)
-    vals = _finite(np.asarray(func(np.real(panels.zs)), dtype=complex),
-                   "the smooth part at a node")
+    what = "the smooth part at a node"
+    vals = _finite(_real(func(np.real(panels.zs)), what), what)
     return np.real(_arc_pv_rows(vals, panels, s0, _CHORD.z(s0)))
 
 
@@ -193,7 +194,8 @@ def finite_hilbert_inverse(v, n: int = DEFAULT_CHORD_NODES) -> SheetDensity:
     vanishes at the trailing edge like sqrt(1 - x).
     """
     t, w = chebyshev3_rule(n)
-    v_t = _finite(np.asarray(v(t), dtype=float), "the downwash at a node")
+    what = "the downwash at a node"
+    v_t = _finite(_real(v(t), what), what)
 
     def phi(x):
         x, shape = _check_chord_targets(x)

@@ -281,9 +281,15 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
     Each integrand value is itself a principal-value integral; the result
     vanishes for admissible densities.  It is the trapezoid sum of K_n at
     the nodes, as pv_at_all_nodes gives it, against z'w; off the circle on
-    the periodic grid it never forms K_n at a node, and its one pair sum,
-    over the antisymmetric 1/(t_j - t_i), does not depend on the density
-    (_pv_summands).  The decay of a complement density is checked first.
+    the periodic grid it never forms K_n at a node.  By the antisymmetry of
+    1/(t_j - t_i) the node pairs enter only through a_i = sum_(j != i)
+    z'_j w_j/(t_j - t_i), which does not depend on the density, and a_i is
+    the punctured trapezoid sum of P.V. int dt/(t - t_i) = i*pi: less its
+    smooth remainder's node value, a_i = i*pi - w_i z''_i/(2 z'_i), with z''
+    spectral (_pv_summands).  So the route costs O(n log n) and equals the
+    discrete double sum to rounding, not bit for bit; it warns
+    (AccuracyWarning) when the grid leaves z' unresolved.  The decay of a
+    complement density is checked first.
     """
     if complement:
         f.require_decay()

@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (AccuracyWarning, CapabilityError, DomainError,
-                     InvalidGridError, NonFiniteError)
+from .errors import (AccuracyWarning, CapabilityError, ContractError,
+                     DomainError, InvalidGridError, NonFiniteError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -347,6 +347,15 @@ def _finite(values, what):
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{what} is not finite")
     return values
+
+
+def _real(values, what, error=ContractError):
+    """values as floats, or ``error`` if one has a nonzero imaginary part;
+    a real dtype is never scanned."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        raise error(f"{what} has a nonzero imaginary part")
+    return np.real(values).astype(float, copy=False)
 
 
 def _sample(contour, grid, density=None):
@@ -999,12 +1008,24 @@ def _pv_summands(samples, smp):
     PV itself on a circle or on panels.  Other contours on the periodic
     grid take no pair sum of the density: R_ij = 1/(z_j - z_i) is
     antisymmetric, so sum_i u_i sum_j R_ij u_j (g_j - g_i) = -2 sum_i u_i g_i
-    a_i, a = R u (_pair_sums), with g the samples less their node mean."""
+    a_i, a = R u, with g the samples less their node mean.
+
+    Nor is a a pair sum: a_i is the punctured trapezoid sum, step h = 2 pi/n,
+    of z'(s)/(z(s) - z_i) = r(s) + cot((s - s_i)/2)/2, where r is smooth and
+    periodic with r(s_i) = z''_i/(2 z'_i).  The cotangents cancel in pairs
+    over the nodes j != i, and r integrates to the i*pi of PV of dt/(t -
+    t_i), so a_i = i*pi - h z''_i/(2 z'_i), z'' the spectral derivative of
+    z', up to the trapezoid error of r, which falls exponentially in n
+    (Kress, Linear Integral Equations, 12.3).  The sum so equals the
+    discrete double sum to rounding, not bit for bit, on a contour whose z'
+    the grid resolves; AccuracyWarning when it does not."""
     grid = smp.grid
     if grid.breaks is not None or smp.contour.kind == "circle":
         return _pv_at_all_nodes(samples, smp)
     _require_periodic(grid, "pv_at_all_nodes")
-    a = _pair_sums(smp.zs, smp.dzw[:, None])[:, 0]
+    dz = smp.dzs
+    _warn_if_unresolved(dz, grid, "the contour's z'", stacklevel=4)
+    a = 1j * np.pi - grid.weights * spectral_derivative(dz) / (2.0 * dz)
     return (samples * (1j * np.pi) + grid.weights * spectral_derivative(samples)
             - 2.0 * (samples - np.mean(samples)) * a)
 
@@ -1014,7 +1035,7 @@ def _pair_sums(zs, cols):
     z_i) off the diagonal and 0 on it.  R is antisymmetric, so each pair j >
     i is formed once and applied to both of its rows, a block of rows at a
     time (_row_blocks) in one buffer that every block reuses, so memory
-    stays bounded; the pair loop of every node-pair sum on a periodic grid."""
+    stays bounded; the pair loop of pv_at_all_nodes off the circle."""
     n = zs.size
     acc = np.zeros(cols.shape, dtype=complex)
     blocks = _row_blocks(n, n)
@@ -1079,11 +1100,11 @@ def _chord_pv(func, nodes, weights, f_nodes, targets, weight):
     no end and h/4 from every x_j (_near_split)."""
     c, h = -weight / np.pi, TWO_PI / (2 * nodes.size + 1)
     q = np.arccos(c * targets) / h
-    f0 = _finite(np.asarray(func(targets), dtype=float), "f at a target")
+    f0 = _finite(_real(func(targets), "f at a target"), "f at a target")
 
     def quarter(rows):
         x = c * np.cos(h * (np.arange(2 * nodes.size + 1) + 0.25))
-        return _subtracted_pv(_finite(np.asarray(func(x), dtype=float),
+        return _subtracted_pv(_finite(_real(func(x), "f at a node"),
                                       "f at a node"), x,
                               0.5 * h * (1.0 - c * x), f0[rows],
                               targets[rows], weight)

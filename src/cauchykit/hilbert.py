@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (ContractError, DomainError, InvalidGridError,
                      NonFiniteError)
 from .geometry import (_EPS, _ROUNDING, _UNRESOLVED, _cut, _finite, _level,
-                       _spectrum, _sum_levels, _warn_if_unresolved)
+                       _real, _spectrum, _sum_levels, _warn_if_unresolved)
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,15 +59,6 @@ DEFAULT_CIRCLE_SAMPLES = 512
 # will not resolve a kink or a jump)
 _LADDER_START, _LADDER_CAP = 64, 2 ** 14
 _STALL = 4.0
-
-
-def _real(values, what):
-    """values as floats, or ContractError if one has a nonzero imaginary
-    part; a real dtype is never scanned."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values) and np.any(values.imag):
-        raise ContractError(f"{what} has a nonzero imaginary part")
-    return np.real(values).astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ def _line_transform(v, targets, sign) -> TransformResult:
     as unresolved, as the Cayley ladder notes its V."""
     if not isinstance(v, RealLineFunction):
         raise TypeError("expected a RealLineFunction")
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    targets = np.atleast_1d(_real(targets, "a target", DomainError))
     if not np.all(np.isfinite(targets)):
         raise DomainError("targets must be finite")
     if v.period is not None:

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchykit import (AccuracyWarning, DomainError, EndpointError,
-                       FlowConfig, JordanArc, SheetDensity, chebyshev3_rule,
-                       chebyshev4_rule, circulation,
+from cauchykit import (AccuracyWarning, ContractError, DomainError,
+                       EndpointError, FlowConfig, JordanArc, SheetDensity,
+                       chebyshev3_rule, chebyshev4_rule, circulation,
                        far_field_circulation, finite_hilbert_inverse,
                        finite_hilbert_transform, flat_plate_complex_velocity,
                        leading_edge_suction, leading_edge_weight, lift,
@@ -110,6 +110,23 @@ class TestFiniteHilbertTransform:
         v = finite_hilbert_transform(gamma, x)
         assert np.max(np.abs(v - per_target)) <= 1e-13
 
+    def test_complex_samples_are_refused(self):
+        # the smooth part 1j*x read 0, and a complex weight coefficient read
+        # as its real part with only numpy's ComplexWarning
+        for gamma in (SheetDensity(smooth=lambda x: 1j * np.asarray(x)),
+                      SheetDensity(weight_coef=lambda x: (1.0 + 1j)
+                                   * np.ones_like(np.asarray(x)))):
+            with pytest.raises(ContractError, match="imaginary"):
+                finite_hilbert_transform(gamma, np.array([0.3]))
+        real = SheetDensity(smooth=lambda x: (1.0 + 0j) * np.asarray(x))
+        assert finite_hilbert_transform(real, [0.3])[0] == \
+            finite_hilbert_transform(SheetDensity(smooth=np.asarray), [0.3])[0]
+
+    def test_complex_targets_are_refused(self):
+        gamma = SheetDensity(smooth=lambda x: np.asarray(x))
+        with pytest.raises(DomainError, match="imaginary"):
+            finite_hilbert_transform(gamma, np.array([0.3 + 0.1j]))
+
     def test_endpoint_targets_rejected(self):
         gamma = SheetDensity(weight_coef=lambda x: np.ones_like(
             np.asarray(x, dtype=float)))
@@ -118,6 +135,10 @@ class TestFiniteHilbertTransform:
 
 
 class TestFiniteHilbertInverse:
+    def test_complex_downwash_is_refused(self):
+        with pytest.raises(ContractError, match="imaginary"):
+            finite_hilbert_inverse(lambda x: 1j * np.asarray(x))
+
     def test_constant_downwash_recovers_plate_density(self):
         amp = 0.5
         dens = finite_hilbert_inverse(

@@ -594,15 +594,15 @@ def test_complement_routes_share_one_decay_check(route, decay):
         route(BoundaryFunction(lambda t: 1.0 / t, decay=decay), c, g)
 
 
-def test_complement_decay_is_checked_before_the_pair_sum(monkeypatch):
-    def entered(zs, cols):
-        raise AssertionError("the pair sum was entered")
-    monkeypatch.setattr(geometry, "_pair_sums", entered)
+def test_complement_decay_is_checked_before_the_density_is_sampled():
+    def sampled(t):
+        raise AssertionError("the density was sampled")
     ell, g = ellipse(1.0, 0.6), periodic_trapezoid_grid(64)
-    with pytest.raises(AssertionError, match="pair sum was entered"):
-        vanishing_contour_integral(pole_density(), ell, g)
-    for decay in (None, 1):
-        F = BoundaryFunction(lambda t: 1.0 / t, decay=decay)
+    with pytest.raises(AssertionError, match="density was sampled"):
+        vanishing_contour_integral(BoundaryFunction(sampled, decay=2), ell, g,
+                                   complement=True)
+    for decay in (None, 1, float("nan")):
+        F = BoundaryFunction(sampled, decay=decay)
         with pytest.raises(ContractError, match="decay >= 2"):
             vanishing_contour_integral(F, ell, g, complement=True)
 

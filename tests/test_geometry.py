@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from cauchykit import (AccuracyWarning, BoundaryFunction, CapabilityError,
                        gauss_panel_grid, periodic_trapezoid_grid,
                        pv_contour_integral, pv_singular_weight,
                        validate_contour, vanishing_contour_integral)
+from cauchykit import geometry
 from cauchykit.geometry import (_INVERSE_RESIDUAL, _NODE_BAND, _UNRESOLVED,
                                 DELTA_FRACTION, NEAR_ZONE_FACTOR,
                                 ClosedContour, _has_close_pair, _level,
-                                _pair_sums, _pv_at_all_nodes, _sample,
-                                near_zone_width, panels_from_breakpoints,
+                                _pair_sums, _pv_at_all_nodes, _pv_summands,
+                                _sample, near_zone_width,
+                                panels_from_breakpoints,
                                 pv_at_all_nodes, segment, spectral_derivative,
                                 trig_interp)
 
@@ -419,10 +422,9 @@ def _peak_bytes(run):
 
 def test_matrix_pv_memory_bounded():
     # the full 4,096 x 4,096 matrix would take 268 MB
-    f = BoundaryFunction(lambda t: 1.0 / (t - 2.0))
     ell, grid = ellipse(1.0, 0.6), periodic_trapezoid_grid(4096)
-    assert _peak_bytes(
-        lambda: vanishing_contour_integral(f, ell, grid)) < 2e6
+    samples = 1.0 / (ell.z(grid.nodes) - 2.0)
+    assert _peak_bytes(lambda: pv_at_all_nodes(samples, ell, grid)) < 2e6
 
 
 @pytest.mark.parametrize("n", [8, 64, 300, 1024])
@@ -483,6 +485,58 @@ def test_vanishing_integral_matches_the_long_double_sum(n):
             bar = 4 * np.finfo(float).eps * np.sum(np.abs(smp.dzw * s))
             assert abs(got - ref) <= bar
             assert abs(summed - ref) <= bar
+
+
+def _generic_circle():
+    circ = circle(0.3 + 0.2j, 2.5)
+    return ClosedContour(circ.z, circ.dz, circ.d2z)
+
+
+def _pair_sum_longdouble(zs, u):
+    """a_i = sum_(j != i) u_j/(z_j - z_i), formed in np.clongdouble, 64
+    rows at a time."""
+    z, u = (np.asarray(v, dtype=np.clongdouble) for v in (zs, u))
+    out = np.empty(z.size, dtype=np.clongdouble)
+    for lo in range(0, z.size, 64):
+        rows = np.arange(lo, min(lo + 64, z.size))
+        gap = z[None, :] - z[rows, None]
+        gap[rows - lo, rows] = 1.0
+        quot = u / gap
+        quot[rows - lo, rows] = 0.0
+        out[rows] = quot.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [128, 300, 1024])
+@pytest.mark.parametrize("contour", [ellipse(1.0, 0.6), _c_shape(),
+                                     _generic_circle()],
+                         ids=["ellipse", "c-shape", "generic-circle"])
+def test_punctured_pair_sum_reads_its_closed_form(contour, n):
+    # the density-free pair sum a = R z'w of _pv_summands, read back from
+    # its summands of g = exp(i s), is i*pi - w z''/(2 z') within the
+    # trapezoid error of the smooth remainder, against the pair sum itself
+    # in long double (5e-13 seen at n = 1,024)
+    grid = periodic_trapezoid_grid(n)
+    smp = _sample(contour, grid)
+    g = np.exp(1j * grid.nodes)
+    plain = g * (1j * np.pi) + grid.weights * spectral_derivative(g)
+    a = (plain - _pv_summands(g, smp)) / (2.0 * (g - np.mean(g)))
+    ref = _pair_sum_longdouble(smp.zs, smp.dzw)
+    assert np.max(np.abs(a - ref)) <= 1e-12
+
+
+def test_vanishing_integral_enters_no_pair_sum(monkeypatch):
+    def entered(zs, cols):
+        raise AssertionError("the pair sum was entered")
+    monkeypatch.setattr(geometry, "_pair_sums", entered)
+    grid = periodic_trapezoid_grid(256)
+    for contour, pole, inner in ((ellipse(1.0, 0.6), 2.0, 0.2j),
+                                 (_c_shape(), 2.0 + 3.0j, -0.7)):
+        u = _sample(contour, grid).dzw
+        for f, k, complement in _vanishing_cases(pole, inner):
+            got = vanishing_contour_integral(f, contour, grid, k, complement)
+            s = f.samples(contour, grid, k)
+            assert abs(got) <= 4 * np.finfo(float).eps * np.sum(np.abs(u * s))
 
 
 def test_trig_interp_memory_bounded():
@@ -791,6 +845,30 @@ def test_resolution_level_pins_the_table(name, col, n):
 def test_validate_contour_warns_on_corners(n):
     with pytest.warns(AccuracyWarning, match="z' is not resolved"):
         validate_contour(_square(), periodic_trapezoid_grid(n))
+
+
+@pytest.mark.parametrize("contour,n", [(_square(), 64), (_square(), 256),
+                                       (_square(), 1024), (_c_shape(), 16)],
+                         ids=["square-64", "square-256", "square-1024",
+                              "c-shape-16"])
+def test_vanishing_integral_warns_on_an_unresolved_contour(contour, n):
+    # off the circle the route assumes a smooth contour; the square reads
+    # 1.2e-2 at n = 64 and 7.4e-4 at n = 1,024 for a density that vanishes
+    f = BoundaryFunction(lambda t: 1.0 / (t - 3.0))
+    with pytest.warns(AccuracyWarning, match="z' is not resolved") as log:
+        vanishing_contour_integral(f, contour, periodic_trapezoid_grid(n))
+    assert log[0].filename == __file__
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 1024])
+def test_vanishing_integral_is_silent_on_resolved_contours(n):
+    f = BoundaryFunction(lambda t: 1.0 / (t - 3.0))
+    grid = periodic_trapezoid_grid(n)
+    contours = [ellipse(1.0, 0.6), ellipse(0.6, 0.45), _generic_circle()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        for contour in contours + ([_c_shape()] if n >= 32 else []):
+            vanishing_contour_integral(f, contour, grid)
 
 
 @pytest.mark.parametrize("s0", [np.pi / 2, np.pi / 2 + 1e-3, 1.0])

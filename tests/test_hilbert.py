@@ -71,6 +71,15 @@ class TestLineTransforms:
             -0.4, abs=1e-12)
 
     @pytest.mark.parametrize("transform", [hilbert_line, hilbert_line_inverse])
+    def test_complex_targets_are_refused(self, transform):
+        # hilbert_line read 0.5 + 2j as 0.5, with only numpy's ComplexWarning
+        v = RealLineFunction(lambda x: 1.0 / (x ** 2 + 1.0), decay=2)
+        with pytest.raises(DomainError, match="imaginary"):
+            transform(v, np.array([0.5 + 2j]))
+        got = transform(v, np.array([0.5 + 0j])).values
+        assert np.array_equal(got, transform(v, np.array([0.5])).values)
+
+    @pytest.mark.parametrize("transform", [hilbert_line, hilbert_line_inverse])
     def test_non_finite_targets_rejected(self, transform):
         with pytest.raises(DomainError):
             transform(example3_u(), np.array([np.nan, 0.5]))
