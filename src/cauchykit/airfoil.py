@@ -77,7 +77,7 @@ class SheetDensity:
     def __call__(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x <= -1.0) or np.any(x > 1.0):
+        if not np.all((x > -1.0) & (x <= 1.0)):     # NaN fails too
             raise DomainError("sheet density lives on the chord (-1, 1]")
         out = np.zeros_like(x)
         if self.weight_coef is not None:
@@ -92,9 +92,11 @@ class SheetDensity:
         return float(out[0]) if scalar else out
 
     def total_strength(self, n: int = DEFAULT_CHORD_NODES) -> float:
-        """Integral of gamma over the chord (the bound circulation)."""
-        return float(sum(np.sum(c.real) for _, c in self._parts(
-            _sheet_panels(_CHORD, n), n, True)))
+        """Integral of gamma over the chord (the bound circulation);
+        ContractError if it has a nonzero imaginary part."""
+        parts = self._parts(_sheet_panels(_CHORD, n), n, True)
+        return float(_real(sum(np.sum(c.real) + 1j * np.sum(c.imag)
+                               for _, c in parts), "the sheet's strength"))
 
     def _parts(self, smp, n, on_chord):
         """(nodes, weights) of gamma dt: the weight-basis part on the n-node
@@ -124,7 +126,7 @@ def _on_chord(smp):
 
 def _sheet_panels(arc, n):
     """The arc on smooth sheet parts' default max(16, n // 4) panels."""
-    return _sample(arc, _equal_panels(max(16, n // 4), 12))
+    return _sample(arc, _equal_panels(max(16, n // 4)))
 
 
 def chebyshev4_rule(n: int):
@@ -153,7 +155,7 @@ def chebyshev3_rule(n: int):
 def _check_chord_targets(x):
     """The chord targets x, flattened, and their shape (at least 1-D)."""
     x = np.atleast_1d(_real(x, "a chord target", DomainError))
-    if np.any(np.abs(x) >= 1.0):
+    if not np.all(np.abs(x) < 1.0):     # NaN fails too
         raise EndpointError("chord targets must lie strictly inside (-1, 1)")
     return x.reshape(-1), x.shape
 
@@ -223,6 +225,8 @@ def flat_plate_complex_velocity(cfg: FlowConfig, z):
     z = np.asarray(z, dtype=complex)
     scalar = (z.ndim == 0)
     z = np.atleast_1d(z)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("cannot evaluate the flow at a non-finite point")
     on_slit = (np.abs(np.imag(z)) < 1e-14) & (np.abs(np.real(z)) <= 1.0)
     if np.any(on_slit):
         raise DomainError("z lies on the plate; use surface_velocities")
@@ -249,7 +253,7 @@ def surface_velocities(cfg: FlowConfig, x, side):
     the leading edge x = -1 is excluded (square-root singularity)."""
     sign = _side_sign(side)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= -1.0) or np.any(x > 1.0):
+    if not np.all((x > -1.0) & (x <= 1.0)):     # NaN fails too
         raise DomainError("chord coordinate must lie in (-1, 1]")
     amp = cfg.speed * np.sin(cfg.alpha)
     u = sign * amp * leading_edge_weight(x)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
                        _evaluate, _finite, _pv, _pv_summands,
-                       _require_periodic, _require_span, _sample, _sided,
+                       _require_periodic, _sample, _sided,
                        _warn_if_unresolved, circle, periodic_trapezoid_grid,
                        spectral_derivative, trig_interp)
 
@@ -302,15 +302,14 @@ def vanishing_contour_integral(f: BoundaryFunction, contour: ClosedContour,
 
 def mean_value_check(f: BoundaryFunction, center: complex, radius: float,
                      grid: QuadratureGrid, n: int = 0):
-    """Mean-value identity on a circle: f^(n)(center) vs the angular mean.
-
-    Returns (lhs, rhs, gap).
+    """Mean-value identity on a circle: f^(n)(center) vs the angular mean
+    over circle(center, radius) sampled on the grid (_sample), so it refuses
+    what circle() and _sample refuse.  Returns (lhs, rhs, gap).
     """
-    _require_span(grid, True)
+    ring = _sample(circle(center, radius), grid).zs
     dc = f.derivative_callable(n)
     if dc is None:
         raise CapabilityError("mean-value check needs f^(n) analytically")
-    ring = center + radius * grid._phase
     rhs = complex(np.sum(np.asarray(dc(ring)) * grid.weights) / (2.0 * np.pi))
     lhs = complex(np.asarray(dc(np.array([center])))[0])
     return lhs, rhs, abs(lhs - rhs)
@@ -318,24 +317,20 @@ def mean_value_check(f: BoundaryFunction, center: complex, radius: float,
 
 def derivative_bound_check(f: BoundaryFunction, z: complex, R: float, n: int,
                            m: int = 0):
-    """Cauchy-inequality bound (n-m)! R^-(n-m) max|f^(m)| (over 512 points of
-    |t - z| = R) against |f^(n)(z)|.
-
-    Returns (bound, actual, satisfied).
+    """Cauchy-inequality bound (n-m)! R^-(n-m) max|f^(m)| over circle(z, R),
+    sampled once on 512 nodes (_sample), so it refuses what circle()
+    refuses, against |f^(n)(z)|, J_n[f](z) without a callable.  Returns
+    (bound, actual, satisfied).
     """
     if not 0 <= m <= n:
         raise CapabilityError("need 0 <= m <= n")
-    ring = z + R * np.exp(2j * np.pi * np.arange(512) / 512)
-    c, g = circle(z, R), periodic_trapezoid_grid(512)
-    dm = f.derivative_callable(m)
-    if dm is not None:
-        mvals = np.abs(np.asarray(dm(ring)))
-    else:
-        mvals = np.abs(f.samples(c, g, m))
-    bound = float(math.factorial(n - m)) * R ** (-(n - m)) * float(mvals.max())
+    smp = _sample(circle(z, R), periodic_trapezoid_grid(512), f)
+    bound = float(math.factorial(n - m)) * R ** (-(n - m)) * float(
+        np.abs(smp.f(m)).max())
     dn = f.derivative_callable(n)
     if dn is not None:
         actual = abs(complex(np.asarray(dn(np.array([z])))[0]))
     else:
-        actual = abs(cauchy_functional(f, c, g, z, n).value)
+        f.require_order(n)
+        actual = abs(_functional(smp, z, n, 0, n).value)
     return bound, actual, actual <= bound * (1.0 + 1e-12)

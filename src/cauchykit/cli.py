@@ -151,9 +151,8 @@ def _reconstruction(n, rng):
 
 def _pole_taylor(n, count):
     """Samples of 1/(t - 2) at n nodes and min(count, n/2 - 1) coefficients."""
-    c, g = build_unit_circle(n)
-    samples = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))(
-        c.z(g.nodes))
+    pole = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))
+    samples = pole.samples(*build_unit_circle(n))
     return samples, taylor_coefficients(samples, min(count, n // 2 - 1))
 
 

@@ -3,10 +3,14 @@ integration primitives (plain and principal-value).
 
 Closed contours are parameterized over [0, 2*pi) and integrated with the
 periodic trapezoid rule, which is spectrally accurate for analytic
-integrands.  A circle is sampled from its grid's phases exp(i s_j), built
-once per grid (QuadratureGrid._phase), and calls neither z nor z'.  Open
-arcs are parameterized over [0, 1] and integrated with composite
-Gauss-Legendre panels, which may also cover a closed contour.
+integrands.  Every route takes its nodes from one _sample, which samples
+a circle from its grid's phases exp(i s_j) (QuadratureGrid._phase) and
+calls neither z nor z'.  Outside it, validate_contour (the contract
+check), _panel_record (at the panel breaks), _newton_locate and plemelj's
+Kress-mapped outer nodes call z or z'; the Pade probe builds its held-out
+odd nodes.  Open arcs are parameterized over [0, 1] and integrated with
+composite Gauss-Legendre panels, of order 12 on the arcs' own
+(_equal_panels), which may also cover a closed contour.
 Principal values are never computed by grid-level indentation, and each
 is as exact next to a node as between nodes.  On any closed-contour grid
 and on the chord's Chebyshev rules the singularity is subtracted
@@ -181,13 +185,13 @@ def gauss_panel_grid(n_panels: int = 24, order: int = 12, *, a: float = 0.0,
 class ClosedContour:
     """Counterclockwise simple closed curve z(s), s in [0, 2*pi).
 
-    ``z`` and ``dz`` must accept ndarray arguments.  ``kind`` of "circle"
-    declares z(s) = center + radius*exp(i s): such a contour is sampled from
-    its grid's phases exp(i s_j) (QuadratureGrid._phase), without calling
-    ``z`` or ``dz``, located exactly, and transformed by one FFT;
-    validate_contour checks the declaration.  Generic smooth contours are
-    sampled by their callables and located by Newton steps from the nearest
-    grid node.
+    ``z`` and ``dz`` must accept ndarray arguments; every route samples
+    them through _sample (module docstring).  ``kind`` of "circle" declares
+    z(s) = center + radius*exp(i s): such a contour is sampled from its
+    grid's phases exp(i s_j) (QuadratureGrid._phase), without calling ``z``
+    or ``dz``, located exactly, and transformed by one FFT; validate_contour
+    checks the declaration.  Generic smooth contours are sampled by their
+    callables and located by Newton steps from the nearest grid node.
     """
 
     z: Callable
@@ -329,18 +333,6 @@ class _Samples:
         return float(s0[0]), on[0]
 
 
-def _require_span(grid, closed):
-    """InvalidGridError unless the weights sum to the curve's parameter
-    length, 2*pi on a closed contour and 1 on an arc, whose nodes must lie
-    in [0, 1]: a grid on another interval reads part of the curve."""
-    total, lo, hi = grid._span
-    length = TWO_PI if closed else 1.0
-    if not (abs(total - length) <= 1e-10 * length
-            and (closed or 0.0 <= lo and hi <= 1.0)):
-        raise InvalidGridError(f"grid weights sum to {total:.6g} on [{lo:.6g}"
-                               f", {hi:.6g}], not the curve's {length:.6g}")
-
-
 def _finite(values, what):
     """values, or NonFiniteError if one of them is not finite: the one
     check of every sampled density."""
@@ -360,11 +352,18 @@ def _real(values, what, error=ContractError):
 
 def _sample(contour, grid, density=None):
     """_Samples of the contour or arc, and of ``density`` if given, on the
-    grid, which must span the curve's parameter interval.  A circle is
-    sampled from the grid's phases, by circle()'s own expressions, and
-    calls neither z nor dz."""
+    grid.  InvalidGridError unless its weights sum to the curve's parameter
+    length, 2*pi on a closed contour and 1 on an arc, whose nodes must lie
+    in [0, 1]: a grid on another interval reads part of the curve.  A
+    circle is sampled from the grid's phases, by circle()'s own
+    expressions, and calls neither z nor dz."""
     closed = isinstance(contour, ClosedContour)
-    _require_span(grid, closed)
+    total, lo, hi = grid._span
+    length = TWO_PI if closed else 1.0
+    if not (abs(total - length) <= 1e-10 * length
+            and (closed or 0.0 <= lo and hi <= 1.0)):
+        raise InvalidGridError(f"grid weights sum to {total:.6g} on [{lo:.6g}"
+                               f", {hi:.6g}], not the curve's {length:.6g}")
     if closed and contour.kind == "circle":
         phase = grid._phase
         zs = contour.center + contour.radius * phase
@@ -376,10 +375,10 @@ def _sample(contour, grid, density=None):
 
 
 @lru_cache(maxsize=16)
-def _equal_panels(n_panels, order):
-    """gauss_panel_grid(n_panels, order), built once; its arrays are shared
-    by every caller, so they are read-only."""
-    grid = gauss_panel_grid(n_panels, order)
+def _equal_panels(n_panels):
+    """gauss_panel_grid(n_panels), order 12, built once; its arrays are
+    shared by every caller, so they are read-only."""
+    grid = gauss_panel_grid(n_panels)
     for values in (grid.nodes, grid.weights, grid.breaks):
         values.setflags(write=False)
     return grid
@@ -388,7 +387,7 @@ def _equal_panels(n_panels, order):
 @lru_cache(maxsize=2)
 def _shared_arc_panels(arc, n_panels):
     """_arc_panels of a hashable arc, read-only, as every caller shares it."""
-    smp = _sample(arc, _equal_panels(n_panels, 12))
+    smp = _sample(arc, _equal_panels(n_panels))
     for values in (smp.zs, smp.dzs, smp.dzw):
         values.setflags(write=False)
     return smp
@@ -405,7 +404,7 @@ def _arc_panels(arc, n_panels):
     try:
         hash(arc)
     except TypeError:
-        return _sample(arc, _equal_panels(n_panels, 12))
+        return _sample(arc, _equal_panels(n_panels))
     return _shared_arc_panels(arc, n_panels)
 
 
@@ -665,12 +664,13 @@ def near_zone_width(contour, grid: QuadratureGrid) -> float:
 def contour_integral(f, contour: ClosedContour, grid: QuadratureGrid) -> complex:
     """Plain contour integral: sum of f(z(s_j)) z'(s_j) w_j.
 
-    Vanishes to rule accuracy for f regular inside and on the contour.
+    Vanishes to rule accuracy for f regular inside and on the contour.  The
+    nodes are _sample's, so a circle calls neither z nor z'.
     """
-    _require_span(grid, True)
-    vals = _finite(np.asarray(f(contour.z(grid.nodes)), dtype=complex),
+    smp = _sample(contour, grid)
+    vals = _finite(np.asarray(f(smp.zs), dtype=complex),
                    "the integrand at a quadrature node")
-    return complex(np.sum(vals * contour.dz(grid.nodes) * grid.weights))
+    return complex(np.sum(vals * smp.dzs * grid.weights))
 
 
 def pv_singular_weight(contour: ClosedContour, t0: complex) -> complex:

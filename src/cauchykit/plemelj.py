@@ -155,7 +155,7 @@ def poincare_bertrand_residual(f2, arc: JordanArc, grid: QuadratureGrid,
     s0, x0c = inner.locate(x0)
     res = _pb_residual_once(f2, arc, s0, x0c, inner)
     if cross_check:
-        finer = _equal_panels(int(1.5 * (inner.grid.breaks.size - 1)) + 1, 12)
+        finer = _equal_panels(int(1.5 * (inner.grid.breaks.size - 1)) + 1)
         res2 = _pb_residual_once(f2, arc, s0, x0c, _sample(arc, finer))
         # below 1e-11 both levels sit at the rule's rounding and far-panel
         # error, where a tenfold ratio between them says nothing

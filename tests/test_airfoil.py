@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -366,6 +367,18 @@ class TestCirculationAndLift:
         assert abs(dens.total_strength(n) - (np.e - 1.0 / np.e + np.pi)) \
             < 1e-14
 
+    def test_total_strength_refuses_a_complex_sheet(self):
+        # the imaginary part of a complex part was dropped: 0.0 for 1j*(1 + x)
+        for gamma in (SheetDensity(smooth=lambda x: 1j * (1.0 + x)),
+                      SheetDensity(weight_coef=lambda x: (1.0 + 1j)
+                                   * np.ones_like(x))):
+            with pytest.raises(ContractError, match="strength"):
+                gamma.total_strength()
+        real = SheetDensity(weight_coef=np.exp,
+                            smooth=lambda x: np.cos(x) + x ** 2)
+        assert real.total_strength(128) == real.total_strength(64) \
+            == 4.551572207576701
+
     def test_lift_magnitude_and_direction(self, cfg):
         l_vec, l_mag = lift(cfg)
         assert l_mag == pytest.approx(np.pi, rel=1e-12)
@@ -542,3 +555,27 @@ def test_chord_transforms_keep_the_targets_shape():
     assert phi(x).shape == (2, 2)
     assert np.array_equal(phi(x).ravel(), phi(x.ravel()))
     assert finite_hilbert_transform(gamma, 0.1).shape == (1,)
+
+
+@pytest.mark.parametrize("route, error", [
+    (lambda cfg: SheetDensity(weight_coef=np.cos)(np.nan), DomainError),
+    (lambda cfg: surface_velocities(cfg, np.nan, "+"), DomainError),
+    (lambda cfg: pressure(cfg, np.nan, "-"), DomainError),
+    (lambda cfg: finite_hilbert_transform(SheetDensity(weight_coef=np.cos),
+                                          np.nan), EndpointError),
+    (lambda cfg: finite_hilbert_inverse(np.cos).weight_coef(
+        np.array([0.3, np.nan])), EndpointError)],
+    ids=["density", "surface_velocities", "pressure", "transform", "inverse"])
+def test_chord_checks_refuse_a_nan_coordinate(cfg, route, error):
+    # NaN passed each "x <= -1 or x > 1" check: the density read 0.0, the
+    # surface routes NaN, and the chord transforms a NonFiniteError
+    with pytest.raises(error):
+        route(cfg)
+
+
+@pytest.mark.parametrize("z", [np.nan + 1j, complex(np.inf, 0.5)])
+def test_plate_velocity_refuses_a_non_finite_point(cfg, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            flat_plate_complex_velocity(cfg, z)

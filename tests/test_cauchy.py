@@ -883,6 +883,59 @@ def test_batched_checks_sample_once_per_call():
     assert calls[("dz", N_GRID)] == 1
 
 
+@pytest.mark.parametrize("grid", [
+    periodic_trapezoid_grid(n) for n in (8, 16, 64, 256, 1024, 4096)] + [
+    gauss_panel_grid(16, 16, a=0.0, b=2.0 * np.pi)],
+    ids=lambda g: f"{g.kind}-{g.n}")
+def test_contour_integral_samples_a_circle_from_its_grid(grid):
+    # a circle's nodes are _sample's phase samples: z and z' go uncalled,
+    # and the sum keeps the bits of the sum over the callables' samples
+    def f(t):
+        return 1.0 / (t - 2.0) + np.exp(t)
+    s, w = grid.nodes, grid.weights
+    calls = Counter()
+    c, plain = counted_circle(calls), circle(0.3j, 1.2)
+    assert cauchykit.contour_integral(f, c, grid) == \
+        complex(np.sum(f(plain.z(s)) * plain.dz(s) * w))
+    assert not calls
+    e = ellipse(1.0, 0.6)
+    assert cauchykit.contour_integral(f, e, grid) == \
+        complex(np.sum(f(e.z(s)) * e.dz(s) * w))
+
+
+@pytest.mark.parametrize("spectral", [False, True])
+def test_cauchy_inequality_samples_its_ring_once(monkeypatch, spectral):
+    # one _sample of circle(z, R) serves the bound and, without a callable
+    # for f^(n), the functional J_n; the triple is the hand-built ring's
+    z, R, n, m = 0.1 + 0.2j, 0.5, 2, 1
+    f = BoundaryFunction(pole_density().func) if spectral else pole_density()
+    c, g = circle(z, R), periodic_trapezoid_grid(512)
+    ring = z + R * np.exp(2j * np.pi * np.arange(512) / 512)
+    mvals = (np.abs(f.samples(c, g, m)) if spectral
+             else np.abs(np.asarray(f.derivs[m - 1](ring))))
+    bound = float(math.factorial(n - m)) * R ** (-(n - m)) * float(mvals.max())
+    actual = (abs(cauchy_functional(f, c, g, z, n).value) if spectral
+              else abs(complex(f.derivs[n - 1](np.array([z]))[0])))
+    samples, sample = [], cauchy_module._sample
+
+    def counted(*args):
+        samples.append(args)
+        return sample(*args)
+    monkeypatch.setattr(cauchy_module, "_sample", counted)
+    assert derivative_bound_check(f, z, R, n, m) == \
+        (bound, actual, actual <= bound * (1.0 + 1e-12))
+    assert len(samples) == 1
+
+
+@pytest.mark.parametrize("center, radius", [
+    (0.0, 0.0), (0.0, -0.5), (0.0, np.nan), (0.0, np.inf), (np.nan, 0.5)])
+def test_mean_value_check_refuses_what_circle_refuses(center, radius):
+    # radius 0 read gap 0.0 for any f, and a NaN radius NaN, without an error
+    _, g = build_unit_circle(64)
+    with pytest.raises(DomainError):
+        mean_value_check(pole_density(), center, radius, g)
+
+
 def counted_passes(monkeypatch):
     """The point counts of the calls of _Samples.closest, the first step
     of each classification pass."""
