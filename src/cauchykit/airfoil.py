@@ -85,10 +85,10 @@ class SheetDensity:
             # without evaluating the coefficient there (Kutta condition)
             inner = x < 1.0
             if np.any(inner):
-                out[inner] += leading_edge_weight(x[inner]) \
-                    * np.asarray(self.weight_coef(x[inner]))
+                out[inner] += leading_edge_weight(x[inner]) * _real(
+                    self.weight_coef(x[inner]), "the weight coefficient")
         if self.smooth is not None:
-            out = out + np.asarray(self.smooth(x))
+            out = out + _real(self.smooth(x), "the smooth part")
         return float(out[0]) if scalar else out
 
     def total_strength(self, n: int = DEFAULT_CHORD_NODES) -> float:

@@ -15,8 +15,8 @@ explicitly does not assert pole locations.
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,15 +25,18 @@ from .cauchy import _ON_CONTOUR, BoundaryFunction
 from .errors import (AccuracyWarning, ContractError, NonFiniteError,
                      OnContourError, PrescriptionError)
 from .geometry import (_UNRESOLVED, ClosedContour, QuadratureGrid, _evaluate,
-                       _level, _sample, _spectrum)
+                       _finite, _level, _sample, _spectrum)
 
 EXTERIOR_MARGIN = 0.05
 MAX_DERIV_ORDER = 6
 
 # Pade guard rails: relative singular-value cutoff for the denominator solve
-# and the residue floor below which a root is discarded as Froissart noise.
+# and the residue floor below which a root is discarded as Froissart noise;
+# the pole drift and the fit residual above which poles are not asserted.
 SV_CUTOFF = 1e-12
 RESIDUE_FLOOR = 1e-10
+STABILITY_TOL = 1e-3
+ASSERT_RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -189,69 +192,80 @@ class ProbeReport:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
-class _PadeFit:
-    """The (m/k) Pade approximant a/b of the coefficients c (b_0 = 1).
+def _fits(c, pairs):
+    """(m, k, a, b, cond_ok) of each pair's (m/k) Pade approximant a/b of c:
+    b (b_0 = 1) solves sum_j b_j c_{m+i-j} = -c_{m+i}, i = 1..k, by least
+    squares (gelsd, cutoff SV_CUTOFF), all systems from one index table."""
+    ms, ks = map(np.array, zip(*pairs))
+    i = np.arange(1, ks.max() + 1)
+    idx = ms[:, None, None] + (i[:, None] - i)
+    hankels = c[np.maximum(idx, 0)]
+    if (ms < ks - 1).any():     # some system reaches before c_0
+        hankels = np.where(idx >= 0, hankels, 0.0)
+    dens, fits = np.ones((len(pairs), i.size + 1), dtype=complex), []
+    for (m, k), h, r, b in zip(pairs, hankels, -c[ms[:, None] + i], dens):
+        b = b[:k + 1]
+        b[1:], _, rank, sv = np.linalg.lstsq(h[:k, :k], r[:k], rcond=SV_CUTOFF)
+        fits.append((m, k, np.convolve(b, c[:m + 1])[:m + 1], b, bool(
+            sv.size == 0 or (sv[-1] > SV_CUTOFF * sv[0] and rank == k))))
+    return fits
 
-    The denominator solves the Hankel system sum_j b_j c_{m+i-j} = -c_{m+i},
-    i = 1..k, by least squares with a rank-revealing cutoff.  ``held`` is
-    (held-out nodes, samples there, sample scale), or None to measure the
-    residual on the coefficients beyond the solve.  The residual, the roots
-    and the filtered poles are computed when first asked for.
-    """
 
-    def __init__(self, c, m, k, held):
-        i = np.arange(1, k + 1)
-        idx = m + i[:, None] - i
-        hankel = np.where(idx >= 0, c[np.maximum(idx, 0)], 0.0)
-        sol, _, rank, sv = np.linalg.lstsq(hankel, -c[m + i], rcond=SV_CUTOFF)
-        self.cond_ok = bool(sv.size == 0
-                            or (sv.min() > SV_CUTOFF * sv.max() and rank == k))
-        self.b = np.concatenate([[1.0 + 0.0j], sol])
-        self.a = np.convolve(self.b, c[:m + 1])[:m + 1]
-        self.c, self.m, self.k, self.held = c, m, k, held
+def _horner(polys, x):
+    """np.polyval(p, x) of each p in polys as rows, to its bits, in one sweep:
+    rows stack longest first and join as their leading coefficient comes up.
+    A spare slot spares every product numpy's one-element (non-FMA) path."""
+    order = sorted(range(len(polys)), key=lambda r: -len(polys[r]))
+    asc = [len(polys[r]) for r in order[::-1]]
+    coef = np.zeros((asc[-1], len(polys), 1), dtype=complex)
+    for row, r in enumerate(order):
+        coef[asc[-1] - len(polys[r]):, row, 0] = polys[r]
+    flat = np.zeros(1 + len(polys) * x.size, dtype=complex)
+    tiled, y = np.ones_like(flat), flat[1:].reshape(len(polys), x.size)
+    tiled[1:].reshape(y.shape)[:] = x
+    for j in range(asc[-1]):
+        n = len(asc) - bisect_left(asc, asc[-1] - j)
+        flat[:1 + n * x.size] *= tiled[:1 + n * x.size]
+        y[:n] += coef[j, :n]
+    return y[np.argsort(order)]
 
-    @cached_property
-    def residual(self):
-        """Relative mismatch on the held-out boundary nodes or coefficients."""
-        a, b, c, m, k = self.a, self.b, self.c, self.m, self.k
-        if self.held is not None:
-            t, f, scale = self.held
-            fit = np.polyval(a[::-1], t) / np.polyval(b[::-1], t)
-            return float(np.max(np.abs(fit - f)) / scale)
-        used = m + k + 1
-        # expand a/b: cc_i = a_i - sum_j b_j cc_{i-j}
+
+def _residuals(c, fits, held):
+    """Each fit's relative mismatch on the held-out nodes or coefficients."""
+    if held is not None:
+        t, f, scale = held
+        y = _horner([p[::-1] for fit in fits for p in fit[2:4]], t)
+        return (np.abs(y[::2] / y[1::2] - f).max(axis=1) / scale).tolist()
+    out, scale = [], np.max(np.abs(c)) + 1e-300
+    for m, k, a, b, _ in fits:  # expand a/b: cc_i = a_i - sum b_j cc_{i-j}
         cc, bl = a.tolist() + [0.0] * (len(c) - m - 1), b.tolist()
         for i in range(1, len(c)):
             cc[i] -= sum(bl[j] * cc[i - j] for j in range(1, min(i, k) + 1))
-        cc = np.array(cc)
-        scale = np.max(np.abs(c)) + 1e-300
-        return float(np.max(np.abs(cc[used:] - c[used:])) / scale)
-
-    @cached_property
-    def roots(self):
-        """Roots of the denominator (pole candidates) and their residues."""
-        big = np.abs(self.b) >= 1e-13 * np.max(np.abs(self.b))
-        q = self.b[:np.flatnonzero(big)[-1] + 1][::-1]
-        if q.size <= 1:
-            return np.array([], dtype=complex), np.array([], dtype=complex)
-        roots = np.roots(q)
-        return roots, np.polyval(self.a[::-1], roots) / np.polyval(
-            np.polyder(q), roots)
-
-    @cached_property
-    def poles(self):
-        """Exterior roots whose residue clears the Froissart floor, and their
-        residues, nearest first."""
-        roots, residues = self.roots
-        keep = np.abs(residues) > RESIDUE_FLOOR * max(
-            np.max(np.abs(residues), initial=0.0), 1e-300)
-        keep &= np.abs(roots) > 1.0
-        order = np.argsort(np.abs(roots[keep]))
-        return roots[keep][order], residues[keep][order]
+        out.append(float(np.max(np.abs(np.array(cc[m + k + 1:])
+                                       - c[m + k + 1:])) / scale))
+    return out
 
 
-STABILITY_TOL = 1e-3
-ASSERT_RESIDUAL = 1e-6
+def _poles(fits):
+    """(roots, poles, residues) of each fit: b's roots, as np.roots finds
+    them; the exterior ones past the Froissart floor, nearest first."""
+    roots, rows = [], []
+    for _, _, a, b, _ in fits:
+        mag = np.abs(b)
+        q = b[(mag >= 1e-13 * mag.max()).nonzero()[0][-1]::-1]
+        comp = np.eye(q.size - 1, k=-1, dtype=complex)
+        comp[:1] = -q[1:] / q[0]
+        roots.append(np.linalg.eigvals(comp))
+        rows += [a[::-1], q[:-1] * np.arange(q.size - 1, 0, -1)]
+    y, at, out = _horner(rows, np.concatenate(roots)), 0, []
+    for j, r in enumerate(roots):
+        res = y[2 * j, at:at + r.size] / y[2 * j + 1, at:at + r.size]
+        mag, rad, at = np.abs(res), np.abs(r), at + r.size
+        keep = (mag > RESIDUE_FLOOR * max(mag.max(initial=0.0), 1e-300)) \
+            & (rad > 1.0)
+        order = np.argsort(rad[keep])
+        out.append((r, r[keep][order], res[keep][order]))
+    return out
 
 
 def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
@@ -259,83 +273,69 @@ def pade_pole_probe(coefficients, degrees: Optional[tuple] = None,
     """Estimate exterior poles from Taylor coefficients via a Pade fit.
 
     With ``degrees = (m, k)`` fixed, fits that approximant to m + k + 1
-    coefficients (m + k + 2 without ``boundary_samples``: the residual
-    holds one out); otherwise scans k = 1..8 with m = k - 1 and keeps the
-    smallest k whose held-out residual has plateaued (within 10x of the
-    best).  Roots are filtered against Froissart noise by residue
-    magnitude; a stability cross-check against the (m+1, k+1) fit decides
-    whether pole locations are asserted.  Branch-type inputs fail the
-    cross-check and are reported as root clusters without assertion — the
-    underlying inverse problem is an open conjecture and this probe never
-    claims uniqueness.
-    """
-    c = np.asarray(coefficients, dtype=complex)
-    if not np.all(np.isfinite(c)):
-        raise NonFiniteError("Taylor coefficients contain NaN or infinity")
+    coefficients (m + k + 2 without ``boundary_samples``, a finite row of
+    even length: the residual holds one out); otherwise fits k = 1..8 with
+    m = k - 1 in one pass and keeps the smallest k whose held-out residual
+    is within 10x of the best.  Only that fit and its (m+1, k+1) cross-check
+    are rooted; poles (roots whose residue clears the Froissart floor) are
+    asserted where both fits agree, never as unique."""
+    c = _finite(np.asarray(coefficients, dtype=complex), "a coefficient")
     held = None
     if boundary_samples is not None:
-        s = np.asarray(boundary_samples, dtype=complex)
+        s = _finite(np.asarray(boundary_samples, dtype=complex), "a sample")
+        if s.ndim != 1 or s.size % 2 or not s.size:
+            raise ContractError("boundary samples must be one row of an "
+                                f"even, nonzero length, got shape {s.shape}")
         # odd-index nodes of the unit-circle grid
         held = (np.exp(1j * (2.0 * np.pi * np.arange(1, s.size, 2) / s.size)),
                 s[1::2], np.max(np.abs(s)) + 1e-300)
-    fit = lru_cache(maxsize=None)(lambda m, k: _PadeFit(c, m, k, held))
-    notes = []
     if degrees is None:
-        scan = [fit(k - 1, k) for k in range(1, 9) if len(c) >= 2 * k + 1]
-        if not scan:
+        pairs = [(k - 1, k) for k in range(1, 9) if len(c) >= 2 * k + 1]
+        if not pairs:
             raise ContractError("too few coefficients to scan degrees")
-        best = min(f.residual for f in scan)
-        final = next(f for f in scan
-                     if f.residual <= 10.0 * max(best, 1e-15))
-        m, k = final.m, final.k
-        notes.append(f"degree scan over k = 1..{scan[-1].k} chose k = {k} "
-                     f"(residual {final.residual:.3e})")
     else:
-        m, k = degrees
+        (m, k), extra = degrees, 1 + (held is None)
         if m < 0 or k < 1:
             raise ContractError("need m >= 0 and k >= 1")
-        extra = 1 + (held is None)
         if len(c) < m + k + extra:
-            raise ContractError(
-                f"need at least m + k + {extra} = {m + k + extra} "
-                f"coefficients, got {len(c)}")
-        final = fit(m, k)
-    roots, _ = final.roots
-    poles, strengths = final.poles
-
-    # stability cross-check against the next degree pair: worst nearest-
-    # neighbour distance between the two pole sets (inf if sizes differ)
+            raise ContractError(f"need at least m + k + {extra} = "
+                                f"{m + k + extra} coefficients, got {len(c)}")
+        pairs = [(m, k)]
+    fits, notes = _fits(c, pairs), []
+    res, i = _residuals(c, fits, held), 0
+    if degrees is None:
+        top = 10.0 * max(min(res), 1e-15)
+        i = next(j for j, r in enumerate(res) if r <= top)
+        notes.append(f"degree scan over k = 1..{pairs[-1][1]} chose "
+                     f"k = {pairs[i][1]} (residual {res[i]:.3e})")
+    m, k, _, _, cond_ok = fits[i]
+    cross = len(c) >= m + k + 3     # against (m+1, k+1): the scan's next fit
+    later = (fits[i + 1:i + 2] or _fits(c, [(m + 1, k + 1)])) if cross else []
+    (roots, poles, strengths), *later = _poles(fits[i:i + 1] + later)
+    # drift: the pole sets' worst nearest-neighbour gap (inf if sizes differ)
     asserted = True
-    if len(c) >= m + k + 3:
-        poles2, _ = fit(m + 1, k + 1).poles
-        drift = np.inf
+    if cross:
+        poles2, drift = later[0][1], np.inf
         if len(poles) == len(poles2):
             near = np.abs(poles[:, None] - poles2).min(axis=1, initial=np.inf)
             drift = np.max(near / (1.0 + np.abs(poles)), initial=0.0)
         if drift > STABILITY_TOL:
             asserted = False
-            notes.append(
-                "pole locations drift between degree pairs "
-                f"({m},{k}) and ({m + 1},{k + 1}): root clusters suggest a "
-                "branch cut; locations are reported as diagnostics only, "
-                "not asserted")
-    if final.residual > ASSERT_RESIDUAL:
+            notes.append(f"pole locations drift between degree pairs ({m},"
+                         f"{k}) and ({m + 1},{k + 1}): root clusters suggest "
+                         "a branch cut; locations are reported as diagnostics"
+                         " only, not asserted")
+    if res[i] > ASSERT_RESIDUAL:
         asserted = False
         notes.append("rational fit residual is large; input may not be "
                      "meromorphic")
-    if not final.cond_ok:
+    if not cond_ok:
         notes.append("Hankel system is rank-deficient below the singular-"
                      "value cutoff")
-
     return ProbeReport(
-        locations=tuple(complex(z) for z in poles),
-        strengths=tuple(complex(z) for z in strengths),
-        degrees=(m, k),
-        coefficients_used=len(c),
-        residual=final.residual,
-        residual_kind=("held-out coefficients" if held is None
-                       else "held-out boundary nodes"),
-        confident=final.cond_ok and asserted,
-        poles_asserted=asserted,
-        unfiltered_roots=tuple(complex(z) for z in roots),
-        notes=tuple(notes))
+        locations=tuple(poles.tolist()),
+        strengths=tuple(strengths.tolist()), degrees=(m, k),
+        coefficients_used=len(c), residual=res[i], residual_kind="held-out "
+        + ("coefficients" if held is None else "boundary nodes"),
+        confident=cond_ok and asserted, poles_asserted=asserted,
+        unfiltered_roots=tuple(roots.tolist()), notes=tuple(notes))

@@ -579,3 +579,17 @@ def test_plate_velocity_refuses_a_non_finite_point(cfg, z):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite"):
             flat_plate_complex_velocity(cfg, z)
+
+
+@pytest.mark.parametrize("part", ["weight_coef", "smooth"])
+def test_sheet_density_refuses_complex_parts(part):
+    gamma = SheetDensity(**{part: lambda x: (1.0 + 0.5j) * np.ones_like(x)})
+    for x in (0.25, np.array([0.0, 0.5])):
+        with pytest.raises(ContractError, match="imaginary part"):
+            gamma(x)
+    real = SheetDensity(**{part: lambda x: 0.5 * np.asarray(x) + 1.0})
+    x = np.array([-0.5, 0.0, 0.5, 1.0])
+    want = 0.5 * x + 1.0
+    if part == "weight_coef":
+        want = np.where(x < 1.0, np.sqrt((1.0 - x) / (1.0 + x)) * want, 0.0)
+    assert np.array_equal(real(x), want) and real(0.5) == want[2]

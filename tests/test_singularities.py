@@ -486,3 +486,53 @@ def test_probe_refuses_too_few_coefficients_and_bad_degrees():
 def test_prescription_needs_a_finite_location(where):
     with pytest.raises(PrescriptionError, match="finite location"):
         SingularityPrescription("pole", where)
+
+
+class TestOnePassScan:
+    """The scan's held-out residuals come from one Horner sweep, to the bits
+    of np.polyval, and only the chosen fit and its cross-check are rooted."""
+
+    def test_held_out_residuals_match_polyval(self, circle256):
+        from cauchykit.singularities import _fits, _residuals
+        f = catalog_function(
+            SingularityPrescription("algebraic-branch", 1.6 + 1.2j))
+        samples = boundary_samples(f, circle256)
+        c = taylor_coefficients(samples, 47)
+        t = np.exp(1j * (2.0 * np.pi * np.arange(1, 256, 2) / 256))
+        scale = np.max(np.abs(samples)) + 1e-300
+        fits = _fits(c, [(k - 1, k) for k in range(1, 9)])
+        got = _residuals(c, fits, (t, samples[1::2], scale))
+        for (m, k, a, b, _), r in zip(fits, got):
+            fit = np.polyval(a[::-1], t) / np.polyval(b[::-1], t)
+            assert r == float(np.max(np.abs(fit - samples[1::2])) / scale)
+
+    def test_scan_roots_two_fits(self, circle256, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or eigvals(a))
+        f = catalog_function(SingularityPrescription("pole", 2.0 + 0.0j))
+        samples = boundary_samples(f, circle256)
+        pade_pole_probe(taylor_coefficients(samples, 63),
+                        boundary_samples=samples)
+        assert len(calls) == 2
+        # five coefficients: the chosen k = 2 has no (3, 4) cross-check
+        calls.clear()
+        c = 1.0 / 2.0 ** np.arange(1, 6) + 1.0 / (-3.0) ** np.arange(1, 6)
+        report = pade_pole_probe(c, degrees=(1, 2))
+        assert len(calls) == 1 and report.degrees == (1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(64, dtype=complex)
+        samples[5] = bad
+        c = 0.5 ** np.arange(10, dtype=complex)
+        for degrees in (None, (0, 1)):
+            with pytest.raises(NonFiniteError):
+                pade_pole_probe(c, degrees=degrees, boundary_samples=samples)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (63,), (0,)])
+    def test_samples_must_be_one_even_row(self, shape):
+        c = 0.5 ** np.arange(10, dtype=complex)
+        with pytest.raises(ContractError, match="even, nonzero length"):
+            pade_pole_probe(c, boundary_samples=np.ones(shape))
