@@ -117,6 +117,11 @@ class QuadratureGrid:
         return phase
 
     @cached_property
+    def _circle_shape(self):
+        """_shape of the phases, built once: that of every circle on it."""
+        return _shape(self._phase, 1j * self._phase, self)
+
+    @cached_property
     def _shifted(self):
         """The rule moved off its nodes, built once: the trapezoid rule
         shifted half a spacing; panels of order m + 1 on the same breaks,
@@ -410,10 +415,13 @@ def _arc_panels(arc, n_panels):
 
 def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution; warn
-    when a periodic trapezoid grid does not resolve z' (at a corner).  A
-    contour of kind "circle", which is sampled from the grid's phases, must
-    have z and z' at the nodes (one call each) within 1e-12*(|center| +
-    radius) of center + radius*exp(i s) and 1j*radius*exp(i s)."""
+    when a periodic trapezoid grid does not resolve z' (at a corner).  Two
+    nodes closer than a tenth of the larger of their arc-length weights
+    |z'_j w_j| are a self-intersection (_shape), so a thin ellipse or
+    high-order panels pass.  A contour of kind "circle", which is sampled
+    from the grid's phases, must have z and z' at the nodes (one call each)
+    within 1e-12*(|center| + radius) of center + radius*exp(i s) and
+    1j*radius*exp(i s); its shape checks are the grid's (_circle_shape)."""
     smp = _sample(contour, grid)
     zs, dzs = smp.zs, smp.dzs
     if contour.kind == "circle":
@@ -428,43 +436,63 @@ def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
         raise DomainError("contour is non-finite at a node")
     if np.min(np.abs(dzs)) <= 0:
         raise DomainError("contour derivative vanishes at a node")
-    if _has_close_pair(zs, 0.1 * smp.length / grid.n):
+    close, turn, level = (grid._circle_shape if contour.kind == "circle"
+                          else _shape(zs, dzs, grid))
+    if close:
         raise DomainError("contour self-intersects at sample resolution")
-    # the tangent's turning number, sum_j arg(z'_{j+1} / z'_j) / 2 pi, is
-    # +1 for a simple counterclockwise curve, -1 clockwise, 0 for a
-    # figure-eight and 2 with an inner loop, wherever the nodes fall
-    turn = np.sum(np.angle(np.roll(dzs, -1) * np.conj(dzs))) / (2.0 * np.pi)
     if abs(turn - 1.0) > 1e-6:
         raise DomainError("contour tangent turning number is not +1")
-    _warn_if_unresolved(dzs, grid, "the contour's z'")
+    _warn_if_unresolved(dzs, grid, "the contour's z'", level=level)
 
 
-# forward neighbour cells (dx, dy) of a cell, two cells on each axis
-_FORWARD_CELLS = [(0, 1), (0, 2)] + [(dx, dy) for dx in (1, 2)
-                                     for dy in range(-2, 3)]
+def _shape(zs, dzs, grid):
+    """(close, turn, level) of a closed contour's samples z, z' on the grid:
+    whether two nodes lie closer than a tenth of the larger of their
+    arc-length weights |z'_j w_j|, each pair held to its own spacing; the
+    tangent's turning number sum_j arg(z'_(j+1)/z'_j)/2 pi (+1 simple and
+    counterclockwise, -1 clockwise, 0 a figure-eight, 2 an inner loop,
+    wherever the nodes fall); the _level of z' on a periodic grid, else 0."""
+    close = _has_close_pair(zs, 0.1 * np.abs(dzs * grid.weights))
+    turn = np.sum(np.angle(np.roll(dzs, -1) * np.conj(dzs))) / TWO_PI
+    return close, turn, (_level(dzs) if grid.kind == "periodic-trapezoid"
+                         else 0.0)
 
 
 def _has_close_pair(zs, h):
-    """Whether two of the finite points zs lie closer than h, by a cell
-    list: in cells of side h/2 two points of one cell are at most h/sqrt(2)
-    apart, and a closer pair of points in distinct cells is at most two
-    cells apart on each axis, so each point is tested against the points of
-    its 12 forward neighbour cells only (O(n log n), at most 12n pairs)."""
-    x, y = zs.real - zs.real.min(), zs.imag - zs.imag.min()
-    kx, ky = (np.floor(x / (0.5 * h)).astype(np.int64),
-              np.floor(y / (0.5 * h)).astype(np.int64) + 2)
-    width = int(ky.max()) + 3
-    keys = kx * width + ky
-    order = np.argsort(keys)
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
-        return True
-    wanted = keys[:, None] + np.array([dx * width + dy
-                                       for dx, dy in _FORWARD_CELLS])
-    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    i, c = np.nonzero(keys[pos] == wanted)
-    d = zs[order[i]] - zs[order[pos[i, c]]]
-    return bool(np.any(d.real ** 2 + d.imag ** 2 < h * h))
+    """Whether two of the finite points zs lie closer than h, a positive
+    scalar or one threshold per point (a pair takes the larger of its two),
+    by one sorted search per point (Bentley, Stanat & Williams, Inf.
+    Process. Lett. 6, 1977): in cells of side H = max h, sorted by key kx W
+    + ky, a point's forward neighbours are the points after it up to the
+    cell above its own, and the run over the next column's three cells,
+    scanned in vectorized rounds.  A cell holds at most c = ceil(sqrt(2)
+    H/min h)^2 points with no closer pair (4 for a scalar h), so a range
+    longer than 3c implies one; the rounds end there, or, for thresholds
+    far apart, at the longest range."""
+    h = np.zeros(zs.shape) + h
+    side, lo, n = float(h.max()), float(h.min()), zs.size
+    ky = ((zs.imag - zs.imag.min()) / side).astype(np.int64) + 1
+    width = int(ky.max()) + 2
+    keys = ((zs.real - zs.real.min()) / side).astype(np.int64) * width + ky
+    order = np.argsort(keys, kind="stable")     # merges a contour's runs
+    keys, zs, h = keys[order], zs[order], h[order]
+    # j scans from i + 1 while keys[j] <= keys[i] + 1, and from the first
+    # key >= keys[i] + W - 1 while keys[j] <= keys[i] + W + 1
+    i = np.arange(2 * n) % n
+    j = np.concatenate((i[:n] + 1, np.searchsorted(keys, keys + width - 1)))
+    last = np.concatenate((keys, keys + width)) + 1
+    keys = np.append(keys, np.iinfo(np.int64).max)     # past the end
+    ratio = math.sqrt(2.0) * side / lo if lo > 0 else math.inf
+    for _ in range(3 * math.ceil(ratio) ** 2 if ratio < n else n):
+        live = keys[j] <= last
+        i, j, last = i[live], j[live], last[live]
+        if not i.size:
+            return False
+        d = zs[j] - zs[i]
+        if np.any(d.real ** 2 + d.imag ** 2 < np.maximum(h[i], h[j]) ** 2):
+            return True
+        j += 1
+    return bool(np.any(keys[j] <= last))
 
 
 @dataclass(frozen=True)
@@ -742,12 +770,14 @@ def _level(samples, lowest=None, amp=None):
             / max(float(np.abs(samples).max()), 1e-300))
 
 
-def _warn_if_unresolved(samples, grid, what, stacklevel=3):
+def _warn_if_unresolved(samples, grid, what, stacklevel=3, level=None):
     """AccuracyWarning, and True, when a periodic grid (None: any equispaced
-    periodic samples) leaves the samples unresolved; ``stacklevel`` counts
-    frames as warnings.warn does from here, so 3 names the caller's caller."""
-    periodic = grid is None or grid.kind == "periodic-trapezoid"
-    level = _level(samples) if periodic else 0
+    periodic samples) leaves the samples unresolved (their _level, or
+    ``level``); ``stacklevel`` counts frames as warnings.warn does from
+    here, so 3 names the caller's caller."""
+    if level is None:
+        periodic = grid is None or grid.kind == "periodic-trapezoid"
+        level = _level(samples) if periodic else 0
     if level > _UNRESOLVED:
         warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
                       f"modes are {level:.1e} of its maximum", AccuracyWarning,

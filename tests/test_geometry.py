@@ -217,6 +217,116 @@ def test_close_pair_search_at_the_threshold(factor):
     assert _has_close_pair(zs, h) == _all_pairs_close(zs, h) == (factor < 1.0)
 
 
+def _pairs_close_per_point(zs, h):
+    # all pairs, each held to the larger of its two points' thresholds
+    h = np.zeros(zs.shape) + h
+    d = zs[:, None] - zs[None, :]
+    d2 = d.real ** 2 + d.imag ** 2
+    d2[np.diag_indices(zs.size)] = np.inf
+    return bool(np.any(d2 < np.maximum(h[:, None], h[None, :]) ** 2))
+
+
+def test_close_pair_search_matches_all_pairs_on_random_clouds():
+    # 2,000 clouds (planes, dense clusters, near-lines, lattices with
+    # repeated points), each at a scalar threshold near its closest gap and
+    # at per-point thresholds spread over 1.6 decades
+    rng = np.random.default_rng(36)
+    verdicts = {True: 0, False: 0}
+    for k in range(2000):
+        size = int(rng.integers(2, 120))
+        noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        pts = [noise,
+               rng.choice(rng.standard_normal(3) * (1 + 1j), size)
+               + 1e-2 * noise,
+               noise.real + 1e-9j * noise.imag,
+               0.1 * (rng.integers(0, 8, size)
+                      + 1j * rng.integers(0, 8, size)),
+               ][k % 4]
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        gaps[np.diag_indices(size)] = np.inf
+        closest = gaps.min() if gaps.min() > 0 else 0.05
+        for h in (closest * rng.uniform(0.8, 1.25),
+                  closest * 10 ** rng.uniform(-1.5, 0.1, size)):
+            want = _pairs_close_per_point(pts, h)
+            assert _has_close_pair(pts, h) == want
+            verdicts[want] += 1
+    assert min(verdicts.values()) > 500
+    # a hexagonal lattice of spacing just above h packs more than four
+    # points in some three cells without a closer pair
+    a, b = np.meshgrid(np.arange(12), np.arange(12))
+    hexagonal = (a + 0.5 * b + 0.5j * np.sqrt(3.0) * b).ravel()
+    for turn in rng.random(50):
+        pts = hexagonal * np.exp(2j * np.pi * turn) + turn
+        assert not _has_close_pair(pts, 1.0 - 1e-9)
+        assert _has_close_pair(pts, 1.0 + 1e-9)
+
+
+def _peanut(width):
+    # simple and counterclockwise, mirror-symmetric in the real axis, with a
+    # waist at x = 0 where its two arcs run level, 2*width apart
+    def z(s):
+        s = np.asarray(s, dtype=float)
+        return np.cos(s) + 1j * np.sin(s) * (width
+                                             + (1 - width) * np.cos(s) ** 2)
+
+    def dz(s):
+        s = np.asarray(s, dtype=float)
+        c, si = np.cos(s), np.sin(s)
+        return -si + 1j * (c * (width + (1 - width) * c ** 2)
+                           - 2 * (1 - width) * si ** 2 * c)
+    return ClosedContour(z, dz)
+
+
+@pytest.mark.parametrize("contour,grid", [
+    (ellipse(1.0, b), periodic_trapezoid_grid(n))
+    for b in (0.06, 0.05) for n in (32, 256, 1024)] + [
+    (ellipse(1.0, 0.6), gauss_panel_grid(8, 24, a=0.0, b=TWO_PI))] + [
+    (c, gauss_panel_grid(8, m, a=0.0, b=TWO_PI))
+    for m in (28, 32, 48) for c in (circle(), ClosedContour(circle().z,
+                                                            circle().dz))],
+    ids=[f"ellipse-{b}-n{n}" for b in (0.06, 0.05) for n in (32, 256, 1024)]
+    + ["ellipse-panels-8x24"] + [f"{kind}-panels-8x{m}" for m in (28, 32, 48)
+                                 for kind in ("circle", "generic-circle")])
+def test_validate_contour_holds_each_pair_to_its_own_spacing(contour, grid):
+    # these simple contours have neighbouring nodes closer than a tenth of
+    # the mean gap (length/n), which read as a self-intersection
+    validate_contour(contour, grid)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_validate_contour_refuses_arcs_within_the_local_gap(n):
+    # the peanut's two arcs pass 0.05 of the local node gap 2*pi/n apart at
+    # its waist, without crossing: refused at sample resolution; 0.2 apart
+    # they pass
+    with pytest.raises(DomainError, match="self-intersects"):
+        validate_contour(_peanut(0.025 * TWO_PI / n),
+                         periodic_trapezoid_grid(n))
+    validate_contour(_peanut(0.1 * TWO_PI / n), periodic_trapezoid_grid(n))
+
+
+def test_circle_shape_checks_are_the_grids():
+    # a circle's shape checks are its grid's phases', built once; a grid
+    # that refuses them refuses every circle on it, with the generic
+    # contour's message
+    grid = periodic_trapezoid_grid(256)
+    record = grid._circle_shape
+    assert grid._circle_shape is record and record[0] is False
+    assert abs(record[1] - 1.0) < 1e-12 and record[2] < _UNRESOLVED
+    n = 64
+    half = geometry.QuadratureGrid(np.pi * np.arange(n) / n,
+                                   np.full(n, TWO_PI / n),
+                                   "periodic-trapezoid")
+    nodes = TWO_PI * np.arange(n) / n
+    doubled = geometry.QuadratureGrid(np.append(nodes, nodes[5]),
+                                      np.full(n + 1, TWO_PI / (n + 1)),
+                                      "periodic-trapezoid")
+    for bad, match in ((half, "turning number"), (doubled, "self-intersects")):
+        for c in (circle(), circle(0.3j, 1.2),
+                  ClosedContour(circle().z, circle().dz)):
+            with pytest.raises(DomainError, match=match):
+                validate_contour(c, bad)
+
+
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_validate_contour_accepts_non_convex_contour(n):
     validate_contour(_c_shape(), periodic_trapezoid_grid(n))

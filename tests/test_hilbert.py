@@ -100,6 +100,18 @@ class TestLineTransforms:
         assert np.max(np.abs(res.values - np.cos(xi))) < 1e-12
         assert "periodic route" in res.notes
 
+    def test_periodic_input_passes_the_decay_check_unsampled(self):
+        # a periodic input declares no decay to check: f is never called
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sin(x)
+        assert RealLineFunction(f, decay=0, period=TWO_PI).check_decay()
+        assert calls == []
+        assert not RealLineFunction(f, decay=2).check_decay()
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
     def test_period_must_be_finite_and_positive(self, period):
         # period = -1 read H[sin(2 pi x)](0.1) as -0.809, not +0.809

@@ -522,6 +522,24 @@ class TestOnePassScan:
         report = pade_pole_probe(c, degrees=(1, 2))
         assert len(calls) == 1 and report.degrees == (1, 2)
 
+    def test_fixed_degrees_reaching_before_c0_match_a_hankel_solve(self):
+        # with m < k - 1 a system reads c_j at j < 0, which is zero: each
+        # fit's denominator is that of the explicitly built Hankel system
+        from cauchykit.singularities import SV_CUTOFF, _fits
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        pairs = [(0, 2), (3, 2), (0, 3), (1, 3)]
+        for (m, k), (fm, fk, a, b, _) in zip(pairs, _fits(c, pairs)):
+            hankel = np.array([[c[m + i - j] if m + i - j >= 0 else 0.0
+                                for j in range(1, k + 1)]
+                               for i in range(1, k + 1)])
+            want = np.linalg.lstsq(hankel, -c[m + 1:m + k + 1],
+                                   rcond=SV_CUTOFF)[0]
+            assert (fm, fk) == (m, k) and b[0] == 1.0
+            assert np.allclose(b[1:], want, rtol=1e-12, atol=0.0)
+            assert np.allclose(a, np.convolve(b, c[:m + 1])[:m + 1],
+                               rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_rejected(self, bad):
         samples = np.ones(64, dtype=complex)
