@@ -117,11 +117,6 @@ class QuadratureGrid:
         return phase
 
     @cached_property
-    def _circle_shape(self):
-        """_shape of the phases, built once: that of every circle on it."""
-        return _shape(self._phase, 1j * self._phase, self)
-
-    @cached_property
     def _shifted(self):
         """The rule moved off its nodes, built once: the trapezoid rule
         shifted half a spacing; panels of order m + 1 on the same breaks,
@@ -417,11 +412,12 @@ def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
     """Check simplicity, regularity and orientation at grid resolution; warn
     when a periodic trapezoid grid does not resolve z' (at a corner).  Two
     nodes closer than a tenth of the larger of their arc-length weights
-    |z'_j w_j| are a self-intersection (_shape), so a thin ellipse or
-    high-order panels pass.  A contour of kind "circle", which is sampled
-    from the grid's phases, must have z and z' at the nodes (one call each)
-    within 1e-12*(|center| + radius) of center + radius*exp(i s) and
-    1j*radius*exp(i s); its shape checks are the grid's (_circle_shape)."""
+    |z'_j w_j| are a self-intersection, each pair held to its own spacing,
+    so a thin ellipse or high-order panels pass.  A contour of kind
+    "circle", which is sampled from the grid's phases, must have z and z' at
+    the nodes (one call each) within 1e-12*(|center| + radius) of center +
+    radius*exp(i s) and 1j*radius*exp(i s); its shape is then checked on
+    those samples as any contour's."""
     smp = _sample(contour, grid)
     zs, dzs = smp.zs, smp.dzs
     if contour.kind == "circle":
@@ -436,26 +432,16 @@ def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
         raise DomainError("contour is non-finite at a node")
     if np.min(np.abs(dzs)) <= 0:
         raise DomainError("contour derivative vanishes at a node")
-    close, turn, level = (grid._circle_shape if contour.kind == "circle"
-                          else _shape(zs, dzs, grid))
-    if close:
+    if _has_close_pair(zs, 0.1 * np.abs(smp.dzw)):
         raise DomainError("contour self-intersects at sample resolution")
+    # the tangent's turning number, sum_j arg(z'_{j+1} / z'_j) / 2 pi, is
+    # +1 for a simple counterclockwise curve, -1 clockwise, 0 for a
+    # figure-eight and 2 with an inner loop, wherever the nodes fall
+    prev = np.concatenate((dzs[-1:], dzs[:-1]))
+    turn = np.angle(dzs * prev.conj()).sum() / TWO_PI
     if abs(turn - 1.0) > 1e-6:
         raise DomainError("contour tangent turning number is not +1")
-    _warn_if_unresolved(dzs, grid, "the contour's z'", level=level)
-
-
-def _shape(zs, dzs, grid):
-    """(close, turn, level) of a closed contour's samples z, z' on the grid:
-    whether two nodes lie closer than a tenth of the larger of their
-    arc-length weights |z'_j w_j|, each pair held to its own spacing; the
-    tangent's turning number sum_j arg(z'_(j+1)/z'_j)/2 pi (+1 simple and
-    counterclockwise, -1 clockwise, 0 a figure-eight, 2 an inner loop,
-    wherever the nodes fall); the _level of z' on a periodic grid, else 0."""
-    close = _has_close_pair(zs, 0.1 * np.abs(dzs * grid.weights))
-    turn = np.sum(np.angle(np.roll(dzs, -1) * np.conj(dzs))) / TWO_PI
-    return close, turn, (_level(dzs) if grid.kind == "periodic-trapezoid"
-                         else 0.0)
+    _warn_if_unresolved(dzs, grid, "the contour's z'")
 
 
 def _has_close_pair(zs, h):
@@ -763,21 +749,22 @@ def _cut(pos, neg, n, scale):
 def _level(samples, lowest=None, amp=None):
     """max |c_k| of the Fourier coefficients c_k of periodic samples over
     lowest <= |k| <= N/2 (default 3N/8), over max|samples|, read from amp[m]
-    = max(|c_m|, |c_-m|), the _spectrum's, taken here when not given
-    (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
-    amp = _spectrum(samples)[2] if amp is None else amp
-    return (float(amp[lowest or 3 * samples.size // 8:].max())
-            / max(float(np.abs(samples).max()), 1e-300))
+    = max(|c_m|, |c_-m|), the _spectrum's, or, when not given, from the
+    FFT's entries lowest..N - lowest (Trefethen & Weideman, SIAM Rev. 56,
+    2014)."""
+    n = samples.size
+    lowest = lowest or 3 * n // 8
+    top = (amp[lowest:] if amp is not None
+           else np.abs(np.fft.fft(samples)[lowest:n + 1 - lowest] / n))
+    return float(top.max()) / max(float(np.abs(samples).max()), 1e-300)
 
 
-def _warn_if_unresolved(samples, grid, what, stacklevel=3, level=None):
+def _warn_if_unresolved(samples, grid, what, stacklevel=3):
     """AccuracyWarning, and True, when a periodic grid (None: any equispaced
-    periodic samples) leaves the samples unresolved (their _level, or
-    ``level``); ``stacklevel`` counts frames as warnings.warn does from
-    here, so 3 names the caller's caller."""
-    if level is None:
-        periodic = grid is None or grid.kind == "periodic-trapezoid"
-        level = _level(samples) if periodic else 0
+    periodic samples) leaves the samples unresolved; ``stacklevel`` counts
+    frames as warnings.warn does from here, so 3 names the caller's caller."""
+    periodic = grid is None or grid.kind == "periodic-trapezoid"
+    level = _level(samples) if periodic else 0
     if level > _UNRESOLVED:
         warnings.warn(f"{what} is not resolved by the grid: its top Fourier "
                       f"modes are {level:.1e} of its maximum", AccuracyWarning,

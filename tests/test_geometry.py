@@ -304,14 +304,16 @@ def test_validate_contour_refuses_arcs_within_the_local_gap(n):
     validate_contour(_peanut(0.1 * TWO_PI / n), periodic_trapezoid_grid(n))
 
 
-def test_circle_shape_checks_are_the_grids():
-    # a circle's shape checks are its grid's phases', built once; a grid
-    # that refuses them refuses every circle on it, with the generic
-    # contour's message
-    grid = periodic_trapezoid_grid(256)
-    record = grid._circle_shape
-    assert grid._circle_shape is record and record[0] is False
-    assert abs(record[1] - 1.0) < 1e-12 and record[2] < _UNRESOLVED
+def test_circles_are_checked_on_their_samples():
+    # a circle's shape checks read its rounded samples, as any contour's:
+    # on a grid whose phases fail them every circle is refused, with the
+    # generic contour's message, and so is a circle whose nodes round to
+    # within a tenth of their spacing (1e-9 is below ulp(1e5)*1024/2 pi)
+    tiny = circle(1e5, 1e-9)
+    for c in (tiny, ClosedContour(tiny.z, tiny.dz)):
+        with pytest.raises(DomainError, match="self-intersects"):
+            validate_contour(c, periodic_trapezoid_grid(1024))
+    validate_contour(circle(0.0, 1e-9), periodic_trapezoid_grid(1024))
     n = 64
     half = geometry.QuadratureGrid(np.pi * np.arange(n) / n,
                                    np.full(n, TWO_PI / n),
