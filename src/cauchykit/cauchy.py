@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapabilityError, ContractError, OnContourError
 from .geometry import (ClosedContour, PointClassification, QuadratureGrid,
-                       _evaluate, _finite, _pv, _pv_summands,
+                       _evaluate, _finite, _one_point, _pv, _pv_summands,
                        _require_periodic, _sample, _sided,
                        _warn_if_unresolved, circle, periodic_trapezoid_grid,
                        spectral_derivative, trig_interp)
@@ -158,16 +158,26 @@ def generalized_functional(f: BoundaryFunction, contour: ClosedContour,
     return _functional(_sample(contour, grid, f), z, n, m, m)
 
 
-def _boundary_terms(smp, n, t0=None, located=None):
-    """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt), arrays, at located = (s0,
-    t0) or the one contour point t0."""
-    s0, t0 = [np.array(a, ndmin=1) for a in located or smp.locate(t0)]
+def _boundary_terms(smp, n, located):
+    """(f^(n)(t0), P.V. of f^(n)(t)/(t - t0) dt), arrays, at the contour
+    points located = (s0, t0), scalars or arrays."""
+    s0, t0 = [np.array(a, ndmin=1) for a in located]
     samples = smp.f(n)
     # no callable for f^(n): smp.f(n) refused a non-periodic grid already
     dc = smp.density.derivative_callable(n)
     at = trig_interp(samples, s0) if dc is None \
         else np.asarray(dc(t0), dtype=complex)
     return at, _pv(samples, at, smp, s0, t0, n)
+
+
+def _on_contour(f, contour, grid, t0s, n=0):
+    """_boundary_terms at each contour point of the array t0s, located on
+    one sampling: the core of the boundary routes, whose one point is a
+    batch of one (_one_point).  Each point's terms are its own bit for bit
+    where f^(n) has a callable; the trigonometric interpolant of several
+    points (trig_interp) is one matrix product, which rounds otherwise."""
+    smp = _sample(contour, grid, f)
+    return _boundary_terms(smp, n, smp.locate_all(t0s))
 
 
 def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
@@ -182,14 +192,28 @@ def pv_contour_integral(f, contour: ClosedContour, grid: QuadratureGrid,
     smp = _sample(contour, grid, BoundaryFunction(f))
     located = smp.locate(t0)
     _warn_if_unresolved(smp.f(0), grid, "the density")
-    return complex(_boundary_terms(smp, 0, located=located)[1][0])
+    return complex(_boundary_terms(smp, 0, located)[1][0])
 
 
 def boundary_value(f: BoundaryFunction, contour: ClosedContour,
                    grid: QuadratureGrid, t0: complex, n: int = 0) -> complex:
     """K_n[f](t0) = (1/pi*i) P.V. of f^(n)(t)/(t - t0) dt; equals f^(n)(t0)."""
-    _, pv = _boundary_terms(_sample(contour, grid, f), n, t0)
+    _, pv = _on_contour(f, contour, grid, _one_point(t0), n)
     return complex(pv[0]) / (1j * np.pi)
+
+
+def _boundary_values(f, contour, grid, t0s, n=0):
+    """boundary_value at each contour point of the array t0s, each quotient
+    by pi*i Python's complex division, as boundary_value's (numpy's rounds
+    otherwise)."""
+    _, pv = _on_contour(f, contour, grid, t0s, n)
+    return np.array([p / (1j * np.pi) for p in pv.tolist()])
+
+
+def _one_sided_limits(f, contour, grid, t0s, side):
+    """one_sided_limit at each contour point of the array t0s."""
+    at, pv = _on_contour(f, contour, grid, t0s)
+    return _sided(pv, at)[side == "exterior"]
 
 
 def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
@@ -202,8 +226,8 @@ def one_sided_limit(f: BoundaryFunction, contour: ClosedContour,
     """
     if side not in ("interior", "exterior"):
         raise ValueError("side must be 'interior' or 'exterior'")
-    at, pv = _boundary_terms(_sample(contour, grid, f), 0, t0)
-    return complex(_sided(pv, at)[side == "exterior"][0])
+    return complex(_one_sided_limits(f, contour, grid, _one_point(t0),
+                                     side)[0])
 
 
 def complement_functional(F: BoundaryFunction, contour: ClosedContour,
@@ -263,7 +287,7 @@ def uniform_convergence_residuals(f: BoundaryFunction, contour: ClosedContour,
         g[inside] -= np.asarray(dc(z[inside]), dtype=complex)
     on = side == 2
     if on.any():        # the exterior limit, f-
-        at, pv = _boundary_terms(smp, n, located=[a[on] for a in ev.located])
+        at, pv = _boundary_terms(smp, n, [a[on] for a in ev.located])
         g[on] = _sided(pv, at)[1]
     res = np.hypot(g.real, g.imag)      # the bits of abs(complex)
     # fmax, as max() from 0.0, passes over a NaN residual

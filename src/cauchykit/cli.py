@@ -14,7 +14,10 @@ plemelj suite takes 3n/32 order-12 panels (24 at the default n = 256).  A
 check that an acceptance criterion asserts carries its number and covers
 its inputs at the criterion's n and seed.  Each tolerance is fixed for
 that grid size: a coarser ``--n`` fails rows in every suite at n = 8, and
-in ``convergence`` and ``direct-problem`` at n = 64.
+in ``convergence`` and ``direct-problem`` at n = 64.  A check takes its
+points as one array, through the array cores that the scalar on-curve
+routes wrap (cauchy._on_contour, plemelj._on_arc and _off_arc_sums,
+hilbert._conjugate), each residual the bits of one scalar call per point.
 """
 
 import argparse
@@ -29,9 +32,8 @@ import numpy as np
 
 from . import (ArcDensity, BoundaryFunction, CauchyKitError, FlowConfig,
                ParseError, PeriodicFunction, RealLineFunction,
-               SingularityPrescription, __version__, arc_cauchy_integral,
-               boundary_value, build_unit_circle, catalog_function,
-               circulation, complement_boundary_value, contour_integral,
+               SingularityPrescription, __version__, build_unit_circle,
+               catalog_function, circulation, contour_integral,
                derivative_bound_check, ellipse, exterior_annihilation_check,
                far_field_circulation, flat_plate_complex_velocity,
                gauss_panel_grid, hilbert_circular,
@@ -40,11 +42,15 @@ from . import (ArcDensity, BoundaryFunction, CauchyKitError, FlowConfig,
                hilbert_circular_inverse, hilbert_complementary, hilbert_line,
                hilbert_line_inverse, leading_edge_suction, lift,
                mean_value_check, normal_force, normalization_check,
-               one_sided_limit, pade_pole_probe, parseval_check,
-               periodic_trapezoid_grid, plemelj_limits,
+               pade_pole_probe, parseval_check, periodic_trapezoid_grid,
                poincare_bertrand_residual, pressure_jump, pv_singular_weight,
                segment, surface_velocities, taylor_coefficients,
                uniform_convergence_residuals, vanishing_contour_integral)
+# the array cores of the on-curve routes: a check's points in one call
+from .cauchy import _boundary_values, _one_sided_limits
+from .geometry import _sided
+from .hilbert import _conjugate
+from .plemelj import _arc_parts, _off_arc_sums, _on_arc
 
 SCHEMA = "cauchy-kit/1"
 
@@ -79,10 +85,17 @@ def _circle(value):
     return lambda n, rng: value(*build_unit_circle(n))
 
 
+def _largest(values):
+    """max |v| over the complex array values, each |v| by hypot: the bits
+    of abs(complex), which numpy's array abs does not keep."""
+    return np.hypot(values.real, values.imag).max()
+
+
 def _points(value):
-    """The largest |value(contour, grid, t0)| at 32 points of the circle."""
+    """The largest |value(contour, grid, t0s)| over 32 points t0s of the
+    circle, one array."""
     t0s = np.exp(2j * np.pi * np.arange(32) / 32)
-    return _circle(lambda c, g: max(abs(value(c, g, t0)) for t0 in t0s))
+    return _circle(lambda c, g: _largest(value(c, g, t0s)))
 
 
 def _periodic(value):
@@ -123,16 +136,25 @@ def _hc(samples):
     return hilbert_circular(PeriodicFunction(samples)).samples
 
 
+def _fourier_modes(th):
+    """Hc of sin(k th) and cos(k th), k = 1..16, less cos(k th) and -sin(k
+    th): one transform of the 32 rows."""
+    k = np.arange(1, 17)[:, None]
+    sin, cos = np.sin(k * th), np.cos(k * th)
+    return _conjugate(np.concatenate([sin, cos])) - np.concatenate([cos, -sin])
+
+
 def _grid(panels):
     return gauss_panel_grid(max(1, panels), 12)
 
 
 def _plemelj(identity):
-    """The largest |identity(x0, f+(x0), f-(x0))| at 16 points x0."""
+    """The largest |identity(x0, f+(x0), f-(x0))| over 16 points x0, one
+    array."""
     def residual(n, rng):
-        grid, x0s = _grid(3 * n // 32), np.linspace(-0.9, 0.9, 16)
-        return max(abs(identity(x0, *(s.value for s in plemelj_limits(
-            _G, _ARC, grid, complex(x0))))) for x0 in x0s)
+        x0s = np.linspace(-0.9, 0.9, 16)
+        at, pv, _ = _on_arc(_G, _ARC, _grid(3 * n // 32), x0s)
+        return _largest(identity(x0s, *_sided(pv, at)))
     return residual
 
 
@@ -145,8 +167,7 @@ def _reconstruction(n, rng):
                    * np.exp(2j * np.pi * rng.random(20)))
     exact = ((1.0 - zs ** 2) * np.log((zs - 1.0) / (zs + 1.0)) - 2.0 * zs) \
         / (2j * np.pi)
-    return max(abs(arc_cauchy_integral(_G, _ARC, grid, z) - f)
-               for z, f in zip(zs, exact))
+    return _largest(_off_arc_sums(*_arc_parts(_G, _ARC, grid), zs) - exact)
 
 
 def _pole_taylor(n, count):
@@ -172,15 +193,15 @@ _EXP = BoundaryFunction(np.exp, derivs=(np.exp, np.exp))
 add = _suite("boundary-relations")
 for name, f in (("pole-exterior", _POLE), ("entire-exp", _EXP)):
     add(f"relation-I-{name}", 1e-8, _points(lambda c, g, t, f=f:
-        one_sided_limit(f, c, g, t, "interior") - f(t)), 1)
+        _one_sided_limits(f, c, g, t, "interior") - f(t)), 1)
     add(f"relation-I-exterior-{name}", 1e-8, _points(
-        lambda c, g, t, f=f: one_sided_limit(f, c, g, t, "exterior")))
+        lambda c, g, t, f=f: _one_sided_limits(f, c, g, t, "exterior")))
     add(f"relation-II-{name}", 1e-8, _points(
-        lambda c, g, t, f=f: boundary_value(f, c, g, t, 0) - f(t)), 1)
+        lambda c, g, t, f=f: _boundary_values(f, c, g, t) - f(t)), 1)
 _F = BoundaryFunction(lambda t: t ** -2.0, decay=2,
                       derivs=(lambda t: -2.0 * t ** -3.0,))
 add("complement-relation-II", 1e-8, _points(
-    lambda c, g, t: complement_boundary_value(_F, c, g, t, 0) - _F(t)))
+    lambda c, g, t: -_boundary_values(_F, c, g, t) - _F(t)))
 
 add = _suite("convergence")
 for name, f, k, tol in (("pole", _POLE, 0, 1e-9), ("exp-n2", _EXP, 2, 1e-8)):
@@ -222,10 +243,7 @@ add("circular-sin-to-cos", 1e-10, _periodic(
 add("circular-complementary-negation", 1e-15, _periodic(
     lambda th: _hc(np.sin(th)) + hilbert_circular_complementary(
         PeriodicFunction(np.sin(th))).samples), 6)
-add("circular-fourier-modes-k16", 1e-9, _periodic(lambda th: [
-    np.concatenate([_hc(np.sin(k * th)) - np.cos(k * th),
-                    _hc(np.cos(k * th)) + np.sin(k * th)])
-    for k in range(1, 17)]), 6)
+add("circular-fourier-modes-k16", 1e-9, _periodic(_fourier_modes), 6)
 add("normalization-example", 1e-12, _periodic(
     lambda th: normalization_check(np.exp(1j * th))))
 add("parseval-circle", 1e-8, _periodic(lambda th: parseval_check(

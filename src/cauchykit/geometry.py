@@ -321,22 +321,37 @@ class _Samples:
 
     def locate(self, t0):
         """(s0, z(s0)) of the curve point closest to t0, which lies on the
-        contour or arc; DomainError when t0 is not finite or lies farther
-        than the band from the curve."""
-        t0 = np.asarray(t0, dtype=complex)
-        if t0.ndim:
-            raise TypeError("expected one point t0, not an array")
-        dist, (s0, on) = self.closest(t0)
-        if dist[0] > self.band:
-            raise DomainError(
-                f"t0 is {dist[0]:.3g} from the curve (band {self.band:.3g})")
+        contour or arc: locate_all of one point."""
+        s0, on = self.locate_all(_one_point(t0))
         return float(s0[0]), on[0]
+
+    def locate_all(self, points):
+        """(s0, z(s0)), flat arrays, of the curve point closest to each
+        point, which lies on the contour or arc, as closest() finds it (by
+        Newton from its nearest node, one point at a time, off a circle);
+        DomainError when a point is not finite or lies farther than the band
+        from the curve."""
+        dist, (s0, on) = self.closest(points)
+        band = self.band
+        far = [d for d in dist.tolist() if d > band]    # cheap for a few
+        if far:
+            raise DomainError(f"t0 is {far[0]:.3g} from the curve (band "
+                              f"{band:.3g})")
+        return s0, on
+
+
+def _one_point(t0):
+    """t0, which a scalar route takes alone; TypeError for an array."""
+    if np.asarray(t0).ndim:
+        raise TypeError("expected one point, not an array")
+    return t0
 
 
 def _finite(values, what):
     """values, or NonFiniteError if one of them is not finite: the one
     check of every sampled density."""
-    if not np.isfinite(values).all():
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:      # cheaper than all()
         raise NonFiniteError(f"{what} is not finite")
     return values
 
@@ -445,8 +460,8 @@ def validate_contour(contour: ClosedContour, grid: QuadratureGrid):
 
 
 def _has_close_pair(zs, h):
-    """Whether two of the finite points zs lie closer than h, a positive
-    scalar or one threshold per point (a pair takes the larger of its two),
+    """Whether two of the finite points zs lie closer than h, a scalar or
+    one threshold per point, each >= 0 (a pair takes the larger of its two),
     by one sorted search per point (Bentley, Stanat & Williams, Inf.
     Process. Lett. 6, 1977): in cells of side H = max h, sorted by key kx W
     + ky, a point's forward neighbours are the points after it up to the
@@ -454,9 +469,12 @@ def _has_close_pair(zs, h):
     scanned in vectorized rounds.  A cell holds at most c = ceil(sqrt(2)
     H/min h)^2 points with no closer pair (4 for a scalar h), so a range
     longer than 3c implies one; the rounds end there, or, for thresholds
-    far apart, at the longest range."""
+    far apart, at the longest range.  At H = 0 no pair is closer, and no
+    cell is built."""
     h = np.zeros(zs.shape) + h
     side, lo, n = float(h.max()), float(h.min()), zs.size
+    if side == 0.0:
+        return False
     ky = ((zs.imag - zs.imag.min()) / side).astype(np.int64) + 1
     width = int(ky.max()) + 2
     keys = ((zs.real - zs.real.min()) / side).astype(np.int64) * width + ky
@@ -522,8 +540,10 @@ def _newton_locate(curve, point, s0):
         else:
             ddz = (curve.dz(np.array([fix(s0 + h)]))[0]
                    - curve.dz(np.array([fix(s0 - h)]))[0]) / (2 * h)
-        g = 2.0 * (zz.conjugate() * dz).real
-        gg = 2.0 * (np.abs(dz) ** 2 + (zz.conjugate() * ddz).real)
+        # half the first and second derivatives of |z(s) - point|^2: the
+        # halves leave the step g/gg as it is
+        zc = zz.conjugate()
+        g, gg = (zc * dz).real, np.abs(dz) ** 2 + (zc * ddz).real
         if gg <= 0:
             break
         step = g / gg
@@ -823,7 +843,7 @@ def _pv(samples, g0, smp, s0, t0, n):
     grid node; a target near both stays on the rule it is farther from."""
     gap = _node_gap(smp.grid, s0)
     near = gap < _NODE_BAND
-    if near.any():
+    if np.count_nonzero(near):
         near[near] = _node_gap(smp.grid._shifted, s0[near]) > gap[near]
 
     def moved(rows):
@@ -1097,7 +1117,7 @@ def _near_split(near, g0, t0, weight, rule, near_pv):
     rule of the same degree that forms no quotient near them, called only
     when some target is near.  So next to a node the error is that between
     nodes (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
-    if not near.any():
+    if not np.count_nonzero(near):
         return _subtracted_pv(*rule, g0, t0, weight)
     out = np.empty(t0.size, dtype=np.result_type(g0, weight))
     out[~near] = _subtracted_pv(*rule, g0[~near], t0[~near], weight)

@@ -279,13 +279,14 @@ hilbert_complementary_inverse = hilbert_line
 
 
 def _conjugate(samples):
-    """Hc on equispaced samples: the Fourier multiplier i*sign(k).
+    """Hc on equispaced samples along the last axis, each row as if alone:
+    the Fourier multiplier i*sign(k).
 
     The constant and Nyquist modes map to zero."""
     coef = np.fft.rfft(samples)
-    coef[1:] *= 1j
-    coef[0] = coef[-1] = 0.0
-    return np.fft.irfft(coef, len(samples))
+    coef[..., 1:] *= 1j
+    coef[..., 0] = coef[..., -1] = 0.0
+    return np.fft.irfft(coef, samples.shape[-1])
 
 
 def _conjugate_at(samples, s, phase_error=0.0):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError, EndpointError, NonFiniteError
 from .geometry import (_CAUCHY, JordanArc, QuadratureGrid, _arc_panels,
                        _arc_pv_rows, _arc_pv_weights, _equal_panels, _finite,
-                       _kernel_sums, _sample, _sided, _weighted,
+                       _kernel_sums, _one_point, _sample, _sided, _weighted,
                        panels_from_breakpoints)
 
 DEFAULT_ENDPOINT_MARGIN = 0.02
@@ -84,18 +84,24 @@ def _off_arc_sums(smp, parts, z, p=1):
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
-def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
-                        n: int = 0) -> complex:
-    """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc,
-    one part (nodes, n! g z'w/2*pi*i) of _off_arc_sums; also
-    reconstruct_from_jump, as f is rebuilt from its jump g by n = 0."""
-    if np.ndim(z):
-        raise TypeError("arc_cauchy_integral takes one field point z")
+def _arc_parts(g, arc, grid, n=0):
+    """(smp, parts) of f^(n) for _off_arc_sums: the arc's samples and its one
+    part, the nodes and n! g z'w/2*pi*i."""
     smp = _sample(arc, grid)
     g = _finite(np.asarray(_as_density(g)(smp.zs), dtype=complex),
                 "the density at a quadrature node")
-    return _off_arc_sums(smp, ((smp.zs, g * (smp.dzw * (
-        _CAUCHY * math.factorial(n)))),), z, n + 1)
+    return smp, ((smp.zs, g * (smp.dzw * (_CAUCHY * math.factorial(n)))),)
+
+
+def arc_cauchy_integral(g, arc: JordanArc, grid: QuadratureGrid, z: complex,
+                        n: int = 0) -> complex:
+    """f^(n)(z) = (n!/2*pi*i) int_L g(t)/(t - z)^(n+1) dt for z off the arc,
+    one part (nodes, n! g z'w/2*pi*i) of _off_arc_sums, which takes an
+    array of field points as well (_arc_parts); also reconstruct_from_jump,
+    as f is rebuilt from its jump g by n = 0."""
+    if np.ndim(z):
+        raise TypeError("arc_cauchy_integral takes one field point z")
+    return _off_arc_sums(*_arc_parts(g, arc, grid, n), z, n + 1)
 
 
 # f(z) = (1/2*pi*i) int_L jump(t)/(t - z) dt: the arc integral at n = 0
@@ -112,19 +118,29 @@ def plemelj_limits(g, arc: JordanArc, grid: QuadratureGrid, z0: complex):
     is taken on _pv_panels (_arc_pv_rows), so the grid sets only their
     count.
     """
-    g = _as_density(g)
-    panels = _pv_panels(arc, grid)
-    s0, loc = panels.locate(z0)
-    if not DEFAULT_ENDPOINT_MARGIN <= s0 <= 1.0 - DEFAULT_ENDPOINT_MARGIN:
-        raise EndpointError(f"z0 at parameter {s0:.4f} is within the "
+    at, pv, loc = _on_arc(g, arc, grid, _one_point(z0))
+    loc = complex(loc[0])
+    plus, minus = _sided(complex(pv[0]), complex(at[0]))
+    return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
+
+
+def _on_arc(g, arc, grid, z0s):
+    """(g(z0), P.V. int_L g(t)/(t - z0) dt, z0 = z(s0)), arrays, at each
+    interior arc point of z0s, each located on its own: one density
+    sampling at the nodes and the points, and one _arc_pv_rows over every
+    point; the core of plemelj_limits, whose one point is a batch of one."""
+    g, panels = _as_density(g), _pv_panels(arc, grid)
+    s0, loc = panels.locate_all(z0s)
+    ends = [s for s in s0.tolist() if not DEFAULT_ENDPOINT_MARGIN <= s
+            <= 1.0 - DEFAULT_ENDPOINT_MARGIN]
+    if ends:
+        raise EndpointError(f"z0 at parameter {ends[0]:.4f} is within the "
                             f"endpoint margin {DEFAULT_ENDPOINT_MARGIN}")
-    loc = complex(loc)
-    at = np.concatenate((panels.zs, (loc,)))
+    at = np.concatenate((panels.zs, loc))
     vals = _finite(np.asarray(g(at), dtype=complex) + np.zeros(at.shape),
                    "the density at a quadrature node")
-    plus, minus = _sided(complex(_arc_pv_rows(vals[:-1], panels, s0, loc)[0]),
-                         complex(vals[-1]))
-    return SidedLimit(plus, "plus", loc), SidedLimit(minus, "minus", loc)
+    nodes = panels.zs.size
+    return vals[nodes:], _arc_pv_rows(vals[:nodes], panels, s0, loc), loc
 
 
 def _pv_panels(arc, grid):
@@ -186,10 +202,11 @@ def _pb_residual_once(f2, arc, s0, x0c, inner):
     # I(t') = P.V. int f2(t, t')/(t - t') dt and -B(t') = P.V. int
     # f2(t', t)/(t - t') dt at every outer node t', then at x0; and A(t) =
     # P.V. int f2(t, t')/(t' - x0) dt' at every outer node t, from the
-    # samples f2(t', t) of -B against x0's weights (its last row unused)
+    # samples f2(t', t) of -B against x0's weights (its last row unused),
+    # the last row of the same build, copied out of the buffer blocks share
     zs, sp, tp = inner.zs, np.append(s, s0), np.append(ts, x0c)
     weights, blocks = _arc_pv_weights(inner, sp, tp)
-    at_x0 = _arc_pv_weights(inner, s0, x0c)[0](slice(None))[0]
+    at_x0 = weights(slice(-1, None))[0].copy()
     I, minus_B, A = np.empty((3, tp.size), dtype=complex)
     for r in blocks:
         wr = weights(r)

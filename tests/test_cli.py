@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cauchykit import (RealLineFunction, SingularityPrescription,
-                       catalog_function, hilbert_complementary, hilbert_line,
-                       hilbert_line_inverse)
-from cauchykit import cli
+                       arc_cauchy_integral, boundary_value, build_unit_circle,
+                       catalog_function, complement_boundary_value,
+                       gauss_panel_grid, hilbert_complementary, hilbert_line,
+                       hilbert_line_inverse, one_sided_limit, plemelj_limits)
+from cauchykit import cauchy, cli, geometry, hilbert, plemelj
 from cauchykit.cli import SUITES, main, parse_boundary_file
 from cauchykit.errors import ParseError
 
@@ -527,3 +529,86 @@ def test_writable_out_in_a_read_only_directory_is_written(
     assert residual_calls and capsys.readouterr() == ("", "")
     if where != "devnull":
         assert out.read_text().startswith("check,residual,tolerance,pass\n")
+
+
+# ---------------------------------------------------------------------------
+# a check takes its points as one array, to the bits of one call per point
+
+
+def _loop_points(value):
+    t0s = np.exp(2j * np.pi * np.arange(32) / 32)
+    return cli._circle(lambda c, g: max(abs(value(c, g, t0)) for t0 in t0s))
+
+
+def _loop_plemelj(identity):
+    def residual(n, rng):
+        grid, x0s = cli._grid(3 * n // 32), np.linspace(-0.9, 0.9, 16)
+        return max(abs(identity(x0, *(s.value for s in plemelj_limits(
+            cli._G, cli._ARC, grid, complex(x0))))) for x0 in x0s)
+    return residual
+
+
+def _loop_reconstruction(n, rng):
+    grid = cli._grid(3 * n // 32)
+    zs = np.append([2j, 1.5 + 0.5j, -0.3 - 2.0j], (1.5 + 2.0 * rng.random(20))
+                   * np.exp(2j * np.pi * rng.random(20)))
+    exact = ((1.0 - zs ** 2) * np.log((zs - 1.0) / (zs + 1.0)) - 2.0 * zs) \
+        / (2j * np.pi)
+    return max(abs(arc_cauchy_integral(cli._G, cli._ARC, grid, z) - f)
+               for z, f in zip(zs, exact))
+
+
+# the registry's checks as they were, one scalar call per point
+PER_POINT = {"complement-relation-II": _loop_points(
+    lambda c, g, t: complement_boundary_value(cli._F, c, g, t, 0) - cli._F(t)),
+    "plemelj-jump-identity": _loop_plemelj(
+        lambda x0, plus, minus: plus - minus - (1.0 - x0 ** 2)),
+    "plemelj-sum-identity": _loop_plemelj(
+        lambda x0, plus, minus: plus + minus - (
+            -2.0 * x0 + (1.0 - x0 ** 2) * np.log((1.0 - x0) / (1.0 + x0)))
+        / (1j * np.pi)),
+    "plemelj-reconstruction": _loop_reconstruction,
+    "circular-fourier-modes-k16": cli._periodic(lambda th: [
+        np.concatenate([cli._hc(np.sin(k * th)) - np.cos(k * th),
+                        cli._hc(np.cos(k * th)) + np.sin(k * th)])
+        for k in range(1, 17)])}
+for _name, _f in (("pole-exterior", cli._POLE), ("entire-exp", cli._EXP)):
+    PER_POINT[f"relation-I-{_name}"] = _loop_points(
+        lambda c, g, t, f=_f: one_sided_limit(f, c, g, t, "interior") - f(t))
+    PER_POINT[f"relation-I-exterior-{_name}"] = _loop_points(
+        lambda c, g, t, f=_f: one_sided_limit(f, c, g, t, "exterior"))
+    PER_POINT[f"relation-II-{_name}"] = _loop_points(
+        lambda c, g, t, f=_f: boundary_value(f, c, g, t, 0) - f(t))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("check_id", list(PER_POINT))
+def test_a_batched_check_is_its_per_point_loop(check_id, n):
+    check, = [c for c in cli.CHECKS if c.id == check_id]
+    got = check.residual(n, np.random.default_rng(7))
+    assert got == PER_POINT[check_id](n, np.random.default_rng(7))
+    assert 0.0 < got <= check.tolerance
+
+
+def test_each_scalar_route_is_its_core_at_one_target():
+    c, g = build_unit_circle(64)
+    t0 = complex(np.exp(0.3j))
+    for f in (cli._POLE, cli._EXP):
+        assert boundary_value(f, c, g, t0) \
+            == cauchy._boundary_values(f, c, g, [t0])[0]
+        for side in ("interior", "exterior"):
+            assert one_sided_limit(f, c, g, t0, side) \
+                == cauchy._one_sided_limits(f, c, g, [t0], side)[0]
+    assert complement_boundary_value(cli._F, c, g, t0) \
+        == -cauchy._boundary_values(cli._F, c, g, [t0])[0]
+    grid = gauss_panel_grid(24, 12)
+    plus, minus = plemelj_limits(cli._G, cli._ARC, grid, 0.3 + 0j)
+    at, pv, loc = plemelj._on_arc(cli._G, cli._ARC, grid, [0.3 + 0j])
+    assert (plus.value, minus.value) == tuple(
+        x[0] for x in geometry._sided(pv, at))
+    assert plus.location == minus.location == loc[0]
+    assert arc_cauchy_integral(cli._G, cli._ARC, grid, 2j) == \
+        plemelj._off_arc_sums(*plemelj._arc_parts(cli._G, cli._ARC, grid),
+                              np.array([2j]))[0]
+    samples = np.sin(3.0 * np.arange(64) / 64 * 2.0 * np.pi)
+    assert np.array_equal(cli._hc(samples), hilbert._conjugate(samples))

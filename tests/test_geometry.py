@@ -203,6 +203,15 @@ def test_close_pair_search_matches_all_pairs():
         h = 0.1 * np.sum(np.abs(fig8.dz(grid.nodes))) * TWO_PI / n ** 2
         zs = fig8.z(grid.nodes)
         assert _has_close_pair(zs, h) == _all_pairs_close(zs, h)
+    # no pair is closer than 0, repeated points neither: a zero cell side
+    # once cast inf and NaN to int64
+    repeated = np.repeat(rng.standard_normal(20) + 1j, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (0.0, np.zeros(repeated.size)):
+            assert not _has_close_pair(repeated, h)
+            assert not _pairs_close_per_point(repeated, h)
+        assert _has_close_pair(repeated, 1e-3)
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])

@@ -732,6 +732,13 @@ def test_seeded_arc_locate_keeps_off_arc_errors():
     for z0 in (1.001 * on, on + 1e-6, 0.3j, 2.0):
         with pytest.raises(DomainError):
             plemelj_limits(g, CURVED, grid, z0)
+    # at the centre every arc point is as far: |z(s)|^2 is flat, so the
+    # second derivative Newton reads (exact d2z) is not positive and it
+    # stops at its seed node, 1 from z0
+    with pytest.raises(DomainError, match="is 1 from the curve"):
+        plemelj_limits(g, CURVED, grid, 0j)
+    # where |z(s) - point|^2 is concave, Newton stays at its seed
+    assert geometry._newton_locate(CURVED, 0.5, 0.1)[0] == 0.1
     plus, minus = plemelj_limits(g, CURVED, grid, on)
     assert plus.value - minus.value == pytest.approx(on ** 2, abs=1e-9)
     with pytest.raises(DomainError):
